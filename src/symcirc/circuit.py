@@ -342,6 +342,22 @@ def evaluate_arith(circuit: Circuit, assignment: dict) -> FieldValue:
     return arith_gate_values(circuit, assignment)[circuit.output]
 
 
+def partition_hits(kind: str, c: FieldValue, weights, counts) -> bool:
+    """The psum / pprod rule: True iff the per-part counts hit the target c,
+    that is sum(counts[i] * weights[i]) == c for psum and
+    prod(weights[i] ** counts[i]) == c for pprod (weights, counts aligned)."""
+    fld = c.field
+    if kind == "psum":
+        acc = fld.zero()
+        for q, k in zip(weights, counts):
+            acc = acc + q.scaled(k)
+    else:
+        acc = fld.one()
+        for q, k in zip(weights, counts):
+            acc = acc * q.power(k)
+    return acc == c
+
+
 def bool_gate_values(circuit: Circuit, assignment: dict) -> dict:
     """0/1 value of every gate under a 0/1 variable assignment."""
     _require_valid_for_eval(circuit)
@@ -375,19 +391,12 @@ def bool_gate_values(circuit: Circuit, assignment: dict) -> dict:
         elif lab.kind == "th_eq":
             vals[g] = int(sum(vals[c] for c, _t in ws) == lab.k)
         elif lab.kind in ("psum", "pprod"):
-            weights = lab.parts_map()
-            counts = {t: 0 for t in weights}
+            slot = {t: i for i, (t, _q) in enumerate(lab.parts)}
+            counts = [0] * len(slot)
             for c, tag in ws:
-                counts[tag] += vals[c]
-            if lab.kind == "psum":
-                acc = circuit.field.zero()
-                for t, q in weights.items():
-                    acc = acc + q.scaled(counts[t])
-            else:
-                acc = circuit.field.one()
-                for t, q in weights.items():
-                    acc = acc * q.power(counts[t])
-            vals[g] = int(acc == lab.c)
+                counts[slot[tag]] += vals[c]
+            weights = [q for _t, q in lab.parts]
+            vals[g] = int(partition_hits(lab.kind, lab.c, weights, counts))
         else:
             raise CircuitError(f"gate {g}: label {lab.kind!r} is not Boolean")
     return vals

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Machine-readable JSON goes to stdout (stable key order, schema_version, no
-timestamps); human-oriented notes and the seed banner go to stderr.  Exit
+timestamps); human-oriented notes go to stderr.  Circuit files hold the text
+of circuit.serialize, so the API and the CLI read each other's files.  Exit
 codes: 0 success, 1 failed check, 2 usage or I/O error.
 """
 
@@ -44,7 +45,6 @@ from .symmetry import (
 from .wl import wl_equivalent
 
 SCHEMA_VERSION = 1
-DEFAULT_SEED = 1729
 _BUILTINS = ("k4", "k33", "petersen")
 
 
@@ -68,7 +68,7 @@ def _write(path: str, text: str):
 
 
 def _load_circuit(path: str):
-    return deserialize(json.loads(_read(path)))
+    return deserialize(_read(path))
 
 
 def _parse_group(text: str):
@@ -124,7 +124,7 @@ def _cmd_gen(args) -> int:
         gen = leverrier_det_circuit(args.n, fld, allow_positive_char=args.allow_positive_char)
     else:
         gen = ryser_perm_circuit(args.n, fld)
-    _write(args.out, json.dumps(serialize(gen.circuit), sort_keys=True, indent=2) + "\n")
+    _write(args.out, serialize(gen.circuit))
     wpath = args.out + ".witnesses.json"
     _write(wpath, json.dumps({
         "schema_version": SCHEMA_VERSION,
@@ -218,8 +218,8 @@ def _cmd_lower(args) -> int:
     lowered = lower_to_partition_basis(circuit, accept, vs)
     expanded = expand_to_threshold(lowered)
     d_path = (args.out[:-5] if args.out.endswith(".json") else args.out) + ".d.json"
-    _write(d_path, json.dumps(serialize(lowered.circuit), sort_keys=True, indent=2) + "\n")
-    _write(args.out, json.dumps(serialize(expanded.circuit), sort_keys=True, indent=2) + "\n")
+    _write(d_path, serialize(lowered.circuit))
+    _write(args.out, serialize(expanded.circuit))
     nvars = sum(1 for lab in circuit.gates.values() if lab.kind == "input")
     verified_d = verified_c = None
     if nvars <= args.max_inputs:
@@ -320,10 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="symcirc",
         description="symmetric circuits, Boolean lowering, CFI matchings, WL")
-    top.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                     help="seed for seeded subcommands (default %(default)s)")
-    top.add_argument("--jobs", type=int, default=1,
-                     help="reserved worker count; execution is sequential")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a determinant or permanent circuit")
@@ -416,7 +412,6 @@ def run(argv) -> int:
     except SystemExit as exc:
         code = exc.code or 0
         return code if isinstance(code, int) else 2
-    print(f"# symcirc seed={args.seed}", file=sys.stderr)
     try:
         return args.func(args)
     except (SymcircError, OSError, ValueError, ZeroDivisionError,

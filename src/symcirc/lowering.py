@@ -9,8 +9,11 @@ Phi evaluates into B.  It proceeds in two symmetry-preserving steps:
    PartitionSum / PartitionProd gates whose tagged wires group the children
    gates (u, q) by the value q they assert.
 2. expand_to_threshold: each partition gate is replaced by an OR of ANDs of
-   exact-threshold gates over per-part identity towers, one tower height per
-   part, which computes the same function using only standard Boolean labels.
+   exact-threshold gates, which computes the same function using only
+   standard Boolean labels.  Part i of a gate reads its children through
+   identity towers of height i.  There is one tower per child and height,
+   ("tw", d, level), shared by every gadget that reads child d at that
+   height, so the towers add no orbit larger than the child's own.
 
 Both steps map gate names componentwise under a circuit automorphism, so
 witnesses lift and orbit sizes are preserved.
@@ -22,25 +25,23 @@ import itertools
 from dataclasses import dataclass
 
 from .circuit import (
-    ADD,
     AND,
-    MUL,
     NOT,
     OR,
     Circuit,
     CircuitBuilder,
-    bool_gate_values,
+    arith_gate_values,
     const,
-    evaluate_arith,
     evaluate_bool,
     input_label,
+    partition_hits,
     pprod,
     psum,
     th_eq,
 )
 from .errors import BudgetExceededError, CircuitError
 from .field import QQ, Field, FieldValue
-from .symmetry import Witness, verify_automorphism, orbits
+from .symmetry import Witness, orbits
 
 _ARITH_KINDS = ("input", "const", "add", "mul")
 _VEC_BUDGET = 10 ** 6
@@ -62,6 +63,19 @@ def _require_arith(circuit: Circuit):
             raise CircuitError(f"gate {g}: cannot lower label {lab!r}")
 
 
+def _zero_one_runs(circuit: Circuit, max_inputs: int):
+    """Yield (bits, gate values) for every 0-1 assignment of the circuit's
+    input variables: bits maps variable -> 0/1, gate values are exact."""
+    fld = circuit.field
+    bit_values = (fld.zero(), fld.one())
+    variables = sorted({lab.var for lab in circuit.gates.values() if lab.kind == "input"})
+    if len(variables) > max_inputs:
+        raise BudgetExceededError(f"{len(variables)} inputs exceed budget {max_inputs}")
+    for bits in itertools.product((0, 1), repeat=len(variables)):
+        asg = {v: bit_values[x] for v, x in zip(variables, bits)}
+        yield dict(zip(variables, bits)), arith_gate_values(circuit, asg)
+
+
 def value_sets(circuit: Circuit, mode: str = "compositional", max_inputs: int = 20) -> ValueSetMap:
     """Per-gate candidate value sets over 0-1 assignments.
 
@@ -72,14 +86,9 @@ def value_sets(circuit: Circuit, mode: str = "compositional", max_inputs: int = 
     _require_arith(circuit)
     fld = circuit.field
     if mode == "exact":
-        variables = sorted({lab.var for lab in circuit.gates.values() if lab.kind == "input"})
-        if len(variables) > max_inputs:
-            raise BudgetExceededError(f"{len(variables)} inputs exceed exact budget {max_inputs}")
         seen = {g: set() for g in circuit.gates}
-        from .circuit import arith_gate_values
-        for bits in itertools.product((0, 1), repeat=len(variables)):
-            asg = {v: fld.of(b) for v, b in zip(variables, bits)}
-            for g, val in arith_gate_values(circuit, asg).items():
+        for _bits, vals in _zero_one_runs(circuit, max_inputs):
+            for g, val in vals.items():
                 seen[g].add(val)
         return ValueSetMap({g: _sorted_vals(vs) for g, vs in seen.items()}, exact=True)
     if mode != "compositional":
@@ -196,26 +205,41 @@ def gadget_input_names(spec: GadgetSpec) -> dict:
             for t, s in zip(spec.tags, spec.sizes)}
 
 
+def _emit_gadget(b: CircuitBuilder, g, parts: list, accept) -> int:
+    """Emit the threshold gadget standing for partition gate g; return its OR.
+
+    parts lists (tag, [(d, base), ...]) in canonical order.  Part i (from 1)
+    reads each source gate d, built as gate base, through the identity tower
+    ("tw", d, 1..i); every gadget that reads d at height i shares it.  accept
+    holds the accepted count vectors, aligned with parts.
+    """
+    tops = []
+    for height, (_t, kids) in enumerate(parts, start=1):
+        part_tops = []
+        for d, top in kids:
+            for level in range(1, height + 1):
+                top = b.ensure(AND, [top], ("tw", d, level))
+            part_tops.append(top)
+        tops.append(part_tops)
+    accs = []
+    for vec in sorted(accept):
+        tes = [b.add(th_eq(k), part_tops, name=("te", g, vec, t))
+               for (t, _kids), part_tops, k in zip(parts, tops, vec)]
+        accs.append(b.add(AND, tes, name=("ac", g, vec)))
+    return b.add(OR, accs, name=("d", g))
+
+
 def gadget_for_partition_function(spec: GadgetSpec, fld: Field = QQ) -> Circuit:
     """OR over accepted vectors of AND over parts of exact-threshold gates,
     each part's inputs routed through an identity tower of that part's height.
     """
     names = gadget_input_names(spec)
     b = CircuitBuilder(fld, [n for t in spec.tags for n in names[t]])
-    tops = {}
-    for height, t in enumerate(spec.tags, start=1):
-        part_tops = []
-        for n in names[t]:
-            g = b.add(input_label(n))
-            for _ in range(height):
-                g = b.add(AND, [g])
-            part_tops.append(g)
-        tops[t] = part_tops
-    accs = []
-    for vec in sorted(spec.accept):
-        tes = [b.add(th_eq(k), tops[t]) for t, k in zip(spec.tags, vec)]
-        accs.append(b.add(AND, tes))
-    return b.build(b.add(OR, accs))
+    parts = []
+    for t in spec.tags:
+        ins = [b.add(input_label(n)) for n in names[t]]
+        parts.append((t, [(g, g) for g in ins]))
+    return b.build(_emit_gadget(b, "gadget", parts, spec.accept))
 
 
 def accepting_vectors(kind: str, c: FieldValue, parts: dict, counts: dict) -> frozenset:
@@ -224,54 +248,29 @@ def accepting_vectors(kind: str, c: FieldValue, parts: dict, counts: dict) -> fr
     parts maps tag -> part value, counts maps tag -> number of wires; tags are
     taken in ascending part-value order, matching gadget tower heights.
     """
-    fld = c.field
     tags = sorted(parts, key=lambda t: parts[t].sort_key())
     total = 1
     for t in tags:
         total *= counts[t] + 1
         if total > _VEC_BUDGET:
             raise BudgetExceededError("part-count enumeration overflow")
-    good = []
-    for vec in itertools.product(*(range(counts[t] + 1) for t in tags)):
-        if kind == "psum":
-            acc = fld.zero()
-            for t, k in zip(tags, vec):
-                acc = acc + parts[t].scaled(k)
-        else:
-            acc = fld.one()
-            for t, k in zip(tags, vec):
-                acc = acc * parts[t].power(k)
-        if acc == c:
-            good.append(vec)
-    return frozenset(good)
+    weights = [parts[t] for t in tags]
+    return frozenset(vec for vec in itertools.product(*(range(counts[t] + 1) for t in tags))
+                     if partition_hits(kind, c, weights, vec))
 
 
 @dataclass
 class ExpandedCircuit:
     circuit: Circuit
-    gate_of: dict   # ("copy", d) | ("tw", g, w, level) | ("te", g, vec, tag) | ("ac", g, vec) -> id
+    gate_of: dict   # ("copy" | "d", g) | ("tw", d, level) | ("te", g, vec, tag) | ("ac", g, vec) -> id
     source: Circuit
 
     def lift(self, witness: Witness) -> Witness:
-        """Image of a witness of the partition circuit, gadget copies mapped
-        to the gadget copies of the image gates."""
+        """Image of a witness of the partition circuit: every name's source
+        gate (its second entry) maps through the witness, the rest stays."""
         p = witness.pi
-        pi = {}
-        for name, g in self.gate_of.items():
-            kind = name[0]
-            if kind == "copy":
-                pi[g] = self.gate_of[("copy", p[name[1]])]
-            elif kind == "tw":
-                _, src, w, level = name
-                pi[g] = self.gate_of[("tw", p[src], p[w], level)]
-            elif kind == "te":
-                _, src, vec, t = name
-                pi[g] = self.gate_of[("te", p[src], vec, t)]
-            elif kind == "ac":
-                _, src, vec = name
-                pi[g] = self.gate_of[("ac", p[src], vec)]
-            else:
-                pi[g] = self.gate_of[("d", p[name[1]])]
+        pi = {g: self.gate_of[(name[0], p[name[1]], *name[2:])]
+              for name, g in self.gate_of.items()}
         return Witness(dict(witness.sigma), pi)
 
 
@@ -279,43 +278,22 @@ def expand_to_threshold(lowered: PartitionCircuit) -> ExpandedCircuit:
     """Replace every partition gate with its threshold gadget."""
     src = lowered.circuit
     b = CircuitBuilder(src.field, src.variables)
-    gate_of = {}
-
-    def image(d):
-        # the gate standing for source gate d: its copy, or its gadget OR
-        return gate_of[("copy", d)] if ("copy", d) in gate_of else gate_of[("d", d)]
-
+    image = {}   # source gate -> the gate standing for it: its copy or its gadget OR
     for g in src.topo_order():
         lab = src.gates[g]
         if lab.kind not in ("psum", "pprod"):
-            kids = [(image(c), t) for c, t in src.wires[g]]
-            gate_of[("copy", g)] = b.add(lab, kids)
+            kids = [(image[c], t) for c, t in src.wires[g]]
+            image[g] = b.add(lab, kids, name=("copy", g))
             continue
         parts = lab.parts_map()
         tags = sorted(parts, key=lambda t: parts[t].sort_key())
-        height = {t: i for i, t in enumerate(tags, start=1)}
         by_tag = {t: [] for t in tags}
         for w, t in src.wires[g]:
-            top = image(w)
-            for level in range(1, height[t] + 1):
-                top = b.add(AND, [top])
-                gate_of[("tw", g, w, level)] = top
-            by_tag[t].append(top)
+            by_tag[t].append((w, image[w]))
         counts = {t: len(by_tag[t]) for t in tags}
         vecs = accepting_vectors(lab.kind, lab.c, parts, counts)
-        accs = []
-        for vec in sorted(vecs):
-            tes = []
-            for t, k in zip(tags, vec):
-                te = b.add(th_eq(k), by_tag[t])
-                gate_of[("te", g, vec, t)] = te
-                tes.append(te)
-            ac = b.add(AND, tes)
-            gate_of[("ac", g, vec)] = ac
-            accs.append(ac)
-        gate_of[("d", g)] = b.add(OR, accs)
-    out = image(src.output)
-    return ExpandedCircuit(b.build(out), gate_of, src)
+        image[g] = _emit_gadget(b, g, [(t, by_tag[t]) for t in tags], vecs)
+    return ExpandedCircuit(b.build(image[src.output]), dict(b.names), src)
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +305,9 @@ def verify_lowering(circuit: Circuit, accept, lowered_circuit: Circuit,
     """True iff on every 0-1 assignment the Boolean circuit accepts exactly
     when the arithmetic circuit evaluates into accept."""
     _require_arith(circuit)
-    fld = circuit.field
-    accept = {fld.of(a) for a in accept}
-    variables = sorted({lab.var for lab in circuit.gates.values() if lab.kind == "input"})
-    if len(variables) > max_inputs:
-        raise BudgetExceededError(f"{len(variables)} inputs exceed budget {max_inputs}")
-    for bits in itertools.product((0, 1), repeat=len(variables)):
-        arith = evaluate_arith(circuit, {v: fld.of(x) for v, x in zip(variables, bits)})
-        got = evaluate_bool(lowered_circuit, dict(zip(variables, bits)))
-        if got != int(arith in accept):
-            return False
-    return True
+    accept = {circuit.field.of(a) for a in accept}
+    return all(evaluate_bool(lowered_circuit, bits) == int(vals[circuit.output] in accept)
+               for bits, vals in _zero_one_runs(circuit, max_inputs))
 
 
 @dataclass
@@ -354,14 +324,9 @@ def orbit_preservation_check(circuit: Circuit, witnesses,
     """Lift witnesses through both passes and compare max orbit sizes."""
     if lowered.trivial is not None:
         raise CircuitError("orbit check needs a non-trivial lowering")
-    lifted_d = []
-    for w in witnesses:
-        probs = verify_automorphism(circuit, w)
-        if probs:
-            raise CircuitError(f"invalid witness: {probs[0]}")
-        lifted_d.append(lowered.lift(w))
+    orb_phi = orbits(circuit, witnesses).max_orbit   # rejects invalid witnesses
+    lifted_d = [lowered.lift(w) for w in witnesses]
     lifted_c = [expanded.lift(w) for w in lifted_d]
-    orb_phi = orbits(circuit, witnesses).max_orbit
     orb_d = orbits(lowered.circuit, lifted_d).max_orbit
     orb_c = orbits(expanded.circuit, lifted_c).max_orbit
     return OrbitPreservationReport(orb_phi, orb_d, orb_c,

@@ -15,6 +15,7 @@ from symcirc import (
     CircuitBuilder,
     deserialize,
     input_label,
+    leverrier_det_circuit,
     serialize,
 )
 from symcirc.cli import run
@@ -35,18 +36,17 @@ def write_asymmetric_circuit(path):
            for i in (1, 2) for j in (1, 2)}
     m = b.add(MUL, [ins[(1, 2)], ins[(2, 1)]])
     out = b.add(ADD, [ins[(1, 1)], m])
-    path.write_text(json.dumps(serialize(b.build(out))) + "\n")
+    path.write_text(serialize(b.build(out)))
 
 
 def test_gen_det_writes_circuit_and_witnesses(tmp_path, capsys):
     out = tmp_path / "det3.json"
-    code, rep, err = invoke(capsys, "gen", "det", "--n", "3", "--out", str(out))
+    code, rep, _ = invoke(capsys, "gen", "det", "--n", "3", "--out", str(out))
     assert code == 0
     assert rep["schema_version"] == 1
     assert rep["gates"] == 74
     assert rep["group"] == "transpose:3"
-    assert "seed=1729" in err
-    circuit = deserialize(json.loads(out.read_text()))
+    circuit = deserialize(out.read_text())
     assert len(circuit) == 74
     wit = json.loads((tmp_path / "det3.json.witnesses.json").read_text())
     assert wit["group"] == "transpose:3"
@@ -149,7 +149,7 @@ def test_orbits(tmp_path, capsys):
 def test_support(tmp_path, capsys):
     det = tmp_path / "det2.json"
     invoke(capsys, "gen", "det", "--n", "2", "--out", str(det))
-    circuit = deserialize(json.loads(det.read_text()))
+    circuit = deserialize(det.read_text())
     out_gate = circuit.output
     code, rep, _ = invoke(capsys, "support", "--circuit", str(det),
                           "--group", "transpose:2", "--gate", str(out_gate))
@@ -167,8 +167,8 @@ def test_lower_round_trip(tmp_path, capsys):
     assert rep["verified_d"] is True
     assert rep["verified_c"] is True
     assert rep["trivial"] is None
-    d = deserialize(json.loads((tmp_path / "low.d.json").read_text()))
-    c = deserialize(json.loads(cout.read_text()))
+    d = deserialize((tmp_path / "low.d.json").read_text())
+    c = deserialize(cout.read_text())
     assert rep["d_gates"] == len(d)
     assert rep["c_gates"] == len(c)
 
@@ -235,10 +235,33 @@ def test_pq_command(capsys):
     assert (rep2["p"], rep2["q"]) == (rep["p"], rep["q"])
 
 
-def test_seed_banner(capsys):
-    code, _, err = invoke(capsys, "--seed", "7", "pq", "--m", "1")
+def test_api_cli_api_round_trip(tmp_path, capsys):
+    # a file written by the API evaluates through the CLI, and a file the
+    # CLI writes is read back by the API
+    gen = leverrier_det_circuit(2)
+    api_file = tmp_path / "api.json"
+    api_file.write_text(serialize(gen.circuit))
+    code, rep, err = invoke(capsys, "eval", "--circuit", str(api_file),
+                            "--matrix", "1,2;3,4")
+    assert code == 0, err
+    assert rep["value"] == "-2"
+    cli_file = tmp_path / "cli.json"
+    code, _, _ = invoke(capsys, "gen", "det", "--n", "2", "--out", str(cli_file))
     assert code == 0
-    assert "# symcirc seed=7" in err
+    assert cli_file.read_text() == api_file.read_text()
+    assert serialize(deserialize(cli_file.read_text())) == serialize(gen.circuit)
+
+
+@pytest.mark.parametrize("text", ['"not a circuit"', '{"field": "Q"}', "[1, 2]",
+                                  json.dumps(json.dumps({"field": "Q"}))])
+def test_non_circuit_json_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "junk.json"
+    path.write_text(text)
+    code, rep, err = invoke(capsys, "eval", "--circuit", str(path), "--assign", "x=1")
+    assert code == 2
+    assert rep is None
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_usage_errors(tmp_path, capsys):

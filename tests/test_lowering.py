@@ -30,7 +30,7 @@ from symcirc import (
     verify_automorphism,
     verify_lowering,
 )
-from symcirc.symmetry import matrix_var, matrix_variables
+from symcirc.symmetry import Witness, matrix_var, matrix_variables
 
 
 def two_input(kind):
@@ -182,6 +182,18 @@ def test_orbit_preservation_rejects_trivial():
     exp = expand_to_threshold(lower_to_partition_basis(c, {0}, vs))
     with pytest.raises(CircuitError):
         orbit_preservation_check(c, rep.witnesses, trivial, exp)
+
+
+def test_orbit_preservation_rejects_invalid_witness():
+    c = crossing_pair()
+    rep = check_symmetric(c, Matrix(2, 2))
+    low = lower_to_partition_basis(c, {0}, value_sets(c))
+    exp = expand_to_threshold(low)
+    # moves the variables but fixes every gate, so input labels disagree
+    bad = Witness(rep.witnesses[0].sigma, {g: g for g in c.gates})
+    assert verify_automorphism(c, bad)
+    with pytest.raises(CircuitError, match="invalid witness"):
+        orbit_preservation_check(c, [bad], low, exp)
 
 
 def test_gadget_spec_validation():

@@ -1,0 +1,78 @@
+"""Property tests: lowering agrees with the source on random small circuits."""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from symcirc import (  # noqa: E402
+    ADD,
+    GF,
+    MUL,
+    CircuitBuilder,
+    accepting_vectors,
+    const,
+    evaluate_bool,
+    expand_to_threshold,
+    input_label,
+    lower_to_partition_basis,
+    value_sets,
+    verify_lowering,
+)
+from symcirc.circuit import pprod, psum  # noqa: E402
+
+PRIMES = (2, 3, 5)
+
+
+@st.composite
+def small_circuits(draw):
+    """An arithmetic circuit over F_p with at most four inputs, one constant
+    and a few add/mul gates whose children are drawn from all earlier gates,
+    so a child is often shared between parents."""
+    fld = GF(draw(st.sampled_from(PRIMES)))
+    nvars = draw(st.integers(1, 4))
+    variables = [f"x{i}" for i in range(nvars)]
+    b = CircuitBuilder(fld, variables)
+    pool = [b.add(input_label(v)) for v in variables]
+    pool.append(b.add(const(fld.of(draw(st.integers(0, fld.p - 1))))))
+    for _ in range(draw(st.integers(1, 4))):
+        kids = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=3))
+        pool.append(b.add(draw(st.sampled_from((ADD, MUL))), sorted(kids)))
+    accept = draw(st.sets(st.integers(0, fld.p - 1), min_size=1, max_size=fld.p - 1))
+    return b.build(pool[-1]), {fld.of(a) for a in accept}
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_circuits(), st.sampled_from(("compositional", "exact")))
+def test_lowering_agrees_with_source(case, mode):
+    circuit, accept = case
+    low = lower_to_partition_basis(circuit, accept, value_sets(circuit, mode))
+    assert verify_lowering(circuit, accept, low.circuit)
+    if low.trivial is None:
+        assert verify_lowering(circuit, accept, expand_to_threshold(low).circuit)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(PRIMES), st.sampled_from(("psum", "pprod")), st.data())
+def test_accepting_vectors_match_partition_gate(p, kind, data):
+    fld = GF(p)
+    values = data.draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=3))
+    parts = {str(v): fld.of(v) for v in values}
+    counts = {t: data.draw(st.integers(0, 3)) for t in sorted(parts)}
+    c = fld.of(data.draw(st.integers(0, p - 1)))
+    vecs = accepting_vectors(kind, c, parts, counts)
+
+    tags = sorted(parts, key=lambda t: parts[t].sort_key())
+    names = {t: [f"in_{t}_{i}" for i in range(counts[t])] for t in tags}
+    b = CircuitBuilder(fld, [v for t in tags for v in names[t]])
+    kids = [(b.add(input_label(v)), t) for t in tags for v in names[t]]
+    label = (psum if kind == "psum" else pprod)(c, parts)
+    direct = b.build(b.add(label, kids))
+    for vec in itertools.product(*(range(counts[t] + 1) for t in tags)):
+        asg = {v: int(i < k) for t, k in zip(tags, vec) for i, v in enumerate(names[t])}
+        assert evaluate_bool(direct, asg) == int(vec in vecs)
