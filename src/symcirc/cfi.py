@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .errors import BudgetExceededError, CircuitError
-from .graphs import Graph, is_graph_isomorphism
+from .graphs import Graph, is_graph_isomorphism, is_two_connected
 from .wl import wl_equivalent
 
 
@@ -38,7 +38,6 @@ def check_base_graph(g: Graph) -> BaseGraphReport:
         if g.degree(v) != 3:
             problems.append(f"vertex {v!r} has degree {g.degree(v)}, want 3")
             break
-    from .graphs import is_two_connected
     if not is_two_connected(g):
         problems.append("graph is not 2-connected")
     return BaseGraphReport(not problems, problems, len(g.edges) % 2 == 1)

@@ -29,9 +29,12 @@ from .symmetry import (
     Matrix,
     Transpose,
     Witness,
+    col_sigma,
+    compose_sigma,
     diagonal_sigma,
     matrix_var,
     matrix_variables,
+    row_sigma,
     transpose_sigma,
 )
 
@@ -280,12 +283,7 @@ def ryser_perm_circuit(n: int, fld: Field = QQ) -> GeneratedCircuit:
     def witness_for(row_map, col_map):
         pi = {g: b.names[_ryser_image(name, row_map, col_map)]
               for name, g in b.names.items()}
-        sigma = {}
-        for i in idx:
-            for j in idx:
-                ti, tj = row_map.get(i, i), col_map.get(j, j)
-                if (ti, tj) != (i, j):
-                    sigma[matrix_var(i, j)] = matrix_var(ti, tj)
+        sigma = compose_sigma(row_sigma(n, n, row_map), col_sigma(n, n, col_map))
         return Witness(sigma, pi)
 
     witnesses = [witness_for({a: c, c: a}, {}) for a, c in itertools.combinations(idx, 2)]

@@ -24,7 +24,6 @@ class Graph:
     vertices: tuple
     edges: tuple
     name: str = ""
-    treewidth: int | None = None  # documented value for built-ins, not computed
     _adj: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -79,7 +78,7 @@ class Graph:
     def relabel(self, mapping, name="") -> "Graph":
         return Graph(tuple(mapping[v] for v in self.vertices),
                      tuple((mapping[u], mapping[v]) for u, v in self.edges),
-                     name or self.name, self.treewidth)
+                     name or self.name)
 
     def disjoint_union(self, other: "Graph", name="") -> "Graph":
         a = self.relabel({v: ("a", v) for v in self.vertices})
@@ -137,20 +136,15 @@ def petersen_graph() -> Graph:
     outer = [(i, i % 5 + 1) for i in range(1, 6)]
     spokes = [(i, i + 5) for i in range(1, 6)]
     inner = [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
-    return Graph(tuple(range(1, 11)), tuple(outer + spokes + inner),
-                 "petersen", treewidth=4)
+    return Graph(tuple(range(1, 11)), tuple(outer + spokes + inner), "petersen")
 
 
 def builtin_graph(name: str) -> Graph:
     key = name.lower()
     if key == "k4":
-        g = complete_graph(4, "k4")
-        g.treewidth = 3
-        return g
+        return complete_graph(4, "k4")
     if key == "k33":
-        g = complete_bipartite(3, 3, "k33")
-        g.treewidth = 3
-        return g
+        return complete_bipartite(3, 3, "k33")
     if key == "petersen":
         return petersen_graph()
     raise CircuitError(f"unknown built-in graph {name!r}")

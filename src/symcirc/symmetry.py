@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit
 from .errors import CircuitError
+from .wl import refine
 
 
 def matrix_var(i: int, j: int) -> str:
@@ -105,13 +106,11 @@ def transpose_sigma(n: int) -> dict:
 def group_generators(spec) -> list:
     """Variable permutations generating the group: all transpositions of the
     index set(s), plus the transpose map for Transpose specs."""
-    if isinstance(spec, Square):
-        return [diagonal_sigma(spec.n, {a: b, b: a})
-                for a, b in itertools.combinations(range(1, spec.n + 1), 2)]
-    if isinstance(spec, Transpose):
+    if isinstance(spec, (Square, Transpose)):
         gens = [diagonal_sigma(spec.n, {a: b, b: a})
                 for a, b in itertools.combinations(range(1, spec.n + 1), 2)]
-        gens.append(transpose_sigma(spec.n))
+        if isinstance(spec, Transpose):
+            gens.append(transpose_sigma(spec.n))
         return gens
     if isinstance(spec, Matrix):
         gens = [row_sigma(spec.m, spec.n, {a: b, b: a})
@@ -223,34 +222,31 @@ def invariant_colors(circuit: Circuit) -> dict:
     """
     if circuit._colors is not None:
         return circuit._colors
-    gates = circuit.gates
-    seed_keys = {}
-    for g, lab in gates.items():
+    order = list(circuit.gates)
+    index = {g: i for i, g in enumerate(order)}
+    seeds = []
+    for g, lab in circuit.gates.items():
         if lab.kind == "const":
-            seed_keys[g] = ("pin", g)
+            seeds.append(("pin", g))
         elif g == circuit.output:
-            seed_keys[g] = ("out", lab)
+            seeds.append(("out", lab))
         elif lab.kind == "input":
-            seed_keys[g] = ("inp",)
+            seeds.append(("inp",))
         else:
-            seed_keys[g] = ("lab", lab)
-    ids = {k: i for i, k in enumerate(sorted(set(seed_keys.values()), key=repr))}
-    colors = {g: ids[k] for g, k in seed_keys.items()}
+            seeds.append(("lab", lab))
     parents = circuit.parents()
-    nclasses = len(ids)
-    while True:
-        sig = {}
-        for g in gates:
-            ck = tuple(sorted((t or "", colors[c]) for c, t in circuit.wires[g]))
-            pk = tuple(sorted((t or "", colors[p]) for p, t in parents[g]))
-            sig[g] = (colors[g], ck, pk)
-        ids = {k: i for i, k in enumerate(sorted(set(sig.values())))}
-        colors = {g: ids[k] for g, k in sig.items()}
-        if len(ids) == nclasses:
-            break
-        nclasses = len(ids)
-    circuit._colors = colors
-    return colors
+    kids = [[(t or "", index[c]) for c, t in circuit.wires[g]] for g in order]
+    pars = [[(t or "", index[p]) for p, t in parents[g]] for g in order]
+
+    def step(col):
+        return [(tuple(sorted((t, col[c]) for t, c in ks)),
+                 tuple(sorted((t, col[p]) for t, p in ps)))
+                for ks, ps in zip(kids, pars)]
+
+    for col, _ in refine(seeds, step):
+        pass
+    circuit._colors = dict(zip(order, col))
+    return circuit._colors
 
 
 def _ext_cache(circuit: Circuit) -> dict:
@@ -278,6 +274,17 @@ def find_extension(circuit: Circuit, sigma: dict, fix: int | None = None):
 
 
 def _search_extension(circuit: Circuit, sigma: dict, fix):
+    """Backtracking search; any total map it accepts is an automorphism.
+
+    Invariant: `assign` keeps the map injective, maps a gate only to one of
+    its own color (so labels match: colors refine labels), and checks the
+    tagged wires of both gates against already-mapped neighbors in both
+    directions, so every wire of the source and of the image is checked
+    when its second end is mapped.  Seeds pin constants and the output and
+    send each input gate where sigma sends its variable.  So a total map
+    that `assign` accepts is a witness, and none is re-checked with
+    verify_automorphism.
+    """
     gates = circuit.gates
     colors = invariant_colors(circuit)
     parents = circuit.parents()
@@ -291,9 +298,6 @@ def _search_extension(circuit: Circuit, sigma: dict, fix):
     rho = {}
     rinv = {}
     trail = []
-
-    def fail_free_children(a, tag, col):
-        return [c for c, t in circuit.wires[a] if t == tag and colors[c] == col and c not in rho]
 
     def assign(a, b) -> bool:
         """Map a -> b plus all consequences; False on contradiction."""
@@ -391,14 +395,7 @@ def _search_extension(circuit: Circuit, sigma: dict, fix):
             if assign(g, h):
                 nxt = next_unassigned()
                 if nxt is None:
-                    result = dict(rho)
-                    witness = Witness(sigma, result)
-                    if verify_automorphism(circuit, witness):
-                        # guard: propagation accepted an invalid total map;
-                        # treat as a dead branch and keep searching
-                        undo(mark)
-                        continue
-                    return result
+                    return dict(rho)
                 stack.append((nxt, iter(members[colors[nxt]]), len(trail)))
                 advanced = True
                 break
@@ -505,6 +502,15 @@ def _point_transposition(spec, a, b):
     return col_sigma(spec.m, spec.n, {ia: ib, ib: ia})
 
 
+def _bad_pairs(circuit: Circuit, gate: int, spec, points):
+    """Pairs of the given index points, in combinations order, whose
+    transposition has no extension fixing the gate."""
+    for a, b in itertools.combinations(points, 2):
+        sigma = _point_transposition(spec, a, b)
+        if sigma is not None and find_extension(circuit, sigma, fix=gate) is None:
+            yield a, b
+
+
 def is_support(circuit: Circuit, gate: int, S, spec) -> bool:
     """True iff every transposition of index points outside S extends to an
     automorphism fixing the gate.  Such transpositions generate the pointwise
@@ -514,25 +520,13 @@ def is_support(circuit: Circuit, gate: int, S, spec) -> bool:
     for p in sset:
         if p not in points:
             raise CircuitError(f"{p!r} is not an index point of {spec!r}")
-    for a, b in itertools.combinations([p for p in points if p not in sset], 2):
-        sigma = _point_transposition(spec, a, b)
-        if sigma is None:
-            continue
-        if find_extension(circuit, sigma, fix=gate) is None:
-            return False
-    return True
+    outside = [p for p in points if p not in sset]
+    return next(_bad_pairs(circuit, gate, spec, outside), None) is None
 
 
 def bad_pairs(circuit: Circuit, gate: int, spec) -> list:
     """Index pairs whose transposition has no extension fixing the gate."""
-    out = []
-    for a, b in itertools.combinations(_support_points(spec), 2):
-        sigma = _point_transposition(spec, a, b)
-        if sigma is None:
-            continue
-        if find_extension(circuit, sigma, fix=gate) is None:
-            out.append((a, b))
-    return out
+    return list(_bad_pairs(circuit, gate, spec, _support_points(spec)))
 
 
 def minimal_support(circuit: Circuit, gate: int, spec):

@@ -1,17 +1,19 @@
-"""k-dimensional Weisfeiler-Leman equivalence testing for k in {1, 2, 3}.
+"""Color refinement, and k-dimensional Weisfeiler-Leman equivalence testing
+for k in {1, 2, 3}.
 
-Both graphs are refined jointly on their disjoint union so color ids are
-comparable.  For k >= 2 the refinement runs over all k-tuples of union
-vertices: the initial color is the tuple's ordered atomic type (equalities
-and adjacencies among its entries), and each round extends a tuple's color
-by the multiset, over all vertices w, of the k-vector of colors of the
-tuples obtained by substituting w into each position.  k = 1 is classic
-color refinement seeded with degrees.  Verdict: the color multisets over
-the two graphs' pure tuples agree at every round.
+`refine` is the one color-refinement kernel, used by symmetry search on
+circuit gates and here on graph k-tuples.  WL refines each graph's own
+k-tuples, but both graphs go through one `refine` call, so they share one
+signature-to-color table and their color ids are comparable.  For k = 1 this
+is classic color refinement seeded with degrees.  For k >= 2 a tuple's
+initial color is its ordered atomic type (equalities and adjacencies among
+its entries), and each round extends it by the multiset, over all vertices w
+of its graph, of the k-vector of colors of the tuples obtained by
+substituting w into each position.  Verdict: the two graphs' color
+multisets agree at every round.
 
 Convention note: "k-dimensional" counts tuple length, so k = 2 refines
-vertex pairs.  Colors are canonicalized per round by sorting signatures and
-assigning dense integer ids; no hashing is involved.
+vertex pairs.  Reference: Cai, Fürer, Immerman, Combinatorica 12 (1992).
 """
 
 from __future__ import annotations
@@ -24,76 +26,79 @@ from .errors import BudgetExceededError, CircuitError
 from .graphs import Graph
 
 
+def _dense(sigs):
+    ids = {}
+    return [ids.setdefault(s, len(ids)) for s in sigs], len(ids)
+
+
+def refine(seeds, step):
+    """Color refinement of the elements 0 .. len(seeds) - 1.
+
+    Yields (colors, number of classes) for the seeds, then after every round
+    that splits a class; stops at the first round that splits none.  A round
+    recolors element i by (color of i, step(colors)[i]).  Color ids are
+    dense, in order of first occurrence within this call.
+    """
+    col, classes = _dense(seeds)
+    while True:
+        yield col, classes
+        new, count = _dense(zip(col, step(col)))
+        if count == classes:
+            return
+        col, classes = new, count
+
+
 @dataclass
 class WLReport:
     equivalent: bool
     rounds: int
-    class_counts: tuple  # total color classes on the union, per round
+    class_counts: tuple  # color classes over both graphs' tuples, per round
     distinguishing_round: int | None
 
 
-def _dense(sigs):
-    ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
-    return [ids[s] for s in sigs], len(ids)
+def _tuples(g: Graph, k: int, base: int):
+    """Seeds and refinement step for the k-tuples of g's vertices, held at
+    positions base + t of the color list, where the tuple of vertex indices
+    (v_1 .. v_k) has t = sum of v_i * n^(k - i)."""
+    verts = g.vertices
+    n = len(verts)
+    if k == 1:
+        index = {v: base + i for i, v in enumerate(verts)}
+        nbrs = [[index[w] for w in g.adj(v)] for v in verts]
+        return ([len(ns) for ns in nbrs],
+                lambda col: [tuple(sorted(col[w] for w in ns)) for ns in nbrs])
+    digits = list(itertools.product(range(n), repeat=k))
+    seeds = [tuple((d[i] == d[j], g.has_edge(verts[d[i]], verts[d[j]]))
+                   for i in range(k) for j in range(i + 1, k))
+             for d in digits]
+    strides = [n ** (k - 1 - i) for i in range(k)]
+    # the tuples that differ from t only in position i lie on one stride-s
+    # line of the color list; starts[t][i] is where that line begins
+    starts = [tuple(base + t - x * s for x, s in zip(d, strides))
+              for t, d in enumerate(digits)]
+
+    def step(col):
+        return [tuple(sorted(zip(*(col[a:a + n * s:s] for a, s in zip(st, strides)))))
+                for st in starts]
+
+    return seeds, step
 
 
 def wl_equivalent(g1: Graph, g2: Graph, k: int, budget: int = 10 ** 6) -> WLReport:
     if k not in (1, 2, 3):
         raise CircuitError("k must be 1, 2, or 3")
-    union = g1.disjoint_union(g2)
-    verts = union.vertices  # all of g1's relabeled vertices sort before g2's
-    n = len(verts)
-    if n ** k > budget:
-        raise BudgetExceededError(f"{n}^{k} tuples exceed the budget {budget}")
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [frozenset(index[w] for w in union.adj(v)) for v in verts]
-    n1 = len(g1.vertices)
-
-    if k == 1:
-        pure1 = range(n1)
-        pure2 = range(n1, n)
-        sigs = [len(adj[i]) for i in range(n)]
-
-        def refine(col):
-            return _dense([(col[i], tuple(sorted(col[j] for j in adj[i])))
-                           for i in range(n)])
-    else:
-        digits = list(itertools.product(range(n), repeat=k))
-        pows = [n ** (k - 1 - i) for i in range(k)]
-        pure1 = [t for t, d in enumerate(digits) if all(x < n1 for x in d)]
-        pure2 = [t for t, d in enumerate(digits) if all(x >= n1 for x in d)]
-        sigs = [tuple((d[i] == d[j], d[j] in adj[d[i]])
-                      for i in range(k) for j in range(i + 1, k))
-                for d in digits]
-
-        def refine(col):
-            out = []
-            for t, d in enumerate(digits):
-                ms = sorted(
-                    tuple(col[t + (w - d[i]) * pows[i]] for i in range(k))
-                    for w in range(n))
-                out.append((col[t], tuple(ms)))
-            return _dense(out)
-
-    col, nclasses = _dense(sigs)
-    counts = [nclasses]
-
-    def diverged(c):
-        return Counter(c[t] for t in pure1) != Counter(c[t] for t in pure2)
-
-    if diverged(col):
-        return WLReport(False, 0, tuple(counts), 0)
-    rounds = 0
-    while True:
-        newcol, nc = refine(col)
-        rounds += 1
-        if diverged(newcol):
-            counts.append(nc)
-            return WLReport(False, rounds, tuple(counts), rounds)
-        if nc == nclasses:
-            return WLReport(True, rounds, tuple(counts), None)
-        col, nclasses = newcol, nc
-        counts.append(nc)
+    cut, rest = len(g1.vertices) ** k, len(g2.vertices) ** k
+    if cut + rest > budget:
+        raise BudgetExceededError(f"{cut} + {rest} {k}-tuples exceed the budget {budget}")
+    seeds1, step1 = _tuples(g1, k, 0)
+    seeds2, step2 = _tuples(g2, k, cut)
+    counts = []
+    for rnd, (col, classes) in enumerate(refine(seeds1 + seeds2,
+                                                lambda c: step1(c) + step2(c))):
+        counts.append(classes)
+        if Counter(col[:cut]) != Counter(col[cut:]):
+            return WLReport(False, rnd, tuple(counts), rnd)
+    return WLReport(True, len(counts), tuple(counts), None)
 
 
 def wl_distinguishing_round(g1: Graph, g2: Graph, k: int,

@@ -94,9 +94,6 @@ def test_constructor_counts():
 
 
 def test_builtin_graphs():
-    assert builtin_graph("k4").treewidth == 3
-    assert builtin_graph("k33").treewidth == 3
-    assert builtin_graph("petersen").treewidth == 4
     with pytest.raises(CircuitError):
         builtin_graph("k5")
 

@@ -19,9 +19,11 @@ from symcirc import (
     find_extension,
     group_generators,
     input_label,
+    leverrier_det_circuit,
     is_support,
     minimal_support,
     orbits,
+    ryser_perm_circuit,
     verify_automorphism,
 )
 from symcirc.symmetry import (
@@ -30,6 +32,7 @@ from symcirc.symmetry import (
     col_sigma,
     compose_sigma,
     diagonal_sigma,
+    invariant_colors,
     invert_sigma,
     matrix_var,
     matrix_variables,
@@ -145,6 +148,17 @@ def test_check_symmetric_determinant_transpose():
     c, _ = det2_circuit()
     rep = check_symmetric(c, Transpose(2))
     assert rep.symmetric
+
+
+@pytest.mark.parametrize("build, spec", [(leverrier_det_circuit, Transpose(4)),
+                                         (ryser_perm_circuit, Matrix(4, 4))])
+def test_generator_witnesses_keep_invariant_colors(build, spec):
+    gen = build(4)
+    assert gen.group == spec
+    colors = invariant_colors(gen.circuit)
+    assert len(gen.witnesses) == len(group_generators(spec))
+    for w in gen.witnesses:
+        assert all(colors[w.pi[g]] == colors[g] for g in gen.circuit.gates)
 
 
 def test_partition_spec_on_plain_variables():

@@ -10,6 +10,7 @@ from symcirc import (
     BudgetExceededError,
     CircuitError,
     Graph,
+    build_cfi,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -123,3 +124,19 @@ def test_dimension_and_budget_guards():
         wl_equivalent(cycle_graph(4), cycle_graph(4), 0)
     with pytest.raises(BudgetExceededError):
         wl_equivalent(petersen_graph(), petersen_graph(), 3, budget=100)
+
+
+def test_cfi_k4_pair_report_at_dimension_two():
+    k4 = complete_graph(4)
+    rep = wl_equivalent(build_cfi(k4).graph,
+                        build_cfi(k4, twisted=True, special=1).graph, 2)
+    assert rep.equivalent
+    assert rep.rounds == 3
+    assert rep.class_counts == (3, 5, 24)
+
+
+def test_budget_counts_each_graphs_tuples():
+    # two 4-vertex graphs have 4^2 + 4^2 = 32 pairs at k = 2
+    assert wl_equivalent(cycle_graph(4), cycle_graph(4), 2, budget=32).equivalent
+    with pytest.raises(BudgetExceededError):
+        wl_equivalent(cycle_graph(4), cycle_graph(4), 2, budget=31)
