@@ -8,20 +8,22 @@ The twisted variant ~X(G) uses odd subsets at one special vertex; which
 vertex is twisted does not matter up to isomorphism (path_flip_isomorphism
 exhibits the witness).
 
-The perfect matchings of X(G) split into uniform ones, counted exactly by a
-closed-form sum over vertex subsets, and non-uniform ones, whose count is
-the same for X(G) and ~X(G).  The resulting count gap is a power of two,
-which enumeration checks here reproduce.
+The perfect matchings of X(G) split into uniform ones, which match one end
+of every edge pair into each endpoint's gadget, and non-uniform ones, whose
+count is the same for X(G) and ~X(G).  For |V| = 2m the uniform count is
+2^(m+1) P_m or 2^(m+1) Q_m (see pq), so the two totals differ by 2^(3m+1).
+One backtracking search, _search, counts, classifies and lists matchings;
+the permanent and the gadget bijection rule check it independently.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, inf
 
 from .errors import BudgetExceededError, CircuitError
-from .graphs import Graph, is_graph_isomorphism, is_two_connected
+from .graphs import Graph, complete_graph, is_graph_isomorphism, is_two_connected
 from .wl import wl_equivalent
 
 
@@ -151,48 +153,30 @@ def _matching_projections(cfi: CFIGraph, partner: dict):
     return proj
 
 
-def enumerate_perfect_matchings(target, mode: str = "count",
-                                node_budget: int = 10 ** 9) -> MatchingReport:
-    """Exact backtracking count; classify mode also splits matchings of a CFI
-    graph into uniform (all projections 1) and non-uniform ones."""
-    cfi = target if isinstance(target, CFIGraph) else None
-    if mode == "classify" and cfi is None:
-        raise CircuitError("classify mode needs a CFI graph")
-    if mode not in ("count", "classify"):
-        raise CircuitError(f"unknown mode {mode!r}")
-    g = cfi.graph if cfi else target
+def _search(g: Graph, node_budget, leaf) -> int:
+    """The backtracking search over perfect matchings of g.  Calls
+    leaf(partner) once per matching, where partner[i] is the index in
+    g.vertices of the mate of vertex i, and returns the number of search
+    nodes.  Raises BudgetExceededError past node_budget nodes."""
     verts = g.vertices
-    if len(verts) % 2 == 1:
-        return MatchingReport(0, 0)
+    n = len(verts)
+    if n % 2 == 1:
+        return 0
     order = {v: i for i, v in enumerate(verts)}
     nbr = [sorted(order[w] for w in g.adj(v)) for v in verts]
-    n = len(verts)
     free = [True] * n
     partner = [-1] * n
-    state = {"nodes": 0, "count": 0, "uniform": 0, "hist": {}}
-
-    def visit_leaf():
-        state["count"] += 1
-        if cfi is None or mode != "classify":
-            return
-        pairs = {verts[i]: verts[partner[i]] for i in range(n)}
-        proj = _matching_projections(cfi, pairs)
-        tally = [0, 0, 0]
-        for p in proj.values():
-            tally[p] += 1
-        key = tuple(tally)
-        state["hist"][key] = state["hist"].get(key, 0) + 1
-        if key[0] == 0 and key[2] == 0:
-            state["uniform"] += 1
+    nodes = 0
 
     def rec(lo):
+        nonlocal nodes
         while lo < n and not free[lo]:
             lo += 1
         if lo == n:
-            visit_leaf()
+            leaf(partner)
             return
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
+        nodes += 1
+        if nodes > node_budget:
             raise BudgetExceededError(f"matching search exceeded {node_budget} nodes")
         free[lo] = False
         for w in nbr[lo]:
@@ -204,28 +188,51 @@ def enumerate_perfect_matchings(target, mode: str = "count",
         free[lo] = True
 
     rec(0)
-    if mode == "classify":
-        return MatchingReport(state["count"], state["nodes"], state["uniform"],
-                              state["count"] - state["uniform"], dict(state["hist"]))
-    return MatchingReport(state["count"], state["nodes"])
+    return nodes
+
+
+def enumerate_perfect_matchings(target, mode: str = "count",
+                                node_budget: int = 10 ** 9) -> MatchingReport:
+    """Exact backtracking count; classify mode also splits matchings of a CFI
+    graph into uniform (all projections 1) and non-uniform ones."""
+    cfi = target if isinstance(target, CFIGraph) else None
+    if mode == "classify" and cfi is None:
+        raise CircuitError("classify mode needs a CFI graph")
+    if mode not in ("count", "classify"):
+        raise CircuitError(f"unknown mode {mode!r}")
+    g = cfi.graph if cfi else target
+    if mode == "count":
+        tick = itertools.count()
+        nodes = _search(g, node_budget, lambda _partner: next(tick))
+        return MatchingReport(next(tick), nodes)
+    verts = g.vertices
+    hist = {}
+
+    def tally(partner):
+        proj = _matching_projections(cfi, {v: verts[j] for v, j in zip(verts, partner)})
+        key = [0, 0, 0]
+        for p in proj.values():
+            key[p] += 1
+        key = tuple(key)
+        hist[key] = hist.get(key, 0) + 1
+
+    nodes = _search(g, node_budget, tally)
+    count = sum(hist.values())
+    uniform = hist.get((0, 3 * len(cfi.base.vertices), 0), 0)
+    return MatchingReport(count, nodes, uniform, count - uniform, hist)
 
 
 def all_perfect_matchings(g: Graph) -> list:
     """Every perfect matching as a frozenset of edges; for small graphs."""
-    verts = list(g.vertices)
+    verts = g.vertices
     out = []
 
-    def rec(rest, acc):
-        if not rest:
-            out.append(frozenset(acc))
-            return
-        v, tail = rest[0], rest[1:]
-        for w in g.adj(v):
-            if w in tail:
-                nxt = tuple(u for u in tail if u != w)
-                rec(nxt, acc + [(v, w) if (v, w) in g.edges else (w, v)])
+    def collect(partner):
+        # vertices are sorted and every edge is stored as (smaller, larger)
+        out.append(frozenset((verts[i], verts[j])
+                             for i, j in enumerate(partner) if i < j))
 
-    rec(tuple(verts), [])
+    _search(g, inf, collect)
     return out
 
 
@@ -322,12 +329,13 @@ def orientation_odd_set_census(g: Graph) -> dict:
 
 
 def uniform_count_formula(g: Graph, twisted: bool) -> int:
-    """Number of uniform perfect matchings of X(G) (or ~X(G) if twisted)."""
-    nv, ne = len(g.vertices), len(g.edges)
-    want = (ne + (1 if twisted else 0)) % 2
-    total = sum(comb(nv, s) * 2 ** s * 4 ** (nv - s)
-                for s in range(nv + 1) if s % 2 == want)
-    return 2 ** (nv // 2 + 1) * total
+    """Number of uniform perfect matchings of X(G) (or ~X(G) if twisted):
+    2^(m+1) P_m, or 2^(m+1) Q_m when |E| + twisted is odd, for |V| = 2m."""
+    nv = len(g.vertices)
+    if nv % 2 == 1:
+        raise CircuitError(f"base graph has an odd number of vertices ({nv})")
+    p, q = pq(nv // 2)
+    return 2 ** (nv // 2 + 1) * (q if (len(g.edges) + twisted) % 2 else p)
 
 
 def pq(m: int, mode: str = "recurrence"):
@@ -352,46 +360,30 @@ def pq(m: int, mode: str = "recurrence"):
 # Gadget subgraphs
 
 
-_GADGET_EDGES = ("f", "g", "h")
-_GADGET_INNERS = ((), ("f", "g"), ("f", "h"), ("g", "h"))
-
-
 def _gadget_graph(bits) -> Graph:
-    """Induced subgraph on the inner vertices, the balance vertex, and one
-    chosen vertex per incident edge (bit 0 or 1)."""
-    outer = [("e", e, b) for e, b in zip(_GADGET_EDGES, bits)]
-    inner = [("i", S) for S in _GADGET_INNERS]
-    verts = outer + inner + [("b",)]
-    edges = [(("b",), iv) for iv in inner]
-    for e, b in zip(_GADGET_EDGES, bits):
-        for S in _GADGET_INNERS:
-            if (e in S) == (b == 1):
-                edges.append((("e", e, b), ("i", S)))
-    return Graph(tuple(verts), tuple(edges))
+    """The gadget build_cfi puts at vertex 1 of K4: the subgraph of X(K4)
+    induced on the inner vertices and the balance vertex of 1, and on end
+    bits[i] of the i-th edge at 1."""
+    x = build_cfi(complete_graph(4))
+    ends = [("e", e, b) for e, b in zip(x.base.incident(1), bits)]
+    return x.graph.induced([v for v in x.graph.vertices
+                            if v[0] != "e" and v[1] == 1] + ends)
 
 
-def _m(*pairs):
-    return frozenset((a, b) if (a, b) == min((a, b), (b, a)) else (b, a)
-                     for a, b in pairs)
-
-
-# the four matchings of the all-0 subgraph S and two of the (0,0,1) subgraph T
-_S_MATCHINGS = (
-    _m((("e", "f", 0), ("i", ())), (("e", "g", 0), ("i", ("f", "h"))),
-       (("e", "h", 0), ("i", ("f", "g"))), (("b",), ("i", ("g", "h")))),
-    _m((("e", "f", 0), ("i", ("g", "h"))), (("e", "g", 0), ("i", ())),
-       (("e", "h", 0), ("i", ("f", "g"))), (("b",), ("i", ("f", "h")))),
-    _m((("e", "f", 0), ("i", ("g", "h"))), (("e", "g", 0), ("i", ("f", "h"))),
-       (("e", "h", 0), ("i", ("f", "g"))), (("b",), ("i", ()))),
-    _m((("e", "f", 0), ("i", ("g", "h"))), (("e", "g", 0), ("i", ("f", "h"))),
-       (("e", "h", 0), ("i", ())), (("b",), ("i", ("f", "g")))),
-)
-_T_MATCHINGS = (
-    _m((("e", "f", 0), ("i", ())), (("e", "g", 0), ("i", ("f", "h"))),
-       (("e", "h", 1), ("i", ("g", "h"))), (("b",), ("i", ("f", "g")))),
-    _m((("e", "f", 0), ("i", ("g", "h"))), (("e", "g", 0), ("i", ())),
-       (("e", "h", 1), ("i", ("f", "h"))), (("b",), ("i", ("f", "g")))),
-)
+def _bijection_matchings(g: Graph) -> set:
+    """Perfect matchings of a gadget graph found without the search: the
+    graph is bipartite with the inner vertices on one side, so they are the
+    bijections from the other side onto the inner vertices that use only
+    edges."""
+    inner = [v for v in g.vertices if v[0] == "i"]
+    outer = [v for v in g.vertices if v[0] != "i"]
+    edges = set(g.edges)
+    found = set()
+    for image in itertools.permutations(inner):
+        pairs = frozenset(zip(outer, image))
+        if pairs <= edges:
+            found.add(pairs)
+    return found
 
 
 @dataclass
@@ -405,19 +397,19 @@ class GadgetReport:
 
 
 def gadget_matchings_check() -> GadgetReport:
-    """Count perfect matchings of all eight induced gadget subgraphs and
-    compare the two canonical ones against the explicit matching lists."""
+    """Count the perfect matchings of all eight gadget graphs with the search
+    and compare them with the bijection rule of _bijection_matchings."""
     counts = {}
+    agree = {}
     for bits in itertools.product((0, 1), repeat=3):
-        counts[bits] = len(all_perfect_matchings(_gadget_graph(bits)))
-    s_found = set(all_perfect_matchings(_gadget_graph((0, 0, 0))))
-    t_found = set(all_perfect_matchings(_gadget_graph((0, 0, 1))))
-    s_ok = s_found == set(_S_MATCHINGS)
-    t_ok = t_found == set(_T_MATCHINGS)
+        g = _gadget_graph(bits)
+        found = all_perfect_matchings(g)
+        counts[bits] = len(found)
+        agree[bits] = set(found) == _bijection_matchings(g)
     parity_ok = all(c == (4 if sum(bits) % 2 == 0 else 2)
                     for bits, c in counts.items())
-    ok = s_ok and t_ok and parity_ok and counts[(0, 0, 0)] == 4 and counts[(0, 0, 1)] == 2
-    return GadgetReport(counts[(0, 0, 0)], counts[(0, 0, 1)], s_ok, t_ok, counts, ok)
+    return GadgetReport(counts[(0, 0, 0)], counts[(0, 0, 1)], agree[(0, 0, 0)],
+                        agree[(0, 0, 1)], counts, parity_ok and all(agree.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +468,13 @@ def matching_experiment(g: Graph, k_list=(1, 2), p_list=(2, 3, 5),
         rep.checks["uniform_y_matches_formula"] = ry.uniform == fy
         rep.checks["nonuniform_counts_equal"] = rx.nonuniform == ry.nonuniform
         rep.checks["count_diff_is_power"] = abs(rx.count - ry.count) == expected
-        if len(x.graph.vertices) <= 44:
-            rep.checks["permanent_matches_x"] = (
-                matching_count_via_permanent(x.graph) == rx.count)
-            rep.checks["permanent_matches_y"] = (
-                matching_count_via_permanent(y.graph) == ry.count)
+        try:
+            px, py = (matching_count_via_permanent(c.graph) for c in (x, y))
+        except BudgetExceededError:
+            pass
+        else:
+            rep.checks["permanent_matches_x"] = px == rx.count
+            rep.checks["permanent_matches_y"] = py == ry.count
             rep.permanent_checked = True
         for p in p_list:
             mx, my = rx.count % p, ry.count % p

@@ -71,23 +71,33 @@ def _load_circuit(path: str):
     return deserialize(_read(path))
 
 
+def _size(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"size {n} is below 1")
+    return n
+
+
 def _parse_group(text: str):
     kind, _, rest = text.partition(":")
     try:
         if kind == "square":
-            return Square(int(rest))
+            return Square(_size(rest))
         if kind == "transpose":
-            return Transpose(int(rest))
+            return Transpose(_size(rest))
         if kind == "matrix":
             m, n = rest.split(",")
-            return Matrix(int(m), int(n))
+            return Matrix(_size(m), _size(n))
     except ValueError:
-        raise SymcircError(f"bad group spec {text!r}") from None
+        raise SymcircError(f"bad group spec {text!r} (sizes are integers >= 1)") from None
     if kind == "partition":
         doc = json.loads(_read(rest))
-        blocks = doc.get("blocks")
-        if not isinstance(blocks, list):
-            raise SymcircError(f"{rest}: expected a JSON object with 'blocks'")
+        blocks = doc.get("blocks") if isinstance(doc, dict) else None
+        if not (isinstance(blocks, list)
+                and all(isinstance(b, list) and all(isinstance(v, str) for v in b)
+                        for b in blocks)):
+            raise SymcircError(f"{rest}: expected a JSON object whose 'blocks' "
+                               "is a list of lists of variable names")
         return Partition(tuple(tuple(b) for b in blocks))
     raise SymcircError(f"unknown group kind {kind!r} "
                        "(want square:N | matrix:M,N | transpose:N | partition:FILE)")

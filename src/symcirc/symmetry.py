@@ -62,68 +62,43 @@ class Partition:
     parts: tuple
 
 
-def diagonal_sigma(n: int, perm: dict) -> dict:
+def _matrix_sigma(m: int, n: int, f) -> dict:
+    """The variable permutation x_ij -> x_f(i,j) of an m x n matrix."""
     sigma = {}
-    for i in range(1, n + 1):
+    for i in range(1, m + 1):
         for j in range(1, n + 1):
-            ti, tj = perm.get(i, i), perm.get(j, j)
-            if (ti, tj) != (i, j):
-                sigma[matrix_var(i, j)] = matrix_var(ti, tj)
+            if (t := f(i, j)) != (i, j):
+                sigma[matrix_var(i, j)] = matrix_var(*t)
     return sigma
+
+
+def diagonal_sigma(n: int, perm: dict) -> dict:
+    return _matrix_sigma(n, n, lambda i, j: (perm.get(i, i), perm.get(j, j)))
 
 
 def row_sigma(m: int, n: int, perm: dict) -> dict:
-    sigma = {}
-    for i in range(1, m + 1):
-        ti = perm.get(i, i)
-        if ti == i:
-            continue
-        for j in range(1, n + 1):
-            sigma[matrix_var(i, j)] = matrix_var(ti, j)
-    return sigma
+    return _matrix_sigma(m, n, lambda i, j: (perm.get(i, i), j))
 
 
 def col_sigma(m: int, n: int, perm: dict) -> dict:
-    sigma = {}
-    for j in range(1, n + 1):
-        tj = perm.get(j, j)
-        if tj == j:
-            continue
-        for i in range(1, m + 1):
-            sigma[matrix_var(i, j)] = matrix_var(i, tj)
-    return sigma
+    return _matrix_sigma(m, n, lambda i, j: (i, perm.get(j, j)))
 
 
 def transpose_sigma(n: int) -> dict:
-    sigma = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                sigma[matrix_var(i, j)] = matrix_var(j, i)
-    return sigma
+    return _matrix_sigma(n, n, lambda i, j: (j, i))
 
 
 def group_generators(spec) -> list:
     """Variable permutations generating the group: all transpositions of the
     index set(s), plus the transpose map for Transpose specs."""
-    if isinstance(spec, (Square, Transpose)):
-        gens = [diagonal_sigma(spec.n, {a: b, b: a})
-                for a, b in itertools.combinations(range(1, spec.n + 1), 2)]
-        if isinstance(spec, Transpose):
-            gens.append(transpose_sigma(spec.n))
-        return gens
-    if isinstance(spec, Matrix):
-        gens = [row_sigma(spec.m, spec.n, {a: b, b: a})
-                for a, b in itertools.combinations(range(1, spec.m + 1), 2)]
-        gens.extend(col_sigma(spec.m, spec.n, {a: b, b: a})
-                    for a, b in itertools.combinations(range(1, spec.n + 1), 2))
-        return gens
     if isinstance(spec, Partition):
-        gens = []
-        for block in spec.parts:
-            gens.extend({a: b, b: a} for a, b in itertools.combinations(block, 2))
-        return gens
-    raise TypeError(f"unknown group spec {spec!r}")
+        return [{a: b, b: a} for block in spec.parts
+                for a, b in itertools.combinations(block, 2)]
+    gens = [sigma for a, b in itertools.combinations(_support_points(spec), 2)
+            if (sigma := _point_transposition(spec, a, b)) is not None]
+    if isinstance(spec, Transpose):
+        gens.append(transpose_sigma(spec.n))
+    return gens
 
 
 def apply_sigma(sigma: dict, var: str) -> str:
@@ -202,10 +177,6 @@ def verify_automorphism(circuit: Circuit, witness: Witness) -> list:
         if image != set(circuit.wires[h]):
             probs.append(f"wires of gate {g} do not map onto wires of {h}")
     return probs
-
-
-def is_automorphism(circuit: Circuit, witness: Witness) -> bool:
-    return not verify_automorphism(circuit, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +456,8 @@ def _support_points(spec):
     if isinstance(spec, Matrix):
         return [("r", i) for i in range(1, spec.m + 1)] + \
                [("c", j) for j in range(1, spec.n + 1)]
-    raise TypeError("supports are defined for Square and Matrix specs")
+    raise CircuitError(f"{spec!r} has no index points; supports are defined "
+                       "for Square, Transpose and Matrix groups")
 
 
 def _point_transposition(spec, a, b):

@@ -147,6 +147,13 @@ def test_classify_x_k4():
     assert rep.histogram.get((0, len(x.base.vertices) * 3, 0)) == rep.uniform
 
 
+def test_classify_twisted_k4():
+    y = build_cfi(k4(), twisted=True)
+    rep = enumerate_perfect_matchings(y, mode="classify")
+    assert (rep.count, rep.uniform, rep.nonuniform) == (23552, 5120, 18432)
+    assert sum(rep.histogram.values()) == rep.count
+
+
 def test_classify_requires_cfi():
     with pytest.raises(CircuitError):
         enumerate_perfect_matchings(cycle_graph(4), mode="classify")
@@ -184,6 +191,14 @@ def test_uniform_count_formula_k4():
     k33 = complete_bipartite(3, 3)
     assert uniform_count_formula(k33, twisted=False) == 372736
     assert uniform_count_formula(k33, twisted=True) == 373760
+
+
+def test_uniform_count_formula_petersen_and_odd_order():
+    g = petersen_graph()
+    assert uniform_count_formula(g, twisted=False) == 1934884864
+    assert uniform_count_formula(g, twisted=True) == 1934950400
+    with pytest.raises(CircuitError):
+        uniform_count_formula(complete_graph(3), twisted=False)
 
 
 def test_pq_sequences():

@@ -264,6 +264,31 @@ def test_non_circuit_json_exits_2(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, group, doc", [
+    ("check-sym", None, [["x_1_1", "x_2_2"]]),  # a JSON list, not an object
+    ("check-sym", None, {"blocks": [1, 2]}),
+    ("support", None, {"blocks": [["x_1_1", "x_2_2"]]}),  # supports need index points
+    ("check-sym", "square:0", None),
+    ("check-sym", "transpose:0", None),
+    ("check-sym", "matrix:2,0", None),
+])
+def test_bad_group_exits_2(tmp_path, capsys, command, group, doc):
+    det = tmp_path / "det2.json"
+    det.write_text(serialize(leverrier_det_circuit(2).circuit))
+    if doc is not None:
+        spec = tmp_path / "group.json"
+        spec.write_text(json.dumps(doc))
+        group = f"partition:{spec}"
+    argv = [command, "--circuit", str(det), "--group", group]
+    if command == "support":
+        argv += ["--gate", "1"]
+    code, rep, err = invoke(capsys, *argv)
+    assert code == 2
+    assert rep is None
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 def test_usage_errors(tmp_path, capsys):
     code, _, _ = invoke(capsys, "nonsense")
     assert code == 2

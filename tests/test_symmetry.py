@@ -6,9 +6,11 @@ import pytest
 
 from symcirc import (
     ADD,
+    GF,
     MUL,
     QQ,
     CircuitBuilder,
+    CircuitError,
     Matrix,
     Partition,
     Square,
@@ -161,6 +163,15 @@ def test_generator_witnesses_keep_invariant_colors(build, spec):
         assert all(colors[w.pi[g]] == colors[g] for g in gen.circuit.gates)
 
 
+@pytest.mark.parametrize("build, n, fld",
+                         [(b, n, QQ) for b in (leverrier_det_circuit, ryser_perm_circuit)
+                          for n in (2, 3, 4)] + [(ryser_perm_circuit, 3, GF(2))])
+def test_generator_witnesses_follow_group_generators_order(build, n, fld):
+    # the CLI writes witnesses in this order, one per group generator
+    gen = build(n, fld)
+    assert [w.sigma for w in gen.witnesses] == group_generators(gen.group)
+
+
 def test_partition_spec_on_plain_variables():
     b = CircuitBuilder(QQ, ["u", "v", "w"])
     u = b.add(input_label("u"))
@@ -245,5 +256,5 @@ def test_support_points_for_matrix_spec():
 
 def test_support_rejects_partition_spec():
     c, names = full_matrix_sum(2)
-    with pytest.raises(TypeError):
+    with pytest.raises(CircuitError):
         is_support(c, names["out"], set(), Partition((("x_1_1",),)))
