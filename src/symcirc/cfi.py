@@ -140,15 +140,18 @@ def _matching_projections(cfi: CFIGraph, partner: dict):
     """p(v, e) = matched edges between {e_0, e_1} and the inner vertices of v,
     checked against the two balance equations."""
     proj = {}
+    at_vertex = dict.fromkeys(cfi.base.vertices, 0)
     for e in cfi.base.edges:
         p0 = partner[("e", e, 0)]
         p1 = partner[("e", e, 1)]
         for v in e:
-            proj[(v, e)] = int(p0[1] == v) + int(p1[1] == v)
+            k = int(p0[1] == v) + int(p1[1] == v)
+            proj[(v, e)] = k
+            at_vertex[v] += k
         if proj[(e[0], e)] + proj[(e[1], e)] != 2:
             raise CircuitError(f"projection equation failed at edge {e!r}")
-    for v in cfi.base.vertices:
-        if sum(proj[(v, e)] for e in cfi.base.incident(v)) != 3:
+    for v, k in at_vertex.items():
+        if k != 3:
             raise CircuitError(f"projection equation failed at vertex {v!r}")
     return proj
 

@@ -8,12 +8,15 @@ they must be absent.
 
 Two evaluation semantics share the representation: exact field evaluation
 (input/const/add/mul) and Boolean evaluation (input, 0/1 constants, and/or/not,
-thresholds, and the partition-counting gates used by the lowering).
+thresholds, and the partition-counting gates used by the lowering).  Boolean
+evaluation is bit-sliced: one int per gate carries its value on many
+assignments at once.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
 
@@ -342,68 +345,134 @@ def evaluate_arith(circuit: Circuit, assignment: dict) -> FieldValue:
     return arith_gate_values(circuit, assignment)[circuit.output]
 
 
-def partition_hits(kind: str, c: FieldValue, weights, counts) -> bool:
-    """The psum / pprod rule: True iff the per-part counts hit the target c,
-    that is sum(counts[i] * weights[i]) == c for psum and
-    prod(weights[i] ** counts[i]) == c for pprod (weights, counts aligned)."""
-    fld = c.field
+def partition_rule(kind: str, fld: Field):
+    """The psum / pprod rule as (unit, term, combine): a gate with weights
+    q_i and per-part counts k_i folds combine over term(q_i, k_i) from unit,
+    that is sum(k_i * q_i) for psum and prod(q_i ** k_i) for pprod."""
     if kind == "psum":
-        acc = fld.zero()
-        for q, k in zip(weights, counts):
-            acc = acc + q.scaled(k)
-    else:
-        acc = fld.one()
-        for q, k in zip(weights, counts):
-            acc = acc * q.power(k)
+        return fld.zero(), FieldValue.scaled, operator.add
+    return fld.one(), FieldValue.power, operator.mul
+
+
+def partition_hits(kind: str, c: FieldValue, weights, counts) -> bool:
+    """True iff the per-part counts (aligned with weights) hit the target c."""
+    acc, term, combine = partition_rule(kind, c.field)
+    for q, k in zip(weights, counts):
+        acc = combine(acc, term(q, k))
     return acc == c
 
 
-def bool_gate_values(circuit: Circuit, assignment: dict) -> dict:
-    """0/1 value of every gate under a 0/1 variable assignment."""
+def _lane_add(planes: list, x: int):
+    """Add the 0/1 lanes of x to the bit-sliced counter planes (low bit
+    first) by ripple carry."""
+    for i, p in enumerate(planes):
+        if not x:
+            return
+        planes[i], x = p ^ x, p & x
+    if x:
+        planes.append(x)
+
+
+def _lane_compare(planes: list, k: int, full: int):
+    """(lanes whose count exceeds k, lanes whose count equals k)."""
+    if k >> len(planes):
+        return 0, 0
+    gt, eq = 0, full
+    for i in reversed(range(len(planes))):
+        if k >> i & 1:
+            eq &= planes[i]
+        else:
+            gt |= eq & planes[i]
+            eq &= ~planes[i]
+    return gt, eq
+
+
+def _lane_counts(planes: list, mask: int) -> list:
+    """[(count, lanes of mask with that count)] for every count that occurs
+    in some lane of mask."""
+    groups = [(0, mask)]
+    for i, p in enumerate(planes):
+        split = []
+        for k, m in groups:
+            if m & ~p:
+                split.append((k, m & ~p))
+            if m & p:
+                split.append((k | 1 << i, m & p))
+        groups = split
+    return groups
+
+
+def bool_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
+    """Bit-sliced 0/1 value of every gate over width assignments at once.
+
+    lanes maps each variable to an int whose bit j is its value on
+    assignment j; every gate's value comes back in the same layout.  A
+    threshold gate counts its children with a bit-sliced counter; a
+    partition gate keeps one counter per part and applies partition_hits
+    once per count vector that occurs in some lane.
+    """
     _require_valid_for_eval(circuit)
+    full = (1 << width) - 1
     vals = {}
     for g in circuit.topo_order():
         lab = circuit.gates[g]
+        kind = lab.kind
         ws = circuit.wires[g]
-        if lab.kind == "input":
+        if kind == "and":
+            acc = full
+            for c, _t in ws:
+                acc &= vals[c]
+        elif kind == "or":
+            acc = 0
+            for c, _t in ws:
+                acc |= vals[c]
+        elif kind == "not":
+            acc = full ^ vals[ws[0][0]]
+        elif kind in ("th_ge", "th_eq"):
+            planes = []
+            for c, _t in ws:
+                _lane_add(planes, vals[c])
+            gt, eq = _lane_compare(planes, lab.k, full)
+            acc = eq if kind == "th_eq" else gt | eq
+        elif kind in ("psum", "pprod"):
+            slot = {t: i for i, (t, _q) in enumerate(lab.parts)}
+            counters = [[] for _ in slot]
+            for c, tag in ws:
+                _lane_add(counters[slot[tag]], vals[c])
+            vectors = [((), full)]
+            for planes in counters:
+                vectors = [(vec + (k,), m & mk)
+                           for vec, m in vectors
+                           for k, mk in _lane_counts(planes, m)]
+            weights = [q for _t, q in lab.parts]
+            acc = 0
+            for vec, m in vectors:
+                if partition_hits(kind, lab.c, weights, vec):
+                    acc |= m
+        elif kind == "input":
             try:
-                v = assignment[lab.var]
+                acc = lanes[lab.var]
             except KeyError:
                 raise CircuitError(f"missing variable {lab.var!r}") from None
-            if v not in (0, 1):
-                raise CircuitError(f"variable {lab.var!r} must be 0 or 1")
-            vals[g] = v
-        elif lab.kind == "const":
+            if not (isinstance(acc, int) and 0 <= acc <= full):
+                raise CircuitError(f"variable {lab.var!r} must be 0 or 1 in every lane")
+        elif kind == "const":
             if lab.value.is_zero():
-                vals[g] = 0
+                acc = 0
             elif lab.value.is_one():
-                vals[g] = 1
+                acc = full
             else:
                 raise CircuitError(f"gate {g}: constant {lab.value} is not a bit")
-        elif lab.kind == "and":
-            vals[g] = int(all(vals[c] for c, _t in ws))
-        elif lab.kind == "or":
-            vals[g] = int(any(vals[c] for c, _t in ws))
-        elif lab.kind == "not":
-            vals[g] = 1 - vals[ws[0][0]]
-        elif lab.kind == "th_ge":
-            vals[g] = int(sum(vals[c] for c, _t in ws) >= lab.k)
-        elif lab.kind == "th_eq":
-            vals[g] = int(sum(vals[c] for c, _t in ws) == lab.k)
-        elif lab.kind in ("psum", "pprod"):
-            slot = {t: i for i, (t, _q) in enumerate(lab.parts)}
-            counts = [0] * len(slot)
-            for c, tag in ws:
-                counts[slot[tag]] += vals[c]
-            weights = [q for _t, q in lab.parts]
-            vals[g] = int(partition_hits(lab.kind, lab.c, weights, counts))
         else:
-            raise CircuitError(f"gate {g}: label {lab.kind!r} is not Boolean")
+            raise CircuitError(f"gate {g}: label {kind!r} is not Boolean")
+        vals[g] = acc
     return vals
 
 
 def evaluate_bool(circuit: Circuit, assignment: dict) -> int:
-    return bool_gate_values(circuit, assignment)[circuit.output]
+    """0/1 value of the output under a 0/1 variable assignment."""
+    lanes = {v: int(x) if x in (0, 1) else x for v, x in assignment.items()}
+    return bool_lane_values(circuit, lanes, 1)[circuit.output]
 
 
 @dataclass

@@ -36,6 +36,9 @@ class Field:
     def __post_init__(self):
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
+        # values are immutable, so every caller shares one zero and one one
+        object.__setattr__(self, "_zero", FieldValue(self, 0, 1))
+        object.__setattr__(self, "_one", FieldValue(self, 1, 1))
 
     @property
     def char(self) -> int:
@@ -73,17 +76,10 @@ class Field:
         return FieldValue(self, num * pow(den, -1, self.p) % self.p, 1)
 
     def zero(self) -> "FieldValue":
-        return self.of(0)
+        return self._zero
 
     def one(self) -> "FieldValue":
-        return self.of(1)
-
-
-QQ = Field(None)
-
-
-def GF(p: int) -> Field:
-    return Field(p)
+        return self._one
 
 
 @dataclass(frozen=True)
@@ -101,7 +97,7 @@ class FieldValue:
     def _check(self, other: "FieldValue"):
         if not isinstance(other, FieldValue):
             raise TypeError(f"expected FieldValue, got {other!r}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatchError(
                 f"cannot mix {self.field.name()} and {other.field.name()}"
             )
@@ -174,6 +170,13 @@ class FieldValue:
 
     def __repr__(self) -> str:
         return f"<{self} in {self.field.name()}>"
+
+
+QQ = Field(None)
+
+
+def GF(p: int) -> Field:
+    return Field(p)
 
 
 def _mk(field: Field, num: int, den: int) -> FieldValue:

@@ -17,6 +17,11 @@ Phi evaluates into B.  It proceeds in two symmetry-preserving steps:
 
 Both steps map gate names componentwise under a circuit automorphism, so
 witnesses lift and orbit sizes are preserved.
+
+verify_lowering checks either step exhaustively on every 0-1 assignment.
+It evaluates the Boolean circuit bit-sliced, each gate's values over a block
+of up to 2^12 assignments held as the bits of one int, and compares them
+with the arithmetic circuit's exact values on the same assignments.
 """
 
 from __future__ import annotations
@@ -31,10 +36,10 @@ from .circuit import (
     Circuit,
     CircuitBuilder,
     arith_gate_values,
+    bool_lane_values,
     const,
-    evaluate_bool,
     input_label,
-    partition_hits,
+    partition_rule,
     pprod,
     psum,
     th_eq,
@@ -45,6 +50,7 @@ from .symmetry import Witness, orbits
 
 _ARITH_KINDS = ("input", "const", "add", "mul")
 _VEC_BUDGET = 10 ** 6
+_BLOCK_BITS = 12   # verify_lowering evaluates up to 2^12 assignments at once
 
 
 def _sorted_vals(vals) -> tuple:
@@ -63,17 +69,21 @@ def _require_arith(circuit: Circuit):
             raise CircuitError(f"gate {g}: cannot lower label {lab!r}")
 
 
-def _zero_one_runs(circuit: Circuit, max_inputs: int):
-    """Yield (bits, gate values) for every 0-1 assignment of the circuit's
-    input variables: bits maps variable -> 0/1, gate values are exact."""
-    fld = circuit.field
-    bit_values = (fld.zero(), fld.one())
+def _input_variables(circuit: Circuit, max_inputs: int) -> list:
+    """The variables the circuit's input gates read, sorted."""
     variables = sorted({lab.var for lab in circuit.gates.values() if lab.kind == "input"})
     if len(variables) > max_inputs:
         raise BudgetExceededError(f"{len(variables)} inputs exceed budget {max_inputs}")
-    for bits in itertools.product((0, 1), repeat=len(variables)):
-        asg = {v: bit_values[x] for v, x in zip(variables, bits)}
-        yield dict(zip(variables, bits)), arith_gate_values(circuit, asg)
+    return variables
+
+
+def _zero_one_runs(circuit: Circuit, variables: list):
+    """Yield the exact gate values on every 0-1 assignment of variables, in
+    itertools.product order (the last variable changes fastest)."""
+    fld = circuit.field
+    bit_values = (fld.zero(), fld.one())
+    for bits in itertools.product(bit_values, repeat=len(variables)):
+        yield arith_gate_values(circuit, dict(zip(variables, bits)))
 
 
 def value_sets(circuit: Circuit, mode: str = "compositional", max_inputs: int = 20) -> ValueSetMap:
@@ -87,7 +97,7 @@ def value_sets(circuit: Circuit, mode: str = "compositional", max_inputs: int = 
     fld = circuit.field
     if mode == "exact":
         seen = {g: set() for g in circuit.gates}
-        for _bits, vals in _zero_one_runs(circuit, max_inputs):
+        for vals in _zero_one_runs(circuit, _input_variables(circuit, max_inputs)):
             for g, val in vals.items():
                 seen[g].add(val)
         return ValueSetMap({g: _sorted_vals(vs) for g, vs in seen.items()}, exact=True)
@@ -247,6 +257,8 @@ def accepting_vectors(kind: str, c: FieldValue, parts: dict, counts: dict) -> fr
 
     parts maps tag -> part value, counts maps tag -> number of wires; tags are
     taken in ascending part-value order, matching gadget tower heights.
+    Each part's terms are tabled once; a depth-first walk over the parts
+    carries the partial sum or product.
     """
     tags = sorted(parts, key=lambda t: parts[t].sort_key())
     total = 1
@@ -254,9 +266,20 @@ def accepting_vectors(kind: str, c: FieldValue, parts: dict, counts: dict) -> fr
         total *= counts[t] + 1
         if total > _VEC_BUDGET:
             raise BudgetExceededError("part-count enumeration overflow")
-    weights = [parts[t] for t in tags]
-    return frozenset(vec for vec in itertools.product(*(range(counts[t] + 1) for t in tags))
-                     if partition_hits(kind, c, weights, vec))
+    unit, term, combine = partition_rule(kind, c.field)
+    tables = [[term(parts[t], k) for k in range(counts[t] + 1)] for t in tags]
+    found = []
+
+    def walk(i, acc, vec):
+        if i == len(tables):
+            if acc == c:
+                found.append(vec)
+            return
+        for k, x in enumerate(tables[i]):
+            walk(i + 1, combine(acc, x), vec + (k,))
+
+    walk(0, unit, ())
+    return frozenset(found)
 
 
 @dataclass
@@ -300,14 +323,40 @@ def expand_to_threshold(lowered: PartitionCircuit) -> ExpandedCircuit:
 # Checks
 
 
+def _lane_pattern(s: int, bits: int) -> int:
+    """Lanes 0..2^bits-1 whose index has bit s set, as one int."""
+    run = 1 << s
+    return int(("1" * run + "0" * run) * ((1 << bits) // (2 * run)), 2)
+
+
 def verify_lowering(circuit: Circuit, accept, lowered_circuit: Circuit,
                     max_inputs: int = 20) -> bool:
     """True iff on every 0-1 assignment the Boolean circuit accepts exactly
-    when the arithmetic circuit evaluates into accept."""
+    when the arithmetic circuit evaluates into accept.
+
+    The Boolean circuit is evaluated bit-sliced over blocks of up to
+    2^_BLOCK_BITS assignments: the fastest-changing variables of the 0-1
+    driver's order are spread over the lanes, the others are constant in a
+    block, and the expected accept mask comes from the driver's own runs.
+    """
     _require_arith(circuit)
     accept = {circuit.field.of(a) for a in accept}
-    return all(evaluate_bool(lowered_circuit, bits) == int(vals[circuit.output] in accept)
-               for bits, vals in _zero_one_runs(circuit, max_inputs))
+    variables = _input_variables(circuit, max_inputs)
+    low = min(len(variables), _BLOCK_BITS)
+    width = 1 << low
+    full = (1 << width) - 1
+    high = variables[:len(variables) - low]
+    sliced = {v: _lane_pattern(s, low) for s, v in enumerate(reversed(variables[len(high):]))}
+    runs = _zero_one_runs(circuit, variables)
+    for bits in itertools.product((0, full), repeat=len(high)):
+        want = 0
+        for j, vals in zip(range(width), runs):
+            if vals[circuit.output] in accept:
+                want |= 1 << j
+        lanes = dict(zip(high, bits)) | sliced
+        if bool_lane_values(lowered_circuit, lanes, width)[lowered_circuit.output] != want:
+            return False
+    return True
 
 
 @dataclass

@@ -181,7 +181,8 @@ def test_05_lowering_round_trips():
 
 
 def test_06_orbit_preservation():
-    """Largest orbit is unchanged through both lowering stages."""
+    """Largest orbit is unchanged through both lowering stages, and both
+    stages are verified exhaustively."""
     cases = [(ryser_perm_circuit(2), Matrix(2, 2), 4),
              (ryser_perm_circuit(3, GF(3)), Matrix(3, 3), 9),
              (leverrier_det_circuit(3, GF(5), allow_positive_char=True), Transpose(3), 12)]
@@ -191,10 +192,12 @@ def test_06_orbit_preservation():
         vs = value_sets(gen.circuit, "exact")
         low = lower_to_partition_basis(gen.circuit, {0}, vs)
         exp = expand_to_threshold(low)
+        assert verify_lowering(gen.circuit, {0}, low.circuit)
+        assert verify_lowering(gen.circuit, {0}, exp.circuit)
         report = orbit_preservation_check(gen.circuit, rep.witnesses, low, exp)
         assert report.equal
         assert report.orb_phi == report.orb_d == report.orb_c == orb
-    print("PASS orbit preservation: ORB 4, 9 and 12 at all three stages")
+    print("PASS orbit preservation: ORB 4, 9 and 12 at all three stages, both verified")
 
 
 def test_07_gadget_matchings():

@@ -1,0 +1,118 @@
+"""Property test: the bit-sliced Boolean evaluator agrees, gate by gate and
+assignment by assignment, with a scalar evaluator kept here as the oracle."""
+
+from __future__ import annotations
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from symcirc import GF, CircuitBuilder, CircuitError, GateLabel, const, evaluate_bool, input_label  # noqa: E402
+from symcirc.circuit import (  # noqa: E402
+    bool_lane_values,
+    partition_hits,
+    pprod,
+    psum,
+    th_eq,
+    th_ge,
+)
+
+PRIMES = (2, 3, 5)
+KINDS = ("and", "or", "not", "th_ge", "th_eq", "psum", "pprod")
+
+
+def scalar_bool_gate_values(circuit, assignment: dict) -> dict:
+    """0/1 value of every gate under one 0/1 assignment, one gate at a time."""
+    vals = {}
+    for g in circuit.topo_order():
+        lab = circuit.gates[g]
+        ws = circuit.wires[g]
+        if lab.kind == "input":
+            try:
+                v = assignment[lab.var]
+            except KeyError:
+                raise CircuitError(f"missing variable {lab.var!r}") from None
+            if v not in (0, 1):
+                raise CircuitError(f"variable {lab.var!r} must be 0 or 1")
+            vals[g] = v
+        elif lab.kind == "const":
+            if lab.value.is_zero():
+                vals[g] = 0
+            elif lab.value.is_one():
+                vals[g] = 1
+            else:
+                raise CircuitError(f"gate {g}: constant {lab.value} is not a bit")
+        elif lab.kind == "and":
+            vals[g] = int(all(vals[c] for c, _t in ws))
+        elif lab.kind == "or":
+            vals[g] = int(any(vals[c] for c, _t in ws))
+        elif lab.kind == "not":
+            vals[g] = 1 - vals[ws[0][0]]
+        elif lab.kind == "th_ge":
+            vals[g] = int(sum(vals[c] for c, _t in ws) >= lab.k)
+        elif lab.kind == "th_eq":
+            vals[g] = int(sum(vals[c] for c, _t in ws) == lab.k)
+        elif lab.kind in ("psum", "pprod"):
+            slot = {t: i for i, (t, _q) in enumerate(lab.parts)}
+            counts = [0] * len(slot)
+            for c, tag in ws:
+                counts[slot[tag]] += vals[c]
+            weights = [q for _t, q in lab.parts]
+            vals[g] = int(partition_hits(lab.kind, lab.c, weights, counts))
+        else:
+            raise CircuitError(f"gate {g}: label {lab.kind!r} is not Boolean")
+    return vals
+
+
+@st.composite
+def bool_circuits(draw):
+    """A Boolean circuit over F_p with at most five inputs and the two bit
+    constants, then one gate of every label plus a few more in random
+    order, each reading children drawn from all earlier gates.  Partition
+    gates may read one child under two tags."""
+    fld = GF(draw(st.sampled_from(PRIMES)))
+    variables = [f"x{i}" for i in range(draw(st.integers(1, 5)))]
+    b = CircuitBuilder(fld, variables)
+    pool = [b.add(input_label(v)) for v in variables]
+    pool += [b.add(const(fld.zero())), b.add(const(fld.one()))]
+    extra = draw(st.lists(st.sampled_from(KINDS), max_size=5))
+    for kind in draw(st.permutations(KINDS + tuple(extra))):
+        if kind == "not":
+            pool.append(b.add(GateLabel("not"), [draw(st.sampled_from(pool))]))
+            continue
+        if kind in ("psum", "pprod"):
+            weights = draw(st.sets(st.integers(0, fld.p - 1), min_size=1, max_size=3))
+            parts = {str(q): fld.of(q) for q in weights}
+            kids = draw(st.sets(st.tuples(st.sampled_from(pool), st.sampled_from(sorted(parts))),
+                                max_size=6))
+            c = fld.of(draw(st.integers(0, fld.p - 1)))
+            label = (psum if kind == "psum" else pprod)(c, parts)
+            pool.append(b.add(label, sorted(kids)))
+            continue
+        kids = sorted(draw(st.sets(st.sampled_from(pool), max_size=5)))
+        if kind in ("th_ge", "th_eq"):
+            k = draw(st.integers(0, len(kids) + 1))
+            label = (th_ge if kind == "th_ge" else th_eq)(k)
+        else:
+            label = GateLabel(kind)
+        pool.append(b.add(label, kids))
+    return b.build(pool[-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(bool_circuits())
+def test_lanes_match_scalar_oracle(circuit):
+    variables = circuit.variables
+    width = 1 << len(variables)
+    # lane j holds the assignment in which variable i is bit i of j
+    lanes = {v: sum(1 << j for j in range(width) if j >> i & 1)
+             for i, v in enumerate(variables)}
+    got = bool_lane_values(circuit, lanes, width)
+    assert all(0 <= x < 1 << width for x in got.values())
+    for j in range(width):
+        asg = {v: j >> i & 1 for i, v in enumerate(variables)}
+        want = scalar_bool_gate_values(circuit, asg)
+        assert {g: x >> j & 1 for g, x in got.items()} == want
+        assert evaluate_bool(circuit, asg) == want[circuit.output]

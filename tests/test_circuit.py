@@ -187,8 +187,14 @@ def test_bool_requires_binary_inputs():
     b = CircuitBuilder(QQ, ["p"])
     p = b.add(input_label("p"))
     c = b.build(b.add(AND, [p]))
-    with pytest.raises(CircuitError):
+    with pytest.raises(CircuitError, match="must be 0 or 1"):
         evaluate_bool(c, {"p": 2})
+    with pytest.raises(CircuitError, match="missing variable 'p'"):
+        evaluate_bool(c, {"q": 1})
+    b = CircuitBuilder(QQ, [])
+    c = b.build(b.add(const(QQ.of(2))))
+    with pytest.raises(CircuitError, match="not a bit"):
+        evaluate_bool(c, {})
 
 
 def test_validate_reports_missing_assignment_free():

@@ -8,8 +8,13 @@ import pytest
 
 from symcirc import (
     ADD,
+    AND,
+    GF,
     MUL,
+    NOT,
+    OR,
     QQ,
+    Circuit,
     BudgetExceededError,
     CircuitBuilder,
     CircuitError,
@@ -161,6 +166,57 @@ def test_verify_lowering_catches_wrong_circuit():
     c = two_input(MUL)
     wrong = lower_to_partition_basis(c, {1}, value_sets(c))
     assert not verify_lowering(c, {QQ.of(0)}, wrong.circuit)
+
+
+def wide_circuit():
+    """x00*x13 + 2*x01*x02 + x03 + ... + x12 over F_5: 14 inputs, so
+    verify_lowering needs four blocks of lanes."""
+    fld = GF(5)
+    names = [f"x{i:02d}" for i in range(14)]
+    b = CircuitBuilder(fld, names)
+    x = [b.add(input_label(v)) for v in names]
+    m1 = b.add(MUL, [x[0], x[13]])
+    m2 = b.add(MUL, [x[1], x[2], b.add(const(fld.of(2)))])
+    return b.build(b.add(ADD, [m1, m2] + x[3:13]))
+
+
+def flip_at(d: Circuit, index: int) -> Circuit:
+    """d with its output negated on exactly one assignment: the index-th in
+    the order of itertools.product over the sorted variables."""
+    gates = dict(d.gates)
+    wires = {g: list(ws) for g, ws in d.wires.items()}
+
+    def add(label, kids):
+        g = len(gates)
+        gates[g], wires[g] = label, kids
+        return g
+
+    ins = d.inputs_by_var()
+    names = sorted(ins)
+    lits = [ins[v] if index >> (len(names) - 1 - i) & 1 else add(NOT, [ins[v]])
+            for i, v in enumerate(names)]
+    hit = add(AND, lits)
+    keep = add(AND, [d.output, add(NOT, [hit])])
+    turn = add(AND, [add(NOT, [d.output]), hit])
+    return Circuit(d.field, d.variables, gates, wires, add(OR, [keep, turn]))
+
+
+def test_verify_lowering_over_several_blocks():
+    c = wide_circuit()
+    accept = {GF(5).of(0)}
+    low = lower_to_partition_basis(c, accept, value_sets(c))
+    assert verify_lowering(c, accept, low.circuit)
+    # the last lane of the last block, and a lane of it whose bits are not
+    # symmetric in the variables
+    for index in (2 ** 14 - 1, 3 * 2 ** 12 + 5):
+        assert not verify_lowering(c, accept, flip_at(low.circuit, index))
+    d = low.circuit
+    y = len(d.gates)
+    gates = {**d.gates, y: input_label("y"), y + 1: AND}
+    wires = {**d.wires, y: [], y + 1: [d.output, y]}
+    reads_y = Circuit(d.field, [*d.variables, "y"], gates, wires, y + 1)
+    with pytest.raises(CircuitError, match="missing variable 'y'"):
+        verify_lowering(c, accept, reads_y)
 
 
 def test_orbit_preservation_small():
