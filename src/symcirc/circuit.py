@@ -1,10 +1,11 @@
 """Circuit intermediate representation.
 
 A circuit is a labelled DAG with unbounded fan-in and a single designated
-output gate.  Wires are sets of (child, tag) pairs: a gate never lists the
-same tagged child twice, so squaring a subterm requires a pass-through gate.
-Tags are only meaningful on the partition-counting labels; everywhere else
-they must be absent.
+output gate.  Wires are sorted multisets of (child, tag) pairs: a child
+listed twice counts twice, so x*x is one mul gate reading x twice.  Tags are
+only meaningful on the partition-counting labels; everywhere else they must
+be absent.  CircuitBuilder hash-conses gates on (label, children), so the
+circuits it builds are rigid: no two gates share a label and children.
 
 Two evaluation semantics share the representation: exact field evaluation
 (input/const/add/mul) and Boolean evaluation (input, 0/1 constants, and/or/not,
@@ -98,9 +99,15 @@ def _child_key(ch):
     return (cid, "" if tag is None else tag)
 
 
+def _wire_tuple(children) -> tuple:
+    """Children (ids or (id, tag) pairs) as a sorted multiset of pairs."""
+    return tuple(sorted(((c, None) if isinstance(c, int) else (c[0], c[1])
+                         for c in children), key=_child_key))
+
+
 class Circuit:
     """Immutable labelled DAG.  Mutating after construction is not supported;
-    derived adjacency and refinement data are cached on the instance."""
+    derived adjacency data is cached on the instance."""
 
     def __init__(self, fld: Field, variables, gates: dict, wires: dict, output: int):
         self.field = fld
@@ -108,16 +115,7 @@ class Circuit:
         self.gates = dict(gates)
         norm = {}
         for g in self.gates:
-            ws = wires.get(g, ())
-            seen = []
-            for ch in ws:
-                if isinstance(ch, int):
-                    ch = (ch, None)
-                seen.append((ch[0], ch[1]))
-            dedup = sorted(set(seen), key=_child_key)
-            if len(dedup) != len(seen):
-                raise CircuitError(f"gate {g}: duplicate (child, tag) wire")
-            norm[g] = tuple(dedup)
+            norm[g] = _wire_tuple(wires.get(g, ()))
         for g in wires:
             if g not in self.gates:
                 raise CircuitError(f"wires reference unknown gate {g}")
@@ -125,17 +123,10 @@ class Circuit:
         self.output = output
         self._parents = None
         self._topo = None
-        self._colors = None
         self._inputs_by_var = None
-        self._childsets = None
 
     def children(self, g: int):
         return self.wires[g]
-
-    def child_set(self, g: int) -> frozenset:
-        if self._childsets is None:
-            self._childsets = {h: frozenset(ws) for h, ws in self.wires.items()}
-        return self._childsets[g]
 
     def parents(self) -> dict:
         if self._parents is None:
@@ -186,7 +177,8 @@ class Circuit:
 
 
 class CircuitBuilder:
-    """Incremental construction with optional structured gate names."""
+    """Incremental, hash-consing construction with optional structured gate
+    names.  Several names may alias one gate."""
 
     def __init__(self, fld: Field, variables):
         self.field = fld
@@ -194,24 +186,22 @@ class CircuitBuilder:
         self.gates = {}
         self.wires = {}
         self.names = {}
-        self._next = 0
+        self._made = {}   # (label, wire tuple) -> gate
 
     def add(self, label: GateLabel, children=(), name=None) -> int:
-        if name is not None and name in self.names:
+        """The gate with this label and children, made on first request.
+        A name aliases the gate; naming a different gate with a name already
+        in use raises ValueError."""
+        key = (label, _wire_tuple(children))
+        g = self._made.get(key, len(self.gates))
+        if name is not None and self.names.get(name, g) != g:
             raise ValueError(f"duplicate gate name {name!r}")
-        g = self._next
-        self._next += 1
-        self.gates[g] = label
-        self.wires[g] = [(c, None) if isinstance(c, int) else c for c in children]
+        if g == len(self.gates):
+            self._made[key] = g
+            self.gates[g], self.wires[g] = key
         if name is not None:
             self.names[name] = g
         return g
-
-    def ensure(self, label: GateLabel, children, name) -> int:
-        """add() that is idempotent per name."""
-        if name in self.names:
-            return self.names[name]
-        return self.add(label, children, name)
 
     def __getitem__(self, name) -> int:
         return self.names[name]

@@ -307,7 +307,7 @@ def _cmd_wl(args) -> int:
 
 
 def _cmd_pq(args) -> int:
-    p, q = pq(args.m, "direct" if args.direct else "recurrence")
+    p, q = pq(args.m)
     _note(f"P_{args.m} = {p}, Q_{args.m} = {q}")
     _emit({"command": "pq", "m": args.m, "p": p, "q": q, "difference": p - q})
     return 0
@@ -410,7 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pq", help="matching count pair (P_m, Q_m)")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--direct", action="store_true", help="direct summation mode")
     p.set_defaults(func=_cmd_pq)
     return top
 

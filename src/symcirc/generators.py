@@ -1,4 +1,4 @@
-"""Symmetric circuits for the determinant and permanent, with witnesses.
+"""Symmetric circuits for the determinant and permanent.
 
 The determinant circuit follows Le Verrier's method: power-sum traces s_k
 feed the coefficient recurrence p_k = (1/k)[p_{k-1}s_1 - p_{k-2}s_2 + ...
@@ -14,37 +14,37 @@ PERM = (-1)^n sum_S (-1)^{|S|} prod_i sum_{j in S} x_ij, averaged with the
 same expression on the transposed matrix, which yields transpose symmetry
 on top of the row/column symmetry.  Over characteristic 2 the average is
 unavailable and the plain row form is emitted.
+
+Both are built through the hash-consing CircuitBuilder, so they are rigid:
+a term built twice, such as x_12*x_21 as ("F", 2, 1, 2, 1) and
+("F", 2, 2, 1, 2), is one gate under two names, and a square reads its
+child twice.  Witnesses are the extensions of the group generators,
+computed on first use.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .circuit import ADD, MUL, Circuit, CircuitBuilder, const, evaluate_arith, input_label
 from .errors import CircuitError
 from .field import QQ, Field, FieldValue
-from .symmetry import (
-    Matrix,
-    Transpose,
-    Witness,
-    col_sigma,
-    compose_sigma,
-    diagonal_sigma,
-    matrix_var,
-    matrix_variables,
-    row_sigma,
-    transpose_sigma,
-)
+from .symmetry import Matrix, Transpose, check_symmetric, matrix_var, matrix_variables
 
 
 @dataclass
 class GeneratedCircuit:
     circuit: Circuit
     names: dict      # structured gate name -> gate id (aliases allowed)
-    witnesses: list  # one Witness per group_generators(group) entry, same order
     group: object
+
+    @cached_property
+    def witnesses(self) -> list:
+        """One Witness per group_generators(group) entry, same order."""
+        return check_symmetric(self.circuit, self.group).witnesses
 
 
 def matrix_assignment(fld: Field, rows) -> dict:
@@ -65,42 +65,6 @@ def eval_on_matrix(circuit: Circuit, rows) -> FieldValue:
 
 # ---------------------------------------------------------------------------
 # Le Verrier determinant circuit
-
-
-def _lv_image(name, sub, transpose):
-    """Image of a structured gate name under one symmetry generator: either a
-    base-index substitution (sub) or the transpose map."""
-
-    def s(i):
-        return sub.get(i, i)
-
-    kind = name[0]
-    if kind == "x":
-        _, i, j = name
-        return ("x", s(j), s(i)) if transpose else ("x", s(i), s(j))
-    if kind == "pow":
-        _, k, i, j = name
-        return ("pow", k, s(j), s(i)) if transpose else ("pow", k, s(i), s(j))
-    if kind == "F":
-        _, m, i, a, j = name
-        return ("F", m, s(j), s(a), s(i)) if transpose else ("F", m, s(i), s(a), s(j))
-    if kind == "FL":
-        _, m, i, a, j = name
-        return ("FR", m, s(j), s(a), s(i)) if transpose else ("FL", m, s(i), s(a), s(j))
-    if kind == "FR":
-        _, m, i, a, j = name
-        return ("FL", m, s(j), s(a), s(i)) if transpose else ("FR", m, s(i), s(a), s(j))
-    if kind == "raw":
-        _, m, i, j = name
-        return ("raw", m, s(j), s(i)) if transpose else ("raw", m, s(i), s(j))
-    if kind == "pass":
-        _, r, i = name
-        return ("pass", r, s(i))
-    if kind == "tprod":
-        _, k, a, b = name
-        return ("tprod", k, s(b), s(a)) if transpose else ("tprod", k, s(a), s(b))
-    # trace, p, psum, pterm, passT1, const: fixed by every generator
-    return name
 
 
 def leverrier_det_circuit(n: int, fld: Field = QQ, allow_positive_char: bool = False) -> GeneratedCircuit:
@@ -130,9 +94,6 @@ def leverrier_det_circuit(n: int, fld: Field = QQ, allow_positive_char: bool = F
     def pow_gate(k, i, j):
         return b.names[("pow", k, i, j)]
 
-    def pass_gate(r, i):
-        return b.ensure(ADD, [pow_gate(r, i, i)], ("pass", r, i))
-
     top = (n + 1) // 2  # full power matrices for 1..top
     for m in range(2, top + 1):
         if m % 2 == 0:
@@ -141,9 +102,8 @@ def leverrier_det_circuit(n: int, fld: Field = QQ, allow_positive_char: bool = F
                 for j in idx:
                     kids = []
                     for a in idx:
-                        c1, c2 = pow_gate(r, i, a), pow_gate(r, a, j)
-                        ch = [c1, pass_gate(r, i)] if c1 == c2 else [c1, c2]
-                        kids.append(b.add(MUL, ch, name=("F", m, i, a, j)))
+                        kids.append(b.add(MUL, [pow_gate(r, i, a), pow_gate(r, a, j)],
+                                          name=("F", m, i, a, j)))
                     b.add(ADD, kids, name=("pow", m, i, j))
         else:
             r = m // 2
@@ -167,9 +127,8 @@ def leverrier_det_circuit(n: int, fld: Field = QQ, allow_positive_char: bool = F
             kids = []
             for a in idx:
                 for c in idx:
-                    g1, g2 = pow_gate(m1, a, c), pow_gate(m2, c, a)
-                    ch = [g1, pass_gate(m1, a)] if g1 == g2 else [g1, g2]
-                    kids.append(b.add(MUL, ch, name=("tprod", k, a, c)))
+                    kids.append(b.add(MUL, [pow_gate(m1, a, c), pow_gate(m2, c, a)],
+                                      name=("tprod", k, a, c)))
             b.add(ADD, kids, name=("trace", k))
 
     b.names[("p", 1)] = b.names[("trace", 1)]
@@ -177,8 +136,6 @@ def leverrier_det_circuit(n: int, fld: Field = QQ, allow_positive_char: bool = F
         kids = []
         for j in range(1, k):
             ch = [b.names[("p", k - j)], b.names[("trace", j)]]
-            if ch[0] == ch[1]:  # p_1 is the trace-1 gate; square it via a pass-through
-                ch = [ch[0], b.ensure(ADD, [b.names[("trace", 1)]], ("passT1",))]
             if j % 2 == 0:
                 ch.append(cgate["-1"])
             kids.append(b.add(MUL, ch, name=("pterm", k, j)))
@@ -189,53 +146,11 @@ def leverrier_det_circuit(n: int, fld: Field = QQ, allow_positive_char: bool = F
         psum = b.add(ADD, kids, name=("psum", k))
         b.add(MUL, [cgate[f"1/{k}"], psum], name=("p", k))
 
-    circuit = b.build(("p", n))
-
-    def witness_for(sub, transpose):
-        pi = {}
-        for name, g in b.names.items():
-            pi[g] = b.names[_lv_image(name, sub, transpose)]
-        sigma = transpose_sigma(n) if transpose else diagonal_sigma(n, sub)
-        return Witness(sigma, pi)
-
-    witnesses = [witness_for({a: c, c: a}, False)
-                 for a, c in itertools.combinations(idx, 2)]
-    witnesses.append(witness_for({}, True))
-    return GeneratedCircuit(circuit, dict(b.names), witnesses, Transpose(n))
+    return GeneratedCircuit(b.build(("p", n)), dict(b.names), Transpose(n))
 
 
 # ---------------------------------------------------------------------------
 # Ryser permanent circuit
-
-
-def _ryser_image(name, row_map, col_map):
-    def r(i):
-        return row_map.get(i, i)
-
-    def c(j):
-        return col_map.get(j, j)
-
-    def rset(S):
-        return tuple(sorted(r(i) for i in S))
-
-    def cset(S):
-        return tuple(sorted(c(j) for j in S))
-
-    kind = name[0]
-    if kind == "x":
-        _, i, j = name
-        return ("x", r(i), c(j))
-    if kind == "rsum":
-        _, i, S = name
-        return ("rsum", r(i), cset(S))
-    if kind in ("rprod", "rneg"):
-        return (kind, cset(name[1]))
-    if kind == "csum":
-        _, j, S = name
-        return ("csum", c(j), rset(S))
-    if kind in ("cprod", "cneg"):
-        return (kind, rset(name[1]))
-    return name
 
 
 def ryser_perm_circuit(n: int, fld: Field = QQ) -> GeneratedCircuit:
@@ -278,17 +193,7 @@ def ryser_perm_circuit(n: int, fld: Field = QQ) -> GeneratedCircuit:
     else:
         out = b.add(ADD, terms, name=("total",))
         b.names[("out",)] = out
-    circuit = b.build(out)
-
-    def witness_for(row_map, col_map):
-        pi = {g: b.names[_ryser_image(name, row_map, col_map)]
-              for name, g in b.names.items()}
-        sigma = compose_sigma(row_sigma(n, n, row_map), col_sigma(n, n, col_map))
-        return Witness(sigma, pi)
-
-    witnesses = [witness_for({a: c, c: a}, {}) for a, c in itertools.combinations(idx, 2)]
-    witnesses += [witness_for({}, {a: c, c: a}) for a, c in itertools.combinations(idx, 2)]
-    return GeneratedCircuit(circuit, dict(b.names), witnesses, Matrix(n, n))
+    return GeneratedCircuit(b.build(out), dict(b.names), Matrix(n, n))
 
 
 # ---------------------------------------------------------------------------

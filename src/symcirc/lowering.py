@@ -16,7 +16,10 @@ Phi evaluates into B.  It proceeds in two symmetry-preserving steps:
    height, so the towers add no orbit larger than the child's own.
 
 Both steps map gate names componentwise under a circuit automorphism, so
-witnesses lift and orbit sizes are preserved.
+witnesses lift and orbit sizes are preserved.  The builder hash-conses, so
+gates that come out equal (constants, threshold and AND gates of different
+gadgets) are one gate under several names; lift maps every name, and the
+aliases of one gate lift to one gate.
 
 verify_lowering checks either step exhaustively on every 0-1 assignment.
 It evaluates the Boolean circuit bit-sliced, each gate's values over a block
@@ -228,7 +231,7 @@ def _emit_gadget(b: CircuitBuilder, g, parts: list, accept) -> int:
         part_tops = []
         for d, top in kids:
             for level in range(1, height + 1):
-                top = b.ensure(AND, [top], ("tw", d, level))
+                top = b.add(AND, [top], ("tw", d, level))
             part_tops.append(top)
         tops.append(part_tops)
     accs = []

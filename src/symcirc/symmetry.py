@@ -2,10 +2,11 @@
 
 A variable permutation is a dict mapping variable ids to variable ids
 (identity where missing).  A witness pairs such a permutation with a gate
-bijection.  find_extension searches for a witness extending a given variable
-permutation: invariant color refinement first, then backtracking with forced
-propagation.  The search is complete, so a None answer means no extension
-exists.
+bijection.  The circuits are rigid (no two gates share a label and
+children), so a variable permutation has at most one extension to the
+gates, and find_extension computes it in one bottom-up pass.  Non-rigid
+input is rejected with CircuitError rather than merged: merging can make a
+circuit symmetric that was not.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .circuit import Circuit
+from .circuit import Circuit, _child_key, input_label
 from .errors import CircuitError
-from .wl import refine
 
 
 def matrix_var(i: int, j: int) -> str:
@@ -151,7 +151,8 @@ def verify_automorphism(circuit: Circuit, witness: Witness) -> list:
 
     Conditions: pi is a gate bijection fixing the output and every constant
     gate, acts on input gates as sigma does on variables, preserves every
-    other label exactly, and maps the wire set onto itself tag-for-tag.
+    other label exactly, and maps each gate's wire multiset onto its image's
+    tag-for-tag, multiplicities included.
     """
     pi = witness.pi
     sigma = witness.sigma
@@ -173,210 +174,76 @@ def verify_automorphism(circuit: Circuit, witness: Witness) -> list:
                 probs.append(f"constant gate {g} moves to {h}")
         elif hlab != lab:
             probs.append(f"gate {g} label {lab!r} maps to {h} label {hlab!r}")
-        image = {(pi[c], t) for c, t in circuit.wires[g]}
-        if image != set(circuit.wires[h]):
+        image = tuple(sorted(((pi[c], t) for c, t in circuit.wires[g]), key=_child_key))
+        if image != circuit.wires[h]:
             probs.append(f"wires of gate {g} do not map onto wires of {h}")
     return probs
 
 
 # ---------------------------------------------------------------------------
-# Extension search
+# Extensions
 
 
-def invariant_colors(circuit: Circuit) -> dict:
-    """Automorphism-invariant gate coloring (cached on the circuit).
-
-    Seeds: each constant gate and the output get unique colors; input gates
-    share one color; other gates are colored by exact label.  Refines by the
-    (tag, color) multisets of children and of parents until stable.  Any
-    automorphism preserves these colors.
-    """
-    if circuit._colors is not None:
-        return circuit._colors
-    order = list(circuit.gates)
-    index = {g: i for i, g in enumerate(order)}
-    seeds = []
-    for g, lab in circuit.gates.items():
-        if lab.kind == "const":
-            seeds.append(("pin", g))
-        elif g == circuit.output:
-            seeds.append(("out", lab))
-        elif lab.kind == "input":
-            seeds.append(("inp",))
-        else:
-            seeds.append(("lab", lab))
-    parents = circuit.parents()
-    kids = [[(t or "", index[c]) for c, t in circuit.wires[g]] for g in order]
-    pars = [[(t or "", index[p]) for p, t in parents[g]] for g in order]
-
-    def step(col):
-        return [(tuple(sorted((t, col[c]) for t, c in ks)),
-                 tuple(sorted((t, col[p]) for t, p in ps)))
-                for ks, ps in zip(kids, pars)]
-
-    for col, _ in refine(seeds, step):
-        pass
-    circuit._colors = dict(zip(order, col))
-    return circuit._colors
+def _gate_index(circuit: Circuit) -> dict:
+    """(label, wires) -> gate, cached on the circuit next to an empty
+    per-sigma extension cache; raises CircuitError naming the first two
+    gates that share a label and children."""
+    index = getattr(circuit, "_gate_index", None)
+    if index is None:
+        index = {}
+        for g in sorted(circuit.gates):
+            h = index.setdefault((circuit.gates[g], circuit.wires[g]), g)
+            if h != g:
+                raise CircuitError(f"gates {h} and {g} share a label and children; "
+                                   "the circuit is not rigid")
+        circuit._gate_index = index
+        circuit._extensions = {}
+    return index
 
 
-def _ext_cache(circuit: Circuit) -> dict:
-    cache = getattr(circuit, "_extension_cache", None)
-    if cache is None:
-        cache = {}
-        circuit._extension_cache = cache
-    return cache
+def _extension(circuit: Circuit, sigma: dict):
+    """The gate map extending sigma, or None; cached per sigma."""
+    index = _gate_index(circuit)
+    key = tuple(sorted(sigma.items()))
+    if key in circuit._extensions:
+        return circuit._extensions[key]
+    _check_sigma(circuit, sigma)
+    gates, wires = circuit.gates, circuit.wires
+    pi = {}
+    for g in circuit.topo_order():
+        lab = gates[g]
+        if lab.kind == "input":
+            lab = input_label(apply_sigma(sigma, lab.var))
+        h = index.get((lab, tuple(sorted(((pi[c], t) for c, t in wires[g]), key=_child_key))))
+        if h is None:
+            pi = None
+            break
+        pi[g] = h
+    if pi is not None and pi[circuit.output] != circuit.output:
+        pi = None
+    circuit._extensions[key] = pi
+    return pi
 
 
 def find_extension(circuit: Circuit, sigma: dict, fix: int | None = None):
-    """A gate map pi making (sigma, pi) an automorphism, with pi(fix)=fix if
-    given; None if none exists.  Deterministic: decisions take gates in
-    ascending id order and try candidate images in ascending id order.
+    """The gate map pi making (sigma, pi) an automorphism, with pi(fix)=fix
+    if given; None if none exists.  The circuit must be rigid.
+
+    One pass in topological order maps each gate to the gate whose label is
+    its own (with sigma applied to an input's variable) and whose wires are
+    the images of its own; any automorphism must do exactly that, so the
+    extension is unique.  The map is injective by induction along the
+    order: two gates with one image have equal labels and, by induction,
+    equal children, so by rigidity they are one gate.  An injective map of
+    the gates into themselves is a bijection, and it keeps labels and maps
+    wires onto wires by construction.
     """
-    key = (tuple(sorted(sigma.items())), fix)
-    cache = _ext_cache(circuit)
-    if key in cache:
-        hit = cache[key]
-        return dict(hit) if hit is not None else None
-    _check_sigma(circuit, sigma)
-    result = _search_extension(circuit, sigma, fix)
-    cache[key] = dict(result) if result is not None else None
-    return result
-
-
-def _search_extension(circuit: Circuit, sigma: dict, fix):
-    """Backtracking search; any total map it accepts is an automorphism.
-
-    Invariant: `assign` keeps the map injective, maps a gate only to one of
-    its own color (so labels match: colors refine labels), and checks the
-    tagged wires of both gates against already-mapped neighbors in both
-    directions, so every wire of the source and of the image is checked
-    when its second end is mapped.  Seeds pin constants and the output and
-    send each input gate where sigma sends its variable.  So a total map
-    that `assign` accepts is a witness, and none is re-checked with
-    verify_automorphism.
-    """
-    gates = circuit.gates
-    colors = invariant_colors(circuit)
-    parents = circuit.parents()
-    childset = {g: circuit.child_set(g) for g in gates}
-    parset = {g: frozenset(ps) for g, ps in parents.items()}
-
-    members = {}
-    for g in sorted(gates):
-        members.setdefault(colors[g], []).append(g)
-
-    rho = {}
-    rinv = {}
-    trail = []
-
-    def assign(a, b) -> bool:
-        """Map a -> b plus all consequences; False on contradiction."""
-        queue = [(a, b)]
-        while queue:
-            g, h = queue.pop()
-            if g in rho:
-                if rho[g] != h:
-                    return False
-                continue
-            if h in rinv or colors[g] != colors[h]:
-                return False
-            rho[g] = h
-            rinv[h] = g
-            trail.append(g)
-            # wire consistency against already-mapped neighbors, both directions
-            for c, t in circuit.wires[g]:
-                if c in rho and (rho[c], t) not in childset[h]:
-                    return False
-            for c, t in circuit.wires[h]:
-                if c in rinv and (rinv[c], t) not in childset[g]:
-                    return False
-            for p, t in parents[g]:
-                if p in rho and (rho[p], t) not in parset[h]:
-                    return False
-            for p, t in parents[h]:
-                if p in rinv and (rinv[p], t) not in parset[g]:
-                    return False
-            # forced singletons among (tag, color) classes of children/parents
-            for side_g, side_h in ((circuit.wires[g], circuit.wires[h]),
-                                   (parents[g], parents[h])):
-                free_g = {}
-                for c, t in side_g:
-                    if c not in rho:
-                        free_g.setdefault((t, colors[c]), []).append(c)
-                free_h = {}
-                for c, t in side_h:
-                    if c not in rinv:
-                        free_h.setdefault((t, colors[c]), []).append(c)
-                if set(free_g) != set(free_h):
-                    return False
-                for cls, items in free_g.items():
-                    other = free_h[cls]
-                    if len(items) != len(other):
-                        return False
-                    if len(items) == 1:
-                        queue.append((items[0], other[0]))
-        return True
-
-    def undo(mark):
-        while len(trail) > mark:
-            g = trail.pop()
-            del rinv[rho[g]]
-            del rho[g]
-
-    # forced seeds: constants pin, inputs follow sigma, output pins, fix pins
-    by_var = circuit.inputs_by_var()
-    seeds = []
-    for g, lab in sorted(gates.items()):
-        if lab.kind == "const":
-            seeds.append((g, g))
-        elif lab.kind == "input":
-            target = by_var.get(apply_sigma(sigma, lab.var))
-            if target is None:
-                return None
-            seeds.append((g, target))
-    seeds.append((circuit.output, circuit.output))
-    if fix is not None:
-        if fix not in gates:
-            raise CircuitError(f"fix gate {fix} does not exist")
-        seeds.append((fix, fix))
-    for g, h in seeds:
-        if not assign(g, h):
-            return None
-
-    order = sorted(gates)
-
-    def next_unassigned():
-        for g in order:
-            if g not in rho:
-                return g
+    if fix is not None and fix not in circuit.gates:
+        raise CircuitError(f"fix gate {fix} does not exist")
+    pi = _extension(circuit, sigma)
+    if pi is None or (fix is not None and pi[fix] != fix):
         return None
-
-    stack = []
-    g = next_unassigned()
-    if g is None:
-        return dict(rho)
-    stack.append((g, iter(members[colors[g]]), len(trail)))
-    while stack:
-        g, cands, mark = stack[-1]
-        advanced = False
-        for h in cands:
-            if h in rinv:
-                continue
-            if assign(g, h):
-                nxt = next_unassigned()
-                if nxt is None:
-                    return dict(rho)
-                stack.append((nxt, iter(members[colors[nxt]]), len(trail)))
-                advanced = True
-                break
-            undo(mark)
-        if not advanced:
-            undo(mark)
-            stack.pop()
-            if stack:
-                undo(stack[-1][2])
-    return None
+    return dict(pi)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +258,7 @@ class SymmetryReport:
 
 
 def check_symmetric(circuit: Circuit, spec) -> SymmetryReport:
-    """Search an extension for every group generator.  Extensions compose, so
+    """The extension of every group generator.  Extensions compose, so
     covering the generators covers the whole group."""
     witnesses = []
     failed = []

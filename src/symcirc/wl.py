@@ -1,10 +1,10 @@
 """Color refinement, and k-dimensional Weisfeiler-Leman equivalence testing
 for k in {1, 2, 3}.
 
-`refine` is the one color-refinement kernel, used by symmetry search on
-circuit gates and here on graph k-tuples.  WL refines each graph's own
-k-tuples, but both graphs go through one `refine` call, so they share one
-signature-to-color table and their color ids are comparable.  For k = 1 this
+`refine` is the one color-refinement kernel; it refines graph k-tuples
+here.  WL refines each graph's own k-tuples, but both graphs go through one
+`refine` call, so they share one signature-to-color table and their color
+ids are comparable.  For k = 1 this
 is classic color refinement seeded with degrees.  For k >= 2 a tuple's
 initial color is its ordered atomic type (equalities and adjacencies among
 its entries), and each round extends it by the multiset, over all vertices w

@@ -1,0 +1,205 @@
+"""The backtracking extension search that find_extension replaced, kept as
+a test oracle.
+
+It does not assume rigidity: it refines an automorphism-invariant gate
+coloring, then backtracks over candidate images with forced propagation.
+It is complete, so a None answer means no extension exists.  It prunes on
+wire sets; a total map is accepted only if verify_automorphism, which counts
+multiplicities, passes, and the search goes on otherwise.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from symcirc.errors import CircuitError
+from symcirc.symmetry import (
+    Witness,
+    _point_transposition,
+    _support_points,
+    apply_sigma,
+    verify_automorphism,
+)
+from symcirc.wl import refine
+
+
+def invariant_colors(circuit) -> dict:
+    """Automorphism-invariant gate coloring.
+
+    Seeds: each constant gate and the output get unique colors; input gates
+    share one color; other gates are colored by exact label.  Refines by the
+    (tag, color) multisets of children and of parents until stable.
+    """
+    order = list(circuit.gates)
+    index = {g: i for i, g in enumerate(order)}
+    seeds = []
+    for g, lab in circuit.gates.items():
+        if lab.kind == "const":
+            seeds.append(("pin", g))
+        elif g == circuit.output:
+            seeds.append(("out", lab))
+        elif lab.kind == "input":
+            seeds.append(("inp",))
+        else:
+            seeds.append(("lab", lab))
+    parents = circuit.parents()
+    kids = [[(t or "", index[c]) for c, t in circuit.wires[g]] for g in order]
+    pars = [[(t or "", index[p]) for p, t in parents[g]] for g in order]
+
+    def step(col):
+        return [(tuple(sorted((t, col[c]) for t, c in ks)),
+                 tuple(sorted((t, col[p]) for t, p in ps)))
+                for ks, ps in zip(kids, pars)]
+
+    for col, _ in refine(seeds, step):
+        pass
+    return dict(zip(order, col))
+
+
+def search_extension(circuit, sigma: dict, fix=None, colors=None):
+    """A gate map pi making (sigma, pi) an automorphism with pi(fix) = fix,
+    or None.  Decisions take gates in ascending id order and try candidate
+    images in ascending id order."""
+    gates = circuit.gates
+    colors = invariant_colors(circuit) if colors is None else colors
+    parents = circuit.parents()
+    childset = {g: frozenset(ws) for g, ws in circuit.wires.items()}
+    parset = {g: frozenset(ps) for g, ps in parents.items()}
+
+    members = {}
+    for g in sorted(gates):
+        members.setdefault(colors[g], []).append(g)
+
+    rho = {}
+    rinv = {}
+    trail = []
+
+    def assign(a, b) -> bool:
+        """Map a -> b plus all consequences; False on contradiction."""
+        queue = [(a, b)]
+        while queue:
+            g, h = queue.pop()
+            if g in rho:
+                if rho[g] != h:
+                    return False
+                continue
+            if h in rinv or colors[g] != colors[h]:
+                return False
+            rho[g] = h
+            rinv[h] = g
+            trail.append(g)
+            for c, t in circuit.wires[g]:
+                if c in rho and (rho[c], t) not in childset[h]:
+                    return False
+            for c, t in circuit.wires[h]:
+                if c in rinv and (rinv[c], t) not in childset[g]:
+                    return False
+            for p, t in parents[g]:
+                if p in rho and (rho[p], t) not in parset[h]:
+                    return False
+            for p, t in parents[h]:
+                if p in rinv and (rinv[p], t) not in parset[g]:
+                    return False
+            for side_g, side_h in ((circuit.wires[g], circuit.wires[h]),
+                                   (parents[g], parents[h])):
+                free_g = {}
+                for c, t in side_g:
+                    if c not in rho:
+                        free_g.setdefault((t, colors[c]), []).append(c)
+                free_h = {}
+                for c, t in side_h:
+                    if c not in rinv:
+                        free_h.setdefault((t, colors[c]), []).append(c)
+                if set(free_g) != set(free_h):
+                    return False
+                for cls, items in free_g.items():
+                    other = free_h[cls]
+                    if len(items) != len(other):
+                        return False
+                    if len(items) == 1:
+                        queue.append((items[0], other[0]))
+        return True
+
+    def undo(mark):
+        while len(trail) > mark:
+            g = trail.pop()
+            del rinv[rho[g]]
+            del rho[g]
+
+    def accept():
+        return verify_automorphism(circuit, Witness(sigma, dict(rho))) == []
+
+    by_var = circuit.inputs_by_var()
+    seeds = []
+    for g, lab in sorted(gates.items()):
+        if lab.kind == "const":
+            seeds.append((g, g))
+        elif lab.kind == "input":
+            target = by_var.get(apply_sigma(sigma, lab.var))
+            if target is None:
+                return None
+            seeds.append((g, target))
+    seeds.append((circuit.output, circuit.output))
+    if fix is not None:
+        if fix not in gates:
+            raise CircuitError(f"fix gate {fix} does not exist")
+        seeds.append((fix, fix))
+    for g, h in seeds:
+        if not assign(g, h):
+            return None
+
+    order = sorted(gates)
+
+    def next_unassigned():
+        for g in order:
+            if g not in rho:
+                return g
+        return None
+
+    g = next_unassigned()
+    if g is None:
+        return dict(rho) if accept() else None
+    stack = [(g, iter(members[colors[g]]), len(trail))]
+    while stack:
+        g, cands, mark = stack[-1]
+        advanced = False
+        for h in cands:
+            if h in rinv:
+                continue
+            if assign(g, h):
+                nxt = next_unassigned()
+                if nxt is None:
+                    if accept():
+                        return dict(rho)
+                else:
+                    stack.append((nxt, iter(members[colors[nxt]]), len(trail)))
+                    advanced = True
+                    break
+            undo(mark)
+        if not advanced:
+            undo(mark)
+            stack.pop()
+            if stack:
+                undo(stack[-1][2])
+    return None
+
+
+def bad_pairs(circuit, gate, spec, colors=None) -> list:
+    """Index pairs whose transposition has no extension fixing the gate."""
+    out = []
+    for a, b in itertools.combinations(_support_points(spec), 2):
+        sigma = _point_transposition(spec, a, b)
+        if sigma is not None and search_extension(circuit, sigma, gate, colors) is None:
+            out.append((a, b))
+    return out
+
+
+def minimal_support(circuit, gate, spec, colors=None) -> set:
+    """Smallest point set meeting every bad pair, lexicographic tie-break."""
+    points = _support_points(spec)
+    bad = bad_pairs(circuit, gate, spec, colors)
+    for size in range(len(points) + 1):
+        for cand in itertools.combinations(points, size):
+            if all(a in cand or b in cand for a, b in bad):
+                return set(cand)
+    raise AssertionError("unreachable: the full point set is always a support")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from math import comb
 
 import pytest
 
@@ -112,7 +113,7 @@ def test_04_supports_in_determinant_circuit():
         _, _m, i, j = nm
         assert minimal_support(c, gen.names[nm], spec) == {i, j}, nm
     invariant = [nm for nm in gen.names
-                 if nm[0] in ("trace", "p", "psum", "pterm", "passT1")]
+                 if nm[0] in ("trace", "p", "psum", "pterm")]
     assert len(invariant) >= 8
     for nm in invariant:
         assert minimal_support(c, gen.names[nm], spec) == set(), nm
@@ -223,14 +224,14 @@ def test_08_orientation_census():
 
 
 def test_09_pq_sequences():
-    """Recurrence equals direct summation; the gap is exactly 4^m."""
+    """The closed form equals the defining subset sums; the gap is exactly 4^m."""
     assert pq(1) == (20, 16)
-    for m in range(1, 11):
-        assert pq(m, "recurrence") == pq(m, "direct")
-    for m in range(1, 21):
+    for m in range(1, 41):
+        terms = [comb(2 * m, s) * 2 ** s * 4 ** (2 * m - s) for s in range(2 * m + 1)]
         p, q = pq(m)
+        assert (p, q) == (sum(terms[0::2]), sum(terms[1::2]))
         assert p - q == 4 ** m
-    print("PASS pq sequences: (20,16) start, modes agree, gap 4^m")
+    print("PASS pq sequences: (20,16) start, closed form equals the sums, gap 4^m")
 
 
 def test_10_matching_counts_k4():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 from symcirc import (
@@ -140,6 +142,7 @@ def test_classify_x_k4():
     rep = enumerate_perfect_matchings(x, mode="classify")
     assert rep.count == 23680
     assert rep.uniform == 5248
+    assert rep.nodes == 708501
     assert rep.nonuniform == 18432
     assert rep.uniform + rep.nonuniform == rep.count
     assert sum(rep.histogram.values()) == rep.count
@@ -151,6 +154,7 @@ def test_classify_twisted_k4():
     y = build_cfi(k4(), twisted=True)
     rep = enumerate_perfect_matchings(y, mode="classify")
     assert (rep.count, rep.uniform, rep.nonuniform) == (23552, 5120, 18432)
+    assert rep.nodes == 708501
     assert sum(rep.histogram.values()) == rep.count
 
 
@@ -201,15 +205,30 @@ def test_uniform_count_formula_petersen_and_odd_order():
         uniform_count_formula(complete_graph(3), twisted=False)
 
 
+def pq_recurrence(m):
+    """(P_m, Q_m) by the one-vertex-pair recurrence from (P_1, Q_1) = (20, 16)."""
+    p, q = 20, 16
+    for _ in range(m - 1):
+        p, q = 20 * p + 16 * q, 16 * p + 20 * q
+    return p, q
+
+
+def pq_direct(m):
+    """(P_m, Q_m) by their definition: even / odd subset sums over a 2m-set."""
+    terms = [comb(2 * m, s) * 2 ** s * 4 ** (2 * m - s) for s in range(2 * m + 1)]
+    return sum(terms[0::2]), sum(terms[1::2])
+
+
 def test_pq_sequences():
     assert pq(1) == (20, 16)
     assert pq(2) == (656, 640)
     assert pq(3) == (23360, 23296)
-    for m in range(1, 7):
-        assert pq(m) == pq(m, mode="direct")
-    for m in range(1, 21):
+    for m in range(1, 41):
+        assert pq(m) == pq_recurrence(m) == pq_direct(m)
         p, q = pq(m)
         assert p - q == 4 ** m
+    with pytest.raises(CircuitError):
+        pq(0)
 
 
 def test_gadget_matchings():

@@ -49,12 +49,50 @@ def test_builder_and_topo():
     assert validate(c) == []
 
 
-def test_duplicate_wire_rejected():
+def test_repeated_wires_count_twice():
+    # wires are multisets: a child listed twice counts twice everywhere
     b = CircuitBuilder(QQ, ["x"])
     x = b.add(input_label("x"))
-    g = b.add(ADD, [x, x])
-    with pytest.raises(CircuitError):
-        b.build(g)
+    dbl = b.add(ADD, [x, x])
+    sq = b.add(MUL, [x, x])
+    c = b.build(b.add(ADD, [dbl, sq, sq]))
+    assert c.wires[dbl] == ((x, None), (x, None))
+    assert evaluate_arith(c, {"x": QQ.of(3)}) == QQ.of(6 + 9 + 9)
+    assert size_stats(c).wires == 2 + 2 + 3
+
+    b = CircuitBuilder(QQ, ["p", "q"])
+    p = b.add(input_label("p"))
+    q = b.add(input_label("q"))
+    ge = b.add(th_ge(2), [p, p])
+    two = b.add(psum(QQ.of(2), {"1": QQ.of(1)}), [(p, "1"), (p, "1")])
+    three = b.add(psum(QQ.of(3), {"1": QQ.of(1)}), [(p, "1"), (p, "1"), (q, "1")])
+    for g, truth in ((ge, {0: 0, 1: 1}), (two, {0: 0, 1: 1}), (three, {0: 0, 1: 1})):
+        c = b.build(g)
+        for bit, want in truth.items():
+            assert evaluate_bool(c, {"p": bit, "q": bit}) == want
+    c = b.build(three)
+    assert evaluate_bool(c, {"p": 1, "q": 0}) == 0
+
+    c2 = deserialize(serialize(c))
+    assert c2.wires == c.wires
+    assert c2.wires[three] == ((p, "1"), (p, "1"), (q, "1"))
+    assert serialize(c2) == serialize(c)
+
+
+def test_builder_hash_conses():
+    b = CircuitBuilder(QQ, ["x", "y"])
+    x = b.add(input_label("x"), name="x")
+    y = b.add(input_label("y"))
+    m = b.add(MUL, [x, y], name="xy")
+    # the same label and children, in any order, is the same gate
+    assert b.add(MUL, [y, x], name="yx") == m
+    assert b["yx"] == b["xy"] == m
+    assert b.add(input_label("x")) == x
+    assert b.add(MUL, [x, y], name="xy") == m
+    assert b.add(MUL, [x, x]) != m
+    with pytest.raises(ValueError, match="duplicate gate name"):
+        b.add(ADD, [x, y], name="xy")
+    assert len(b.build(m)) == 4
 
 
 def test_tagged_wires_allow_repeated_child():

@@ -12,7 +12,9 @@ from symcirc import (
     ADD,
     MUL,
     QQ,
+    Circuit,
     CircuitBuilder,
+    const,
     deserialize,
     input_label,
     leverrier_det_circuit,
@@ -44,10 +46,10 @@ def test_gen_det_writes_circuit_and_witnesses(tmp_path, capsys):
     code, rep, _ = invoke(capsys, "gen", "det", "--n", "3", "--out", str(out))
     assert code == 0
     assert rep["schema_version"] == 1
-    assert rep["gates"] == 74
+    assert rep["gates"] == 67
     assert rep["group"] == "transpose:3"
     circuit = deserialize(out.read_text())
-    assert len(circuit) == 74
+    assert len(circuit) == 67
     wit = json.loads((tmp_path / "det3.json.witnesses.json").read_text())
     assert wit["group"] == "transpose:3"
     assert len(wit["witnesses"]) == 4
@@ -57,7 +59,7 @@ def test_gen_perm(tmp_path, capsys):
     out = tmp_path / "perm2.json"
     code, rep, _ = invoke(capsys, "gen", "perm", "--n", "2", "--out", str(out))
     assert code == 0
-    assert rep["gates"] == 30
+    assert rep["gates"] == 26
     assert rep["group"] == "matrix:2,2"
 
 
@@ -136,7 +138,7 @@ def test_orbits(tmp_path, capsys):
                           "--group", "transpose:2")
     assert code == 0
     assert rep["max_orbit"] >= 2
-    assert sum(rep["orbit_sizes"]) == 21
+    assert sum(rep["orbit_sizes"]) == 17
 
     bad = tmp_path / "bad.json"
     write_asymmetric_circuit(bad)
@@ -155,6 +157,27 @@ def test_support(tmp_path, capsys):
                           "--group", "transpose:2", "--gate", str(out_gate))
     assert code == 0
     assert rep["support"] == []
+
+
+def test_non_rigid_circuit_rejected(tmp_path, capsys):
+    # With x = x_1_2, y = x_2_1: P = A*x, Q = A'*y, R = A' + 1, A and A'
+    # both x*y.  Swapping x and y has no extension here, but would have one
+    # if A and A' were merged, so the symmetry commands refuse the file
+    # instead of merging on load.
+    gates = {0: input_label("x_1_2"), 1: input_label("x_2_1"), 2: const(QQ.of(1)),
+             3: MUL, 4: MUL, 5: MUL, 6: MUL, 7: ADD, 8: ADD}
+    wires = {3: [0, 1], 4: [0, 1], 5: [3, 0], 6: [4, 1], 7: [4, 2], 8: [5, 6, 7]}
+    path = tmp_path / "nonrigid.json"
+    path.write_text(serialize(Circuit(QQ, matrix_variables(2), gates, wires, 8)))
+    for argv in (["check-sym"], ["orbits"], ["support", "--gate", "8"]):
+        code, rep, err = invoke(capsys, *argv, "--circuit", str(path), "--group", "square:2")
+        assert code == 2, argv
+        assert rep is None
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "gates 3 and 4 share a label and children" in err
+    code, rep, _ = invoke(capsys, "eval", "--circuit", str(path),
+                          "--assign", "x_1_2=2,x_2_1=3")
+    assert (code, rep["value"]) == (0, "37")
 
 
 def test_lower_round_trip(tmp_path, capsys):
@@ -231,8 +254,8 @@ def test_pq_command(capsys):
     assert code == 0
     assert (rep["p"], rep["q"]) == (23360, 23296)
     assert rep["difference"] == 4 ** 3
-    code, rep2, _ = invoke(capsys, "pq", "--m", "3", "--direct")
-    assert (rep2["p"], rep2["q"]) == (rep["p"], rep["q"])
+    code, _, err = invoke(capsys, "pq", "--m", "3", "--direct")
+    assert code == 2 and "unrecognized arguments: --direct" in err
 
 
 def test_api_cli_api_round_trip(tmp_path, capsys):

@@ -82,7 +82,7 @@ def test_leverrier_fractional_entries():
 
 def test_leverrier_gate_counts_frozen():
     got = [len(leverrier_det_circuit(n).circuit) for n in range(2, 9)]
-    assert got == [21, 74, 161, 568, 961, 1838, 2721]
+    assert got == [17, 67, 140, 512, 861, 1704, 2512]
 
 
 def test_leverrier_gate_count_bounds():
@@ -106,6 +106,10 @@ def test_leverrier_transpose_symmetry_search():
     gen = leverrier_det_circuit(3)
     rep = check_symmetric(gen.circuit, Transpose(3))
     assert rep.symmetric
+
+
+def test_leverrier_transpose_symmetry_n8():
+    assert check_symmetric(leverrier_det_circuit(8).circuit, Transpose(8)).symmetric
 
 
 def test_leverrier_positive_characteristic():
@@ -138,7 +142,7 @@ def test_ryser_matches_oracle():
 
 def test_ryser_gate_counts_frozen():
     got = [len(ryser_perm_circuit(n).circuit) for n in range(2, 6)]
-    assert got == [30, 75, 186, 431]
+    assert got == [26, 66, 170, 406]
 
 
 def test_ryser_witnesses_verify():

@@ -9,6 +9,7 @@ from symcirc import (
     GF,
     MUL,
     QQ,
+    Circuit,
     CircuitBuilder,
     CircuitError,
     Matrix,
@@ -34,7 +35,6 @@ from symcirc.symmetry import (
     col_sigma,
     compose_sigma,
     diagonal_sigma,
-    invariant_colors,
     invert_sigma,
     matrix_var,
     matrix_variables,
@@ -123,11 +123,52 @@ def test_find_extension_missing_input_target():
     assert find_extension(c, sigma) is None
 
 
+def test_find_extension_requires_fixed_output():
+    # x + 1 is the output and y + 1 hangs beside it: swapping x and y maps
+    # every gate onto a gate but moves the output
+    b = CircuitBuilder(QQ, ["x", "y"])
+    one = b.add(const(QQ.of(1)))
+    out = b.add(ADD, [b.add(input_label("x")), one])
+    b.add(ADD, [b.add(input_label("y")), one])
+    c = b.build(out)
+    assert find_extension(c, {"x": "y", "y": "x"}) is None
+    assert not check_symmetric(c, Partition((("x", "y"),))).symmetric
+
+
 def test_verify_automorphism_flags_bad_witness():
     c, names = perm2_circuit()
     sigma = row_sigma(2, 2, {1: 2, 2: 1})
     ident = {g: g for g in c.gates}
     assert verify_automorphism(c, Witness(sigma, ident)) != []
+
+
+def test_verify_automorphism_counts_wire_multiplicities():
+    # x + x + y and x + y + y: swapping x and y must swap the two sums; a map
+    # fixing them matches every wire set but not the multiplicities
+    b = CircuitBuilder(QQ, ["x", "y"])
+    x = b.add(input_label("x"))
+    y = b.add(input_label("y"))
+    g1 = b.add(ADD, [x, x, y])
+    g2 = b.add(ADD, [x, y, y])
+    c = b.build(b.add(MUL, [g1, g2]))
+    sigma = {"x": "y", "y": "x"}
+    swap = {x: y, y: x}
+    fixed = {g: swap.get(g, g) for g in c.gates}
+    assert verify_automorphism(c, Witness(sigma, fixed)) != []
+    pi = find_extension(c, sigma)
+    assert (pi[g1], pi[g2]) == (g2, g1)
+    assert verify_automorphism(c, Witness(sigma, pi)) == []
+
+
+def test_non_rigid_circuit_rejected():
+    # two copies of x*y: the search would need to pick one, so it refuses
+    c = Circuit(QQ, ["x", "y"],
+                {0: input_label("x"), 1: input_label("y"), 2: MUL, 3: MUL, 4: ADD},
+                {2: [0, 1], 3: [0, 1], 4: [2, 3]}, 4)
+    with pytest.raises(CircuitError, match="gates 2 and 3 share a label and children"):
+        find_extension(c, {"x": "y", "y": "x"})
+    with pytest.raises(CircuitError, match="not rigid"):
+        check_symmetric(c, Partition((("x", "y"),)))
 
 
 def test_check_symmetric_permanent():
@@ -150,17 +191,6 @@ def test_check_symmetric_determinant_transpose():
     c, _ = det2_circuit()
     rep = check_symmetric(c, Transpose(2))
     assert rep.symmetric
-
-
-@pytest.mark.parametrize("build, spec", [(leverrier_det_circuit, Transpose(4)),
-                                         (ryser_perm_circuit, Matrix(4, 4))])
-def test_generator_witnesses_keep_invariant_colors(build, spec):
-    gen = build(4)
-    assert gen.group == spec
-    colors = invariant_colors(gen.circuit)
-    assert len(gen.witnesses) == len(group_generators(spec))
-    for w in gen.witnesses:
-        assert all(colors[w.pi[g]] == colors[g] for g in gen.circuit.gates)
 
 
 @pytest.mark.parametrize("build, n, fld",

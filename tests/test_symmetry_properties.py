@@ -1,8 +1,10 @@
-"""Property tests: extension search is sound on random small circuits.
+"""Property tests: the extension pass is sound on random small circuits.
 
 Every witness find_extension returns must pass verify_automorphism, which
-the search does not call itself, and a circuit built to be symmetric under
-variable involutions must yield a witness for each of them.
+the pass does not call itself, a circuit built to be symmetric under
+variable involutions must yield a witness for each of them, and the pass
+must agree with the backtracking search it replaced.  Gates may read a
+child more than once.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from extension_oracle import search_extension  # noqa: E402
 from symcirc import (  # noqa: E402
     ADD,
     GF,
@@ -78,7 +81,7 @@ def symmetric_circuits(draw):
 
     orbit = None
     for _ in range(draw(st.integers(1, 4))):
-        kids = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=3))
+        kids = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
         orbit = emit(draw(st.sampled_from(sorted(LABELS))), kids)
     out = emit("add", orbit)
     return b.build(b[out[0]]), taus
@@ -106,3 +109,14 @@ def test_any_returned_witness_verifies(case, data):
         assert verify_automorphism(circuit, Witness(sigma, pi)) == []
         if fix is not None:
             assert pi[fix] == fix
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_circuits(), st.data())
+def test_extension_matches_search(case, data):
+    circuit, taus = case
+    variables = circuit.variables
+    sigma = data.draw(st.sampled_from(taus) | st.permutations(variables).map(
+        lambda image: dict(zip(variables, image))))
+    fix = data.draw(st.none() | st.sampled_from(sorted(circuit.gates)))
+    assert find_extension(circuit, sigma, fix=fix) == search_extension(circuit, sigma, fix)
