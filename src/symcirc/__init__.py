@@ -70,7 +70,6 @@ from .lowering import (
     OrbitPreservationReport,
     PartitionCircuit,
     ValueSetMap,
-    accepting_vectors,
     expand_to_threshold,
     gadget_for_partition_function,
     gadget_input_names,

@@ -8,36 +8,41 @@ Phi evaluates into B.  It proceeds in two symmetry-preserving steps:
    and candidate value c, true iff v evaluates to c.  Internal gates are
    PartitionSum / PartitionProd gates whose tagged wires group the children
    gates (u, q) by the value q they assert.
-2. expand_to_threshold: each partition gate is replaced by an OR of ANDs of
-   exact-threshold gates, which computes the same function using only
-   standard Boolean labels.  Part i of a gate reads its children through
-   identity towers of height i.  There is one tower per child and height,
-   ("tw", d, level), shared by every gadget that reads child d at that
-   height, so the towers add no orbit larger than the child's own.
+2. expand_to_threshold: each partition gate becomes a partial-sum ladder.
+   With the parts in ascending value order, layer i has one OR gate per
+   value s that parts 1..i can fold to, over ANDs of th_eq(k) on part i
+   and the layer i-1 gate at each s' that k inputs of part i extend to s.
+   Only the last layer depends on the target c, so the gates (v, c) sharing
+   parts and wires share one ladder, prefix included.  Part i reads child d
+   through the identity tower ("tw", d, 1..i), shared by every ladder
+   reading d at height i, so towers add no orbit larger than the child's
+   own.  The ladders of one expansion may have _LADDER_BUDGET AND gates.
 
 Both steps map gate names componentwise under a circuit automorphism, so
 witnesses lift and orbit sizes are preserved.  The builder hash-conses, so
-gates that come out equal (constants, threshold and AND gates of different
-gadgets) are one gate under several names; lift maps every name, and the
-aliases of one gate lift to one gate.
+equal gates (constants, shared ladder prefixes) are one gate under several
+names; the aliases of one gate lift to one gate.
 
 verify_lowering checks either step exhaustively on every 0-1 assignment.
 It evaluates the Boolean circuit bit-sliced, each gate's values over a block
 of up to 2^12 assignments held as the bits of one int, and compares them
-with the arithmetic circuit's exact values on the same assignments.
+with the arithmetic circuit's exact values, computed once per accept set.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .circuit import (
+    _ARITH_KINDS,
     AND,
     NOT,
     OR,
     Circuit,
     CircuitBuilder,
+    GateLabel,
     arith_gate_values,
     bool_lane_values,
     const,
@@ -48,11 +53,9 @@ from .circuit import (
     th_eq,
 )
 from .errors import BudgetExceededError, CircuitError
-from .field import QQ, Field, FieldValue
 from .symmetry import Witness, orbits
 
-_ARITH_KINDS = ("input", "const", "add", "mul")
-_VEC_BUDGET = 10 ** 6
+_LADDER_BUDGET = 2 * 10 ** 5   # AND gates in all ladders of one expansion
 _BLOCK_BITS = 12   # verify_lowering evaluates up to 2^12 assignments at once
 
 
@@ -192,103 +195,66 @@ def lower_to_partition_basis(circuit: Circuit, accept, values: ValueSetMap) -> P
 
 @dataclass(frozen=True)
 class GadgetSpec:
-    """A partition-symmetric Boolean function: inputs come in parts named by
-    tags (given in canonical order, which fixes tower heights 1..len(tags)),
-    sizes[i] inputs in part i, accepted iff the per-part count vector of true
-    inputs lies in accept."""
-    tags: tuple
-    sizes: tuple
-    accept: frozenset  # of count tuples aligned with tags
+    """One partition gate alone: a psum / pprod label, and sizes mapping
+    each of its part tags to the number of inputs in that part."""
+    label: GateLabel
+    sizes: dict
 
     def __post_init__(self):
-        if len(self.tags) != len(self.sizes):
-            raise CircuitError("tags and sizes differ in length")
-        if len(set(self.tags)) != len(self.tags):
-            raise CircuitError("duplicate part tags")
-        if any(s < 0 for s in self.sizes):
+        if self.label.kind not in ("psum", "pprod"):
+            raise CircuitError(f"gadget label {self.label!r} is not a partition label")
+        if set(self.sizes) != set(self.label.parts_map()):
+            raise CircuitError("sizes and label parts name different tags")
+        if any(s < 0 for s in self.sizes.values()):
             raise CircuitError("negative part size")
-        for vec in self.accept:
-            if len(vec) != len(self.tags) or any(
-                    not (0 <= k <= s) for k, s in zip(vec, self.sizes)):
-                raise CircuitError(f"accept vector {vec} out of range")
 
 
 def gadget_input_names(spec: GadgetSpec) -> dict:
-    return {t: tuple(f"in_{t}_{i}" for i in range(1, s + 1))
-            for t, s in zip(spec.tags, spec.sizes)}
+    return {t: tuple(f"in_{t}_{i}" for i in range(1, n + 1)) for t, n in spec.sizes.items()}
 
 
-def _emit_gadget(b: CircuitBuilder, g, parts: list, accept) -> int:
-    """Emit the threshold gadget standing for partition gate g; return its OR.
+def _ladder_edges(label: GateLabel, counts: dict, targets: set, left: int) -> tuple:
+    """Plan a family's ladder from its wire counts per tag: (layers, AND-gate
+    budget left), layer i as (tag, {s: [(s', k), ...]}) where combine(s',
+    term(q_i, k)) = s.  Raises BudgetExceededError once left runs out."""
+    unit, term, combine = partition_rule(label.kind, label.c.field)
+    parts = label.parts_map()
+    tags = sorted(parts, key=lambda t: parts[t].sort_key())   # tower heights 1, 2, ...
+    layers = []
+    reached = (unit,)
+    for i, t in enumerate(tags, start=1):
+        edges = {}
+        for k in range(counts[t] + 1):
+            x = term(parts[t], k)
+            for s0 in reached:
+                s = combine(s0, x)
+                if i < len(tags) or s in targets:
+                    edges.setdefault(s, []).append((s0, k))
+                    left -= i > 1   # layer 1 reads th_eq(k) without AND gates
+            if left < 0:
+                raise BudgetExceededError(
+                    f"partial-sum ladders need more than {_LADDER_BUDGET} AND gates")
+        layers.append((t, edges))
+        reached = edges
+    return layers, left
 
-    parts lists (tag, [(d, base), ...]) in canonical order.  Part i (from 1)
-    reads each source gate d, built as gate base, through the identity tower
-    ("tw", d, 1..i); every gadget that reads d at height i shares it.  accept
-    holds the accepted count vectors, aligned with parts.
-    """
-    tops = []
-    for height, (_t, kids) in enumerate(parts, start=1):
-        part_tops = []
-        for d, top in kids:
-            for level in range(1, height + 1):
-                top = b.add(AND, [top], ("tw", d, level))
-            part_tops.append(top)
-        tops.append(part_tops)
-    accs = []
-    for vec in sorted(accept):
-        tes = [b.add(th_eq(k), part_tops, name=("te", g, vec, t))
-               for (t, _kids), part_tops, k in zip(parts, tops, vec)]
-        accs.append(b.add(AND, tes, name=("ac", g, vec)))
-    return b.add(OR, accs, name=("d", g))
 
-
-def gadget_for_partition_function(spec: GadgetSpec, fld: Field = QQ) -> Circuit:
-    """OR over accepted vectors of AND over parts of exact-threshold gates,
-    each part's inputs routed through an identity tower of that part's height.
-    """
+def gadget_for_partition_function(spec: GadgetSpec) -> Circuit:
+    """The gadget expand_to_threshold makes for this gate alone, over
+    inputs named by gadget_input_names."""
     names = gadget_input_names(spec)
-    b = CircuitBuilder(fld, [n for t in spec.tags for n in names[t]])
-    parts = []
-    for t in spec.tags:
-        ins = [b.add(input_label(n)) for n in names[t]]
-        parts.append((t, [(g, g) for g in ins]))
-    return b.build(_emit_gadget(b, "gadget", parts, spec.accept))
-
-
-def accepting_vectors(kind: str, c: FieldValue, parts: dict, counts: dict) -> frozenset:
-    """Count vectors over the parts realizing the sum / product equation.
-
-    parts maps tag -> part value, counts maps tag -> number of wires; tags are
-    taken in ascending part-value order, matching gadget tower heights.
-    Each part's terms are tabled once; a depth-first walk over the parts
-    carries the partial sum or product.
-    """
-    tags = sorted(parts, key=lambda t: parts[t].sort_key())
-    total = 1
-    for t in tags:
-        total *= counts[t] + 1
-        if total > _VEC_BUDGET:
-            raise BudgetExceededError("part-count enumeration overflow")
-    unit, term, combine = partition_rule(kind, c.field)
-    tables = [[term(parts[t], k) for k in range(counts[t] + 1)] for t in tags]
-    found = []
-
-    def walk(i, acc, vec):
-        if i == len(tables):
-            if acc == c:
-                found.append(vec)
-            return
-        for k, x in enumerate(tables[i]):
-            walk(i + 1, combine(acc, x), vec + (k,))
-
-    walk(0, unit, ())
-    return frozenset(found)
+    b = CircuitBuilder(spec.label.c.field, [n for ns in names.values() for n in ns])
+    kids = [(b.add(input_label(n)), t) for t, ns in names.items() for n in ns]
+    gate = b.build(b.add(spec.label, kids))
+    return expand_to_threshold(PartitionCircuit(gate, {}, None, None)).circuit
 
 
 @dataclass
 class ExpandedCircuit:
     circuit: Circuit
-    gate_of: dict   # ("copy" | "d", g) | ("tw", d, level) | ("te", g, vec, tag) | ("ac", g, vec) -> id
+    # ("copy" | "d", g) | ("tw", d, level) | ("te", g, i, k) | ("pa", g, i, s', k)
+    # | ("ps", g, i, s) -> id
+    gate_of: dict
     source: Circuit
 
     def lift(self, witness: Witness) -> Witness:
@@ -301,24 +267,50 @@ class ExpandedCircuit:
 
 
 def expand_to_threshold(lowered: PartitionCircuit) -> ExpandedCircuit:
-    """Replace every partition gate with its threshold gadget."""
+    """Replace every partition gate with its ladder.  A family of gates
+    sharing kind, parts and wires gets one, named after the member with the
+    least target and built where the first member comes in topological
+    order; member m's gadget ("d", m) is the last layer's gate at its target,
+    or an empty OR.  All ladders are planned first, so BudgetExceededError
+    comes before anything is built."""
     src = lowered.circuit
+    families = {}   # (kind, parts, wires) -> members, then (members, layers)
+    for g in src.topo_order():
+        lab = src.gates[g]
+        if lab.kind in ("psum", "pprod"):
+            families.setdefault((lab.kind, lab.parts, src.wires[g]), []).append(g)
+    left = _LADDER_BUDGET
+    for key, members in families.items():
+        members.sort(key=lambda m: src.gates[m].c.sort_key())
+        counts = Counter(t for _w, t in key[2])
+        layers, left = _ladder_edges(src.gates[members[0]], counts,
+                                     {src.gates[m].c for m in members}, left)
+        families[key] = (members, layers)
     b = CircuitBuilder(src.field, src.variables)
-    image = {}   # source gate -> the gate standing for it: its copy or its gadget OR
+    image = {}   # source gate -> the gate standing for it: its copy or its gadget
     for g in src.topo_order():
         lab = src.gates[g]
         if lab.kind not in ("psum", "pprod"):
             kids = [(image[c], t) for c, t in src.wires[g]]
             image[g] = b.add(lab, kids, name=("copy", g))
-            continue
-        parts = lab.parts_map()
-        tags = sorted(parts, key=lambda t: parts[t].sort_key())
-        by_tag = {t: [] for t in tags}
-        for w, t in src.wires[g]:
-            by_tag[t].append((w, image[w]))
-        counts = {t: len(by_tag[t]) for t in tags}
-        vecs = accepting_vectors(lab.kind, lab.c, parts, counts)
-        image[g] = _emit_gadget(b, g, [(t, by_tag[t]) for t in tags], vecs)
+        elif g not in image:
+            members, layers = families[(lab.kind, lab.parts, src.wires[g])]
+            rep, layer = members[0], {}
+            for i, (t, edges) in enumerate(layers, start=1):
+                tops = []
+                for d in (d for d, tag in src.wires[g] if tag == t):
+                    top = image[d]
+                    for level in range(1, i + 1):
+                        top = b.add(AND, [top], ("tw", d, level))
+                    tops.append(top)
+                tes = [b.add(th_eq(k), tops, ("te", rep, i, k)) for k in range(len(tops) + 1)]
+                ins = {s: [tes[k] if i == 1 else
+                           b.add(AND, [tes[k], layer[s0]], ("pa", rep, i, s0, k))
+                           for s0, k in pairs]
+                       for s, pairs in edges.items()}
+                layer = {s: b.add(OR, ws, ("ps", rep, i, s)) for s, ws in ins.items()}
+            for m in members:
+                image[m] = b.add(OR, ins.get(src.gates[m].c, []), ("d", m))
     return ExpandedCircuit(b.build(image[src.output]), dict(b.names), src)
 
 
@@ -340,22 +332,25 @@ def verify_lowering(circuit: Circuit, accept, lowered_circuit: Circuit,
     The Boolean circuit is evaluated bit-sliced over blocks of up to
     2^_BLOCK_BITS assignments: the fastest-changing variables of the 0-1
     driver's order are spread over the lanes, the others are constant in a
-    block, and the expected accept mask comes from the driver's own runs.
+    block.  The expected accept mask, bit j for the driver's j-th run, is
+    cached on the circuit per accept set.
     """
     _require_arith(circuit)
-    accept = {circuit.field.of(a) for a in accept}
+    accept = frozenset(circuit.field.of(a) for a in accept)
     variables = _input_variables(circuit, max_inputs)
     low = min(len(variables), _BLOCK_BITS)
     width = 1 << low
     full = (1 << width) - 1
     high = variables[:len(variables) - low]
     sliced = {v: _lane_pattern(s, low) for s, v in enumerate(reversed(variables[len(high):]))}
-    runs = _zero_one_runs(circuit, variables)
-    for bits in itertools.product((0, full), repeat=len(high)):
-        want = 0
-        for j, vals in zip(range(width), runs):
-            if vals[circuit.output] in accept:
-                want |= 1 << j
+    masks = circuit.__dict__.setdefault("_accept_masks", {})
+    if accept not in masks:
+        hits = ["1" if vals[circuit.output] in accept else "0"
+                for vals in _zero_one_runs(circuit, variables)]
+        masks[accept] = int("".join(reversed(hits)), 2)
+    mask = masks[accept]
+    for block, bits in enumerate(itertools.product((0, full), repeat=len(high))):
+        want = mask >> (block * width) & full
         lanes = dict(zip(high, bits)) | sliced
         if bool_lane_values(lowered_circuit, lanes, width)[lowered_circuit.output] != want:
             return False

@@ -196,6 +196,25 @@ def test_lower_round_trip(tmp_path, capsys):
     assert rep["c_gates"] == len(c)
 
 
+def test_lower_det3_over_q(tmp_path, capsys):
+    det = tmp_path / "det3.json"
+    invoke(capsys, "gen", "det", "--n", "3", "--out", str(det))
+    cout = tmp_path / "low.json"
+    code, rep, _ = invoke(capsys, "lower", "--circuit", str(det),
+                          "--accept", "0", "--mode", "exact", "--out", str(cout))
+    assert code == 0
+    assert rep["verified_d"] is True
+    assert rep["verified_c"] is True
+    assert rep["c_gates"] == len(deserialize(cout.read_text()))
+    # compositional value sets make the partial-sum ladders overrun their budget
+    code, rep, err = invoke(capsys, "lower", "--circuit", str(det),
+                            "--accept", "0", "--mode", "compositional",
+                            "--out", str(tmp_path / "comp.json"))
+    assert (code, rep) == (2, None)
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "AND gates" in err
+
+
 def test_cfi_build_and_check(tmp_path, capsys):
     out = tmp_path / "xk4.graph"
     code, rep, _ = invoke(capsys, "cfi", "build", "--graph", "k4",

@@ -20,7 +20,6 @@ from symcirc import (
     CircuitError,
     GadgetSpec,
     Matrix,
-    accepting_vectors,
     check_symmetric,
     const,
     evaluate_bool,
@@ -35,6 +34,7 @@ from symcirc import (
     verify_automorphism,
     verify_lowering,
 )
+from symcirc.circuit import bool_lane_values, pprod, psum, th_eq
 from symcirc.symmetry import Witness, matrix_var, matrix_variables
 
 
@@ -252,90 +252,96 @@ def test_orbit_preservation_rejects_invalid_witness():
         orbit_preservation_check(c, [bad], low, exp)
 
 
+def lane_table(circuit, names):
+    """The output on every 0-1 assignment of names, bit a for the assignment
+    that gives names[j] the value of bit j of a."""
+    width = 1 << len(names)
+    lanes = {v: sum(1 << a for a in range(width) if a >> j & 1) for j, v in enumerate(names)}
+    return bool_lane_values(circuit, lanes, width)[circuit.output]
+
+
+def assert_gadget_table(spec, accepts):
+    """The gadget equals a direct partition gate on every 0-1 input, and
+    accepts exactly the inputs whose per-tag counts satisfy accepts."""
+    gadget = gadget_for_partition_function(spec)
+    names = gadget_input_names(spec)
+    flat = [v for ns in names.values() for v in ns]
+    b = CircuitBuilder(spec.label.c.field, flat)
+    direct = b.build(b.add(spec.label, [(b.add(input_label(v)), t)
+                                        for t, ns in names.items() for v in ns]))
+    assert lane_table(gadget, flat) == lane_table(direct, flat)
+    for a in range(1 << len(flat)):
+        asg = {v: a >> j & 1 for j, v in enumerate(flat)}
+        counts = {t: sum(asg[v] for v in ns) for t, ns in names.items()}
+        assert evaluate_bool(gadget, asg) == int(accepts(counts)), counts
+
+
 def test_gadget_spec_validation():
-    with pytest.raises(CircuitError):
-        GadgetSpec(("a", "b"), (2,), frozenset({(0,)}))
-    with pytest.raises(CircuitError):
-        GadgetSpec(("a",), (2,), frozenset({(3,)}))
-    with pytest.raises(CircuitError):
-        GadgetSpec(("a", "a"), (2, 2), frozenset())
-    with pytest.raises(CircuitError):
-        GadgetSpec(("a",), (-1,), frozenset())
+    label = psum(QQ.of(1), {"a": QQ.of(1), "b": QQ.of(2)})
+    with pytest.raises(CircuitError, match="different tags"):
+        GadgetSpec(label, {"a": 2})
+    with pytest.raises(CircuitError, match="different tags"):
+        GadgetSpec(label, {"a": 2, "b": 1, "c": 1})
+    with pytest.raises(CircuitError, match="negative"):
+        GadgetSpec(label, {"a": 2, "b": -1})
+    with pytest.raises(CircuitError, match="not a partition label"):
+        GadgetSpec(th_eq(1), {})
+    GadgetSpec(label, {"a": 0, "b": 3})
 
 
 def test_gadget_input_names_shape():
-    spec = GadgetSpec(("lo", "hi"), (2, 3), frozenset({(0, 0)}))
+    spec = GadgetSpec(psum(QQ.of(0), {"lo": QQ.of(1), "hi": QQ.of(2)}), {"lo": 2, "hi": 3})
     names = gadget_input_names(spec)
     assert set(names) == {"lo", "hi"}
     assert len(names["lo"]) == 2
     assert len(names["hi"]) == 3
 
 
-def gadget_truth_table(spec):
-    c = gadget_for_partition_function(spec)
-    names = gadget_input_names(spec)
-    flat = [v for t in spec.tags for v in names[t]]
-    table = set()
-    for bits in itertools.product((0, 1), repeat=len(flat)):
-        asg = dict(zip(flat, bits))
-        if evaluate_bool(c, asg) == 1:
-            counts = tuple(sum(asg[v] for v in names[t]) for t in spec.tags)
-            table.add((bits, counts))
-    return c, names, table
-
-
 def test_gadget_matches_accept_exactly():
-    accept = frozenset({(1, 0), (0, 2)})
-    spec = GadgetSpec(("a", "b"), (2, 2), accept)
-    c = gadget_for_partition_function(spec)
-    names = gadget_input_names(spec)
-    flat = [v for t in spec.tags for v in names[t]]
-    for bits in itertools.product((0, 1), repeat=len(flat)):
-        asg = dict(zip(flat, bits))
-        counts = tuple(sum(asg[v] for v in names[t]) for t in spec.tags)
-        assert evaluate_bool(c, asg) == (1 if counts in accept else 0)
+    # 2a + b = 2 with a, b <= 2 holds for the count vectors (1, 0) and (0, 2)
+    spec = GadgetSpec(psum(QQ.of(2), {"a": QQ.of(2), "b": QQ.of(1)}), {"a": 2, "b": 2})
+    assert_gadget_table(spec, lambda n: (n["a"], n["b"]) in {(1, 0), (0, 2)})
 
 
 def test_gadget_all_sizes_up_to_four():
-    # every count vector over one or two parts, each part of size <= 4
+    # one part, sizes 1..4, accepting none, all or half of the inputs
     for size in (1, 2, 3, 4):
-        for accept_counts in ((0,), (size,), (size // 2,)):
-            spec = GadgetSpec(("t",), (size,), frozenset({accept_counts}))
-            c = gadget_for_partition_function(spec)
-            names = gadget_input_names(spec)["t"]
-            for bits in itertools.product((0, 1), repeat=size):
-                asg = dict(zip(names, bits))
-                want = 1 if sum(bits) == accept_counts[0] else 0
-                assert evaluate_bool(c, asg) == want
+        for want in (0, size, size // 2):
+            spec = GadgetSpec(psum(QQ.of(want), {"t": QQ.one()}), {"t": size})
+            assert_gadget_table(spec, lambda n, want=want: n["t"] == want)
 
 
-def test_accepting_vectors_psum():
+def test_gadget_psum():
     parts = {"1": QQ.of(1), "2": QQ.of(2)}
-    counts = {"1": 2, "2": 1}
-    vecs = accepting_vectors("psum", QQ.of(3), parts, counts)
-    assert vecs == frozenset({(1, 1)})
-    vecs = accepting_vectors("psum", QQ.of(0), parts, counts)
-    assert vecs == frozenset({(0, 0)})
+    sizes = {"1": 2, "2": 1}
+    assert_gadget_table(GadgetSpec(psum(QQ.of(3), parts), sizes),
+                        lambda n: (n["1"], n["2"]) == (1, 1))
+    assert_gadget_table(GadgetSpec(psum(QQ.of(0), parts), sizes),
+                        lambda n: (n["1"], n["2"]) == (0, 0))
+    # out of reach: the gadget is constant false
+    assert_gadget_table(GadgetSpec(psum(QQ.of(9), parts), sizes), lambda n: False)
 
 
-def test_accepting_vectors_pprod_with_zero_part():
+def test_gadget_pprod_with_zero_part():
     parts = {"0": QQ.of(0), "2": QQ.of(2)}
-    counts = {"0": 1, "2": 2}
+    sizes = {"0": 1, "2": 2}
     # any zero factor kills the product
-    vecs = accepting_vectors("pprod", QQ.of(0), parts, counts)
-    assert vecs == frozenset({(1, 0), (1, 1), (1, 2)})
-    vecs = accepting_vectors("pprod", QQ.of(4), parts, counts)
-    assert vecs == frozenset({(0, 2)})
+    assert_gadget_table(GadgetSpec(pprod(QQ.of(0), parts), sizes), lambda n: n["0"] >= 1)
+    assert_gadget_table(GadgetSpec(pprod(QQ.of(4), parts), sizes),
+                        lambda n: (n["0"], n["2"]) == (0, 2))
     # the empty product is 1
-    vecs = accepting_vectors("pprod", QQ.of(1), parts, counts)
-    assert vecs == frozenset({(0, 0)})
+    assert_gadget_table(GadgetSpec(pprod(QQ.of(1), parts), sizes),
+                        lambda n: (n["0"], n["2"]) == (0, 0))
 
 
-def test_accepting_vectors_budget():
-    parts = {str(i): QQ.of(i) for i in range(1, 8)}
-    counts = {str(i): 9 for i in range(1, 8)}
-    with pytest.raises(BudgetExceededError):
-        accepting_vectors("psum", QQ.of(5), parts, counts)
+def test_ladder_budget():
+    # weights 1/p for primes p > 9: every count vector has its own partial
+    # sum, so layer i has 10^i gates and the sixth overdraws the budget
+    primes = (11, 13, 17, 19, 23, 29, 31)
+    parts = {str(p): QQ.of(f"1/{p}") for p in primes}
+    spec = GadgetSpec(psum(QQ.of(5), parts), {t: 9 for t in parts})
+    with pytest.raises(BudgetExceededError, match="AND gates"):
+        gadget_for_partition_function(spec)
 
 
 def test_ryser_two_lowering_round_trip():

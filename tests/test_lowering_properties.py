@@ -15,10 +15,12 @@ from symcirc import (  # noqa: E402
     GF,
     MUL,
     CircuitBuilder,
-    accepting_vectors,
+    GadgetSpec,
     const,
     evaluate_bool,
     expand_to_threshold,
+    gadget_for_partition_function,
+    gadget_input_names,
     input_label,
     lower_to_partition_basis,
     value_sets,
@@ -59,20 +61,21 @@ def test_lowering_agrees_with_source(case, mode):
 
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from(PRIMES), st.sampled_from(("psum", "pprod")), st.data())
-def test_accepting_vectors_match_partition_gate(p, kind, data):
+def test_gadget_matches_partition_gate(p, kind, data):
     fld = GF(p)
     values = data.draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=3))
     parts = {str(v): fld.of(v) for v in values}
-    counts = {t: data.draw(st.integers(0, 3)) for t in sorted(parts)}
+    sizes = {t: data.draw(st.integers(0, 3)) for t in sorted(parts)}
     c = fld.of(data.draw(st.integers(0, p - 1)))
-    vecs = accepting_vectors(kind, c, parts, counts)
-
-    tags = sorted(parts, key=lambda t: parts[t].sort_key())
-    names = {t: [f"in_{t}_{i}" for i in range(counts[t])] for t in tags}
-    b = CircuitBuilder(fld, [v for t in tags for v in names[t]])
-    kids = [(b.add(input_label(v)), t) for t in tags for v in names[t]]
     label = (psum if kind == "psum" else pprod)(c, parts)
-    direct = b.build(b.add(label, kids))
-    for vec in itertools.product(*(range(counts[t] + 1) for t in tags)):
-        asg = {v: int(i < k) for t, k in zip(tags, vec) for i, v in enumerate(names[t])}
-        assert evaluate_bool(direct, asg) == int(vec in vecs)
+    spec = GadgetSpec(label, sizes)
+    gadget = gadget_for_partition_function(spec)
+
+    names = gadget_input_names(spec)
+    flat = [v for ns in names.values() for v in ns]
+    b = CircuitBuilder(fld, flat)
+    direct = b.build(b.add(label, [(b.add(input_label(v)), t)
+                                   for t, ns in names.items() for v in ns]))
+    for bits in itertools.product((0, 1), repeat=len(flat)):
+        asg = dict(zip(flat, bits))
+        assert evaluate_bool(gadget, asg) == evaluate_bool(direct, asg)
