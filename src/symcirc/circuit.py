@@ -16,6 +16,7 @@ assignments at once.
 
 from __future__ import annotations
 
+import heapq
 import json
 import operator
 import random
@@ -129,31 +130,25 @@ class Circuit:
         return self.wires[g]
 
     def parents(self) -> dict:
+        """Map gate -> its (parent, tag) pairs, one per wire; wires to
+        children that are not gates are skipped."""
         if self._parents is None:
             par = {g: [] for g in self.gates}
             for g, ws in self.wires.items():
                 for c, tag in ws:
-                    par[c].append((g, tag))
+                    if c in par:
+                        par[c].append((g, tag))
             self._parents = {g: tuple(sorted(ps, key=_child_key)) for g, ps in par.items()}
         return self._parents
 
     def topo_order(self):
-        """Children-first order; raises CircuitError on a cycle."""
+        """Children-first order; raises CircuitError on a wire to a missing
+        child or on a cycle."""
         if self._topo is None:
-            import heapq
-
-            indeg = {g: len(self.wires[g]) for g in self.gates}
-            ready = [g for g, d in indeg.items() if d == 0]
-            order = []
-            parents = self.parents()
-            heapq.heapify(ready)
-            while ready:
-                g = heapq.heappop(ready)
-                order.append(g)
-                for p, _tag in parents[g]:
-                    indeg[p] -= 1
-                    if indeg[p] == 0:
-                        heapq.heappush(ready, p)
+            missing = next(_missing_children(self), None)
+            if missing is not None:
+                raise CircuitError("gate {}: child {} does not exist".format(*missing))
+            order = _kahn(self)
             if len(order) != len(self.gates):
                 stuck = sorted(set(self.gates) - set(order))
                 raise CircuitError(f"cycle through gates {stuck[:8]}")
@@ -174,6 +169,33 @@ class Circuit:
 
     def __len__(self):
         return len(self.gates)
+
+
+def _missing_children(circuit: Circuit):
+    """Yield (gate, child) for every wire to a child that is not a gate."""
+    for g, ws in circuit.wires.items():
+        for c, _t in ws:
+            if c not in circuit.gates:
+                yield g, c
+
+
+def _kahn(circuit: Circuit) -> list:
+    """Kahn's algorithm, least ready gate first: the gates in children-first
+    order, wires to missing children skipped; gates on a cycle, or above
+    one, are left out."""
+    parents = circuit.parents()
+    indeg = {g: sum(c in parents for c, _t in ws) for g, ws in circuit.wires.items()}
+    ready = [g for g, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        g = heapq.heappop(ready)
+        order.append(g)
+        for p, _t in parents[g]:
+            indeg[p] -= 1
+            if indeg[p] == 0:
+                heapq.heappush(ready, p)
+    return order
 
 
 class CircuitBuilder:
@@ -231,32 +253,11 @@ def validate(circuit: Circuit) -> list:
     gates = circuit.gates
     if circuit.output not in gates:
         probs.append(Diagnostic("output", None, f"output {circuit.output} is not a gate"))
-    for g, ws in circuit.wires.items():
-        for c, tag in ws:
-            if c not in gates:
-                probs.append(Diagnostic("wire", g, f"child {c} does not exist"))
-    # cycle detection without topo cache (cache raises; validate reports)
-    indeg = {g: 0 for g in gates}
-    for g, ws in circuit.wires.items():
-        for c, _t in ws:
-            if c in indeg:
-                indeg[g] += 1
-    ready = [g for g, d in indeg.items() if d == 0]
-    seen = 0
-    parents = {g: [] for g in gates}
-    for g, ws in circuit.wires.items():
-        for c, _t in ws:
-            if c in parents:
-                parents[c].append(g)
-    while ready:
-        g = ready.pop()
-        seen += 1
-        for p in parents[g]:
-            indeg[p] -= 1
-            if indeg[p] == 0:
-                ready.append(p)
-    if seen != len(gates):
-        stuck = sorted(g for g, d in indeg.items() if d > 0)
+    for g, c in _missing_children(circuit):
+        probs.append(Diagnostic("wire", g, f"child {c} does not exist"))
+    order = _kahn(circuit)
+    if len(order) != len(gates):
+        stuck = sorted(set(gates) - set(order))
         for g in stuck[:4]:
             probs.append(Diagnostic("cycle", g, "gate lies on a cycle"))
     for g, lab in sorted(gates.items()):

@@ -13,20 +13,21 @@ Phi evaluates into B.  It proceeds in two symmetry-preserving steps:
    value s that parts 1..i can fold to, over ANDs of th_eq(k) on part i
    and the layer i-1 gate at each s' that k inputs of part i extend to s.
    Only the last layer depends on the target c, so the gates (v, c) sharing
-   parts and wires share one ladder, prefix included.  Part i reads child d
-   through the identity tower ("tw", d, 1..i), shared by every ladder
-   reading d at height i, so towers add no orbit larger than the child's
-   own.  The ladders of one expansion may have _LADDER_BUDGET AND gates.
+   parts and wires share one ladder, prefix included.  Part i's threshold
+   gates read the children's images directly.  The ladders of one
+   expansion may have _LADDER_BUDGET AND gates.
 
-Both steps map gate names componentwise under a circuit automorphism, so
-witnesses lift and orbit sizes are preserved.  The builder hash-conses, so
-equal gates (constants, shared ladder prefixes) are one gate under several
-names; the aliases of one gate lift to one gate.
+The builder hash-conses, so both stages are rigid, and
+orbit_preservation_check extends each source witness's variable
+permutation to each stage with find_extension: a stage is symmetric under
+the source's group exactly when every such extension exists.
 
 verify_lowering checks either step exhaustively on every 0-1 assignment.
 It evaluates the Boolean circuit bit-sliced, each gate's values over a block
 of up to 2^12 assignments held as the bits of one int, and compares them
-with the arithmetic circuit's exact values, computed once per accept set.
+with the arithmetic circuit's exact outputs.  Those come from the one exact
+enumeration of the source, which also gives exact value sets and is cached
+on the circuit.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .circuit import (
     th_eq,
 )
 from .errors import BudgetExceededError, CircuitError
-from .symmetry import Witness, orbits
+from .symmetry import Witness, find_extension, orbits
 
 _LADDER_BUDGET = 2 * 10 ** 5   # AND gates in all ladders of one expansion
 _BLOCK_BITS = 12   # verify_lowering evaluates up to 2^12 assignments at once
@@ -83,13 +84,24 @@ def _input_variables(circuit: Circuit, max_inputs: int) -> list:
     return variables
 
 
-def _zero_one_runs(circuit: Circuit, variables: list):
-    """Yield the exact gate values on every 0-1 assignment of variables, in
-    itertools.product order (the last variable changes fastest)."""
-    fld = circuit.field
-    bit_values = (fld.zero(), fld.one())
-    for bits in itertools.product(bit_values, repeat=len(variables)):
-        yield arith_gate_values(circuit, dict(zip(variables, bits)))
+def _exact_runs(circuit: Circuit, variables: list) -> tuple:
+    """(value sets, outputs) over every 0-1 assignment of variables, taken
+    in itertools.product order (the last variable changes fastest): each
+    gate's sorted exact values, and the output's value on each assignment.
+    The enumeration runs once per circuit; the result is cached on it."""
+    runs = getattr(circuit, "_exact_runs", None)
+    if runs is None:
+        fld = circuit.field
+        seen = {g: set() for g in circuit.gates}
+        outputs = []
+        for bits in itertools.product((fld.zero(), fld.one()), repeat=len(variables)):
+            vals = arith_gate_values(circuit, dict(zip(variables, bits)))
+            for g, val in vals.items():
+                seen[g].add(val)
+            outputs.append(vals[circuit.output])
+        runs = circuit._exact_runs = ({g: _sorted_vals(vs) for g, vs in seen.items()},
+                                      tuple(outputs))
+    return runs
 
 
 def value_sets(circuit: Circuit, mode: str = "compositional", max_inputs: int = 20) -> ValueSetMap:
@@ -102,11 +114,8 @@ def value_sets(circuit: Circuit, mode: str = "compositional", max_inputs: int = 
     _require_arith(circuit)
     fld = circuit.field
     if mode == "exact":
-        seen = {g: set() for g in circuit.gates}
-        for vals in _zero_one_runs(circuit, _input_variables(circuit, max_inputs)):
-            for g, val in vals.items():
-                seen[g].add(val)
-        return ValueSetMap({g: _sorted_vals(vs) for g, vs in seen.items()}, exact=True)
+        sets, _outputs = _exact_runs(circuit, _input_variables(circuit, max_inputs))
+        return ValueSetMap(dict(sets), exact=True)
     if mode != "compositional":
         raise CircuitError(f"unknown value-set mode {mode!r}")
     sets = {}
@@ -131,20 +140,7 @@ def value_sets(circuit: Circuit, mode: str = "compositional", max_inputs: int = 
 @dataclass
 class PartitionCircuit:
     circuit: Circuit
-    gate_of: dict          # (v, c) -> gate id; also ("out",) -> output
     trivial: str | None    # "const1" | "const0" | None
-    values: ValueSetMap
-
-    def lift(self, witness: Witness) -> Witness:
-        """Image of a witness of the source circuit: (v, c) -> (pi(v), c)."""
-        pi = {}
-        for name, g in self.gate_of.items():
-            if name == ("out",):
-                pi[g] = g
-            else:
-                v, c = name
-                pi[g] = self.gate_of[(witness.pi[v], c)]
-        return Witness(dict(witness.sigma), pi)
 
 
 def lower_to_partition_basis(circuit: Circuit, accept, values: ValueSetMap) -> PartitionCircuit:
@@ -158,7 +154,7 @@ def lower_to_partition_basis(circuit: Circuit, accept, values: ValueSetMap) -> P
         b = CircuitBuilder(fld, circuit.variables)
         g = b.add(const(fld.one() if hits else fld.zero()))
         kind = "const1" if hits else "const0"
-        return PartitionCircuit(b.build(g), {}, kind, values)
+        return PartitionCircuit(b.build(g), kind)
 
     b = CircuitBuilder(fld, circuit.variables)
     for v in circuit.topo_order():
@@ -184,9 +180,8 @@ def lower_to_partition_basis(circuit: Circuit, accept, values: ValueSetMap) -> P
             for c in values.sets[v]:
                 b.add(make(c, parts), kids, name=(v, c))
     out = b.add(OR, [b.names[(circuit.output, c)]
-                     for c in values.sets[circuit.output] if c in accept],
-                name=("out",))
-    return PartitionCircuit(b.build(out), dict(b.names), None, values)
+                     for c in values.sets[circuit.output] if c in accept])
+    return PartitionCircuit(b.build(out), None)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +214,7 @@ def _ladder_edges(label: GateLabel, counts: dict, targets: set, left: int) -> tu
     term(q_i, k)) = s.  Raises BudgetExceededError once left runs out."""
     unit, term, combine = partition_rule(label.kind, label.c.field)
     parts = label.parts_map()
-    tags = sorted(parts, key=lambda t: parts[t].sort_key())   # tower heights 1, 2, ...
+    tags = sorted(parts, key=lambda t: parts[t].sort_key())
     layers = []
     reached = (unit,)
     for i, t in enumerate(tags, start=1):
@@ -246,33 +241,22 @@ def gadget_for_partition_function(spec: GadgetSpec) -> Circuit:
     b = CircuitBuilder(spec.label.c.field, [n for ns in names.values() for n in ns])
     kids = [(b.add(input_label(n)), t) for t, ns in names.items() for n in ns]
     gate = b.build(b.add(spec.label, kids))
-    return expand_to_threshold(PartitionCircuit(gate, {}, None, None)).circuit
+    return expand_to_threshold(PartitionCircuit(gate, None)).circuit
 
 
 @dataclass
 class ExpandedCircuit:
     circuit: Circuit
-    # ("copy" | "d", g) | ("tw", d, level) | ("te", g, i, k) | ("pa", g, i, s', k)
-    # | ("ps", g, i, s) -> id
+    # ("copy" | "d", g) | ("te", g, i, k) | ("pa", g, i, s', k) | ("ps", g, i, s) -> id
     gate_of: dict
-    source: Circuit
-
-    def lift(self, witness: Witness) -> Witness:
-        """Image of a witness of the partition circuit: every name's source
-        gate (its second entry) maps through the witness, the rest stays."""
-        p = witness.pi
-        pi = {g: self.gate_of[(name[0], p[name[1]], *name[2:])]
-              for name, g in self.gate_of.items()}
-        return Witness(dict(witness.sigma), pi)
 
 
 def expand_to_threshold(lowered: PartitionCircuit) -> ExpandedCircuit:
     """Replace every partition gate with its ladder.  A family of gates
-    sharing kind, parts and wires gets one, named after the member with the
-    least target and built where the first member comes in topological
-    order; member m's gadget ("d", m) is the last layer's gate at its target,
-    or an empty OR.  All ladders are planned first, so BudgetExceededError
-    comes before anything is built."""
+    sharing kind, parts and wires gets one, named after and built at its
+    first member in topological order; member m's gadget ("d", m) is the
+    last layer's gate at its target, or an empty OR.  All ladders are
+    planned first, so BudgetExceededError comes before anything is built."""
     src = lowered.circuit
     families = {}   # (kind, parts, wires) -> members, then (members, layers)
     for g in src.topo_order():
@@ -281,7 +265,6 @@ def expand_to_threshold(lowered: PartitionCircuit) -> ExpandedCircuit:
             families.setdefault((lab.kind, lab.parts, src.wires[g]), []).append(g)
     left = _LADDER_BUDGET
     for key, members in families.items():
-        members.sort(key=lambda m: src.gates[m].c.sort_key())
         counts = Counter(t for _w, t in key[2])
         layers, left = _ladder_edges(src.gates[members[0]], counts,
                                      {src.gates[m].c for m in members}, left)
@@ -295,23 +278,18 @@ def expand_to_threshold(lowered: PartitionCircuit) -> ExpandedCircuit:
             image[g] = b.add(lab, kids, name=("copy", g))
         elif g not in image:
             members, layers = families[(lab.kind, lab.parts, src.wires[g])]
-            rep, layer = members[0], {}
+            layer = {}
             for i, (t, edges) in enumerate(layers, start=1):
-                tops = []
-                for d in (d for d, tag in src.wires[g] if tag == t):
-                    top = image[d]
-                    for level in range(1, i + 1):
-                        top = b.add(AND, [top], ("tw", d, level))
-                    tops.append(top)
-                tes = [b.add(th_eq(k), tops, ("te", rep, i, k)) for k in range(len(tops) + 1)]
+                kids = [image[d] for d, tag in src.wires[g] if tag == t]
+                tes = [b.add(th_eq(k), kids, ("te", g, i, k)) for k in range(len(kids) + 1)]
                 ins = {s: [tes[k] if i == 1 else
-                           b.add(AND, [tes[k], layer[s0]], ("pa", rep, i, s0, k))
+                           b.add(AND, [tes[k], layer[s0]], ("pa", g, i, s0, k))
                            for s0, k in pairs]
                        for s, pairs in edges.items()}
-                layer = {s: b.add(OR, ws, ("ps", rep, i, s)) for s, ws in ins.items()}
+                layer = {s: b.add(OR, ws, ("ps", g, i, s)) for s, ws in ins.items()}
             for m in members:
                 image[m] = b.add(OR, ins.get(src.gates[m].c, []), ("d", m))
-    return ExpandedCircuit(b.build(image[src.output]), dict(b.names), src)
+    return ExpandedCircuit(b.build(image[src.output]), dict(b.names))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +311,7 @@ def verify_lowering(circuit: Circuit, accept, lowered_circuit: Circuit,
     2^_BLOCK_BITS assignments: the fastest-changing variables of the 0-1
     driver's order are spread over the lanes, the others are constant in a
     block.  The expected accept mask, bit j for the driver's j-th run, is
-    cached on the circuit per accept set.
+    read off the source's cached exact outputs.
     """
     _require_arith(circuit)
     accept = frozenset(circuit.field.of(a) for a in accept)
@@ -343,12 +321,8 @@ def verify_lowering(circuit: Circuit, accept, lowered_circuit: Circuit,
     full = (1 << width) - 1
     high = variables[:len(variables) - low]
     sliced = {v: _lane_pattern(s, low) for s, v in enumerate(reversed(variables[len(high):]))}
-    masks = circuit.__dict__.setdefault("_accept_masks", {})
-    if accept not in masks:
-        hits = ["1" if vals[circuit.output] in accept else "0"
-                for vals in _zero_one_runs(circuit, variables)]
-        masks[accept] = int("".join(reversed(hits)), 2)
-    mask = masks[accept]
+    _sets, outputs = _exact_runs(circuit, variables)
+    mask = int("".join("1" if val in accept else "0" for val in reversed(outputs)), 2)
     for block, bits in enumerate(itertools.product((0, full), repeat=len(high))):
         want = mask >> (block * width) & full
         lanes = dict(zip(high, bits)) | sliced
@@ -368,13 +342,20 @@ class OrbitPreservationReport:
 def orbit_preservation_check(circuit: Circuit, witnesses,
                              lowered: PartitionCircuit,
                              expanded: ExpandedCircuit) -> OrbitPreservationReport:
-    """Lift witnesses through both passes and compare max orbit sizes."""
+    """Max orbit sizes of the source and of both stages under the group the
+    witnesses generate.  Each witness's variable permutation is extended to
+    each stage with find_extension; a stage without such an extension
+    raises CircuitError, as does an invalid witness of the source."""
     if lowered.trivial is not None:
         raise CircuitError("orbit check needs a non-trivial lowering")
-    orb_phi = orbits(circuit, witnesses).max_orbit   # rejects invalid witnesses
-    lifted_d = [lowered.lift(w) for w in witnesses]
-    lifted_c = [expanded.lift(w) for w in lifted_d]
-    orb_d = orbits(lowered.circuit, lifted_d).max_orbit
-    orb_c = orbits(expanded.circuit, lifted_c).max_orbit
-    return OrbitPreservationReport(orb_phi, orb_d, orb_c,
-                                   orb_phi == orb_d == orb_c)
+    sizes = [orbits(circuit, witnesses).max_orbit]
+    for stage, lowered_circuit in (("partition", lowered.circuit),
+                                   ("threshold", expanded.circuit)):
+        extended = []
+        for i, w in enumerate(witnesses):
+            pi = find_extension(lowered_circuit, w.sigma)
+            if pi is None:
+                raise CircuitError(f"the {stage} stage has no extension of witness {i}")
+            extended.append(Witness(w.sigma, pi))
+        sizes.append(orbits(lowered_circuit, extended).max_orbit)
+    return OrbitPreservationReport(*sizes, sizes[0] == sizes[1] == sizes[2])

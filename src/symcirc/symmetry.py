@@ -6,7 +6,9 @@ bijection.  The circuits are rigid (no two gates share a label and
 children), so a variable permutation has at most one extension to the
 gates, and find_extension computes it in one bottom-up pass.  Non-rigid
 input is rejected with CircuitError rather than merged: merging can make a
-circuit symmetric that was not.
+circuit symmetric that was not.  orbits accepts a witness exactly when its
+gate map is that extension; verify_automorphism checks the automorphism
+conditions directly and serves as the independent judge in the tests.
 """
 
 from __future__ import annotations
@@ -286,11 +288,14 @@ class OrbitReport:
 
 def orbits(circuit: Circuit, witnesses: list) -> OrbitReport:
     """Orbit partition of the gates under the group generated by the witness
-    gate maps (union-find closure).  Invalid witnesses are rejected."""
+    gate maps (union-find closure).  The circuit must be rigid.  A witness is
+    valid iff its gate map is the extension of its variable permutation,
+    which is unique (see find_extension) and cached after check_symmetric;
+    invalid witnesses are rejected."""
     for w in witnesses:
-        problems = verify_automorphism(circuit, w)
-        if problems:
-            raise CircuitError("invalid witness: " + problems[0])
+        if _extension(circuit, w.sigma) != w.pi:
+            raise CircuitError("invalid witness: its gate map is not the extension "
+                               "of its variable permutation")
     parent = {g: g for g in circuit.gates}
 
     def find(x):

@@ -53,7 +53,7 @@ from symcirc import (
     verify_lowering,
     wl_equivalent,
 )
-from symcirc.circuit import ADD, MUL, CircuitBuilder
+from symcirc.circuit import ADD, AND, MUL, CircuitBuilder
 from symcirc.symmetry import matrix_var
 
 SEED = 1729
@@ -181,18 +181,22 @@ def test_05_lowering_round_trips():
 
 def test_06_orbit_preservation():
     """Largest orbit is unchanged through both lowering stages, and both
-    stages are verified exhaustively."""
-    cases = [(ryser_perm_circuit(2), Matrix(2, 2), 4),
-             (ryser_perm_circuit(3, GF(3)), Matrix(3, 3), 9),
-             (leverrier_det_circuit(3, GF(5), allow_positive_char=True), Transpose(3), 12),
-             (leverrier_det_circuit(3), Transpose(3), 12),
-             (ryser_perm_circuit(3), Matrix(3, 3), 9)]
-    for gen, group, orb in cases:
+    stages are verified exhaustively; expanded gate counts are frozen, and
+    no AND gate has a single child."""
+    cases = [(ryser_perm_circuit(2), Matrix(2, 2), 4, 455),
+             (ryser_perm_circuit(3, GF(3)), Matrix(3, 3), 9, 1087),
+             (leverrier_det_circuit(3, GF(5), allow_positive_char=True), Transpose(3), 12, 1653),
+             (leverrier_det_circuit(3), Transpose(3), 12, 19852),
+             (ryser_perm_circuit(3), Matrix(3, 3), 9, 8896)]
+    for gen, group, orb, gates in cases:
         rep = check_symmetric(gen.circuit, group)
         assert rep.symmetric
         vs = value_sets(gen.circuit, "exact")
         low = lower_to_partition_basis(gen.circuit, {0}, vs)
         exp = expand_to_threshold(low)
+        assert len(exp.circuit.gates) == gates
+        assert not [g for g, lab in exp.circuit.gates.items()
+                    if lab == AND and len(exp.circuit.wires[g]) == 1]
         assert verify_lowering(gen.circuit, {0}, low.circuit)
         assert verify_lowering(gen.circuit, {0}, exp.circuit)
         report = orbit_preservation_check(gen.circuit, rep.witnesses, low, exp)

@@ -11,6 +11,7 @@ from symcirc import (
     NOT,
     OR,
     QQ,
+    Circuit,
     CircuitBuilder,
     CircuitError,
     GF,
@@ -119,6 +120,13 @@ def test_cycle_detected():
     c = b.build(a)
     with pytest.raises(CircuitError):
         c.topo_order()
+
+
+def test_wire_to_missing_child():
+    c = Circuit(QQ, ["x"], {0: input_label("x"), 1: ADD}, {1: [0, 5]}, 1)
+    with pytest.raises(CircuitError, match="gate 1: child 5 does not exist"):
+        evaluate_arith(c, {"x": QQ.of(1)})
+    assert [(d.code, d.gate) for d in validate(c)] == [("wire", 1)]
 
 
 def test_empty_fold_units():

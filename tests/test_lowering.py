@@ -18,12 +18,14 @@ from symcirc import (
     BudgetExceededError,
     CircuitBuilder,
     CircuitError,
+    ExpandedCircuit,
     GadgetSpec,
     Matrix,
     check_symmetric,
     const,
     evaluate_bool,
     expand_to_threshold,
+    find_extension,
     gadget_for_partition_function,
     gadget_input_names,
     input_label,
@@ -138,8 +140,9 @@ def test_lowered_symmetry_lifts():
     assert rep.symmetric
     low = lower_to_partition_basis(c, {0}, value_sets(c))
     for w in rep.witnesses:
-        lw = low.lift(w)
-        assert verify_automorphism(low.circuit, lw) == []
+        pi = find_extension(low.circuit, w.sigma)
+        assert pi is not None
+        assert verify_automorphism(low.circuit, Witness(w.sigma, pi)) == []
 
 
 def test_expand_to_threshold_equivalence():
@@ -158,8 +161,9 @@ def test_expanded_symmetry_lifts():
     low = lower_to_partition_basis(c, {0}, value_sets(c))
     exp = expand_to_threshold(low)
     for w in rep.witnesses:
-        ew = exp.lift(low.lift(w))
-        assert verify_automorphism(exp.circuit, ew) == []
+        pi = find_extension(exp.circuit, w.sigma)
+        assert pi is not None
+        assert verify_automorphism(exp.circuit, Witness(w.sigma, pi)) == []
 
 
 def test_verify_lowering_catches_wrong_circuit():
@@ -238,6 +242,21 @@ def test_orbit_preservation_rejects_trivial():
     exp = expand_to_threshold(lower_to_partition_basis(c, {0}, vs))
     with pytest.raises(CircuitError):
         orbit_preservation_check(c, rep.witnesses, trivial, exp)
+
+
+def test_orbit_preservation_rejects_asymmetric_stage():
+    c = crossing_pair()
+    rep = check_symmetric(c, Matrix(2, 2))
+    low = lower_to_partition_basis(c, {0}, value_sets(c))
+    exp = expand_to_threshold(low)
+    # a new output that also reads x_1_1 alone, which no row or column swap fixes
+    d = exp.circuit
+    x11 = d.inputs_by_var()[matrix_var(1, 1)]
+    out = len(d.gates)
+    mutated = Circuit(d.field, d.variables, {**d.gates, out: AND},
+                      {**d.wires, out: [d.output, x11]}, out)
+    with pytest.raises(CircuitError, match="threshold stage has no extension"):
+        orbit_preservation_check(c, rep.witnesses, low, ExpandedCircuit(mutated, exp.gate_of))
 
 
 def test_orbit_preservation_rejects_invalid_witness():

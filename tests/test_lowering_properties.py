@@ -1,4 +1,5 @@
-"""Property tests: lowering agrees with the source on random small circuits."""
+"""Property tests: lowering agrees with the source on random small circuits
+and keeps the largest orbit of random symmetric ones."""
 
 from __future__ import annotations
 
@@ -12,21 +13,26 @@ from hypothesis import strategies as st  # noqa: E402
 
 from symcirc import (  # noqa: E402
     ADD,
+    AND,
     GF,
     MUL,
     CircuitBuilder,
     GadgetSpec,
+    Witness,
     const,
     evaluate_bool,
     expand_to_threshold,
+    find_extension,
     gadget_for_partition_function,
     gadget_input_names,
     input_label,
     lower_to_partition_basis,
+    orbit_preservation_check,
     value_sets,
     verify_lowering,
 )
 from symcirc.circuit import pprod, psum  # noqa: E402
+from test_symmetry_properties import symmetric_circuits  # noqa: E402
 
 PRIMES = (2, 3, 5)
 
@@ -57,6 +63,23 @@ def test_lowering_agrees_with_source(case, mode):
     assert verify_lowering(circuit, accept, low.circuit)
     if low.trivial is None:
         assert verify_lowering(circuit, accept, expand_to_threshold(low).circuit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_circuits(), st.sampled_from(("compositional", "exact")), st.data())
+def test_lowering_preserves_orbits(case, mode, data):
+    circuit, taus = case
+    vs = value_sets(circuit, mode)
+    out_values = vs.sets[circuit.output]
+    hypothesis.assume(len(out_values) > 1)
+    accept = data.draw(st.sets(st.sampled_from(out_values), min_size=1,
+                               max_size=len(out_values) - 1))
+    witnesses = [Witness(tau, find_extension(circuit, tau)) for tau in taus]
+    low = lower_to_partition_basis(circuit, accept, vs)
+    exp = expand_to_threshold(low)
+    assert not [g for g, lab in exp.circuit.gates.items()
+                if lab == AND and len(exp.circuit.wires[g]) == 1]
+    assert orbit_preservation_check(circuit, witnesses, low, exp).equal
 
 
 @settings(max_examples=50, deadline=None)

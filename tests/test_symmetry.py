@@ -169,6 +169,11 @@ def test_non_rigid_circuit_rejected():
         find_extension(c, {"x": "y", "y": "x"})
     with pytest.raises(CircuitError, match="not rigid"):
         check_symmetric(c, Partition((("x", "y"),)))
+    # the identity is an automorphism, but orbits needs the unique extension
+    identity = Witness({}, {g: g for g in c.gates})
+    assert verify_automorphism(c, identity) == []
+    with pytest.raises(CircuitError, match="not rigid"):
+        orbits(c, [identity])
 
 
 def test_check_symmetric_permanent():
