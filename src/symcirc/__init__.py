@@ -97,7 +97,6 @@ from .cfi import (
     ExperimentReport,
     GadgetReport,
     MatchingReport,
-    all_perfect_matchings,
     bipartition,
     build_cfi,
     check_base_graph,
@@ -111,6 +110,6 @@ from .cfi import (
     pq,
     uniform_count_formula,
 )
-from .wl import WLReport, wl_distinguishing_round, wl_equivalent
+from .wl import WLReport, wl_equivalent
 
 __version__ = "0.1.0"

@@ -12,15 +12,18 @@ The perfect matchings of X(G) split into uniform ones, which match one end
 of every edge pair into each endpoint's gadget, and non-uniform ones, whose
 count is the same for X(G) and ~X(G).  For |V| = 2m the uniform count is
 2^(m+1) P_m or 2^(m+1) Q_m (see pq), so the two totals differ by 2^(3m+1).
-One backtracking search, _search, counts, classifies and lists matchings;
-the permanent and the gadget bijection rule check it independently.
+Matchings are counted by one gadget contraction: assign each end e_b to
+the gadget of one endpoint of e, and a perfect matching falls apart into
+independent gadget-local matchings, so enumerate_perfect_matchings sums
+products of per-gadget counts over a sweep of the base graph instead of
+listing matchings.  The permanent and the gadget bijection rule check it
+independently.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import inf
 
 from .errors import BudgetExceededError, CircuitError
 from .graphs import Graph, complete_graph, is_graph_isomorphism, is_two_connected
@@ -127,117 +130,95 @@ def path_flip_isomorphism(x: CFIGraph, y: CFIGraph, path) -> dict:
 # Perfect matchings
 
 
+_FRONTIER_BUDGET = 10 ** 5  # frontier states the contraction may hold at once
+
+
 @dataclass
 class MatchingReport:
     count: int
-    nodes: int
-    uniform: int | None = None
-    nonuniform: int | None = None
-    histogram: dict | None = None  # (n0, n1, n2) projection-value counts -> matchings
+    nodes: int  # (frontier entry, gadget pick) combinations the contraction visited
+    uniform: int
+    nonuniform: int
+    histogram: dict  # (n0, n1, n2) projection-value counts -> matchings
 
 
-def _matching_projections(cfi: CFIGraph, partner: dict):
-    """p(v, e) = matched edges between {e_0, e_1} and the inner vertices of v,
-    checked against the two balance equations."""
-    proj = {}
-    at_vertex = dict.fromkeys(cfi.base.vertices, 0)
-    for e in cfi.base.edges:
-        p0 = partner[("e", e, 0)]
-        p1 = partner[("e", e, 1)]
-        for v in e:
-            k = int(p0[1] == v) + int(p1[1] == v)
-            proj[(v, e)] = k
-            at_vertex[v] += k
-        if proj[(e[0], e)] + proj[(e[1], e)] != 2:
-            raise CircuitError(f"projection equation failed at edge {e!r}")
-    for v, k in at_vertex.items():
-        if k != 3:
-            raise CircuitError(f"projection equation failed at vertex {v!r}")
-    return proj
+def _gadget_table(cfi: CFIGraph, v) -> dict:
+    """Perfect matchings local to v's gadget, by the ends it takes: maps one
+    mask per edge of base.incident(v) (bit b set when e_b is matched into
+    v's gadget) to the number of matchings of v's balance and inner vertices
+    with those ends.  Masks with no local matching are left out."""
+    inc = cfi.base.incident(v)
+    own = [u for u in cfi.graph.vertices if u[0] != "e" and u[1] == v]
+    table = {}
+    for masks in itertools.product(range(4), repeat=len(inc)):
+        ends = [("e", e, b) for e, m in zip(inc, masks) for b in (0, 1) if m >> b & 1]
+        # the balance vertex and one end per edge fill the inner vertices
+        if len(ends) == len(inc):
+            count = len(_bijection_matchings(cfi.graph.induced(own + ends)))
+            if count:
+                table[masks] = count
+    return table
 
 
-def _search(g: Graph, node_budget, leaf) -> int:
-    """The backtracking search over perfect matchings of g.  Calls
-    leaf(partner) once per matching, where partner[i] is the index in
-    g.vertices of the mate of vertex i, and returns the number of search
-    nodes.  Raises BudgetExceededError past node_budget nodes."""
-    verts = g.vertices
-    n = len(verts)
-    if n % 2 == 1:
-        return 0
-    order = {v: i for i, v in enumerate(verts)}
-    nbr = [sorted(order[w] for w in g.adj(v)) for v in verts]
-    free = [True] * n
-    partner = [-1] * n
+def _contract(cfi: CFIGraph):
+    """({j: matchings}, nodes), where j counts the base edges both of whose
+    ends are matched into one endpoint's gadget.
+
+    Once every end is assigned to an endpoint's gadget, a perfect matching
+    is a choice of independent gadget-local matchings.  The sweep adds base
+    vertices one at a time, next the one with the most added neighbours, and
+    keeps for each assignment of the frontier edges (one endpoint added) the
+    polynomial {j: count} of the partial matchings behind it."""
+    base = cfi.base
+    frontier = ()  # edges with exactly one endpoint added
+    states = {(): {0: 1}}  # masks taken at the added endpoint -> {j: count}
+    added = set()
+    pending = list(base.vertices)
     nodes = 0
+    while pending:
+        v = max(pending, key=lambda u: len(base.adj(u) & added))
+        pending.remove(v)
+        added.add(v)
+        inc = base.incident(v)
+        pos = {e: i for i, e in enumerate(frontier)}
+        shut = [i for i, e in enumerate(inc) if e in pos]
+        keep = [i for i, e in enumerate(frontier) if e not in inc]
+        picks = {}  # masks on the shut edges -> (masks on the new edges, count, dj)
+        for masks, count in _gadget_table(cfi, v).items():
+            picks.setdefault(tuple(masks[i] for i in shut), []).append(
+                (tuple(m for i, m in enumerate(masks) if i not in shut),
+                 count, masks.count(0)))
+        nxt = {}
+        for state, poly in states.items():
+            # v takes the ends of a shut edge that its added endpoint left
+            for opened, count, dj in picks.get(tuple(3 ^ state[pos[inc[i]]] for i in shut), ()):
+                nodes += 1
+                acc = nxt.setdefault(tuple(state[i] for i in keep) + opened, {})
+                for j, c in poly.items():
+                    acc[j + dj] = acc.get(j + dj, 0) + count * c
+        if len(nxt) > _FRONTIER_BUDGET:
+            raise BudgetExceededError(
+                f"matching contraction frontier exceeded {_FRONTIER_BUDGET} states")
+        frontier = tuple(frontier[i] for i in keep) + tuple(
+            e for i, e in enumerate(inc) if i not in shut)
+        states = nxt
+    return states.get((), {}), nodes
 
-    def rec(lo):
-        nonlocal nodes
-        while lo < n and not free[lo]:
-            lo += 1
-        if lo == n:
-            leaf(partner)
-            return
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceededError(f"matching search exceeded {node_budget} nodes")
-        free[lo] = False
-        for w in nbr[lo]:
-            if free[w]:
-                free[w] = False
-                partner[lo], partner[w] = w, lo
-                rec(lo + 1)
-                free[w] = True
-        free[lo] = True
 
-    rec(0)
-    return nodes
-
-
-def enumerate_perfect_matchings(target, mode: str = "count",
-                                node_budget: int = 10 ** 9) -> MatchingReport:
-    """Exact backtracking count; classify mode also splits matchings of a CFI
-    graph into uniform (all projections 1) and non-uniform ones."""
-    cfi = target if isinstance(target, CFIGraph) else None
-    if mode == "classify" and cfi is None:
-        raise CircuitError("classify mode needs a CFI graph")
+def enumerate_perfect_matchings(cfi: CFIGraph, mode: str = "count") -> MatchingReport:
+    """Count the perfect matchings of a CFI graph and split them into uniform
+    ones (every projection 1) and non-uniform ones.  Both modes run the same
+    gadget contraction."""
+    if not isinstance(cfi, CFIGraph):
+        raise CircuitError("matching counts need a CFI graph")
     if mode not in ("count", "classify"):
         raise CircuitError(f"unknown mode {mode!r}")
-    g = cfi.graph if cfi else target
-    if mode == "count":
-        tick = itertools.count()
-        nodes = _search(g, node_budget, lambda _partner: next(tick))
-        return MatchingReport(next(tick), nodes)
-    verts = g.vertices
-    ends = [(v, i) for i, v in enumerate(verts) if v[0] == "e"]
-    hist = {}
-
-    def tally(partner):
-        proj = _matching_projections(cfi, {v: verts[partner[i]] for v, i in ends})
-        key = [0, 0, 0]
-        for p in proj.values():
-            key[p] += 1
-        key = tuple(key)
-        hist[key] = hist.get(key, 0) + 1
-
-    nodes = _search(g, node_budget, tally)
-    count = sum(hist.values())
-    uniform = hist.get((0, 3 * len(cfi.base.vertices), 0), 0)
+    poly, nodes = _contract(cfi)
+    pairs = 2 * len(cfi.base.edges)
+    hist = {(j, pairs - 2 * j, j): c for j, c in sorted(poly.items())}
+    count = sum(poly.values())
+    uniform = poly.get(0, 0)
     return MatchingReport(count, nodes, uniform, count - uniform, hist)
-
-
-def all_perfect_matchings(g: Graph) -> list:
-    """Every perfect matching as a frozenset of edges; for small graphs."""
-    verts = g.vertices
-    out = []
-
-    def collect(partner):
-        # vertices are sorted and every edge is stored as (smaller, larger)
-        out.append(frozenset((verts[i], verts[j])
-                             for i, j in enumerate(partner) if i < j))
-
-    _search(g, inf, collect)
-    return out
 
 
 def bipartition(g: Graph):
@@ -365,8 +346,8 @@ def _gadget_graph(bits) -> Graph:
 
 
 def _bijection_matchings(g: Graph) -> set:
-    """Perfect matchings of a gadget graph found without the search: the
-    graph is bipartite with the inner vertices on one side, so they are the
+    """Perfect matchings of a gadget graph, listed directly: the graph is
+    bipartite with the inner vertices on one side, so they are the
     bijections from the other side onto the inner vertices that use only
     edges."""
     inner = [v for v in g.vertices if v[0] == "i"]
@@ -391,15 +372,15 @@ class GadgetReport:
 
 
 def gadget_matchings_check() -> GadgetReport:
-    """Count the perfect matchings of all eight gadget graphs with the search
-    and compare them with the bijection rule of _bijection_matchings."""
+    """Count the perfect matchings of all eight gadget graphs by the
+    permanent and compare them with the bijection rule of
+    _bijection_matchings."""
     counts = {}
     agree = {}
     for bits in itertools.product((0, 1), repeat=3):
         g = _gadget_graph(bits)
-        found = all_perfect_matchings(g)
-        counts[bits] = len(found)
-        agree[bits] = set(found) == _bijection_matchings(g)
+        counts[bits] = matching_count_via_permanent(g)
+        agree[bits] = counts[bits] == len(_bijection_matchings(g))
     parity_ok = all(c == (4 if sum(bits) % 2 == 0 else 2)
                     for bits, c in counts.items())
     return GadgetReport(counts[(0, 0, 0)], counts[(0, 0, 1)], agree[(0, 0, 0)],
@@ -416,7 +397,7 @@ class ExperimentReport:
     formula_uniform_x: int
     formula_uniform_y: int
     expected_diff: int
-    enumerated: bool
+    enumerated: bool  # False only when the contraction overran its budget
     count_x: int | None = None
     count_y: int | None = None
     uniform_x: int | None = None
@@ -432,9 +413,7 @@ class ExperimentReport:
         return all(self.checks.values())
 
 
-def matching_experiment(g: Graph, k_list=(1, 2), p_list=(2, 3, 5),
-                        node_budget: int = 10 ** 9,
-                        run_enumeration: bool = True) -> ExperimentReport:
+def matching_experiment(g: Graph, k_list=(1, 2), p_list=(2, 3, 5)) -> ExperimentReport:
     """Build X(G) and ~X(G), count and classify their matchings, and check
     every finite claim: uniform counts match the formula, non-uniform counts
     agree, the total gap is 2^{3n+1} for |V| = 2n, modular separations hold,
@@ -447,13 +426,12 @@ def matching_experiment(g: Graph, k_list=(1, 2), p_list=(2, 3, 5),
     expected = 2 ** (3 * (nv // 2) + 1)
     rep = ExperimentReport(g.name or "?", fx, fy, expected, False)
     rep.checks["formula_diff_is_power"] = abs(fx - fy) == expected
-    if run_enumeration:
-        try:
-            rx = enumerate_perfect_matchings(x, "classify", node_budget)
-            ry = enumerate_perfect_matchings(y, "classify", node_budget)
-            rep.enumerated = True
-        except BudgetExceededError:
-            rep.enumerated = False
+    try:
+        rx = enumerate_perfect_matchings(x)
+        ry = enumerate_perfect_matchings(y)
+        rep.enumerated = True
+    except BudgetExceededError:
+        pass
     if rep.enumerated:
         rep.count_x, rep.count_y = rx.count, ry.count
         rep.uniform_x, rep.uniform_y = rx.uniform, ry.uniform

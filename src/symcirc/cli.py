@@ -262,13 +262,13 @@ def _cmd_cfi_build(args) -> int:
 def _cmd_cfi_count(args) -> int:
     g = _load_graph(args.graph)
     x = build_cfi(g, twisted=args.twisted, special=args.special)
-    rep = enumerate_perfect_matchings(x, "classify", args.budget)
+    rep = enumerate_perfect_matchings(x)
     formula = uniform_count_formula(g, args.twisted)
     _note(f"{rep.count} perfect matchings ({rep.uniform} uniform)")
     _emit({"command": "cfi-count", "graph": args.graph, "twisted": args.twisted,
            "count": rep.count, "uniform": rep.uniform, "nonuniform": rep.nonuniform,
            "formula_uniform": formula, "uniform_matches_formula": rep.uniform == formula,
-           "search_nodes": rep.nodes})
+           "nodes": rep.nodes})
     return 0 if rep.uniform == formula else 1
 
 
@@ -276,8 +276,7 @@ def _cmd_cfi_experiment(args) -> int:
     g = _load_graph(args.graph)
     k_list = [int(t) for t in args.wl.split(",")] if args.wl else []
     p_list = [int(t) for t in args.mod.split(",")] if args.mod else []
-    rep = matching_experiment(g, k_list, p_list, args.budget,
-                              run_enumeration=not args.no_enumerate)
+    rep = matching_experiment(g, k_list, p_list)
     _note(f"experiment on {rep.base}: "
           f"{'all checks passed' if rep.passed() else 'CHECKS FAILED'}")
     _emit({"command": "cfi-experiment", "graph": args.graph,
@@ -387,15 +386,11 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--graph", required=True)
     c.add_argument("--twisted", action="store_true")
     c.add_argument("--special", type=int)
-    c.add_argument("--budget", type=int, default=10 ** 9)
     c.set_defaults(func=_cmd_cfi_count)
     e = csub.add_parser("experiment", help="full twisted/untwisted comparison")
     e.add_argument("--graph", required=True)
     e.add_argument("--wl", default="1,2", help="comma list of WL dimensions")
     e.add_argument("--mod", default="2,3,5", help="comma list of moduli")
-    e.add_argument("--budget", type=int, default=10 ** 9)
-    e.add_argument("--no-enumerate", action="store_true",
-                   help="skip enumeration, report formula values only")
     e.set_defaults(func=_cmd_cfi_experiment)
     k = csub.add_parser("check", help="validate a base graph")
     k.add_argument("--graph", required=True)

@@ -94,6 +94,18 @@ class FieldValue:
     num: int
     den: int = 1
 
+    # Hash on (num, den) alone: the generated hash would rebuild a tuple
+    # holding the Field on every call.  Equal values of different fields
+    # share a hash but stay unequal.
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FieldValue):
+            return NotImplemented
+        return (self.num == other.num and self.den == other.den
+                and (self.field is other.field or self.field == other.field))
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
     def _check(self, other: "FieldValue"):
         if not isinstance(other, FieldValue):
             raise TypeError(f"expected FieldValue, got {other!r}")

@@ -99,8 +99,3 @@ def wl_equivalent(g1: Graph, g2: Graph, k: int, budget: int = 10 ** 6) -> WLRepo
         if Counter(col[:cut]) != Counter(col[cut:]):
             return WLReport(False, rnd, tuple(counts), rnd)
     return WLReport(True, len(counts), tuple(counts), None)
-
-
-def wl_distinguishing_round(g1: Graph, g2: Graph, k: int,
-                            budget: int = 10 ** 6) -> int | None:
-    return wl_equivalent(g1, g2, k, budget).distinguishing_round

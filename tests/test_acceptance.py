@@ -1,8 +1,9 @@
 """End-to-end acceptance checks, one test per shipped guarantee.
 
-Every check here runs exact arithmetic; there are no tolerances.  The large
-complete-bipartite matching enumeration is opt-in via SYMCIRC_K33=1 because
-it runs far longer than the rest of the suite combined.
+Every check here runs exact arithmetic; there are no tolerances.  Comparing
+the matching contraction with the backtracking oracle on the K3,3 pair is
+opt-in via SYMCIRC_K33=1 because the oracle runs far longer than the rest of
+the suite combined.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from math import comb
 
 import pytest
 
+import matching_oracle
 from symcirc import (
     GF,
     QQ,
@@ -310,29 +312,31 @@ def test_12_asymptotics_out_of_scope():
 
 
 @pytest.mark.skipif(not os.environ.get("SYMCIRC_K33"),
-                    reason="long-running enumeration; set SYMCIRC_K33=1 to run")
+                    reason="long-running oracle search; set SYMCIRC_K33=1 to run")
 def test_k33_matching_counts_stretch():
-    """Full matching classification over the 48-vertex bipartite CFI pair."""
+    """The contraction against the backtracking oracle on the 48-vertex
+    bipartite CFI pair."""
     g = complete_bipartite(3, 3, name="K33")
-    assert uniform_count_formula(g, False) == 372736
-    assert uniform_count_formula(g, True) == 373760
-    x = build_cfi(g)
-    y = build_cfi(g, twisted=True)
-    rx = enumerate_perfect_matchings(x, mode="classify", node_budget=10 ** 10)
-    ry = enumerate_perfect_matchings(y, mode="classify", node_budget=10 ** 10)
-    assert rx.uniform == 372736
-    assert ry.uniform == 373760
-    assert rx.nonuniform == ry.nonuniform
-    assert ry.count - rx.count == 1024
-    print("PASS K33 stretch: counts differ by 1024 with matching formulas")
+    for twisted in (False, True):
+        x = build_cfi(g, twisted=twisted)
+        got = enumerate_perfect_matchings(x, mode="classify")
+        want = matching_oracle.classify(x)
+        assert (got.count, got.uniform, got.histogram) == (
+            want.count, want.uniform, want.histogram)
+        assert got.uniform == uniform_count_formula(g, twisted)
+    print("PASS K33 stretch: contraction equals the search on both graphs")
 
 
 def test_k33_formulas_always():
-    """The closed-form uniform counts for the odd-edge-count base graph."""
+    """The closed-form uniform counts for the odd-edge-count base graph, and
+    the full experiment on it."""
     g = complete_bipartite(3, 3, name="K33")
     assert uniform_count_formula(g, False) == 372736
     assert uniform_count_formula(g, True) == 373760
     assert uniform_count_formula(g, True) - uniform_count_formula(g, False) == 4 ** 5
-    rep = matching_experiment(g, k_list=(), p_list=(), run_enumeration=False)
+    rep = matching_experiment(g, k_list=(), p_list=())
     assert rep.expected_diff == 1024
+    assert rep.enumerated
+    assert (rep.count_x, rep.count_y) == (2093056, 2094080)
+    assert rep.nonuniform_x == rep.nonuniform_y
     assert rep.passed()

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 from math import comb
 
 import pytest
 
+import matching_oracle as oracle
 from symcirc import (
     BudgetExceededError,
     CircuitError,
-    all_perfect_matchings,
     bipartition,
     build_cfi,
+    cfi,
     check_base_graph,
     complete_bipartite,
     complete_graph,
@@ -104,26 +106,31 @@ def test_path_flip_rejects_bad_paths():
 
 
 def test_matching_counts_small_graphs():
-    assert enumerate_perfect_matchings(cycle_graph(4)).count == 2
-    assert enumerate_perfect_matchings(cycle_graph(6)).count == 2
-    assert enumerate_perfect_matchings(complete_graph(4)).count == 3
-    assert enumerate_perfect_matchings(complete_bipartite(3, 3)).count == 6
-    assert enumerate_perfect_matchings(path_graph(3)).count == 0
+    # plain graphs have no gadgets to contract, so only the oracle counts them
+    assert oracle.count_matchings(cycle_graph(4)) == 2
+    assert oracle.count_matchings(cycle_graph(6)) == 2
+    assert oracle.count_matchings(complete_graph(4)) == 3
+    assert oracle.count_matchings(complete_bipartite(3, 3)) == 6
+    assert oracle.count_matchings(path_graph(3)) == 0
 
 
 def test_matching_enumeration_routes_agree():
     for g in (cycle_graph(4), cycle_graph(6), complete_graph(4),
               complete_bipartite(3, 3)):
-        listed = all_perfect_matchings(g)
-        assert len(listed) == enumerate_perfect_matchings(g).count
+        listed = oracle.all_perfect_matchings(g)
+        assert len(listed) == oracle.count_matchings(g)
         for m in listed:
             covered = sorted(v for e in m for v in e)
             assert covered == list(g.vertices)
+    # the search and the bijection rule list the same matchings of every gadget
+    for bits in itertools.product((0, 1), repeat=3):
+        g = cfi._gadget_graph(bits)
+        assert set(oracle.all_perfect_matchings(g)) == cfi._bijection_matchings(g)
 
 
 def test_matching_count_via_permanent_agrees():
     for g in (cycle_graph(4), cycle_graph(6), complete_bipartite(3, 3)):
-        assert matching_count_via_permanent(g) == enumerate_perfect_matchings(g).count
+        assert matching_count_via_permanent(g) == oracle.count_matchings(g)
     with pytest.raises(CircuitError):
         matching_count_via_permanent(complete_graph(4))
     with pytest.raises(BudgetExceededError):
@@ -140,9 +147,10 @@ def test_bipartition():
 def test_classify_x_k4():
     x = build_cfi(k4())
     rep = enumerate_perfect_matchings(x, mode="classify")
+    assert enumerate_perfect_matchings(x, mode="count") == rep
     assert rep.count == 23680
     assert rep.uniform == 5248
-    assert rep.nodes == 708501
+    assert rep.nodes == 244
     assert rep.nonuniform == 18432
     assert rep.uniform + rep.nonuniform == rep.count
     assert sum(rep.histogram.values()) == rep.count
@@ -154,19 +162,38 @@ def test_classify_twisted_k4():
     y = build_cfi(k4(), twisted=True)
     rep = enumerate_perfect_matchings(y, mode="classify")
     assert (rep.count, rep.uniform, rep.nonuniform) == (23552, 5120, 18432)
-    assert rep.nodes == 708501
+    assert rep.nodes == 244
     assert sum(rep.histogram.values()) == rep.count
 
 
 def test_classify_requires_cfi():
+    for mode in ("count", "classify"):
+        with pytest.raises(CircuitError):
+            enumerate_perfect_matchings(cycle_graph(4), mode=mode)
     with pytest.raises(CircuitError):
-        enumerate_perfect_matchings(cycle_graph(4), mode="classify")
+        enumerate_perfect_matchings(build_cfi(k4()), mode="list")
 
 
-def test_matching_budget():
-    x = build_cfi(k4())
+def test_matching_budget(monkeypatch):
+    monkeypatch.setattr(cfi, "_FRONTIER_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
-        enumerate_perfect_matchings(x, node_budget=1000)
+        enumerate_perfect_matchings(build_cfi(k4()))
+
+
+@pytest.mark.parametrize("g, count_x, count_y, nodes", [
+    (complete_bipartite(3, 3, name="K33"), 2093056, 2094080, 928),
+    (petersen_graph(), 16531062784, 16531128320, 5748),
+])
+def test_cfi_pairs_beyond_k4(g, count_x, count_y, nodes):
+    rx = enumerate_perfect_matchings(build_cfi(g))
+    ry = enumerate_perfect_matchings(build_cfi(g, twisted=True))
+    assert (rx.count, ry.count) == (count_x, count_y)
+    assert rx.nodes == ry.nodes == nodes
+    assert abs(rx.count - ry.count) == 2 ** (3 * len(g.vertices) // 2 + 1)
+    assert rx.uniform == uniform_count_formula(g, False)
+    assert ry.uniform == uniform_count_formula(g, True)
+    assert rx.nonuniform == ry.nonuniform
+    assert sum(rx.histogram.values()) == rx.count
 
 
 def test_orientation_census_k4():
@@ -244,11 +271,14 @@ def test_gadget_matchings():
         assert count == want
 
 
-def test_matching_experiment_formula_only():
-    rep = matching_experiment(k4(), run_enumeration=False)
+def test_matching_experiment_formula_only(monkeypatch):
+    # a contraction over its budget leaves only the formula checks
+    monkeypatch.setattr(cfi, "_FRONTIER_BUDGET", 10)
+    rep = matching_experiment(k4(), k_list=())
     assert not rep.enumerated
+    assert rep.count_x is None
     assert rep.formula_uniform_x == 5248
     assert rep.formula_uniform_y == 5120
     assert rep.expected_diff == 128
-    assert rep.checks["formula_diff_is_power"]
+    assert rep.checks == {"formula_diff_is_power": True}
     assert rep.passed()

@@ -14,6 +14,7 @@ from symcirc import (
     QQ,
     Circuit,
     CircuitBuilder,
+    cfi,
     const,
     deserialize,
     input_label,
@@ -238,6 +239,7 @@ def test_cfi_count(capsys):
     assert rep["count"] == 23680
     assert rep["uniform"] == 5248
     assert rep["uniform_matches_formula"] is True
+    assert rep["nodes"] == 244
 
     code, rep, _ = invoke(capsys, "cfi", "count", "--graph", "k4", "--twisted")
     assert code == 0
@@ -245,13 +247,39 @@ def test_cfi_count(capsys):
     assert rep["uniform"] == 5120
 
 
-def test_cfi_experiment_formula_only(capsys):
+def test_cfi_experiment_formula_only(capsys, monkeypatch):
+    # a contraction over its budget reports the formula values only
+    monkeypatch.setattr(cfi, "_FRONTIER_BUDGET", 10)
     code, rep, _ = invoke(capsys, "cfi", "experiment", "--graph", "k4",
-                          "--no-enumerate", "--wl", "1", "--mod", "")
+                          "--wl", "1", "--mod", "")
     assert code == 0
     assert rep["passed"] is True
     assert rep["enumerated"] is False
     assert rep["expected_diff"] == 128
+
+
+def test_cfi_experiment_petersen(capsys):
+    code, rep, _ = invoke(capsys, "cfi", "experiment", "--graph", "petersen",
+                          "--wl", "1", "--mod", "2,3")
+    assert code == 0
+    assert rep["passed"] is True
+    assert rep["enumerated"] is True
+    assert (rep["count_x"], rep["count_y"]) == (16531062784, 16531128320)
+    assert (rep["uniform_x"], rep["uniform_y"]) == (1934884864, 1934950400)
+    assert rep["nonuniform_x"] == rep["nonuniform_y"]
+    assert rep["expected_diff"] == 2 ** 16
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--graph", "k4", "--budget", "1000"],
+    ["experiment", "--graph", "k4", "--budget", "1000"],
+    ["experiment", "--graph", "k4", "--no-enumerate"],
+])
+def test_cfi_removed_flags_exit_2(capsys, argv):
+    code, rep, err = invoke(capsys, "cfi", *argv)
+    assert code == 2
+    assert rep is None
+    assert "unrecognized arguments" in err
 
 
 def test_wl_command(tmp_path, capsys):

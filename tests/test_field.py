@@ -111,3 +111,14 @@ def test_sort_key_orders_values():
 def test_hashable_and_usable_in_sets():
     seen = {QQ.of(1), QQ.of("2/2"), QQ.of(2)}
     assert len(seen) == 2
+
+
+def test_equal_values_of_different_fields_stay_apart():
+    three_f5, three_q = GF(5).of(3), QQ.of(3)
+    assert hash(three_f5) == hash(three_q)
+    assert three_f5 != three_q
+    assert three_f5 == GF(5).of(8)
+    assert three_f5 != 3
+    seen = {three_f5, three_q, GF(5).of(8), QQ.of("6/2"), GF(7).of(3)}
+    assert seen == {three_f5, three_q, GF(7).of(3)}
+    assert len(seen) == 3

@@ -15,7 +15,6 @@ from symcirc import (
     cycle_graph,
     path_graph,
     petersen_graph,
-    wl_distinguishing_round,
     wl_equivalent,
 )
 
@@ -96,9 +95,9 @@ def test_hierarchy_on_sample_pairs():
 def test_distinguishing_round_helper():
     c6 = cycle_graph(6)
     cc = cycle_graph(3).disjoint_union(cycle_graph(3))
-    assert wl_distinguishing_round(c6, cc, 2) == 1
-    assert wl_distinguishing_round(c6, cc, 1) is None
-    assert wl_distinguishing_round(complete_graph(3), path_graph(3), 1) == 0
+    assert wl_equivalent(c6, cc, 2).distinguishing_round == 1
+    assert wl_equivalent(c6, cc, 1).distinguishing_round is None
+    assert wl_equivalent(complete_graph(3), path_graph(3), 1).distinguishing_round == 0
 
 
 def test_relabeling_does_not_change_verdict():
