@@ -23,6 +23,7 @@ independently.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, CircuitError
@@ -66,8 +67,8 @@ def build_cfi(g: Graph, twisted: bool = False, special=None) -> CFIGraph:
         special = g.vertices[0] if special is None else special
         if special not in g.vertices:
             raise CircuitError(f"special vertex {special!r} not in base graph")
-    else:
-        special = None
+    elif special is not None:
+        raise CircuitError("a special vertex needs the twisted variant")
     verts = []
     edges = []
     for e in g.edges:
@@ -255,30 +256,26 @@ def matching_count_via_permanent(g: Graph) -> int:
         return 1
     if n > 22:
         raise BudgetExceededError(f"permanent summation infeasible for n = {n}")
-    cols = {v: j for j, v in enumerate(right)}
-    rows = [[0] * n for _ in range(n)]
+    rows_of = {v: [] for v in right}   # column -> the rows with a 1 in it
     for i, u in enumerate(left):
         for w in g.adj(u):
-            rows[i][cols[w]] = 1
+            rows_of[w].append(i)
+    col_rows = [rows_of[v] for v in right]
     total = 0
     sums = [0] * n
-    prev = 0
+    sign = -1 if n % 2 else 1   # (-1)^(n - |S|), S the columns in Gray code s
     for s in range(1, 1 << n):
-        gray = s ^ (s >> 1)
-        j = (gray ^ prev).bit_length() - 1
-        sign_flip = 1 if gray & (1 << j) else -1
-        for i in range(n):
-            sums[i] += sign_flip * rows[i][j]
-        prev = gray
+        j = (s & -s).bit_length() - 1   # Gray codes s - 1 and s differ in column j
+        step = 1 if (s ^ s >> 1) >> j & 1 else -1
+        for i in col_rows[j]:
+            sums[i] += step
+        sign = -sign
         prod = 1
         for x in sums:
             prod *= x
             if prod == 0:
                 break
-        if bin(gray).count("1") % 2 == n % 2:
-            total += prod
-        else:
-            total -= prod
+        total += sign * prod
     return total
 
 
@@ -303,10 +300,22 @@ def enumerate_orientations(g: Graph):
 
 
 def orientation_odd_set_census(g: Graph) -> dict:
-    census = {}
-    for _o, odd in enumerate_orientations(g):
-        census[odd] = census.get(odd, 0) + 1
-    return census
+    """Number of orientations per odd in-degree vertex set.  One Gray-code
+    sweep over the orientations keeps the odd set as a vertex bitmask:
+    reversing edge uv flips the in-degree parity of u and of v."""
+    m = len(g.edges)
+    if m > 24:
+        raise BudgetExceededError(f"2^{m} orientations exceed the budget")
+    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    flips = [bit[u] ^ bit[v] for u, v in g.edges]
+    odd = 0
+    for _u, v in g.edges:   # every edge u -> v, as in enumerate_orientations
+        odd ^= bit[v]
+    masks = Counter([odd])
+    for s in range(1, 1 << m):
+        odd ^= flips[(s & -s).bit_length() - 1]
+        masks[odd] += 1
+    return {frozenset(v for v in g.vertices if mask & bit[v]): k for mask, k in masks.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ circuits it builds are rigid: no two gates share a label and children.
 
 Two evaluation semantics share the representation: exact field evaluation
 (input/const/add/mul) and Boolean evaluation (input, 0/1 constants, and/or/not,
-thresholds, and the partition-counting gates used by the lowering).  Boolean
-evaluation is bit-sliced: one int per gate carries its value on many
-assignments at once.
+thresholds, and the partition-counting gates used by the lowering).  Both
+evaluate many assignments (lanes) at once, with ints as lane masks: a
+Boolean gate's value is one mask, an arithmetic gate's a map from each
+value it takes to the mask of lanes where it takes it.
 """
 
 from __future__ import annotations
@@ -292,48 +293,67 @@ def validate(circuit: Circuit) -> list:
     return probs
 
 
-def _require_valid_for_eval(circuit: Circuit):
-    # evaluation only needs acyclicity; topo_order raises with a clear message
-    circuit.topo_order()
+def arith_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
+    """Exact values of every gate over width lanes at once, each gate's as
+    {value: lane mask}: bit j of a mask is set iff the gate takes that value
+    on lane j.  Empty masks are dropped.
 
-
-def arith_gate_values(circuit: Circuit, assignment: dict) -> dict:
-    """Exact value of every gate under a variable assignment."""
-    _require_valid_for_eval(circuit)
+    lanes maps each variable to its own {value: mask}.  An add or mul gate
+    folds its children from the first child's map, one child at a time,
+    giving combine(a, b) the lanes where both a and b hold.  When every lane
+    of a variable holds exactly one value, that is plain evaluation on each
+    lane; a variable holding several values on one lane yields, on that
+    lane, every value any choice of them gives (Minkowski sums and product
+    sets).
+    """
     fld = circuit.field
-    zero, one = fld.zero(), fld.one()
+    full = (1 << width) - 1
     vals = {}
     for g in circuit.topo_order():
         lab = circuit.gates[g]
-        if lab.kind == "input":
+        kind = lab.kind
+        if kind == "add" or kind == "mul":
+            ws = circuit.wires[g]
+            combine = operator.add if kind == "add" else operator.mul
+            acc = vals[ws[0][0]] if ws else {fld.zero() if kind == "add" else fld.one(): full}
+            for c, _t in ws[1:]:
+                kid = vals[c]
+                nxt = {}
+                for a, ma in acc.items():
+                    for b, mb in kid.items():
+                        m = ma & mb
+                        if m:
+                            s = combine(a, b)
+                            nxt[s] = nxt[s] | m if s in nxt else m
+                acc = nxt
+        elif kind == "input":
             try:
-                v = assignment[lab.var]
+                given = lanes[lab.var]
             except KeyError:
                 raise CircuitError(f"missing variable {lab.var!r}") from None
-            if not isinstance(v, FieldValue) or v.field != fld:
-                raise FieldMismatchError(f"assignment for {lab.var!r} is not in {fld.name()}")
-            vals[g] = v
-        elif lab.kind == "const":
+            acc = {}
+            for v, m in given.items():
+                if not isinstance(v, FieldValue) or v.field != fld:
+                    raise FieldMismatchError(f"assignment for {lab.var!r} is not in {fld.name()}")
+                if m:
+                    acc[v] = m
+        elif kind == "const":
             if lab.value.field != fld:
                 raise FieldMismatchError(f"gate {g}: constant outside {fld.name()}")
-            vals[g] = lab.value
-        elif lab.kind == "add":
-            acc = zero
-            for c, _t in circuit.wires[g]:
-                acc = acc + vals[c]
-            vals[g] = acc
-        elif lab.kind == "mul":
-            acc = one
-            for c, _t in circuit.wires[g]:
-                acc = acc * vals[c]
-            vals[g] = acc
+            acc = {lab.value: full}
         else:
-            raise CircuitError(f"gate {g}: label {lab.kind!r} is not arithmetic")
+            raise CircuitError(f"gate {g}: label {kind!r} is not arithmetic")
+        vals[g] = acc
     return vals
 
 
 def evaluate_arith(circuit: Circuit, assignment: dict) -> FieldValue:
-    return arith_gate_values(circuit, assignment)[circuit.output]
+    """Exact value of the output under a variable assignment."""
+    # None stands for a value that is no field element (it may be unhashable);
+    # arith_lane_values rejects it once an input reads it
+    lanes = {v: {x if isinstance(x, FieldValue) else None: 1} for v, x in assignment.items()}
+    [value] = arith_lane_values(circuit, lanes, 1)[circuit.output]
+    return value
 
 
 def partition_rule(kind: str, fld: Field):
@@ -402,7 +422,6 @@ def bool_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
     partition gate keeps one counter per part and applies partition_hits
     once per count vector that occurs in some lane.
     """
-    _require_valid_for_eval(circuit)
     full = (1 << width) - 1
     vals = {}
     for g in circuit.topo_order():

@@ -22,12 +22,12 @@ orbit_preservation_check extends each source witness's variable
 permutation to each stage with find_extension: a stage is symmetric under
 the source's group exactly when every such extension exists.
 
-verify_lowering checks either step exhaustively on every 0-1 assignment.
-It evaluates the Boolean circuit bit-sliced, each gate's values over a block
-of up to 2^12 assignments held as the bits of one int, and compares them
-with the arithmetic circuit's exact outputs.  Those come from the one exact
-enumeration of the source, which also gives exact value sets and is cached
-on the circuit.
+One driver, _blocks, runs over every 0-1 assignment of the source in
+blocks of up to 2^12, each assignment one lane of an int, and evaluates the
+source exactly on each block with arith_lane_values.  Exact value sets
+collect its values; verify_lowering checks either step exhaustively by
+evaluating the Boolean circuit bit-sliced on the same lanes and comparing
+its output with the lanes where the source lands in the accepting set.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .circuit import (
     Circuit,
     CircuitBuilder,
     GateLabel,
-    arith_gate_values,
+    arith_lane_values,
     bool_lane_values,
     const,
     input_label,
@@ -57,7 +57,7 @@ from .errors import BudgetExceededError, CircuitError
 from .symmetry import Witness, find_extension, orbits
 
 _LADDER_BUDGET = 2 * 10 ** 5   # AND gates in all ladders of one expansion
-_BLOCK_BITS = 12   # verify_lowering evaluates up to 2^12 assignments at once
+_BLOCK_BITS = 12   # _blocks evaluates up to 2^12 assignments at once
 
 
 def _sorted_vals(vals) -> tuple:
@@ -76,65 +76,58 @@ def _require_arith(circuit: Circuit):
             raise CircuitError(f"gate {g}: cannot lower label {lab!r}")
 
 
-def _input_variables(circuit: Circuit, max_inputs: int) -> list:
-    """The variables the circuit's input gates read, sorted."""
+def _lane_pattern(s: int, bits: int) -> int:
+    """Lanes 0..2^bits-1 whose index has bit s set, as one int."""
+    run = 1 << s
+    return int(("1" * run + "0" * run) * ((1 << bits) // (2 * run)), 2)
+
+
+def _blocks(circuit: Circuit, max_inputs: int):
+    """Every 0-1 assignment of the variables the input gates read, sorted,
+    in blocks of up to 2^_BLOCK_BITS lanes.  Yields (lanes, width, values)
+    per block: lanes maps each variable to its 0/1 lane int, values is
+    arith_lane_values on the block.  Lane j of block b is assignment
+    b * width + j in itertools.product order (the last variable changes
+    fastest), so only the slowest variables are constant in a block."""
     variables = sorted({lab.var for lab in circuit.gates.values() if lab.kind == "input"})
     if len(variables) > max_inputs:
         raise BudgetExceededError(f"{len(variables)} inputs exceed budget {max_inputs}")
-    return variables
-
-
-def _exact_runs(circuit: Circuit, variables: list) -> tuple:
-    """(value sets, outputs) over every 0-1 assignment of variables, taken
-    in itertools.product order (the last variable changes fastest): each
-    gate's sorted exact values, and the output's value on each assignment.
-    The enumeration runs once per circuit; the result is cached on it."""
-    runs = getattr(circuit, "_exact_runs", None)
-    if runs is None:
-        fld = circuit.field
-        seen = {g: set() for g in circuit.gates}
-        outputs = []
-        for bits in itertools.product((fld.zero(), fld.one()), repeat=len(variables)):
-            vals = arith_gate_values(circuit, dict(zip(variables, bits)))
-            for g, val in vals.items():
-                seen[g].add(val)
-            outputs.append(vals[circuit.output])
-        runs = circuit._exact_runs = ({g: _sorted_vals(vs) for g, vs in seen.items()},
-                                      tuple(outputs))
-    return runs
+    low = min(len(variables), _BLOCK_BITS)
+    width = 1 << low
+    full = (1 << width) - 1
+    high = variables[:len(variables) - low]
+    sliced = {v: _lane_pattern(s, low) for s, v in enumerate(reversed(variables[len(high):]))}
+    zero, one = circuit.field.zero(), circuit.field.one()
+    for bits in itertools.product((0, full), repeat=len(high)):
+        lanes = dict(zip(high, bits)) | sliced
+        values = arith_lane_values(circuit, {v: {zero: full ^ m, one: m}
+                                             for v, m in lanes.items()}, width)
+        yield lanes, width, values
 
 
 def value_sets(circuit: Circuit, mode: str = "compositional", max_inputs: int = 20) -> ValueSetMap:
     """Per-gate candidate value sets over 0-1 assignments.
 
-    exact mode enumerates all assignments (the true Q_v); compositional mode
-    folds Minkowski sums / product sets over children, a superset that only
-    depends on the children's sets and is therefore symmetry-invariant.
+    exact mode collects the values of every block of assignments (the true
+    Q_v); compositional mode evaluates one lane on which every input is both
+    0 and 1, so each gate gets the Minkowski sums / product sets of its
+    children's sets, a superset that only depends on the children's sets
+    and is therefore symmetry-invariant.
     """
     _require_arith(circuit)
     fld = circuit.field
     if mode == "exact":
-        sets, _outputs = _exact_runs(circuit, _input_variables(circuit, max_inputs))
-        return ValueSetMap(dict(sets), exact=True)
+        seen = {g: set() for g in circuit.gates}
+        for _lanes, _width, values in _blocks(circuit, max_inputs):
+            for g, by_value in values.items():
+                seen[g].update(by_value)
+        return ValueSetMap({g: _sorted_vals(vs) for g, vs in seen.items()}, exact=True)
     if mode != "compositional":
         raise CircuitError(f"unknown value-set mode {mode!r}")
-    sets = {}
-    for g in circuit.topo_order():
-        lab = circuit.gates[g]
-        if lab.kind == "input":
-            sets[g] = _sorted_vals((fld.zero(), fld.one()))
-        elif lab.kind == "const":
-            sets[g] = (lab.value,)
-        else:
-            unit = fld.zero() if lab.kind == "add" else fld.one()
-            acc = {unit}
-            for c, _t in circuit.wires[g]:
-                if lab.kind == "add":
-                    acc = {a + b for a in acc for b in sets[c]}
-                else:
-                    acc = {a * b for a in acc for b in sets[c]}
-            sets[g] = _sorted_vals(acc)
-    return ValueSetMap(sets, exact=False)
+    both = {fld.zero(): 1, fld.one(): 1}
+    lanes = {lab.var: both for lab in circuit.gates.values() if lab.kind == "input"}
+    values = arith_lane_values(circuit, lanes, 1)
+    return ValueSetMap({g: _sorted_vals(vs) for g, vs in values.items()}, exact=False)
 
 
 @dataclass
@@ -296,36 +289,22 @@ def expand_to_threshold(lowered: PartitionCircuit) -> ExpandedCircuit:
 # Checks
 
 
-def _lane_pattern(s: int, bits: int) -> int:
-    """Lanes 0..2^bits-1 whose index has bit s set, as one int."""
-    run = 1 << s
-    return int(("1" * run + "0" * run) * ((1 << bits) // (2 * run)), 2)
-
-
 def verify_lowering(circuit: Circuit, accept, lowered_circuit: Circuit,
                     max_inputs: int = 20) -> bool:
     """True iff on every 0-1 assignment the Boolean circuit accepts exactly
     when the arithmetic circuit evaluates into accept.
 
-    The Boolean circuit is evaluated bit-sliced over blocks of up to
-    2^_BLOCK_BITS assignments: the fastest-changing variables of the 0-1
-    driver's order are spread over the lanes, the others are constant in a
-    block.  The expected accept mask, bit j for the driver's j-th run, is
-    read off the source's cached exact outputs.
+    Both circuits are evaluated on the same blocks of assignments (_blocks):
+    a block's expected accept mask is the OR of the source output's lane
+    masks at accepted values, and the Boolean output's lanes must equal it.
     """
     _require_arith(circuit)
     accept = frozenset(circuit.field.of(a) for a in accept)
-    variables = _input_variables(circuit, max_inputs)
-    low = min(len(variables), _BLOCK_BITS)
-    width = 1 << low
-    full = (1 << width) - 1
-    high = variables[:len(variables) - low]
-    sliced = {v: _lane_pattern(s, low) for s, v in enumerate(reversed(variables[len(high):]))}
-    _sets, outputs = _exact_runs(circuit, variables)
-    mask = int("".join("1" if val in accept else "0" for val in reversed(outputs)), 2)
-    for block, bits in enumerate(itertools.product((0, full), repeat=len(high))):
-        want = mask >> (block * width) & full
-        lanes = dict(zip(high, bits)) | sliced
+    for lanes, width, values in _blocks(circuit, max_inputs):
+        want = 0
+        for val, m in values[circuit.output].items():
+            if val in accept:
+                want |= m
         if bool_lane_values(lowered_circuit, lanes, width)[lowered_circuit.output] != want:
             return False
     return True

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import comb
 
 import pytest
@@ -74,6 +75,8 @@ def test_twist_changes_inner_parity():
     assert y3.special == 3
     with pytest.raises(CircuitError):
         build_cfi(k4(), twisted=True, special=9)
+    with pytest.raises(CircuitError, match="twisted"):
+        build_cfi(k4(), special=3)
 
 
 def test_twisted_not_equal_untwisted():
@@ -129,7 +132,7 @@ def test_matching_enumeration_routes_agree():
 
 
 def test_matching_count_via_permanent_agrees():
-    for g in (cycle_graph(4), cycle_graph(6), complete_bipartite(3, 3)):
+    for g in (path_graph(2), cycle_graph(4), cycle_graph(6), complete_bipartite(3, 3)):
         assert matching_count_via_permanent(g) == oracle.count_matchings(g)
     with pytest.raises(CircuitError):
         matching_count_via_permanent(complete_graph(4))
@@ -205,6 +208,12 @@ def test_orientation_census_k4():
     assert all(len(s) % 2 == 0 for s in census)
     assert all(c == 8 for c in census.values())
     assert sum(census.values()) == 64
+
+
+@pytest.mark.parametrize("g", [k4(), complete_bipartite(3, 3), petersen_graph(), cycle_graph(5)],
+                         ids=["K4", "K33", "petersen", "C5"])
+def test_orientation_census_counts_enumerated_odd_sets(g):
+    assert orientation_odd_set_census(g) == Counter(odd for _o, odd in enumerate_orientations(g))
 
 
 def test_orientation_odd_sets_match_indegrees():

@@ -31,7 +31,7 @@ from symcirc import (
     th_ge,
     validate,
 )
-from symcirc.errors import SchemaError
+from symcirc.errors import FieldMismatchError, SchemaError
 
 
 def build_xy_sum():
@@ -245,8 +245,18 @@ def test_bool_requires_binary_inputs():
 
 def test_validate_reports_missing_assignment_free():
     c = build_xy_sum()
-    with pytest.raises(CircuitError):
+    with pytest.raises(CircuitError, match="missing variable 'y'"):
         evaluate_arith(c, {"x": QQ.of(1)})
+    for bad in (GF(5).of(1), 1, [1]):
+        with pytest.raises(FieldMismatchError, match="assignment for 'y' is not in Q"):
+            evaluate_arith(c, {"x": QQ.of(1), "y": bad})
+    foreign = Circuit(QQ, [], {0: const(GF(5).of(2))}, {}, 0)
+    with pytest.raises(FieldMismatchError, match="gate 0: constant outside Q"):
+        evaluate_arith(foreign, {})
+    b = CircuitBuilder(QQ, ["p"])
+    c = b.build(b.add(AND, [b.add(input_label("p"))]))
+    with pytest.raises(CircuitError, match="gate 1: label 'and' is not arithmetic"):
+        evaluate_arith(c, {"p": QQ.of(1)})
 
 
 def test_size_stats():

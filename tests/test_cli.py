@@ -233,6 +233,15 @@ def test_cfi_build_and_check(tmp_path, capsys):
     assert rep["valid"] is False
 
 
+@pytest.mark.parametrize("sub", ["build", "count"])
+def test_cfi_special_without_twist_exit_2(tmp_path, capsys, sub):
+    out = ["--out", str(tmp_path / "x.graph")] if sub == "build" else []
+    code, rep, err = invoke(capsys, "cfi", sub, "--graph", "k4", "--special", "3", *out)
+    assert (code, rep) == (2, None)
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "x.graph").exists()
+
+
 def test_cfi_count(capsys):
     code, rep, _ = invoke(capsys, "cfi", "count", "--graph", "k4")
     assert code == 0

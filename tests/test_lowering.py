@@ -29,6 +29,7 @@ from symcirc import (
     gadget_for_partition_function,
     gadget_input_names,
     input_label,
+    leverrier_det_circuit,
     lower_to_partition_basis,
     orbit_preservation_check,
     ryser_perm_circuit,
@@ -78,6 +79,14 @@ def test_value_sets_exact_is_tighter():
     assert exact.exact
     assert [str(v) for v in exact.sets[c.output]] == ["0"]
     assert len(comp.sets[c.output]) > 1
+
+
+def test_value_sets_exact_det4_over_q():
+    # 16 inputs: 16 blocks of 2^12 assignments; 0-1 matrices of order 4
+    # have determinants -3..3
+    c = leverrier_det_circuit(4).circuit
+    vs = value_sets(c, "exact")
+    assert [str(v) for v in vs.sets[c.output]] == [str(k) for k in range(-3, 4)]
 
 
 def test_value_sets_exact_budget():
