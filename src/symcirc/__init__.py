@@ -22,9 +22,7 @@ from .circuit import (
     Circuit,
     CircuitBuilder,
     GateLabel,
-    compare_by_random_eval,
     const,
-    desugar_threshold_eq,
     deserialize,
     evaluate_arith,
     evaluate_bool,
@@ -36,7 +34,6 @@ from .circuit import (
     size_stats,
     th_eq,
     th_ge,
-    validate,
 )
 from .symmetry import (
     Matrix,

@@ -414,7 +414,7 @@ class ExperimentReport:
     nonuniform_x: int | None = None
     nonuniform_y: int | None = None
     permanent_checked: bool = False
-    mod: dict = field(default_factory=dict)     # p -> {"x": r, "y": r, "differ": bool}
+    mod: dict = field(default_factory=dict)     # q -> {"x": r, "y": r, "differ": bool}
     wl: dict = field(default_factory=dict)      # k -> equivalent
     checks: dict = field(default_factory=dict)  # name -> bool
 
@@ -425,8 +425,12 @@ class ExperimentReport:
 def matching_experiment(g: Graph, k_list=(1, 2), p_list=(2, 3, 5)) -> ExperimentReport:
     """Build X(G) and ~X(G), count and classify their matchings, and check
     every finite claim: uniform counts match the formula, non-uniform counts
-    agree, the total gap is 2^{3n+1} for |V| = 2n, modular separations hold,
-    and k-WL fails to distinguish the pair for the requested k."""
+    agree, the total gap is 2^{3n+1} for |V| = 2n, the counts agree modulo
+    each requested q >= 2 exactly when q divides that gap, and k-WL fails to
+    distinguish the pair for the requested k."""
+    for q in p_list:
+        if q < 2:
+            raise CircuitError(f"modulus {q} is below 2")
     x = build_cfi(g, twisted=False)
     y = build_cfi(g, twisted=True)
     fx = uniform_count_formula(g, False)
@@ -457,13 +461,14 @@ def matching_experiment(g: Graph, k_list=(1, 2), p_list=(2, 3, 5)) -> Experiment
             rep.checks["permanent_matches_x"] = px == rx.count
             rep.checks["permanent_matches_y"] = py == ry.count
             rep.permanent_checked = True
-        for p in p_list:
-            mx, my = rx.count % p, ry.count % p
-            rep.mod[p] = {"x": mx, "y": my, "differ": mx != my}
-            if p == 2:
-                rep.checks["counts_agree_mod_2"] = mx == my
+        for q in p_list:
+            mx, my = rx.count % q, ry.count % q
+            rep.mod[q] = {"x": mx, "y": my, "differ": mx != my}
+            # the counts differ by the gap, so they agree mod q iff q divides it
+            if expected % q == 0:
+                rep.checks[f"counts_agree_mod_{q}"] = mx == my
             else:
-                rep.checks[f"counts_differ_mod_{p}"] = mx != my
+                rep.checks[f"counts_differ_mod_{q}"] = mx != my
     for k in k_list:
         verdict = wl_equivalent(x.graph, y.graph, k)
         rep.wl[k] = verdict.equivalent

@@ -4,8 +4,14 @@ A circuit is a labelled DAG with unbounded fan-in and a single designated
 output gate.  Wires are sorted multisets of (child, tag) pairs: a child
 listed twice counts twice, so x*x is one mul gate reading x twice.  Tags are
 only meaningful on the partition-counting labels; everywhere else they must
-be absent.  CircuitBuilder hash-conses gates on (label, children), so the
-circuits it builds are rigid: no two gates share a label and children.
+be absent.  A Circuit is well-formed by construction: its constructor
+checks every structural rule (children are gates, no cycle, known labels of
+the right fan-in, declared variables, field elements in the circuit's
+field, tags only where a label has parts) and raises CircuitError naming
+the gate that breaks one, so no other code handles a malformed circuit.
+CircuitBuilder hash-conses gates on (label, children), so the circuits it
+builds are rigid: no two gates share a label and children.  Rigidity is not
+a rule of the representation; the symmetry routines require it.
 
 Two evaluation semantics share the representation: exact field evaluation
 (input/const/add/mul) and Boolean evaluation (input, 0/1 constants, and/or/not,
@@ -20,11 +26,10 @@ from __future__ import annotations
 import heapq
 import json
 import operator
-import random
 from dataclasses import dataclass
 
 from .errors import CircuitError, FieldMismatchError, SchemaError
-from .field import QQ, Field, FieldValue
+from .field import Field, FieldValue
 
 _ARITH_KINDS = {"input", "const", "add", "mul"}
 _BOOL_KINDS = {"input", "const", "and", "or", "not", "th_ge", "th_eq", "psum", "pprod"}
@@ -108,52 +113,71 @@ def _wire_tuple(children) -> tuple:
 
 
 class Circuit:
-    """Immutable labelled DAG.  Mutating after construction is not supported;
-    derived adjacency data is cached on the instance."""
+    """Immutable labelled DAG, well-formed by construction: the constructor
+    raises CircuitError naming the first gate that breaks a rule of the
+    representation (see _check).  Mutating after construction is not
+    supported; derived adjacency data is cached on the instance."""
 
     def __init__(self, fld: Field, variables, gates: dict, wires: dict, output: int):
         self.field = fld
         self.variables = tuple(variables)
         self.gates = dict(gates)
-        norm = {}
-        for g in self.gates:
-            norm[g] = _wire_tuple(wires.get(g, ()))
-        for g in wires:
-            if g not in self.gates:
-                raise CircuitError(f"wires reference unknown gate {g}")
-        self.wires = norm
+        self.wires = {g: _wire_tuple(wires.get(g, ())) for g in self.gates}
         self.output = output
         self._parents = None
-        self._topo = None
         self._inputs_by_var = None
+        self._topo = self._check()
+
+    def _check(self) -> tuple:
+        """The children-first order, least ready gate first (Kahn's
+        algorithm), after checking that the output and every child are
+        gates, every label is well-formed over the circuit's field and
+        variables, and there is no cycle."""
+        declared = frozenset(self.variables)
+        if len(declared) != len(self.variables):
+            raise CircuitError(f"variables {list(self.variables)} are not distinct")
+        if self.output not in self.gates:
+            raise CircuitError(f"output {self.output} is not a gate")
+        forward = True
+        for g, lab in self.gates.items():
+            ws = self.wires[g]
+            for c, _t in ws:
+                if c not in self.gates:
+                    raise CircuitError(f"gate {g}: child {c} is not a gate")
+                forward = forward and c < g
+            broken = _broken_rule(lab, ws, declared, self.field)
+            if broken:
+                raise CircuitError(f"gate {g}: {broken}")
+        if forward:
+            # every child precedes its parent, so ascending ids is the order
+            # Kahn's algorithm would give (the case of every built circuit)
+            return tuple(sorted(self.gates))
+        order = _kahn(self)
+        if len(order) != len(self.gates):
+            stuck = set(self.gates) - set(order)
+            # every gate left out has a child left out; follow them to a cycle
+            path, g = set(), min(stuck)
+            while g not in path:
+                path.add(g)
+                g = next(c for c, _t in self.wires[g] if c in stuck)
+            raise CircuitError(f"gate {g} lies on a cycle")
+        return tuple(order)
 
     def children(self, g: int):
         return self.wires[g]
 
     def parents(self) -> dict:
-        """Map gate -> its (parent, tag) pairs, one per wire; wires to
-        children that are not gates are skipped."""
+        """Map gate -> its (parent, tag) pairs, one per wire."""
         if self._parents is None:
             par = {g: [] for g in self.gates}
             for g, ws in self.wires.items():
                 for c, tag in ws:
-                    if c in par:
-                        par[c].append((g, tag))
+                    par[c].append((g, tag))
             self._parents = {g: tuple(sorted(ps, key=_child_key)) for g, ps in par.items()}
         return self._parents
 
     def topo_order(self):
-        """Children-first order; raises CircuitError on a wire to a missing
-        child or on a cycle."""
-        if self._topo is None:
-            missing = next(_missing_children(self), None)
-            if missing is not None:
-                raise CircuitError("gate {}: child {} does not exist".format(*missing))
-            order = _kahn(self)
-            if len(order) != len(self.gates):
-                stuck = sorted(set(self.gates) - set(order))
-                raise CircuitError(f"cycle through gates {stuck[:8]}")
-            self._topo = tuple(order)
+        """Children-first order, least ready gate first."""
         return self._topo
 
     def inputs_by_var(self) -> dict:
@@ -172,20 +196,46 @@ class Circuit:
         return len(self.gates)
 
 
-def _missing_children(circuit: Circuit):
-    """Yield (gate, child) for every wire to a child that is not a gate."""
-    for g, ws in circuit.wires.items():
-        for c, _t in ws:
-            if c not in circuit.gates:
-                yield g, c
+def _in_field(value, fld: Field) -> bool:
+    return isinstance(value, FieldValue) and value.field == fld
+
+
+def _broken_rule(lab: GateLabel, ws: tuple, declared, fld: Field) -> str | None:
+    """The rule a gate with this label and these wires breaks, or None."""
+    kind = lab.kind
+    if kind not in _KINDS:
+        return f"unknown label kind {kind!r}"
+    if kind in ("psum", "pprod"):
+        parts = lab.parts_map()
+        if not _in_field(lab.c, fld):
+            return f"target {lab.c} is not in {fld.name()}"
+        if not all(_in_field(q, fld) for q in parts.values()):
+            return f"a part weight is not in {fld.name()}"
+        for c, tag in ws:
+            if tag not in parts:
+                return f"wire from {c} has tag {tag!r} outside the parts {sorted(parts)}"
+        return None
+    for c, tag in ws:
+        if tag is not None:
+            return f"wire from {c} has tag {tag!r}, but only psum/pprod wires are tagged"
+    if kind in ("input", "const") and ws:
+        return f"{kind} gate has children"
+    if kind == "not" and len(ws) != 1:
+        return f"not gate has {len(ws)} children"
+    if kind == "input" and lab.var not in declared:
+        return f"variable {lab.var!r} is not declared"
+    if kind == "const" and not _in_field(lab.value, fld):
+        return f"constant {lab.value} is not in {fld.name()}"
+    if kind in ("th_ge", "th_eq") and not (isinstance(lab.k, int) and lab.k >= 0):
+        return f"threshold {lab.k} is not an integer >= 0"
+    return None
 
 
 def _kahn(circuit: Circuit) -> list:
     """Kahn's algorithm, least ready gate first: the gates in children-first
-    order, wires to missing children skipped; gates on a cycle, or above
-    one, are left out."""
+    order; gates on a cycle, or above one, are left out."""
     parents = circuit.parents()
-    indeg = {g: sum(c in parents for c, _t in ws) for g, ws in circuit.wires.items()}
+    indeg = {g: len(ws) for g, ws in circuit.wires.items()}
     ready = [g for g, d in indeg.items() if d == 0]
     heapq.heapify(ready)
     order = []
@@ -237,62 +287,6 @@ class CircuitBuilder:
         return Circuit(self.field, self.variables, self.gates, self.wires, out)
 
 
-@dataclass
-class Diagnostic:
-    code: str
-    gate: int | None
-    message: str
-
-    def __str__(self):
-        where = "circuit" if self.gate is None else f"gate {self.gate}"
-        return f"[{self.code}] {where}: {self.message}"
-
-
-def validate(circuit: Circuit) -> list:
-    """Structural diagnostics; an empty list means the invariants hold."""
-    probs = []
-    gates = circuit.gates
-    if circuit.output not in gates:
-        probs.append(Diagnostic("output", None, f"output {circuit.output} is not a gate"))
-    for g, c in _missing_children(circuit):
-        probs.append(Diagnostic("wire", g, f"child {c} does not exist"))
-    order = _kahn(circuit)
-    if len(order) != len(gates):
-        stuck = sorted(set(gates) - set(order))
-        for g in stuck[:4]:
-            probs.append(Diagnostic("cycle", g, "gate lies on a cycle"))
-    for g, lab in sorted(gates.items()):
-        ws = circuit.wires[g]
-        if lab.kind not in _KINDS:
-            probs.append(Diagnostic("label", g, f"unknown kind {lab.kind!r}"))
-            continue
-        if lab.kind in ("input", "const") and ws:
-            probs.append(Diagnostic("arity", g, f"{lab.kind} gate has children"))
-        if lab.kind == "not" and len(ws) != 1:
-            probs.append(Diagnostic("arity", g, f"not gate has fan-in {len(ws)}"))
-        if lab.kind == "input" and lab.var not in circuit.variables:
-            probs.append(Diagnostic("var", g, f"variable {lab.var!r} not declared"))
-        if lab.kind == "const" and lab.value.field != circuit.field:
-            probs.append(Diagnostic("field", g, "constant from a different field"))
-        if lab.kind in ("th_ge", "th_eq") and lab.k < 0:
-            probs.append(Diagnostic("label", g, "negative threshold"))
-        if lab.kind in ("psum", "pprod"):
-            tags = {t for t, _q in lab.parts}
-            for q in (w for _t, w in lab.parts):
-                if q.field != circuit.field:
-                    probs.append(Diagnostic("field", g, "part weight from a different field"))
-            if lab.c.field != circuit.field:
-                probs.append(Diagnostic("field", g, "target from a different field"))
-            for c, tag in ws:
-                if tag is None or tag not in tags:
-                    probs.append(Diagnostic("tag", g, f"wire from {c} has tag {tag!r} outside parts"))
-        else:
-            for c, tag in ws:
-                if tag is not None:
-                    probs.append(Diagnostic("tag", g, f"tag {tag!r} on a non-partition gate"))
-    return probs
-
-
 def arith_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
     """Exact values of every gate over width lanes at once, each gate's as
     {value: lane mask}: bit j of a mask is set iff the gate takes that value
@@ -338,8 +332,6 @@ def arith_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
                 if m:
                     acc[v] = m
         elif kind == "const":
-            if lab.value.field != fld:
-                raise FieldMismatchError(f"gate {g}: constant outside {fld.name()}")
             acc = {lab.value: full}
         else:
             raise CircuitError(f"gate {g}: label {kind!r} is not arithmetic")
@@ -507,60 +499,6 @@ def size_stats(circuit: Circuit) -> SizeStats:
     return SizeStats(len(circuit.gates), nwires, best, dict(sorted(by_kind.items())))
 
 
-@dataclass
-class RandomCompareResult:
-    consistent: bool
-    counterexample: dict | None
-    trials: int
-
-
-def compare_by_random_eval(c1: Circuit, c2: Circuit, trials: int = 20, seed: int = 1729) -> RandomCompareResult:
-    """Probabilistic polynomial-identity check on shared variables.
-
-    Rationals draw integer points from [-10^6, 10^6]; F_p draws uniformly.
-    Agreement on all trials is evidence, not proof, of identity.
-    """
-    if c1.field != c2.field:
-        raise FieldMismatchError("circuits live over different fields")
-    if set(c1.variables) != set(c2.variables):
-        raise CircuitError("circuits have different variable spaces")
-    rng = random.Random(seed)
-    fld = c1.field
-    for t in range(trials):
-        if fld.p is None:
-            asg = {v: fld.of(rng.randint(-(10 ** 6), 10 ** 6)) for v in c1.variables}
-        else:
-            asg = {v: fld.of(rng.randrange(fld.p)) for v in c1.variables}
-        if evaluate_arith(c1, asg) != evaluate_arith(c2, asg):
-            return RandomCompareResult(False, {k: str(v) for k, v in sorted(asg.items())}, t + 1)
-    return RandomCompareResult(True, None, trials)
-
-
-def desugar_threshold_eq(circuit: Circuit) -> Circuit:
-    """Rewrite every th_eq(k) gate as and(th_ge(k), not(th_ge(k+1)))."""
-    gates = dict(circuit.gates)
-    wires = {g: list(ws) for g, ws in circuit.wires.items()}
-    nxt = max(gates) + 1 if gates else 0
-    for g in sorted(circuit.gates):
-        lab = circuit.gates[g]
-        if lab.kind != "th_eq":
-            continue
-        kids = circuit.wires[g]
-        lo = nxt
-        hi = nxt + 1
-        neg = nxt + 2
-        nxt += 3
-        gates[lo] = th_ge(lab.k)
-        wires[lo] = list(kids)
-        gates[hi] = th_ge(lab.k + 1)
-        wires[hi] = list(kids)
-        gates[neg] = NOT
-        wires[neg] = [(hi, None)]
-        gates[g] = AND
-        wires[g] = [(lo, None), (neg, None)]
-    return Circuit(circuit.field, circuit.variables, gates, wires, circuit.output)
-
-
 # ---------------------------------------------------------------------------
 # JSON round-trip
 
@@ -596,7 +534,7 @@ def serialize(circuit: Circuit) -> str:
         "gates": gates,
         "output": circuit.output,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def _want(obj, key, typ, path):
@@ -617,23 +555,16 @@ def _label_from_json(obj, fld: Field, path: str) -> GateLabel:
             return input_label(_want(obj, "var", str, path))
         if kind == "const":
             return const(fld.of(_want(obj, "value", str, path)))
-        if kind in ("add", "mul", "and", "or", "not"):
-            return GateLabel(kind)
         if kind in ("th_ge", "th_eq"):
-            k = _want(obj, "k", int, path)
-            if k < 0:
-                raise SchemaError(f"{path}.k", "negative threshold")
-            return GateLabel(kind, k=k)
+            return GateLabel(kind, k=_want(obj, "k", int, path))
         if kind in ("psum", "pprod"):
             c = fld.of(_want(obj, "c", str, path))
-            raw = _want(obj, "parts", dict, path)
-            if not raw:
-                raise SchemaError(f"{path}.parts", "empty parts")
-            parts = {t: fld.of(q) for t, q in raw.items()}
+            parts = {t: fld.of(q) for t, q in _want(obj, "parts", dict, path).items()}
             return GateLabel(kind, c=c, parts=_parts_tuple(parts))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(path, str(exc)) from None
-    raise SchemaError(f"{path}.kind", f"unknown kind {kind!r}")
+    # the Circuit constructor rejects unknown kinds, naming the gate
+    return GateLabel(kind)
 
 
 def deserialize(text: str) -> Circuit:
@@ -665,12 +596,6 @@ def deserialize(text: str) -> Circuit:
             kids.append((cid, tag))
         wires[gid] = kids
     output = _want(doc, "output", int, "$")
-    for gid, kids in wires.items():
-        for cid, _tag in kids:
-            if cid not in gates:
-                raise SchemaError("$.gates", f"gate {gid} references unknown child {cid}")
-    if output not in gates:
-        raise SchemaError("$.output", f"unknown gate {output}")
     try:
         return Circuit(fld, variables, gates, wires, output)
     except CircuitError as exc:

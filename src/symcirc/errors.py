@@ -22,4 +22,4 @@ class SchemaError(SymcircError):
 
 
 class BudgetExceededError(SymcircError):
-    """A configurable enumeration budget was exhausted."""
+    """An enumeration overran its fixed budget."""

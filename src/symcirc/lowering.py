@@ -58,6 +58,7 @@ from .symmetry import Witness, find_extension, orbits
 
 _LADDER_BUDGET = 2 * 10 ** 5   # AND gates in all ladders of one expansion
 _BLOCK_BITS = 12   # _blocks evaluates up to 2^12 assignments at once
+_MAX_INPUTS = 20   # _blocks enumerates at most 2^20 assignments
 
 
 def _sorted_vals(vals) -> tuple:
@@ -82,7 +83,7 @@ def _lane_pattern(s: int, bits: int) -> int:
     return int(("1" * run + "0" * run) * ((1 << bits) // (2 * run)), 2)
 
 
-def _blocks(circuit: Circuit, max_inputs: int):
+def _blocks(circuit: Circuit):
     """Every 0-1 assignment of the variables the input gates read, sorted,
     in blocks of up to 2^_BLOCK_BITS lanes.  Yields (lanes, width, values)
     per block: lanes maps each variable to its 0/1 lane int, values is
@@ -90,8 +91,8 @@ def _blocks(circuit: Circuit, max_inputs: int):
     b * width + j in itertools.product order (the last variable changes
     fastest), so only the slowest variables are constant in a block."""
     variables = sorted({lab.var for lab in circuit.gates.values() if lab.kind == "input"})
-    if len(variables) > max_inputs:
-        raise BudgetExceededError(f"{len(variables)} inputs exceed budget {max_inputs}")
+    if len(variables) > _MAX_INPUTS:
+        raise BudgetExceededError(f"{len(variables)} inputs exceed budget {_MAX_INPUTS}")
     low = min(len(variables), _BLOCK_BITS)
     width = 1 << low
     full = (1 << width) - 1
@@ -105,7 +106,7 @@ def _blocks(circuit: Circuit, max_inputs: int):
         yield lanes, width, values
 
 
-def value_sets(circuit: Circuit, mode: str = "compositional", max_inputs: int = 20) -> ValueSetMap:
+def value_sets(circuit: Circuit, mode: str = "compositional") -> ValueSetMap:
     """Per-gate candidate value sets over 0-1 assignments.
 
     exact mode collects the values of every block of assignments (the true
@@ -118,7 +119,7 @@ def value_sets(circuit: Circuit, mode: str = "compositional", max_inputs: int = 
     fld = circuit.field
     if mode == "exact":
         seen = {g: set() for g in circuit.gates}
-        for _lanes, _width, values in _blocks(circuit, max_inputs):
+        for _lanes, _width, values in _blocks(circuit):
             for g, by_value in values.items():
                 seen[g].update(by_value)
         return ValueSetMap({g: _sorted_vals(vs) for g, vs in seen.items()}, exact=True)
@@ -289,8 +290,7 @@ def expand_to_threshold(lowered: PartitionCircuit) -> ExpandedCircuit:
 # Checks
 
 
-def verify_lowering(circuit: Circuit, accept, lowered_circuit: Circuit,
-                    max_inputs: int = 20) -> bool:
+def verify_lowering(circuit: Circuit, accept, lowered_circuit: Circuit) -> bool:
     """True iff on every 0-1 assignment the Boolean circuit accepts exactly
     when the arithmetic circuit evaluates into accept.
 
@@ -300,7 +300,7 @@ def verify_lowering(circuit: Circuit, accept, lowered_circuit: Circuit,
     """
     _require_arith(circuit)
     accept = frozenset(circuit.field.of(a) for a in accept)
-    for lanes, width, values in _blocks(circuit, max_inputs):
+    for lanes, width, values in _blocks(circuit):
         want = 0
         for val, m in values[circuit.output].items():
             if val in accept:

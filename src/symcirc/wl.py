@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError, CircuitError
 from .graphs import Graph
 
+_TUPLE_BUDGET = 10 ** 6   # k-tuples of both graphs that wl_equivalent refines
+
 
 def _dense(sigs):
     ids = {}
@@ -84,12 +86,12 @@ def _tuples(g: Graph, k: int, base: int):
     return seeds, step
 
 
-def wl_equivalent(g1: Graph, g2: Graph, k: int, budget: int = 10 ** 6) -> WLReport:
+def wl_equivalent(g1: Graph, g2: Graph, k: int) -> WLReport:
     if k not in (1, 2, 3):
         raise CircuitError("k must be 1, 2, or 3")
     cut, rest = len(g1.vertices) ** k, len(g2.vertices) ** k
-    if cut + rest > budget:
-        raise BudgetExceededError(f"{cut} + {rest} {k}-tuples exceed the budget {budget}")
+    if cut + rest > _TUPLE_BUDGET:
+        raise BudgetExceededError(f"{cut} + {rest} {k}-tuples exceed the budget {_TUPLE_BUDGET}")
     seeds1, step1 = _tuples(g1, k, 0)
     seeds2, step2 = _tuples(g2, k, cut)
     counts = []

@@ -169,7 +169,7 @@ def test_blocks_visit_every_assignment_in_order(circuit, block_bits):
     runs = []
     seen = {g: set() for g in circuit.gates}
     with mock.patch.object(lowering, "_BLOCK_BITS", block_bits):
-        for lanes, width, values in lowering._blocks(circuit, 20):
+        for lanes, width, values in lowering._blocks(circuit):
             assert width == 1 << min(block_bits, len(variables))
             for j in range(width):
                 bits = tuple(lanes[v] >> j & 1 for v in variables)

@@ -1,4 +1,4 @@
-"""Circuit IR: construction, validation, evaluation, serialization."""
+"""Circuit IR: construction and its structural rules, evaluation, serialization."""
 
 from __future__ import annotations
 
@@ -15,9 +15,8 @@ from symcirc import (
     CircuitBuilder,
     CircuitError,
     GF,
-    compare_by_random_eval,
+    GateLabel,
     const,
-    desugar_threshold_eq,
     deserialize,
     evaluate_arith,
     evaluate_bool,
@@ -29,8 +28,8 @@ from symcirc import (
     size_stats,
     th_eq,
     th_ge,
-    validate,
 )
+from symcirc.circuit import _kahn
 from symcirc.errors import FieldMismatchError, SchemaError
 
 
@@ -47,7 +46,7 @@ def test_builder_and_topo():
     assert len(c) == 3
     order = c.topo_order()
     assert order[-1] == c.output
-    assert validate(c) == []
+    assert sorted(order) == sorted(c.gates)
 
 
 def test_repeated_wires_count_twice():
@@ -99,7 +98,7 @@ def test_builder_hash_conses():
 def test_tagged_wires_allow_repeated_child():
     b = CircuitBuilder(QQ, ["x"])
     x = b.add(input_label("x"))
-    m = b.add(MUL, [(x, "l"), (x, "r")])
+    m = b.add(MUL, [x, x])
     c = b.build(m)
     assert evaluate_arith(c, {"x": QQ.of(3)}) == QQ.of(9)
 
@@ -107,26 +106,80 @@ def test_tagged_wires_allow_repeated_child():
 def test_unknown_variable_flagged():
     b = CircuitBuilder(QQ, ["x"])
     z = b.add(input_label("z"))
-    probs = validate(b.build(z))
-    assert any(d.code == "var" for d in probs)
+    with pytest.raises(CircuitError, match="gate 0: variable 'z' is not declared"):
+        b.build(z)
 
 
 def test_cycle_detected():
     b = CircuitBuilder(QQ, ["x"])
-    x = b.add(input_label("x"))
-    a = b.add(ADD, [x], name="a")
-    # force a back edge behind the builder's checks
-    b.wires[x] = {(a, None)}
-    c = b.build(a)
-    with pytest.raises(CircuitError):
-        c.topo_order()
+    b.add(const(QQ.of(1)))
+    a = b.add(ADD, [0], name="a")
+    m = b.add(MUL, [a])
+    # force a back edge behind the builder's hash-consing: 1 -> 2 -> 1
+    b.wires[a] = [0, m]
+    with pytest.raises(CircuitError, match="gate 1 lies on a cycle"):
+        b.build(b.add(ADD, [a]))
+    # a gate wired to itself
+    with pytest.raises(CircuitError, match="gate 0 lies on a cycle"):
+        Circuit(QQ, [], {0: ADD}, {0: [0]}, 0)
 
 
 def test_wire_to_missing_child():
-    c = Circuit(QQ, ["x"], {0: input_label("x"), 1: ADD}, {1: [0, 5]}, 1)
-    with pytest.raises(CircuitError, match="gate 1: child 5 does not exist"):
-        evaluate_arith(c, {"x": QQ.of(1)})
-    assert [(d.code, d.gate) for d in validate(c)] == [("wire", 1)]
+    with pytest.raises(CircuitError, match="gate 1: child 5 is not a gate"):
+        Circuit(QQ, ["x"], {0: input_label("x"), 1: ADD}, {1: [0, 5]}, 1)
+
+
+# One case per structural rule of the constructor: (variables, gates, wires,
+# output, message).
+_MALFORMED = {
+    "output_not_a_gate": (["x"], {0: input_label("x")}, {}, 1, "output 1 is not a gate"),
+    "variables_repeat": (["x", "x"], {0: input_label("x")}, {}, 0, "are not distinct"),
+    "unknown_kind": (["x"], {0: input_label("x"), 1: GateLabel("xor")}, {1: [0]}, 1,
+                     "gate 1: unknown label kind 'xor'"),
+    "input_with_child": (["x"], {0: const(QQ.of(1)), 1: input_label("x")}, {1: [0]}, 1,
+                         "gate 1: input gate has children"),
+    "const_with_child": (["x"], {0: input_label("x"), 1: const(QQ.of(1))}, {1: [0]}, 1,
+                         "gate 1: const gate has children"),
+    "not_without_child": (["x"], {0: NOT}, {}, 0, "gate 0: not gate has 0 children"),
+    "not_with_two_children": (["x", "y"], {0: input_label("x"), 1: input_label("y"), 2: NOT},
+                              {2: [0, 1]}, 2, "gate 2: not gate has 2 children"),
+    "constant_outside_field": ([], {0: const(GF(5).of(2))}, {}, 0,
+                               "gate 0: constant 2 is not in Q"),
+    "target_outside_field": (["x"], {0: input_label("x"), 1: psum(GF(5).of(1), {"a": QQ.of(1)})},
+                             {1: [(0, "a")]}, 1, "gate 1: target 1 is not in Q"),
+    "weight_outside_field": (["x"], {0: input_label("x"), 1: pprod(QQ.of(1), {"a": GF(5).of(1)})},
+                             {1: [(0, "a")]}, 1, "gate 1: a part weight is not in Q"),
+    "negative_threshold": (["x"], {0: input_label("x"), 1: GateLabel("th_ge", k=-1)},
+                           {1: [0]}, 1, "gate 1: threshold -1 is not an integer >= 0"),
+    "tag_on_add_wire": (["x"], {0: input_label("x"), 1: ADD}, {1: [(0, "a")]}, 1,
+                        "gate 1: wire from 0 has tag 'a', but only psum/pprod"),
+    "untagged_psum_wire": (["x"], {0: input_label("x"), 1: psum(QQ.of(1), {"a": QQ.of(1)})},
+                           {1: [0]}, 1, "gate 1: wire from 0 has tag None outside the parts"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_constructor_rejects(case):
+    variables, gates, wires, output, message = _MALFORMED[case]
+    with pytest.raises(CircuitError, match=message):
+        Circuit(QQ, variables, gates, wires, output)
+
+
+def test_constructor_accepts_each_rule_satisfied():
+    x = input_label("x")
+    circuits = [
+        (["x"], {0: x}, {}, 0),
+        (["x"], {0: x, 1: NOT}, {1: [0]}, 1),
+        (["x"], {0: x, 1: th_ge(0)}, {1: [0]}, 1),
+        (["x"], {0: x, 1: psum(QQ.of(1), {"a": QQ.of(1)})}, {1: [(0, "a")]}, 1),
+        # a parent may have a smaller id than its children
+        (["x"], {0: ADD, 1: x, 2: const(QQ.of(2))}, {0: [2, 1]}, 0),
+    ]
+    for variables, gates, wires, output in circuits:
+        c = Circuit(QQ, variables, gates, wires, output)
+        assert c.topo_order()[-1] == output
+        # ascending ids when every child precedes its parent, else Kahn's order
+        assert list(c.topo_order()) == _kahn(c)
 
 
 def test_empty_fold_units():
@@ -219,8 +272,8 @@ def test_partition_tags_must_match_label():
     b = CircuitBuilder(QQ, ["a"])
     a = b.add(input_label("a"))
     g = b.add(psum(QQ.of(1), parts), [(a, "9")])
-    probs = validate(b.build(g))
-    assert any(d.code == "tag" for d in probs)
+    with pytest.raises(CircuitError, match="gate 1: wire from 0 has tag '9' outside the parts"):
+        b.build(g)
 
 
 def test_mixed_arith_bool_evaluation_guards():
@@ -250,9 +303,6 @@ def test_validate_reports_missing_assignment_free():
     for bad in (GF(5).of(1), 1, [1]):
         with pytest.raises(FieldMismatchError, match="assignment for 'y' is not in Q"):
             evaluate_arith(c, {"x": QQ.of(1), "y": bad})
-    foreign = Circuit(QQ, [], {0: const(GF(5).of(2))}, {}, 0)
-    with pytest.raises(FieldMismatchError, match="gate 0: constant outside Q"):
-        evaluate_arith(foreign, {})
     b = CircuitBuilder(QQ, ["p"])
     c = b.build(b.add(AND, [b.add(input_label("p"))]))
     with pytest.raises(CircuitError, match="gate 1: label 'and' is not arithmetic"):
@@ -267,30 +317,16 @@ def test_size_stats():
     assert st.depth == 1
 
 
-def test_desugar_threshold_eq():
-    b = CircuitBuilder(QQ, ["a", "b", "c"])
-    ins = [b.add(input_label(v)) for v in "abc"]
-    c = b.build(b.add(th_eq(2), ins))
-    d = desugar_threshold_eq(c)
-    labels = {g.kind for g in d.gates.values()}
-    assert "th_eq" not in labels
-    for bits in range(8):
-        asg = {"a": bits & 1, "b": (bits >> 1) & 1, "c": (bits >> 2) & 1}
-        assert evaluate_bool(c, asg) == evaluate_bool(d, asg)
-
-
 def test_serialize_round_trip():
     b = CircuitBuilder(GF(7), ["x", "y"])
     x = b.add(input_label("x"))
     y = b.add(input_label("y"))
-    g = b.add(MUL, [(x, "l"), (y, "r")])
+    g = b.add(MUL, [x, y])
     s = b.add(ADD, [g, b.add(const(GF(7).of(3)))])
     c = b.build(s)
     c2 = deserialize(serialize(c))
     assert c2.field == GF(7)
-    assert len(c2) == len(c)
-    r = compare_by_random_eval(c, c2, trials=16)
-    assert r.consistent
+    assert (c2.gates, c2.wires, c2.output) == (c.gates, c.wires, c.output)
 
 
 def test_serialize_round_trip_partition_gates():

@@ -19,6 +19,7 @@ from symcirc import (
     deserialize,
     input_label,
     leverrier_det_circuit,
+    lowering,
     serialize,
 )
 from symcirc.cli import run
@@ -197,6 +198,19 @@ def test_lower_round_trip(tmp_path, capsys):
     assert rep["c_gates"] == len(c)
 
 
+def test_lower_skips_verification_over_input_budget(tmp_path, capsys, monkeypatch):
+    # det n=2 has 4 inputs: over the budget, lower writes both stages and
+    # reports them unverified
+    monkeypatch.setattr(lowering, "_MAX_INPUTS", 3)
+    det = tmp_path / "det2.json"
+    det.write_text(serialize(leverrier_det_circuit(2).circuit))
+    code, rep, _ = invoke(capsys, "lower", "--circuit", str(det), "--accept", "0",
+                          "--out", str(tmp_path / "low.json"))
+    assert code == 0
+    assert (rep["verified_d"], rep["verified_c"]) == (None, None)
+    assert (tmp_path / "low.json").exists() and (tmp_path / "low.d.json").exists()
+
+
 def test_lower_det3_over_q(tmp_path, capsys):
     det = tmp_path / "det3.json"
     invoke(capsys, "gen", "det", "--n", "3", "--out", str(det))
@@ -291,6 +305,31 @@ def test_cfi_removed_flags_exit_2(capsys, argv):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["wl", "--k", "1", "--budget", "10", "k4", "k4"],
+    ["lower", "--circuit", "c.json", "--accept", "0", "--max-inputs", "5", "--out", "d.json"],
+])
+def test_removed_flags_exit_2(capsys, argv):
+    code, rep, err = invoke(capsys, *argv)
+    assert code == 2
+    assert rep is None
+    assert "unrecognized arguments" in err
+
+
+def test_cfi_experiment_modulus_rule(capsys):
+    # 4 divides the gap 2^7 of K4, so the counts must agree modulo 4
+    code, rep, _ = invoke(capsys, "cfi", "experiment", "--graph", "k4",
+                          "--wl", "", "--mod", "4")
+    assert (code, rep["passed"]) == (0, True)
+    assert rep["checks"]["counts_agree_mod_4"] is True
+    assert rep["mod"]["4"] == {"x": 0, "y": 0, "differ": False}
+    for bad in ("1", "-3"):
+        code, rep, err = invoke(capsys, "cfi", "experiment", "--graph", "k4",
+                                "--wl", "", "--mod", bad)
+        assert (code, rep) == (2, None), bad
+        assert err == f"error: modulus {bad} is below 2\n"
+
+
 def test_wl_command(tmp_path, capsys):
     g1 = tmp_path / "c6.graph"
     g1.write_text("graph 6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n")
@@ -341,6 +380,44 @@ def test_non_circuit_json_exits_2(tmp_path, capsys, text):
     assert rep is None
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def _gate(gid, label, *children):
+    kids = [{"id": c} if isinstance(c, int) else {"id": c[0], "tag": c[1]} for c in children]
+    return {"id": gid, "label": label, "children": kids}
+
+
+_X, _ONE = {"kind": "input", "var": "x"}, {"kind": "const", "value": "1"}
+# files that parse as JSON circuits but break a structural rule
+_MALFORMED_FILES = {
+    "input_with_child": [_gate(0, _ONE), _gate(1, _X, 0), _gate(2, {"kind": "add"}, 0, 1)],
+    "undeclared_variable": [_gate(0, {"kind": "input", "var": "y"}), _gate(1, _ONE),
+                            _gate(2, {"kind": "add"}, 0, 1)],
+    "tag_on_add_wire": [_gate(0, _X), _gate(1, _ONE), _gate(2, {"kind": "add"}, (0, "a"), 1)],
+    "psum_tag_outside_parts": [_gate(0, _X), _gate(1, _ONE),
+                               _gate(2, {"kind": "psum", "c": "1", "parts": {"a": "1"}},
+                                     (0, "b"), (1, "a"))],
+    "not_without_child": [_gate(0, _X), _gate(1, {"kind": "not"}), _gate(2, {"kind": "and"}, 0, 1)],
+    "cycle": [_gate(0, _X), _gate(1, {"kind": "add"}, 0, 3), _gate(2, {"kind": "mul"}, 1),
+              _gate(3, {"kind": "add"}, 2)],
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "check-sym", "lower", "support"])
+@pytest.mark.parametrize("case", sorted(_MALFORMED_FILES))
+def test_malformed_circuit_file_exits_2(tmp_path, capsys, case, command):
+    path = tmp_path / "bad.json"
+    output = 1 if case == "cycle" else 2
+    path.write_text(json.dumps({"field": "Q", "variables": ["x"],
+                                "gates": _MALFORMED_FILES[case], "output": output}))
+    argv = {"eval": ["--assign", "x=1,y=2"],
+            "check-sym": ["--group", "square:1"],
+            "lower": ["--accept", "1", "--out", str(tmp_path / "low.json")],
+            "support": ["--group", "square:1", "--gate", str(output)]}[command]
+    code, rep, err = invoke(capsys, command, "--circuit", str(path), *argv)
+    assert (code, rep) == (2, None), err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "low.json").exists()
 
 
 @pytest.mark.parametrize("command, group, doc", [

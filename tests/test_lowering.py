@@ -31,6 +31,7 @@ from symcirc import (
     input_label,
     leverrier_det_circuit,
     lower_to_partition_basis,
+    lowering,
     orbit_preservation_check,
     ryser_perm_circuit,
     value_sets,
@@ -89,12 +90,15 @@ def test_value_sets_exact_det4_over_q():
     assert [str(v) for v in vs.sets[c.output]] == [str(k) for k in range(-3, 4)]
 
 
-def test_value_sets_exact_budget():
+def test_value_sets_exact_budget(monkeypatch):
     b = CircuitBuilder(QQ, [f"v{i}" for i in range(6)])
     ins = [b.add(input_label(f"v{i}")) for i in range(6)]
     c = b.build(b.add(ADD, ins))
+    monkeypatch.setattr(lowering, "_MAX_INPUTS", 5)
     with pytest.raises(BudgetExceededError):
-        value_sets(c, "exact", max_inputs=5)
+        value_sets(c, "exact")
+    with pytest.raises(BudgetExceededError):
+        verify_lowering(c, {0}, c)
 
 
 def test_value_sets_rejects_boolean_gates():

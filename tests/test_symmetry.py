@@ -218,7 +218,7 @@ def test_partition_spec_on_plain_variables():
     b = CircuitBuilder(QQ, ["u", "v"])
     u = b.add(input_label("u"))
     v = b.add(input_label("v"))
-    sq = b.add(MUL, [(v, "l"), (v, "r")])
+    sq = b.add(MUL, [v, v])
     c = b.build(b.add(ADD, [u, sq]))
     assert not check_symmetric(c, Partition((("u", "v"),))).symmetric
 

@@ -15,6 +15,7 @@ from symcirc import (
     cycle_graph,
     path_graph,
     petersen_graph,
+    wl,
     wl_equivalent,
 )
 
@@ -116,13 +117,14 @@ def test_report_shape():
     assert all(isinstance(c, int) for c in rep.class_counts)
 
 
-def test_dimension_and_budget_guards():
+def test_dimension_and_budget_guards(monkeypatch):
     with pytest.raises(CircuitError):
         wl_equivalent(cycle_graph(4), cycle_graph(4), 4)
     with pytest.raises(CircuitError):
         wl_equivalent(cycle_graph(4), cycle_graph(4), 0)
+    monkeypatch.setattr(wl, "_TUPLE_BUDGET", 100)
     with pytest.raises(BudgetExceededError):
-        wl_equivalent(petersen_graph(), petersen_graph(), 3, budget=100)
+        wl_equivalent(petersen_graph(), petersen_graph(), 3)
 
 
 def test_cfi_k4_pair_report_at_dimension_two():
@@ -134,8 +136,10 @@ def test_cfi_k4_pair_report_at_dimension_two():
     assert rep.class_counts == (3, 5, 24)
 
 
-def test_budget_counts_each_graphs_tuples():
+def test_budget_counts_each_graphs_tuples(monkeypatch):
     # two 4-vertex graphs have 4^2 + 4^2 = 32 pairs at k = 2
-    assert wl_equivalent(cycle_graph(4), cycle_graph(4), 2, budget=32).equivalent
+    monkeypatch.setattr(wl, "_TUPLE_BUDGET", 32)
+    assert wl_equivalent(cycle_graph(4), cycle_graph(4), 2).equivalent
+    monkeypatch.setattr(wl, "_TUPLE_BUDGET", 31)
     with pytest.raises(BudgetExceededError):
-        wl_equivalent(cycle_graph(4), cycle_graph(4), 2, budget=31)
+        wl_equivalent(cycle_graph(4), cycle_graph(4), 2)
