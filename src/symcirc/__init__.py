@@ -97,7 +97,6 @@ from .cfi import (
     bipartition,
     build_cfi,
     check_base_graph,
-    enumerate_orientations,
     enumerate_perfect_matchings,
     gadget_matchings_check,
     matching_count_via_permanent,

@@ -16,8 +16,10 @@ Matchings are counted by one gadget contraction: assign each end e_b to
 the gadget of one endpoint of e, and a perfect matching falls apart into
 independent gadget-local matchings, so enumerate_perfect_matchings sums
 products of per-gadget counts over a sweep of the base graph instead of
-listing matchings.  The permanent and the gadget bijection rule check it
-independently.
+listing matchings.  The gadget bijection rule and the permanent check it
+independently; matching_count_via_permanent is a row-by-row DP over sets of
+used columns that reads only the bipartite graph.  Under the shared state
+budget it checks the pairs over K4 and K3,3, but not Petersen's.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def path_flip_isomorphism(x: CFIGraph, y: CFIGraph, path) -> dict:
 # Perfect matchings
 
 
-_FRONTIER_BUDGET = 10 ** 5  # frontier states the contraction may hold at once
+_FRONTIER_BUDGET = 10 ** 5  # live states the contraction or the permanent DP may hold
 
 
 @dataclass
@@ -246,57 +248,46 @@ def bipartition(g: Graph):
 
 
 def matching_count_via_permanent(g: Graph) -> int:
-    """Permanent of the biadjacency matrix, by the inclusion-exclusion
-    summation over column subsets with Gray-code updates."""
+    """Permanent of the biadjacency matrix, the number of perfect matchings
+    of a bipartite graph, by a row-by-row DP.  Rows come greedily: most
+    columns touched by earlier rows, then shortest, then lowest index.  A
+    state maps the used columns that a later row still touches to the
+    number of ways to match the rows so far; a column leaves the key at its
+    last row, which must find it used.  As every column has a row, n rows on
+    distinct columns use them all, so that rule only drops dead states
+    early.  It reads only the graph, so it checks the gadget contraction
+    independently.  Raises BudgetExceededError past _FRONTIER_BUDGET states."""
     left, right = bipartition(g)
     if len(left) != len(right):
         raise CircuitError("bipartition is unbalanced")
-    n = len(left)
-    if n == 0:
-        return 1
-    if n > 22:
-        raise BudgetExceededError(f"permanent summation infeasible for n = {n}")
-    rows_of = {v: [] for v in right}   # column -> the rows with a 1 in it
-    for i, u in enumerate(left):
-        for w in g.adj(u):
-            rows_of[w].append(i)
-    col_rows = [rows_of[v] for v in right]
-    total = 0
-    sums = [0] * n
-    sign = -1 if n % 2 else 1   # (-1)^(n - |S|), S the columns in Gray code s
-    for s in range(1, 1 << n):
-        j = (s & -s).bit_length() - 1   # Gray codes s - 1 and s differ in column j
-        step = 1 if (s ^ s >> 1) >> j & 1 else -1
-        for i in col_rows[j]:
-            sums[i] += step
-        sign = -sign
-        prod = 1
-        for x in sums:
-            prod *= x
-            if prod == 0:
-                break
-        total += sign * prod
-    return total
+    col = {v: j for j, v in enumerate(right)}
+    rows = [sorted(col[w] for w in g.adj(u)) for u in left]
+    order, touched, pending = [], set(), list(range(len(rows)))
+    while pending:
+        # among rows touching as many old columns, the shortest adds fewest new
+        i = min(pending, key=lambda r: (-len(touched.intersection(rows[r])), len(rows[r]), r))
+        pending.remove(i)
+        order.append(i)
+        touched.update(rows[i])
+    last = {j: i for i in order for j in rows[i]}   # column -> its last row
+    states = {0: 1}   # used open columns -> partial matchings
+    for i in order:
+        shut = sum(1 << j for j in rows[i] if last[j] == i)
+        nxt = {}
+        for mask, count in states.items():
+            for j in rows[i]:
+                m = mask | 1 << j
+                if m != mask and m & shut == shut:
+                    nxt[m ^ shut] = nxt.get(m ^ shut, 0) + count
+        if len(nxt) > _FRONTIER_BUDGET:
+            raise BudgetExceededError(
+                f"permanent DP exceeded {_FRONTIER_BUDGET} states")
+        states = nxt
+    return states.get(0, 0)
 
 
 # ---------------------------------------------------------------------------
 # Orientations
-
-
-def enumerate_orientations(g: Graph):
-    """All 2^|E| orientations with their odd in-degree vertex sets."""
-    m = len(g.edges)
-    if m > 24:
-        raise BudgetExceededError(f"2^{m} orientations exceed the budget")
-    for bits in range(1 << m):
-        orient = {}
-        indeg = {v: 0 for v in g.vertices}
-        for idx, (u, v) in enumerate(g.edges):
-            tail, head = (v, u) if bits >> idx & 1 else (u, v)
-            orient[(u, v)] = (tail, head)
-            indeg[head] += 1
-        odd = frozenset(v for v, d in indeg.items() if d % 2 == 1)
-        yield orient, odd
 
 
 def orientation_odd_set_census(g: Graph) -> dict:
@@ -309,7 +300,7 @@ def orientation_odd_set_census(g: Graph) -> dict:
     bit = {v: 1 << i for i, v in enumerate(g.vertices)}
     flips = [bit[u] ^ bit[v] for u, v in g.edges]
     odd = 0
-    for _u, v in g.edges:   # every edge u -> v, as in enumerate_orientations
+    for _u, v in g.edges:   # start with every edge u -> v
         odd ^= bit[v]
     masks = Counter([odd])
     for s in range(1, 1 << m):

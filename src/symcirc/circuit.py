@@ -6,9 +6,10 @@ listed twice counts twice, so x*x is one mul gate reading x twice.  Tags are
 only meaningful on the partition-counting labels; everywhere else they must
 be absent.  A Circuit is well-formed by construction: its constructor
 checks every structural rule (children are gates, no cycle, known labels of
-the right fan-in, declared variables, field elements in the circuit's
-field, tags only where a label has parts) and raises CircuitError naming
-the gate that breaks one, so no other code handles a malformed circuit.
+the right fan-in, declared variables on one input gate each, field elements
+in the circuit's field, tags only where a label has parts) and raises
+CircuitError naming the gate that breaks one, so no other code handles a
+malformed circuit.
 CircuitBuilder hash-conses gates on (label, children), so the circuits it
 builds are rigid: no two gates share a label and children.  Rigidity is not
 a rule of the representation; the symmetry routines require it.
@@ -73,6 +74,7 @@ MUL = GateLabel("mul")
 AND = GateLabel("and")
 OR = GateLabel("or")
 NOT = GateLabel("not")
+_PLAIN_LABELS = {lab.kind: lab for lab in (ADD, MUL, AND, OR, NOT)}   # reused by deserialize
 
 
 def th_ge(k: int) -> GateLabel:
@@ -108,8 +110,12 @@ def _child_key(ch):
 
 def _wire_tuple(children) -> tuple:
     """Children (ids or (id, tag) pairs) as a sorted multiset of pairs."""
-    return tuple(sorted(((c, None) if isinstance(c, int) else (c[0], c[1])
-                         for c in children), key=_child_key))
+    pairs = [(c, None) if isinstance(c, int) else (c[0], c[1]) for c in children]
+    try:
+        pairs.sort()   # _child_key order, one pass when already sorted
+    except TypeError:  # one id with a None tag and a str tag
+        pairs.sort(key=_child_key)
+    return tuple(pairs)
 
 
 class Circuit:
@@ -125,14 +131,14 @@ class Circuit:
         self.wires = {g: _wire_tuple(wires.get(g, ())) for g in self.gates}
         self.output = output
         self._parents = None
-        self._inputs_by_var = None
+        self.inputs_by_var = {}   # variable -> its input gate, filled by _check
         self._topo = self._check()
 
     def _check(self) -> tuple:
         """The children-first order, least ready gate first (Kahn's
         algorithm), after checking that the output and every child are
         gates, every label is well-formed over the circuit's field and
-        variables, and there is no cycle."""
+        variables, no variable labels two gates, and there is no cycle."""
         declared = frozenset(self.variables)
         if len(declared) != len(self.variables):
             raise CircuitError(f"variables {list(self.variables)} are not distinct")
@@ -145,9 +151,11 @@ class Circuit:
                 if c not in self.gates:
                     raise CircuitError(f"gate {g}: child {c} is not a gate")
                 forward = forward and c < g
-            broken = _broken_rule(lab, ws, declared, self.field)
+            broken = _broken_rule(lab, ws, declared, self.inputs_by_var, self.field)
             if broken:
                 raise CircuitError(f"gate {g}: {broken}")
+            if lab.kind == "input":
+                self.inputs_by_var[lab.var] = g
         if forward:
             # every child precedes its parent, so ascending ids is the order
             # Kahn's algorithm would give (the case of every built circuit)
@@ -163,9 +171,6 @@ class Circuit:
             raise CircuitError(f"gate {g} lies on a cycle")
         return tuple(order)
 
-    def children(self, g: int):
-        return self.wires[g]
-
     def parents(self) -> dict:
         """Map gate -> its (parent, tag) pairs, one per wire."""
         if self._parents is None:
@@ -180,18 +185,6 @@ class Circuit:
         """Children-first order, least ready gate first."""
         return self._topo
 
-    def inputs_by_var(self) -> dict:
-        """Map variable -> its input gate; raises if a variable labels two gates."""
-        if self._inputs_by_var is None:
-            out = {}
-            for g, lab in self.gates.items():
-                if lab.kind == "input":
-                    if lab.var in out:
-                        raise CircuitError(f"variable {lab.var} labels gates {out[lab.var]} and {g}")
-                    out[lab.var] = g
-            self._inputs_by_var = out
-        return self._inputs_by_var
-
     def __len__(self):
         return len(self.gates)
 
@@ -200,8 +193,9 @@ def _in_field(value, fld: Field) -> bool:
     return isinstance(value, FieldValue) and value.field == fld
 
 
-def _broken_rule(lab: GateLabel, ws: tuple, declared, fld: Field) -> str | None:
-    """The rule a gate with this label and these wires breaks, or None."""
+def _broken_rule(lab: GateLabel, ws: tuple, declared, inputs: dict, fld: Field) -> str | None:
+    """The rule a gate with this label and these wires breaks, or None;
+    inputs maps each variable to the input gate already seen for it."""
     kind = lab.kind
     if kind not in _KINDS:
         return f"unknown label kind {kind!r}"
@@ -224,6 +218,8 @@ def _broken_rule(lab: GateLabel, ws: tuple, declared, fld: Field) -> str | None:
         return f"not gate has {len(ws)} children"
     if kind == "input" and lab.var not in declared:
         return f"variable {lab.var!r} is not declared"
+    if kind == "input" and lab.var in inputs:
+        return f"variable {lab.var!r} already labels gate {inputs[lab.var]}"
     if kind == "const" and not _in_field(lab.value, fld):
         return f"constant {lab.value} is not in {fld.name()}"
     if kind in ("th_ge", "th_eq") and not (isinstance(lab.k, int) and lab.k >= 0):
@@ -564,7 +560,7 @@ def _label_from_json(obj, fld: Field, path: str) -> GateLabel:
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(path, str(exc)) from None
     # the Circuit constructor rejects unknown kinds, naming the gate
-    return GateLabel(kind)
+    return _PLAIN_LABELS.get(kind) or GateLabel(kind)
 
 
 def deserialize(text: str) -> Circuit:
@@ -588,6 +584,10 @@ def deserialize(text: str) -> Circuit:
         gates[gid] = _label_from_json(_want(entry, "label", dict, path), fld, f"{path}.label")
         kids = []
         for j, ch in enumerate(_want(entry, "children", list, path)):
+            # the common well-formed entry in one test; the path only on error
+            if type(ch) is dict and type(ch.get("id")) is int and type(ch.get("tag", "")) is str:
+                kids.append((ch["id"], ch.get("tag")))
+                continue
             cpath = f"{path}.children[{j}]"
             cid = _want(ch, "id", int, cpath)
             tag = ch.get("tag")

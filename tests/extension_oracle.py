@@ -129,7 +129,7 @@ def search_extension(circuit, sigma: dict, fix=None, colors=None):
     def accept():
         return verify_automorphism(circuit, Witness(sigma, dict(rho))) == []
 
-    by_var = circuit.inputs_by_var()
+    by_var = circuit.inputs_by_var
     seeds = []
     for g, lab in sorted(gates.items()):
         if lab.kind == "const":

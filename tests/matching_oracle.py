@@ -1,14 +1,16 @@
-"""The backtracking perfect-matching search that the gadget contraction in
-symcirc.cfi replaced, kept as a test oracle.
+"""Perfect-matching oracles for symcirc.cfi: the backtracking search that
+the gadget contraction replaced, and the Ryser summation that the
+permanent DP replaced.
 
 search visits every perfect matching of any graph; counting, listing and the
 CFI classification are leaves over it.  classify also checks the projection
-equations on every matching it visits.
+equations on every matching it visits.  ryser_permanent sums over all 2^n
+column subsets, so it suits graphs with at most about 20 vertices a side.
 """
 
 from __future__ import annotations
 
-from symcirc.cfi import CFIGraph, MatchingReport
+from symcirc.cfi import CFIGraph, MatchingReport, bipartition
 from symcirc.errors import CircuitError
 
 
@@ -110,3 +112,34 @@ def classify(cfi: CFIGraph) -> MatchingReport:
     count = sum(hist.values())
     uniform = hist.get((0, 3 * len(cfi.base.vertices), 0), 0)
     return MatchingReport(count, nodes, uniform, count - uniform, hist)
+
+
+def ryser_permanent(g) -> int:
+    """Permanent of the biadjacency matrix of a bipartite graph, by Ryser's
+    inclusion-exclusion summation over column subsets with Gray-code
+    updates."""
+    left, right = bipartition(g)
+    if len(left) != len(right):
+        raise CircuitError("bipartition is unbalanced")
+    n = len(left)
+    rows_of = {v: [] for v in right}   # column -> the rows with a 1 in it
+    for i, u in enumerate(left):
+        for w in g.adj(u):
+            rows_of[w].append(i)
+    col_rows = [rows_of[v] for v in right]
+    total = 1 if n == 0 else 0
+    sums = [0] * n
+    sign = -1 if n % 2 else 1   # (-1)^(n - |S|), S the columns in Gray code s
+    for s in range(1, 1 << n):
+        j = (s & -s).bit_length() - 1   # Gray codes s - 1 and s differ in column j
+        step = 1 if (s ^ s >> 1) >> j & 1 else -1
+        for i in col_rows[j]:
+            sums[i] += step
+        sign = -sign
+        prod = 1
+        for x in sums:
+            prod *= x
+            if prod == 0:
+                break
+        total += sign * prod
+    return total

@@ -16,6 +16,7 @@ from math import comb
 import pytest
 
 import matching_oracle
+from orientation_oracle import enumerate_orientations
 from symcirc import (
     GF,
     QQ,
@@ -29,7 +30,6 @@ from symcirc import (
     complete_graph,
     cycle_graph,
     det_oracle,
-    enumerate_orientations,
     enumerate_perfect_matchings,
     eval_on_matrix,
     evaluate_bool,
@@ -252,7 +252,7 @@ def test_10_matching_counts_k4():
     assert rep.uniform_x == uniform_count_formula(g, False)
     assert rep.uniform_y == uniform_count_formula(g, True)
     assert rep.nonuniform_x == rep.nonuniform_y == 18432
-    # enumeration vs inclusion-exclusion permanent: two independent algorithms
+    # gadget contraction vs the row-by-row permanent DP: two independent algorithms
     assert rep.permanent_checked
     assert rep.checks["permanent_matches_x"]
     assert rep.checks["permanent_matches_y"]
@@ -339,4 +339,7 @@ def test_k33_formulas_always():
     assert rep.enumerated
     assert (rep.count_x, rep.count_y) == (2093056, 2094080)
     assert rep.nonuniform_x == rep.nonuniform_y
+    assert rep.permanent_checked
+    assert rep.checks["permanent_matches_x"]
+    assert rep.checks["permanent_matches_y"]
     assert rep.passed()

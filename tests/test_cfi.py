@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 import matching_oracle as oracle
+from orientation_oracle import enumerate_orientations
 from symcirc import (
     BudgetExceededError,
     CircuitError,
@@ -19,7 +20,6 @@ from symcirc import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    enumerate_orientations,
     enumerate_perfect_matchings,
     gadget_matchings_check,
     is_graph_isomorphism,
@@ -138,6 +138,23 @@ def test_matching_count_via_permanent_agrees():
         matching_count_via_permanent(complete_graph(4))
     with pytest.raises(BudgetExceededError):
         matching_count_via_permanent(complete_bipartite(23, 23))
+
+
+@pytest.mark.parametrize("special", [None, 1, 2, 3, 4])
+def test_permanent_dp_matches_ryser_on_k4(special):
+    g = build_cfi(k4(), twisted=special is not None, special=special).graph
+    assert matching_count_via_permanent(g) == oracle.ryser_permanent(g)
+
+
+def test_permanent_dp_drops_dead_states(monkeypatch):
+    # C6 = 1-2-...-6-1 has rows 1, 3, 5 and columns 2, 4, 6.  After row 1
+    # the used columns are {2} or {6}; row 3 closes column 2, which must be
+    # used by then, leaving {4} or {6}: two states at most
+    monkeypatch.setattr(cfi, "_FRONTIER_BUDGET", 2)
+    assert matching_count_via_permanent(cycle_graph(6)) == 2
+    monkeypatch.setattr(cfi, "_FRONTIER_BUDGET", 1)
+    with pytest.raises(BudgetExceededError, match="permanent"):
+        matching_count_via_permanent(cycle_graph(6))
 
 
 def test_bipartition():
@@ -278,6 +295,15 @@ def test_gadget_matchings():
     for bits, count in rep.counts_by_bits.items():
         want = 4 if sum(bits) % 2 == 0 else 2
         assert count == want
+
+
+def test_matching_experiment_petersen_permanent_unchecked():
+    # the contraction counts the Petersen pair, the permanent DP overruns
+    rep = matching_experiment(petersen_graph(), k_list=(), p_list=())
+    assert rep.enumerated
+    assert not rep.permanent_checked
+    assert "permanent_matches_x" not in rep.checks
+    assert rep.passed()
 
 
 def test_matching_experiment_formula_only(monkeypatch):

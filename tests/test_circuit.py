@@ -143,6 +143,8 @@ _MALFORMED = {
     "not_without_child": (["x"], {0: NOT}, {}, 0, "gate 0: not gate has 0 children"),
     "not_with_two_children": (["x", "y"], {0: input_label("x"), 1: input_label("y"), 2: NOT},
                               {2: [0, 1]}, 2, "gate 2: not gate has 2 children"),
+    "variable_on_two_gates": (["x"], {0: input_label("x"), 1: input_label("x"), 2: ADD},
+                              {2: [0, 1]}, 2, "gate 1: variable 'x' already labels gate 0"),
     "constant_outside_field": ([], {0: const(GF(5).of(2))}, {}, 0,
                                "gate 0: constant 2 is not in Q"),
     "target_outside_field": (["x"], {0: input_label("x"), 1: psum(GF(5).of(1), {"a": QQ.of(1)})},

@@ -293,6 +293,16 @@ def test_cfi_experiment_petersen(capsys):
     assert rep["expected_diff"] == 2 ** 16
 
 
+@pytest.mark.parametrize("graph, checked", [("k4", True), ("k33", True),
+                                            ("petersen", False)])
+def test_cfi_experiment_reports_permanent_check(capsys, graph, checked):
+    code, rep, _ = invoke(capsys, "cfi", "experiment", "--graph", graph,
+                          "--wl", "", "--mod", "")
+    assert code == 0
+    assert rep["permanent_checked"] is checked
+    assert ("permanent_matches_x" in rep["checks"]) is checked
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "--graph", "k4", "--budget", "1000"],
     ["experiment", "--graph", "k4", "--budget", "1000"],

@@ -208,7 +208,7 @@ def flip_at(d: Circuit, index: int) -> Circuit:
         gates[g], wires[g] = label, kids
         return g
 
-    ins = d.inputs_by_var()
+    ins = d.inputs_by_var
     names = sorted(ins)
     lits = [ins[v] if index >> (len(names) - 1 - i) & 1 else add(NOT, [ins[v]])
             for i, v in enumerate(names)]
@@ -264,7 +264,7 @@ def test_orbit_preservation_rejects_asymmetric_stage():
     exp = expand_to_threshold(low)
     # a new output that also reads x_1_1 alone, which no row or column swap fixes
     d = exp.circuit
-    x11 = d.inputs_by_var()[matrix_var(1, 1)]
+    x11 = d.inputs_by_var[matrix_var(1, 1)]
     out = len(d.gates)
     mutated = Circuit(d.field, d.variables, {**d.gates, out: AND},
                       {**d.wires, out: [d.output, x11]}, out)
