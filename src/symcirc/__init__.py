@@ -44,7 +44,6 @@ from .symmetry import (
     check_symmetric,
     find_extension,
     group_generators,
-    is_support,
     minimal_support,
     orbits,
     verify_automorphism,
@@ -63,13 +62,10 @@ from .generators import (
 )
 from .lowering import (
     ExpandedCircuit,
-    GadgetSpec,
     OrbitPreservationReport,
     PartitionCircuit,
     ValueSetMap,
     expand_to_threshold,
-    gadget_for_partition_function,
-    gadget_input_names,
     lower_to_partition_basis,
     orbit_preservation_check,
     value_sets,

@@ -18,8 +18,9 @@ independent gadget-local matchings, so enumerate_perfect_matchings sums
 products of per-gadget counts over a sweep of the base graph instead of
 listing matchings.  The gadget bijection rule and the permanent check it
 independently; matching_count_via_permanent is a row-by-row DP over sets of
-used columns that reads only the bipartite graph.  Under the shared state
-budget it checks the pairs over K4 and K3,3, but not Petersen's.
+used columns that reads only the bipartite graph, with its rows taken from
+the side whose greedy order keeps fewer columns open.  Under the shared
+state budget it checks the pairs over K4, K3,3 and Petersen.
 """
 
 from __future__ import annotations
@@ -247,21 +248,11 @@ def bipartition(g: Graph):
     return left, right
 
 
-def matching_count_via_permanent(g: Graph) -> int:
-    """Permanent of the biadjacency matrix, the number of perfect matchings
-    of a bipartite graph, by a row-by-row DP.  Rows come greedily: most
-    columns touched by earlier rows, then shortest, then lowest index.  A
-    state maps the used columns that a later row still touches to the
-    number of ways to match the rows so far; a column leaves the key at its
-    last row, which must find it used.  As every column has a row, n rows on
-    distinct columns use them all, so that rule only drops dead states
-    early.  It reads only the graph, so it checks the gadget contraction
-    independently.  Raises BudgetExceededError past _FRONTIER_BUDGET states."""
-    left, right = bipartition(g)
-    if len(left) != len(right):
-        raise CircuitError("bipartition is unbalanced")
-    col = {v: j for j, v in enumerate(right)}
-    rows = [sorted(col[w] for w in g.adj(u)) for u in left]
+def _row_order(rows) -> tuple:
+    """(order, last, width): the greedy row order (most columns touched by
+    earlier rows, then shortest, then lowest index), each column's last row,
+    and the most columns open at one step, touched by a row up to it and by
+    a row from it on."""
     order, touched, pending = [], set(), list(range(len(rows)))
     while pending:
         # among rows touching as many old columns, the shortest adds fewest new
@@ -269,7 +260,34 @@ def matching_count_via_permanent(g: Graph) -> int:
         pending.remove(i)
         order.append(i)
         touched.update(rows[i])
-    last = {j: i for i in order for j in rows[i]}   # column -> its last row
+    last = {j: i for i in order for j in rows[i]}
+    width, open_cols = 0, set()
+    for i in order:
+        open_cols.update(rows[i])
+        width = max(width, len(open_cols))
+        open_cols.difference_update(j for j in rows[i] if last[j] == i)
+    return order, last, width
+
+
+def matching_count_via_permanent(g: Graph) -> int:
+    """Permanent of the biadjacency matrix, the number of perfect matchings
+    of a bipartite graph, by a row-by-row DP.  A state maps the used columns
+    that a later row still touches to the number of ways to match the rows
+    so far, so the rows are the side of the bipartition with the narrower
+    _row_order (the left on a tie).  A column leaves the key at its last
+    row, which must find it used.  As every column has a row, n rows on
+    distinct columns use them all, so that rule only drops dead states
+    early.  It reads only the graph, so it checks the gadget contraction
+    independently.  Raises BudgetExceededError past _FRONTIER_BUDGET states."""
+    left, right = bipartition(g)
+    if len(left) != len(right):
+        raise CircuitError("bipartition is unbalanced")
+    plans = []
+    for side, other in ((left, right), (right, left)):
+        col = {v: j for j, v in enumerate(other)}
+        rows = [sorted(col[w] for w in g.adj(u)) for u in side]
+        plans.append((rows, *_row_order(rows)))
+    rows, order, last, _width = min(plans, key=lambda plan: plan[3])
     states = {0: 1}   # used open columns -> partial matchings
     for i in order:
         shut = sum(1 << j for j in rows[i] if last[j] == i)

@@ -25,7 +25,7 @@ from .circuit import deserialize, evaluate_arith, serialize, size_stats
 from .errors import BudgetExceededError, SymcircError
 from .field import Field
 from .generators import leverrier_det_circuit, ryser_perm_circuit
-from .graphs import builtin_graph, format_graph, parse_graph
+from .graphs import BUILTIN_GRAPHS, builtin_graph, format_graph, parse_graph
 from .lowering import (
     expand_to_threshold,
     lower_to_partition_basis,
@@ -45,7 +45,6 @@ from .symmetry import (
 from .wl import wl_equivalent
 
 SCHEMA_VERSION = 1
-_BUILTINS = ("k4", "k33", "petersen")
 
 
 def _emit(report: dict):
@@ -119,7 +118,7 @@ def _witness_json(w) -> dict:
 
 
 def _load_graph(text: str, name=""):
-    if text.lower() in _BUILTINS:
+    if text.lower() in BUILTIN_GRAPHS:
         return builtin_graph(text)
     return parse_graph(_read(text), name or text)
 
@@ -235,13 +234,13 @@ def _cmd_lower(args) -> int:
         verified_c = verify_lowering(circuit, accept, expanded.circuit)
     except BudgetExceededError:   # too many inputs to check every assignment
         verified_d = verified_c = None
-    _note(f"partition circuit: {size_stats(lowered.circuit).gates} gates -> {d_path}")
-    _note(f"threshold circuit: {size_stats(expanded.circuit).gates} gates -> {args.out}")
+    _note(f"partition circuit: {len(lowered.circuit)} gates -> {d_path}")
+    _note(f"threshold circuit: {len(expanded.circuit)} gates -> {args.out}")
     _emit({"command": "lower", "circuit": args.circuit, "accept": args.accept,
            "mode": args.mode, "trivial": lowered.trivial,
            "d_out": d_path, "c_out": args.out,
-           "d_gates": size_stats(lowered.circuit).gates,
-           "c_gates": size_stats(expanded.circuit).gates,
+           "d_gates": len(lowered.circuit),
+           "c_gates": len(expanded.circuit),
            "verified_d": verified_d, "verified_c": verified_c})
     if verified_d is False or verified_c is False:
         return 1
@@ -377,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cfi", help="CFI graph operations")
     csub = p.add_subparsers(dest="cfi_command", required=True)
     b = csub.add_parser("build", help="write a CFI graph file")
-    b.add_argument("--graph", required=True, help="k4 | k33 | petersen | graph file")
+    b.add_argument("--graph", required=True, help=" | ".join([*BUILTIN_GRAPHS, "graph file"]))
     b.add_argument("--twisted", action="store_true")
     b.add_argument("--special", type=int)
     b.add_argument("--out", required=True)

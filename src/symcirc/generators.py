@@ -87,7 +87,8 @@ def leverrier_det_circuit(n: int, fld: Field = QQ, allow_positive_char: bool = F
         for j in idx:
             g = b.add(input_label(matrix_var(i, j)), name=("x", i, j))
             b.names[("pow", 1, i, j)] = g
-    cvals = [("-1", -1), ("0", 0), ("1", 1)]
+    # -1 signs the even traces and 1/k scales p_k, so n = 1 needs neither
+    cvals = [("-1", -1)] if n > 1 else []
     cvals += [(f"1/{k}", Fraction(1, k)) for k in range(2, n + 1)]
     cgate = {lbl: b.add(const(fld.of(v)), name=("const", lbl)) for lbl, v in cvals}
 
@@ -166,7 +167,8 @@ def ryser_perm_circuit(n: int, fld: Field = QQ) -> GeneratedCircuit:
     for i in idx:
         for j in idx:
             b.add(input_label(matrix_var(i, j)), name=("x", i, j))
-    neg_one = b.add(const(fld.of(-1)), name=("const", "-1")) if two_sided else None
+    # some term has n + |S| odd exactly when n > 1
+    neg_one = b.add(const(fld.of(-1)), name=("const", "-1")) if two_sided and n > 1 else None
     subsets = [S for size in range(1, n + 1)
                for S in itertools.combinations(idx, size)]
 

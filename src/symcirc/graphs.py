@@ -139,15 +139,18 @@ def petersen_graph() -> Graph:
     return Graph(tuple(range(1, 11)), tuple(outer + spokes + inner), "petersen")
 
 
+BUILTIN_GRAPHS = {
+    "k4": lambda: complete_graph(4, "k4"),
+    "k33": lambda: complete_bipartite(3, 3, "k33"),
+    "petersen": petersen_graph,
+}
+
+
 def builtin_graph(name: str) -> Graph:
-    key = name.lower()
-    if key == "k4":
-        return complete_graph(4, "k4")
-    if key == "k33":
-        return complete_bipartite(3, 3, "k33")
-    if key == "petersen":
-        return petersen_graph()
-    raise CircuitError(f"unknown built-in graph {name!r}")
+    make = BUILTIN_GRAPHS.get(name.lower())
+    if make is None:
+        raise CircuitError(f"unknown built-in graph {name!r}")
+    return make()
 
 
 # ---------------------------------------------------------------------------

@@ -182,26 +182,6 @@ def lower_to_partition_basis(circuit: Circuit, accept, values: ValueSetMap) -> P
 # Partition gadgets
 
 
-@dataclass(frozen=True)
-class GadgetSpec:
-    """One partition gate alone: a psum / pprod label, and sizes mapping
-    each of its part tags to the number of inputs in that part."""
-    label: GateLabel
-    sizes: dict
-
-    def __post_init__(self):
-        if self.label.kind not in ("psum", "pprod"):
-            raise CircuitError(f"gadget label {self.label!r} is not a partition label")
-        if set(self.sizes) != set(self.label.parts_map()):
-            raise CircuitError("sizes and label parts name different tags")
-        if any(s < 0 for s in self.sizes.values()):
-            raise CircuitError("negative part size")
-
-
-def gadget_input_names(spec: GadgetSpec) -> dict:
-    return {t: tuple(f"in_{t}_{i}" for i in range(1, n + 1)) for t, n in spec.sizes.items()}
-
-
 def _ladder_edges(label: GateLabel, counts: dict, targets: set, left: int) -> tuple:
     """Plan a family's ladder from its wire counts per tag: (layers, AND-gate
     budget left), layer i as (tag, {s: [(s', k), ...]}) where combine(s',
@@ -226,16 +206,6 @@ def _ladder_edges(label: GateLabel, counts: dict, targets: set, left: int) -> tu
         layers.append((t, edges))
         reached = edges
     return layers, left
-
-
-def gadget_for_partition_function(spec: GadgetSpec) -> Circuit:
-    """The gadget expand_to_threshold makes for this gate alone, over
-    inputs named by gadget_input_names."""
-    names = gadget_input_names(spec)
-    b = CircuitBuilder(spec.label.c.field, [n for ns in names.values() for n in ns])
-    kids = [(b.add(input_label(n)), t) for t, ns in names.items() for n in ns]
-    gate = b.build(b.add(spec.label, kids))
-    return expand_to_threshold(PartitionCircuit(gate, None)).circuit
 
 
 @dataclass

@@ -4,11 +4,14 @@ A variable permutation is a dict mapping variable ids to variable ids
 (identity where missing).  A witness pairs such a permutation with a gate
 bijection.  The circuits are rigid (no two gates share a label and
 children), so a variable permutation has at most one extension to the
-gates, and find_extension computes it in one bottom-up pass.  Non-rigid
-input is rejected with CircuitError rather than merged: merging can make a
-circuit symmetric that was not.  orbits accepts a witness exactly when its
-gate map is that extension; verify_automorphism checks the automorphism
-conditions directly and serves as the independent judge in the tests.
+gates, and find_extension computes it in one bottom-up pass, cached per
+permutation.  Non-rigid input is rejected with CircuitError rather than
+merged: merging can make a circuit symmetric that was not.  orbits accepts a
+witness exactly when its gate map is that extension; verify_automorphism
+checks the automorphism conditions directly and serves as the independent
+judge in the tests.  Supports are read from the same cached extensions: a
+transposition of index points is bad for a gate iff its extension is
+missing or moves the gate.
 """
 
 from __future__ import annotations
@@ -103,30 +106,12 @@ def group_generators(spec) -> list:
     return gens
 
 
-def apply_sigma(sigma: dict, var: str) -> str:
-    return sigma.get(var, var)
-
-
-def compose_sigma(first: dict, then: dict) -> dict:
-    """Permutation applying `first`, then `then`."""
-    out = {}
-    for v in set(first) | set(then):
-        w = apply_sigma(then, apply_sigma(first, v))
-        if w != v:
-            out[v] = w
-    return out
-
-
-def invert_sigma(sigma: dict) -> dict:
-    return {w: v for v, w in sigma.items() if v != w}
-
-
 def _check_sigma(circuit: Circuit, sigma: dict):
     vs = set(circuit.variables)
     for a, b in sigma.items():
         if a not in vs or b not in vs:
             raise CircuitError(f"permutation mentions unknown variable {a!r} or {b!r}")
-    if {apply_sigma(sigma, v) for v in vs} != vs:
+    if {sigma.get(v, v) for v in vs} != vs:
         raise CircuitError("map is not a permutation of the variables")
 
 
@@ -138,14 +123,6 @@ def _check_sigma(circuit: Circuit, sigma: dict):
 class Witness:
     sigma: dict  # variable permutation
     pi: dict     # gate bijection
-
-    def inverse(self) -> "Witness":
-        return Witness(invert_sigma(self.sigma), {h: g for g, h in self.pi.items()})
-
-    def compose(self, then: "Witness") -> "Witness":
-        """Witness applying self, then `then`."""
-        return Witness(compose_sigma(self.sigma, then.sigma),
-                       {g: then.pi[h] for g, h in self.pi.items()})
 
 
 def verify_automorphism(circuit: Circuit, witness: Witness) -> list:
@@ -168,7 +145,7 @@ def verify_automorphism(circuit: Circuit, witness: Witness) -> list:
         h = pi[g]
         hlab = gates[h]
         if lab.kind == "input":
-            want = apply_sigma(sigma, lab.var)
+            want = sigma.get(lab.var, lab.var)
             if hlab.kind != "input" or hlab.var != want:
                 probs.append(f"input gate {g} ({lab.var}) maps to {h} ({hlab!r}), wanted {want}")
         elif lab.kind == "const":
@@ -215,7 +192,7 @@ def _extension(circuit: Circuit, sigma: dict):
     for g in circuit.topo_order():
         lab = gates[g]
         if lab.kind == "input":
-            lab = input_label(apply_sigma(sigma, lab.var))
+            lab = input_label(sigma.get(lab.var, lab.var))
         h = index.get((lab, tuple(sorted(((pi[c], t) for c, t in wires[g]), key=_child_key))))
         if h is None:
             pi = None
@@ -227,9 +204,9 @@ def _extension(circuit: Circuit, sigma: dict):
     return pi
 
 
-def find_extension(circuit: Circuit, sigma: dict, fix: int | None = None):
-    """The gate map pi making (sigma, pi) an automorphism, with pi(fix)=fix
-    if given; None if none exists.  The circuit must be rigid.
+def find_extension(circuit: Circuit, sigma: dict):
+    """The gate map pi making (sigma, pi) an automorphism, or None if none
+    exists.  The circuit must be rigid.
 
     One pass in topological order maps each gate to the gate whose label is
     its own (with sigma applied to an input's variable) and whose wires are
@@ -240,12 +217,8 @@ def find_extension(circuit: Circuit, sigma: dict, fix: int | None = None):
     the gates into themselves is a bijection, and it keeps labels and maps
     wires onto wires by construction.
     """
-    if fix is not None and fix not in circuit.gates:
-        raise CircuitError(f"fix gate {fix} does not exist")
     pi = _extension(circuit, sigma)
-    if pi is None or (fix is not None and pi[fix] != fix):
-        return None
-    return dict(pi)
+    return None if pi is None else dict(pi)
 
 
 # ---------------------------------------------------------------------------
@@ -337,56 +310,44 @@ def _point_transposition(spec, a, b):
     pair does not lie in one factor of the group."""
     if isinstance(spec, (Square, Transpose)):
         return diagonal_sigma(spec.n, {a: b, b: a})
-    ka, ia = a
-    kb, ib = b
+    (ka, ia), (kb, ib) = a, b
     if ka != kb:
         return None
-    if ka == "r":
-        return row_sigma(spec.m, spec.n, {ia: ib, ib: ia})
-    return col_sigma(spec.m, spec.n, {ia: ib, ib: ia})
-
-
-def _bad_pairs(circuit: Circuit, gate: int, spec, points):
-    """Pairs of the given index points, in combinations order, whose
-    transposition has no extension fixing the gate."""
-    for a, b in itertools.combinations(points, 2):
-        sigma = _point_transposition(spec, a, b)
-        if sigma is not None and find_extension(circuit, sigma, fix=gate) is None:
-            yield a, b
-
-
-def is_support(circuit: Circuit, gate: int, S, spec) -> bool:
-    """True iff every transposition of index points outside S extends to an
-    automorphism fixing the gate.  Such transpositions generate the pointwise
-    stabilizer of S, so this is exactly the support condition."""
-    points = _support_points(spec)
-    sset = set(S)
-    for p in sset:
-        if p not in points:
-            raise CircuitError(f"{p!r} is not an index point of {spec!r}")
-    outside = [p for p in points if p not in sset]
-    return next(_bad_pairs(circuit, gate, spec, outside), None) is None
+    return (row_sigma if ka == "r" else col_sigma)(spec.m, spec.n, {ia: ib, ib: ia})
 
 
 def bad_pairs(circuit: Circuit, gate: int, spec) -> list:
-    """Index pairs whose transposition has no extension fixing the gate."""
-    return list(_bad_pairs(circuit, gate, spec, _support_points(spec)))
+    """Index pairs, in combinations order, whose transposition has no
+    extension fixing the gate.  Extensions are unique, so a pair is bad iff
+    the cached extension of its transposition is missing or moves the gate."""
+    if gate not in circuit.gates:
+        raise CircuitError(f"gate {gate} does not exist")
+    bad = []
+    for a, b in itertools.combinations(_support_points(spec), 2):
+        sigma = _point_transposition(spec, a, b)
+        if sigma is not None:
+            pi = _extension(circuit, sigma)
+            if pi is None or pi[gate] != gate:
+                bad.append((a, b))
+    return bad
 
 
 def minimal_support(circuit: Circuit, gate: int, spec):
     """A minimum-cardinality support of the gate.
 
-    A set is a support iff it meets every pair in bad_pairs (a transposition
-    avoiding the set must have a fixing extension), so the minimum support is
-    a minimum vertex cover of the bad-pair graph.  Searched smallest-first
-    with lexicographic tie-break; exponential in the point count, intended
-    for desk-scale index sets.
+    The transpositions of points outside a set generate its pointwise
+    stabilizer in the index-point action (under Transpose, the diagonal
+    one), so the set is a support iff each of them has an extension fixing
+    the gate, that is iff it meets every pair in bad_pairs.  The minimum
+    support is thus a minimum vertex cover of the bad-pair graph.
+    Searched smallest-first with lexicographic tie-break; exponential in the
+    point count, intended for desk-scale index sets.
     """
-    points = _support_points(spec)
     bad = bad_pairs(circuit, gate, spec)
+    points = _support_points(spec)
     for size in range(len(points) + 1):
         for cand in itertools.combinations(points, size):
             cset = set(cand)
             if all(a in cset or b in cset for a, b in bad):
-                return set(cand)
+                return cset
     raise AssertionError("unreachable: the full point set is always a support")

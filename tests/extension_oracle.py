@@ -17,7 +17,6 @@ from symcirc.symmetry import (
     Witness,
     _point_transposition,
     _support_points,
-    apply_sigma,
     verify_automorphism,
 )
 from symcirc.wl import refine
@@ -135,7 +134,7 @@ def search_extension(circuit, sigma: dict, fix=None, colors=None):
         if lab.kind == "const":
             seeds.append((g, g))
         elif lab.kind == "input":
-            target = by_var.get(apply_sigma(sigma, lab.var))
+            target = by_var.get(sigma.get(lab.var, lab.var))
             if target is None:
                 return None
             seeds.append((g, target))
@@ -182,6 +181,14 @@ def search_extension(circuit, sigma: dict, fix=None, colors=None):
             if stack:
                 undo(stack[-1][2])
     return None
+
+
+def fixing(pi, fix):
+    """A gate map from find_extension as search_extension answers with the
+    same fix: pi if it fixes that gate (or fix is None), else None."""
+    if pi is None or (fix is not None and pi[fix] != fix):
+        return None
+    return pi
 
 
 def bad_pairs(circuit, gate, spec, colors=None) -> list:

@@ -20,9 +20,9 @@ from orientation_oracle import enumerate_orientations
 from symcirc import (
     GF,
     QQ,
-    GadgetSpec,
     Graph,
     Matrix,
+    PartitionCircuit,
     Transpose,
     build_cfi,
     check_symmetric,
@@ -34,8 +34,6 @@ from symcirc import (
     eval_on_matrix,
     evaluate_bool,
     expand_to_threshold,
-    gadget_for_partition_function,
-    gadget_input_names,
     gadget_matchings_check,
     input_label,
     leverrier_det_circuit,
@@ -170,10 +168,7 @@ def test_05_lowering_round_trips():
                 seen_targets.add(acc)
             for c in seen_targets:
                 direct, flat = partition_gate_circuit(kind, c, parts, counts)
-                spec = GadgetSpec(direct.gates[direct.output], counts)
-                gadget = gadget_for_partition_function(spec)
-                names = gadget_input_names(spec)
-                assert sorted(flat) == sorted(v for t in tags for v in names[t])
+                gadget = expand_to_threshold(PartitionCircuit(direct, None)).circuit
                 for bits in itertools.product((0, 1), repeat=len(flat)):
                     asg = dict(zip(flat, bits))
                     assert evaluate_bool(gadget, asg) == evaluate_bool(direct, asg), \

@@ -297,12 +297,28 @@ def test_gadget_matchings():
         assert count == want
 
 
-def test_matching_experiment_petersen_permanent_unchecked():
-    # the contraction counts the Petersen pair, the permanent DP overruns
+def test_matching_experiment_petersen_permanent_checked():
+    # the permanent DP takes its rows from the narrower side and finishes
+    rep = matching_experiment(petersen_graph(), k_list=(), p_list=())
+    assert rep.enumerated
+    assert rep.permanent_checked
+    assert rep.checks["permanent_matches_x"]
+    assert rep.checks["permanent_matches_y"]
+    assert (rep.count_x, rep.count_y) == (16531062784, 16531128320)
+    assert rep.passed()
+
+
+def test_matching_experiment_permanent_unchecked(monkeypatch):
+    # a permanent over its budget leaves the contraction's checks standing
+    def overrun(g):
+        raise BudgetExceededError("permanent DP exceeded the budget")
+
+    monkeypatch.setattr(cfi, "matching_count_via_permanent", overrun)
     rep = matching_experiment(petersen_graph(), k_list=(), p_list=())
     assert rep.enumerated
     assert not rep.permanent_checked
     assert "permanent_matches_x" not in rep.checks
+    assert "permanent_matches_y" not in rep.checks
     assert rep.passed()
 
 

@@ -48,10 +48,10 @@ def test_gen_det_writes_circuit_and_witnesses(tmp_path, capsys):
     code, rep, _ = invoke(capsys, "gen", "det", "--n", "3", "--out", str(out))
     assert code == 0
     assert rep["schema_version"] == 1
-    assert rep["gates"] == 67
+    assert rep["gates"] == 65
     assert rep["group"] == "transpose:3"
     circuit = deserialize(out.read_text())
-    assert len(circuit) == 67
+    assert len(circuit) == 65
     wit = json.loads((tmp_path / "det3.json.witnesses.json").read_text())
     assert wit["group"] == "transpose:3"
     assert len(wit["witnesses"]) == 4
@@ -140,7 +140,7 @@ def test_orbits(tmp_path, capsys):
                           "--group", "transpose:2")
     assert code == 0
     assert rep["max_orbit"] >= 2
-    assert sum(rep["orbit_sizes"]) == 17
+    assert sum(rep["orbit_sizes"]) == 15
 
     bad = tmp_path / "bad.json"
     write_asymmetric_circuit(bad)
@@ -159,6 +159,17 @@ def test_support(tmp_path, capsys):
                           "--group", "transpose:2", "--gate", str(out_gate))
     assert code == 0
     assert rep["support"] == []
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_support_of_missing_gate_exits_2(tmp_path, capsys, n):
+    det = tmp_path / "det.json"
+    invoke(capsys, "gen", "det", "--n", str(n), "--out", str(det))
+    code, rep, err = invoke(capsys, "support", "--circuit", str(det),
+                            "--group", f"square:{n}", "--gate", "999")
+    assert code == 2
+    assert rep is None
+    assert err == "error: gate 999 does not exist\n"
 
 
 def test_non_rigid_circuit_rejected(tmp_path, capsys):
@@ -294,7 +305,7 @@ def test_cfi_experiment_petersen(capsys):
 
 
 @pytest.mark.parametrize("graph, checked", [("k4", True), ("k33", True),
-                                            ("petersen", False)])
+                                            ("petersen", True)])
 def test_cfi_experiment_reports_permanent_check(capsys, graph, checked):
     code, rep, _ = invoke(capsys, "cfi", "experiment", "--graph", graph,
                           "--wl", "", "--mod", "")

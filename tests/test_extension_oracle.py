@@ -11,12 +11,14 @@ import random
 
 import pytest
 
-from extension_oracle import invariant_colors, minimal_support as oracle_support
-from extension_oracle import search_extension
+from extension_oracle import bad_pairs as oracle_bad_pairs
+from extension_oracle import fixing, invariant_colors, search_extension
+from extension_oracle import minimal_support as oracle_support
 from symcirc import (
     GF,
     QQ,
     Matrix,
+    Square,
     Transpose,
     Witness,
     find_extension,
@@ -26,7 +28,7 @@ from symcirc import (
     ryser_perm_circuit,
     verify_automorphism,
 )
-from symcirc.symmetry import compose_sigma, row_sigma, transpose_sigma
+from symcirc.symmetry import _matrix_sigma, bad_pairs
 
 CASES = ([("det", n, QQ) for n in (2, 3, 4, 5)]
          + [("det", n, GF(7)) for n in (2, 3, 4, 5)]
@@ -44,8 +46,8 @@ def sigmas(n, rng):
     """Row, column, diagonal and transpose generators, a row cycle composed
     with the transpose, and two random variable permutations."""
     out = group_generators(Matrix(n, n)) + group_generators(Transpose(n))
-    cycle = {i: i % n + 1 for i in range(1, n + 1)}
-    out.append(compose_sigma(row_sigma(n, n, cycle), transpose_sigma(n)))
+    # the row cycle i -> i+1 (mod n), then the transpose
+    out.append(_matrix_sigma(n, n, lambda i, j: (j, i % n + 1)))
     variables = [f"x_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
     for _ in range(2):
         shuffled = rng.sample(variables, len(variables))
@@ -64,11 +66,11 @@ def test_extension_matches_search(kind, n, fld):
     for sigma in sigmas(n, rng):
         for fix in (None, rng.choice(gates)):
             want = search_extension(c, sigma, fix, colors)
-            got = find_extension(c, sigma, fix)
-            assert got == want, (sigma, fix)
+            got = find_extension(c, sigma)
+            assert fixing(got, fix) == want, (sigma, fix)
             if got is not None:
-                found += 1
                 assert verify_automorphism(c, Witness(sigma, got)) == []
+            found += want is not None
     assert found >= len(group_generators(Transpose(n)))
 
 
@@ -78,3 +80,14 @@ def test_minimal_support_matches_search(kind, spec):
     colors = invariant_colors(c)
     for g in sorted(c.gates):
         assert minimal_support(c, g, spec) == oracle_support(c, g, spec, colors), g
+
+
+@pytest.mark.parametrize("kind, n, spec",
+                         [("det", n, spec) for n in (3, 4) for spec in (Transpose(n), Square(n))]
+                         + [("perm", n, Matrix(n, n)) for n in (3, 4)],
+                         ids=str)
+def test_bad_pairs_match_search(kind, n, spec):
+    c = build(kind, n, QQ).circuit
+    colors = invariant_colors(c)
+    for g in sorted(c.gates):
+        assert bad_pairs(c, g, spec) == oracle_bad_pairs(c, g, spec, colors), g

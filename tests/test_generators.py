@@ -82,7 +82,7 @@ def test_leverrier_fractional_entries():
 
 def test_leverrier_gate_counts_frozen():
     got = [len(leverrier_det_circuit(n).circuit) for n in range(2, 9)]
-    assert got == [17, 67, 140, 512, 861, 1704, 2512]
+    assert got == [15, 65, 138, 510, 859, 1702, 2510]
 
 
 def test_leverrier_gate_count_bounds():
@@ -143,6 +143,24 @@ def test_ryser_matches_oracle():
 def test_ryser_gate_counts_frozen():
     got = [len(ryser_perm_circuit(n).circuit) for n in range(2, 6)]
     assert got == [26, 66, 170, 406]
+
+
+@pytest.mark.parametrize("kind", ["det", "perm"])
+@pytest.mark.parametrize("fld", [QQ, GF(7)], ids=["Q", "F7"])
+def test_every_gate_is_read(kind, fld):
+    # the output reads every gate, constants included, for n = 1..6
+    for n in range(1, 7):
+        if kind == "det":
+            circuit = leverrier_det_circuit(n, fld, allow_positive_char=True).circuit
+        else:
+            circuit = ryser_perm_circuit(n, fld).circuit
+        seen, todo = {circuit.output}, [circuit.output]
+        while todo:
+            for c, _t in circuit.wires[todo.pop()]:
+                if c not in seen:
+                    seen.add(c)
+                    todo.append(c)
+        assert seen == set(circuit.gates), (kind, n)
 
 
 def test_ryser_witnesses_verify():

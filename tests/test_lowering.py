@@ -19,15 +19,13 @@ from symcirc import (
     CircuitBuilder,
     CircuitError,
     ExpandedCircuit,
-    GadgetSpec,
     Matrix,
+    PartitionCircuit,
     check_symmetric,
     const,
     evaluate_bool,
     expand_to_threshold,
     find_extension,
-    gadget_for_partition_function,
-    gadget_input_names,
     input_label,
     leverrier_det_circuit,
     lower_to_partition_basis,
@@ -38,7 +36,7 @@ from symcirc import (
     verify_automorphism,
     verify_lowering,
 )
-from symcirc.circuit import bool_lane_values, pprod, psum, th_eq
+from symcirc.circuit import bool_lane_values, pprod, psum
 from symcirc.symmetry import Witness, matrix_var, matrix_variables
 
 
@@ -292,15 +290,22 @@ def lane_table(circuit, names):
     return bool_lane_values(circuit, lanes, width)[circuit.output]
 
 
-def assert_gadget_table(spec, accepts):
-    """The gadget equals a direct partition gate on every 0-1 input, and
-    accepts exactly the inputs whose per-tag counts satisfy accepts."""
-    gadget = gadget_for_partition_function(spec)
-    names = gadget_input_names(spec)
+def one_gate(label, sizes):
+    """The circuit of one partition gate alone over sizes[t] inputs per
+    part tag t, and those inputs' names by tag."""
+    names = {t: [f"in_{t}_{i}" for i in range(1, n + 1)] for t, n in sizes.items()}
+    b = CircuitBuilder(label.c.field, [v for ns in names.values() for v in ns])
+    direct = b.build(b.add(label, [(b.add(input_label(v)), t)
+                                   for t, ns in names.items() for v in ns]))
+    return direct, names
+
+
+def assert_gadget_table(label, sizes, accepts):
+    """The gadget of one partition gate equals the gate on every 0-1 input,
+    and accepts exactly the inputs whose per-tag counts satisfy accepts."""
+    direct, names = one_gate(label, sizes)
+    gadget = expand_to_threshold(PartitionCircuit(direct, None)).circuit
     flat = [v for ns in names.values() for v in ns]
-    b = CircuitBuilder(spec.label.c.field, flat)
-    direct = b.build(b.add(spec.label, [(b.add(input_label(v)), t)
-                                        for t, ns in names.items() for v in ns]))
     assert lane_table(gadget, flat) == lane_table(direct, flat)
     for a in range(1 << len(flat)):
         asg = {v: a >> j & 1 for j, v in enumerate(flat)}
@@ -308,61 +313,40 @@ def assert_gadget_table(spec, accepts):
         assert evaluate_bool(gadget, asg) == int(accepts(counts)), counts
 
 
-def test_gadget_spec_validation():
-    label = psum(QQ.of(1), {"a": QQ.of(1), "b": QQ.of(2)})
-    with pytest.raises(CircuitError, match="different tags"):
-        GadgetSpec(label, {"a": 2})
-    with pytest.raises(CircuitError, match="different tags"):
-        GadgetSpec(label, {"a": 2, "b": 1, "c": 1})
-    with pytest.raises(CircuitError, match="negative"):
-        GadgetSpec(label, {"a": 2, "b": -1})
-    with pytest.raises(CircuitError, match="not a partition label"):
-        GadgetSpec(th_eq(1), {})
-    GadgetSpec(label, {"a": 0, "b": 3})
-
-
-def test_gadget_input_names_shape():
-    spec = GadgetSpec(psum(QQ.of(0), {"lo": QQ.of(1), "hi": QQ.of(2)}), {"lo": 2, "hi": 3})
-    names = gadget_input_names(spec)
-    assert set(names) == {"lo", "hi"}
-    assert len(names["lo"]) == 2
-    assert len(names["hi"]) == 3
-
-
 def test_gadget_matches_accept_exactly():
     # 2a + b = 2 with a, b <= 2 holds for the count vectors (1, 0) and (0, 2)
-    spec = GadgetSpec(psum(QQ.of(2), {"a": QQ.of(2), "b": QQ.of(1)}), {"a": 2, "b": 2})
-    assert_gadget_table(spec, lambda n: (n["a"], n["b"]) in {(1, 0), (0, 2)})
+    assert_gadget_table(psum(QQ.of(2), {"a": QQ.of(2), "b": QQ.of(1)}), {"a": 2, "b": 2},
+                        lambda n: (n["a"], n["b"]) in {(1, 0), (0, 2)})
 
 
 def test_gadget_all_sizes_up_to_four():
     # one part, sizes 1..4, accepting none, all or half of the inputs
     for size in (1, 2, 3, 4):
         for want in (0, size, size // 2):
-            spec = GadgetSpec(psum(QQ.of(want), {"t": QQ.one()}), {"t": size})
-            assert_gadget_table(spec, lambda n, want=want: n["t"] == want)
+            assert_gadget_table(psum(QQ.of(want), {"t": QQ.one()}), {"t": size},
+                                lambda n, want=want: n["t"] == want)
 
 
 def test_gadget_psum():
     parts = {"1": QQ.of(1), "2": QQ.of(2)}
     sizes = {"1": 2, "2": 1}
-    assert_gadget_table(GadgetSpec(psum(QQ.of(3), parts), sizes),
+    assert_gadget_table(psum(QQ.of(3), parts), sizes,
                         lambda n: (n["1"], n["2"]) == (1, 1))
-    assert_gadget_table(GadgetSpec(psum(QQ.of(0), parts), sizes),
+    assert_gadget_table(psum(QQ.of(0), parts), sizes,
                         lambda n: (n["1"], n["2"]) == (0, 0))
     # out of reach: the gadget is constant false
-    assert_gadget_table(GadgetSpec(psum(QQ.of(9), parts), sizes), lambda n: False)
+    assert_gadget_table(psum(QQ.of(9), parts), sizes, lambda n: False)
 
 
 def test_gadget_pprod_with_zero_part():
     parts = {"0": QQ.of(0), "2": QQ.of(2)}
     sizes = {"0": 1, "2": 2}
     # any zero factor kills the product
-    assert_gadget_table(GadgetSpec(pprod(QQ.of(0), parts), sizes), lambda n: n["0"] >= 1)
-    assert_gadget_table(GadgetSpec(pprod(QQ.of(4), parts), sizes),
+    assert_gadget_table(pprod(QQ.of(0), parts), sizes, lambda n: n["0"] >= 1)
+    assert_gadget_table(pprod(QQ.of(4), parts), sizes,
                         lambda n: (n["0"], n["2"]) == (0, 2))
     # the empty product is 1
-    assert_gadget_table(GadgetSpec(pprod(QQ.of(1), parts), sizes),
+    assert_gadget_table(pprod(QQ.of(1), parts), sizes,
                         lambda n: (n["0"], n["2"]) == (0, 0))
 
 
@@ -371,9 +355,9 @@ def test_ladder_budget():
     # sum, so layer i has 10^i gates and the sixth overdraws the budget
     primes = (11, 13, 17, 19, 23, 29, 31)
     parts = {str(p): QQ.of(f"1/{p}") for p in primes}
-    spec = GadgetSpec(psum(QQ.of(5), parts), {t: 9 for t in parts})
+    direct, _names = one_gate(psum(QQ.of(5), parts), {t: 9 for t in parts})
     with pytest.raises(BudgetExceededError, match="AND gates"):
-        gadget_for_partition_function(spec)
+        expand_to_threshold(PartitionCircuit(direct, None))
 
 
 def test_ryser_two_lowering_round_trip():

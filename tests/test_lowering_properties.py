@@ -17,14 +17,12 @@ from symcirc import (  # noqa: E402
     GF,
     MUL,
     CircuitBuilder,
-    GadgetSpec,
+    PartitionCircuit,
     Witness,
     const,
     evaluate_bool,
     expand_to_threshold,
     find_extension,
-    gadget_for_partition_function,
-    gadget_input_names,
     input_label,
     lower_to_partition_basis,
     orbit_preservation_check,
@@ -32,6 +30,7 @@ from symcirc import (  # noqa: E402
     verify_lowering,
 )
 from symcirc.circuit import pprod, psum  # noqa: E402
+from test_lowering import one_gate  # noqa: E402
 from test_symmetry_properties import symmetric_circuits  # noqa: E402
 
 PRIMES = (2, 3, 5)
@@ -91,14 +90,9 @@ def test_gadget_matches_partition_gate(p, kind, data):
     sizes = {t: data.draw(st.integers(0, 3)) for t in sorted(parts)}
     c = fld.of(data.draw(st.integers(0, p - 1)))
     label = (psum if kind == "psum" else pprod)(c, parts)
-    spec = GadgetSpec(label, sizes)
-    gadget = gadget_for_partition_function(spec)
-
-    names = gadget_input_names(spec)
+    direct, names = one_gate(label, sizes)
     flat = [v for ns in names.values() for v in ns]
-    b = CircuitBuilder(fld, flat)
-    direct = b.build(b.add(label, [(b.add(input_label(v)), t)
-                                   for t, ns in names.items() for v in ns]))
+    gadget = expand_to_threshold(PartitionCircuit(direct, None)).circuit
     for bits in itertools.product((0, 1), repeat=len(flat)):
         asg = dict(zip(flat, bits))
         assert evaluate_bool(gadget, asg) == evaluate_bool(direct, asg)

@@ -23,19 +23,15 @@ from symcirc import (
     group_generators,
     input_label,
     leverrier_det_circuit,
-    is_support,
     minimal_support,
     orbits,
     ryser_perm_circuit,
     verify_automorphism,
 )
 from symcirc.symmetry import (
-    apply_sigma,
     bad_pairs,
     col_sigma,
-    compose_sigma,
     diagonal_sigma,
-    invert_sigma,
     matrix_var,
     matrix_variables,
     row_sigma,
@@ -82,14 +78,6 @@ def test_sigma_builders():
     assert "x_1_1" not in t
 
 
-def test_sigma_compose_invert():
-    r = row_sigma(2, 2, {1: 2, 2: 1})
-    rr = compose_sigma(r, r)
-    for v in matrix_variables(2):
-        assert apply_sigma(rr, v) == v
-    assert invert_sigma(r) == r
-
-
 def test_generator_counts():
     assert len(group_generators(Square(3))) == 3
     assert len(group_generators(Matrix(2, 3))) == 1 + 3
@@ -109,10 +97,11 @@ def test_find_extension_on_symmetric_circuit():
 
 
 def test_find_extension_respects_fix():
+    # the row swap's extension fixes the output and moves the product gates
     c, names = perm2_circuit()
-    sigma = row_sigma(2, 2, {1: 2, 2: 1})
-    assert find_extension(c, sigma, fix=names["out"]) is not None
-    assert find_extension(c, sigma, fix=names["m1"]) is None
+    pi = find_extension(c, row_sigma(2, 2, {1: 2, 2: 1}))
+    assert pi[names["out"]] == names["out"]
+    assert pi[names["m1"]] != names["m1"]
 
 
 def test_find_extension_missing_input_target():
@@ -223,15 +212,6 @@ def test_partition_spec_on_plain_variables():
     assert not check_symmetric(c, Partition((("u", "v"),))).symmetric
 
 
-def test_witness_compose_inverse():
-    c, _ = perm2_circuit()
-    rep = check_symmetric(c, Matrix(2, 2))
-    w = rep.witnesses[0]
-    wi = w.compose(w.inverse())
-    assert verify_automorphism(c, wi) == []
-    assert all(g == h for g, h in wi.pi.items())
-
-
 def test_orbits_of_permanent():
     c, names = perm2_circuit()
     rep = check_symmetric(c, Matrix(2, 2))
@@ -260,13 +240,13 @@ def full_matrix_sum(n):
 
 
 def test_support_of_input_gate():
-    c, names = full_matrix_sum(3)
-    g = names[("x", 1, 2)]
-    spec = Square(3)
-    assert is_support(c, g, {1, 2}, spec)
-    assert is_support(c, g, {1, 2, 3}, spec)
-    assert not is_support(c, g, {1}, spec)
-    assert not is_support(c, g, set(), spec)
+    # x_ij is moved exactly by the transpositions touching i or j, so on
+    # four points its minimum support is {i, j}, one point on the diagonal
+    c, names = full_matrix_sum(4)
+    spec = Square(4)
+    assert minimal_support(c, names[("x", 1, 2)], spec) == {1, 2}
+    assert minimal_support(c, names[("x", 4, 3)], spec) == {3, 4}
+    assert minimal_support(c, names[("x", 2, 2)], spec) == {2}
 
 
 def test_bad_pairs_and_minimal_support():
@@ -286,10 +266,18 @@ def test_support_points_for_matrix_spec():
     g = names[("x", 1, 2)]
     spec = Matrix(3, 3)
     assert minimal_support(c, g, spec) == {("r", 1), ("c", 2)}
-    assert is_support(c, g, {("r", 1), ("c", 2)}, spec)
 
 
 def test_support_rejects_partition_spec():
     c, names = full_matrix_sum(2)
-    with pytest.raises(CircuitError):
-        is_support(c, names["out"], set(), Partition((("x_1_1",),)))
+    with pytest.raises(CircuitError, match="no index points"):
+        bad_pairs(c, names["out"], Partition((("x_1_1",),)))
+
+
+@pytest.mark.parametrize("spec", [Square(1), Square(3), Matrix(2, 2)])
+def test_support_rejects_missing_gate(spec):
+    c, _ = full_matrix_sum(spec.n)
+    with pytest.raises(CircuitError, match="gate 999 does not exist"):
+        bad_pairs(c, 999, spec)
+    with pytest.raises(CircuitError, match="gate 999 does not exist"):
+        minimal_support(c, 999, spec)
