@@ -170,20 +170,17 @@ def _contract(cfi: CFIGraph):
 
     Once every end is assigned to an endpoint's gadget, a perfect matching
     is a choice of independent gadget-local matchings.  The sweep adds base
-    vertices one at a time, next the one with the most added neighbours, and
-    keeps for each assignment of the frontier edges (one endpoint added) the
-    polynomial {j: count} of the partial matchings behind it."""
+    vertices in the _row_order of their edge sets (most added neighbours
+    first; the base is cubic, so then lowest index) and keeps for each
+    assignment of the frontier edges (one endpoint added) the polynomial
+    {j: count} of the partial matchings behind it."""
     base = cfi.base
     frontier = ()  # edges with exactly one endpoint added
     states = {(): {0: 1}}  # masks taken at the added endpoint -> {j: count}
-    added = set()
-    pending = list(base.vertices)
+    incident = [base.incident(v) for v in base.vertices]
     nodes = 0
-    while pending:
-        v = max(pending, key=lambda u: len(base.adj(u) & added))
-        pending.remove(v)
-        added.add(v)
-        inc = base.incident(v)
+    for r in _row_order(incident)[0]:
+        v, inc = base.vertices[r], incident[r]
         pos = {e: i for i, e in enumerate(frontier)}
         shut = [i for i, e in enumerate(inc) if e in pos]
         keep = [i for i, e in enumerate(frontier) if e not in inc]

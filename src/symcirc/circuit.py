@@ -108,14 +108,18 @@ def _child_key(ch):
     return (cid, "" if tag is None else tag)
 
 
-def _wire_tuple(children) -> tuple:
-    """Children (ids or (id, tag) pairs) as a sorted multiset of pairs."""
-    pairs = [(c, None) if isinstance(c, int) else (c[0], c[1]) for c in children]
+def _sorted_wires(pairs: list) -> tuple:
+    """The (id, tag) pairs, sorted in place in _child_key order, as a tuple."""
     try:
         pairs.sort()   # _child_key order, one pass when already sorted
     except TypeError:  # one id with a None tag and a str tag
         pairs.sort(key=_child_key)
     return tuple(pairs)
+
+
+def _wire_tuple(children) -> tuple:
+    """Children (ids or (id, tag) pairs) as a sorted multiset of pairs."""
+    return _sorted_wires([(c, None) if isinstance(c, int) else (c[0], c[1]) for c in children])
 
 
 class Circuit:
@@ -178,7 +182,7 @@ class Circuit:
             for g, ws in self.wires.items():
                 for c, tag in ws:
                     par[c].append((g, tag))
-            self._parents = {g: tuple(sorted(ps, key=_child_key)) for g, ps in par.items()}
+            self._parents = {g: _sorted_wires(ps) for g, ps in par.items()}
         return self._parents
 
     def topo_order(self):

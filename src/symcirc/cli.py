@@ -24,7 +24,7 @@ from .cfi import (
 from .circuit import deserialize, evaluate_arith, serialize, size_stats
 from .errors import BudgetExceededError, SymcircError
 from .field import Field
-from .generators import leverrier_det_circuit, ryser_perm_circuit
+from .generators import leverrier_det_circuit, matrix_assignment, ryser_perm_circuit
 from .graphs import BUILTIN_GRAPHS, builtin_graph, format_graph, parse_graph
 from .lowering import (
     expand_to_threshold,
@@ -38,7 +38,6 @@ from .symmetry import (
     Square,
     Transpose,
     check_symmetric,
-    group_generators,
     minimal_support,
     orbits,
 )
@@ -112,11 +111,6 @@ def _group_text(spec) -> str:
     return "partition"
 
 
-def _witness_json(w) -> dict:
-    return {"sigma": [[a, b] for a, b in sorted(w.sigma.items())],
-            "pi": [[g, h] for g, h in sorted(w.pi.items())]}
-
-
 def _load_graph(text: str, name=""):
     if text.lower() in BUILTIN_GRAPHS:
         return builtin_graph(text)
@@ -134,17 +128,11 @@ def _cmd_gen(args) -> int:
     else:
         gen = ryser_perm_circuit(args.n, fld)
     _write(args.out, serialize(gen.circuit))
-    wpath = args.out + ".witnesses.json"
-    _write(wpath, json.dumps({
-        "schema_version": SCHEMA_VERSION,
-        "group": _group_text(gen.group),
-        "witnesses": [_witness_json(w) for w in gen.witnesses],
-    }, sort_keys=True, indent=2) + "\n")
     stats = size_stats(gen.circuit)
     _note(f"wrote {args.kind} circuit for n={args.n} ({stats.gates} gates) to {args.out}")
     _emit({"command": "gen", "kind": args.kind, "n": args.n, "field": fld.name(),
            "gates": stats.gates, "wires": stats.wires, "depth": stats.depth,
-           "circuit": args.out, "witnesses": wpath, "group": _group_text(gen.group)})
+           "circuit": args.out, "group": _group_text(gen.group)})
     return 0
 
 
@@ -153,7 +141,6 @@ def _parse_assignment(circuit, args) -> dict:
     if args.matrix is not None:
         rows = [[fld.of(Fraction(cell)) for cell in row.split(",")]
                 for row in args.matrix.split(";")]
-        from .generators import matrix_assignment
         return matrix_assignment(fld, rows)
     asg = {}
     for item in args.assign.split(","):
@@ -174,16 +161,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_check_sym(args) -> int:
     circuit = _load_circuit(args.circuit)
-    spec = _parse_group(args.group)
-    rep = check_symmetric(circuit, spec)
-    if rep.symmetric and args.witnesses_out:
-        _write(args.witnesses_out, json.dumps({
-            "schema_version": SCHEMA_VERSION,
-            "group": args.group,
-            "witnesses": [_witness_json(w) for w in rep.witnesses],
-        }, sort_keys=True, indent=2) + "\n")
+    rep = check_symmetric(circuit, _parse_group(args.group))
     _note(f"symmetric: {'yes' if rep.symmetric else 'no'} "
-          f"({len(group_generators(spec))} generators)")
+          f"({len(rep.witnesses)} generators)")
     _emit({"command": "check-sym", "circuit": args.circuit, "group": args.group,
            "symmetric": rep.symmetric,
            "failed_generators": rep.failed})
@@ -351,7 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--group", required=True,
                    help="square:N | matrix:M,N | transpose:N | partition:FILE")
-    p.add_argument("--witnesses-out")
     p.set_defaults(func=_cmd_check_sym)
 
     p = sub.add_parser("orbits", help="gate orbits under the group witnesses")

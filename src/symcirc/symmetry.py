@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .circuit import Circuit, _child_key, input_label
+from .circuit import Circuit, _child_key, _sorted_wires, input_label
 from .errors import CircuitError
 
 
@@ -93,14 +93,27 @@ def transpose_sigma(n: int) -> dict:
     return _matrix_sigma(n, n, lambda i, j: (j, i))
 
 
+def _point_transpositions(spec) -> list:
+    """((a, b), sigma) per transposition of two index points of one factor
+    of the group: rows before columns, each factor in combinations order."""
+    if isinstance(spec, (Square, Transpose)):
+        return [((a, b), diagonal_sigma(spec.n, {a: b, b: a}))
+                for a, b in itertools.combinations(range(1, spec.n + 1), 2)]
+    if isinstance(spec, Matrix):
+        return [(((k, a), (k, b)), make(spec.m, spec.n, {a: b, b: a}))
+                for k, size, make in (("r", spec.m, row_sigma), ("c", spec.n, col_sigma))
+                for a, b in itertools.combinations(range(1, size + 1), 2)]
+    raise CircuitError(f"{spec!r} has no index points; supports are defined "
+                       "for Square, Transpose and Matrix groups")
+
+
 def group_generators(spec) -> list:
     """Variable permutations generating the group: all transpositions of the
     index set(s), plus the transpose map for Transpose specs."""
     if isinstance(spec, Partition):
         return [{a: b, b: a} for block in spec.parts
                 for a, b in itertools.combinations(block, 2)]
-    gens = [sigma for a, b in itertools.combinations(_support_points(spec), 2)
-            if (sigma := _point_transposition(spec, a, b)) is not None]
+    gens = [sigma for _pair, sigma in _point_transpositions(spec)]
     if isinstance(spec, Transpose):
         gens.append(transpose_sigma(spec.n))
     return gens
@@ -193,7 +206,7 @@ def _extension(circuit: Circuit, sigma: dict):
         lab = gates[g]
         if lab.kind == "input":
             lab = input_label(sigma.get(lab.var, lab.var))
-        h = index.get((lab, tuple(sorted(((pi[c], t) for c, t in wires[g]), key=_child_key))))
+        h = index.get((lab, _sorted_wires([(pi[c], t) for c, t in wires[g]])))
         if h is None:
             pi = None
             break
@@ -295,56 +308,38 @@ def orbits(circuit: Circuit, witnesses: list) -> OrbitReport:
 # Supports
 
 
-def _support_points(spec):
-    if isinstance(spec, (Square, Transpose)):
-        return list(range(1, spec.n + 1))
-    if isinstance(spec, Matrix):
-        return [("r", i) for i in range(1, spec.m + 1)] + \
-               [("c", j) for j in range(1, spec.n + 1)]
-    raise CircuitError(f"{spec!r} has no index points; supports are defined "
-                       "for Square, Transpose and Matrix groups")
-
-
-def _point_transposition(spec, a, b):
-    """Variable permutation for the transposition (a b), or None when the
-    pair does not lie in one factor of the group."""
-    if isinstance(spec, (Square, Transpose)):
-        return diagonal_sigma(spec.n, {a: b, b: a})
-    (ka, ia), (kb, ib) = a, b
-    if ka != kb:
-        return None
-    return (row_sigma if ka == "r" else col_sigma)(spec.m, spec.n, {ia: ib, ib: ia})
-
-
 def bad_pairs(circuit: Circuit, gate: int, spec) -> list:
-    """Index pairs, in combinations order, whose transposition has no
-    extension fixing the gate.  Extensions are unique, so a pair is bad iff
-    the cached extension of its transposition is missing or moves the gate."""
+    """Index pairs, in _point_transpositions order, whose transposition has
+    no extension fixing the gate: extensions are unique, so its cached one
+    is missing or moves the gate.  Under Transpose(n) these are the
+    Square(n) pairs, as the transpose map fixes every index point."""
+    return _bad_pairs(circuit, gate, spec)[1]
+
+
+def _bad_pairs(circuit: Circuit, gate: int, spec) -> tuple:
+    """(_point_transpositions(spec), bad_pairs(circuit, gate, spec))."""
     if gate not in circuit.gates:
         raise CircuitError(f"gate {gate} does not exist")
-    bad = []
-    for a, b in itertools.combinations(_support_points(spec), 2):
-        sigma = _point_transposition(spec, a, b)
-        if sigma is not None:
-            pi = _extension(circuit, sigma)
-            if pi is None or pi[gate] != gate:
-                bad.append((a, b))
-    return bad
+    moves = _point_transpositions(spec)
+    return moves, [pair for pair, sigma in moves
+                   if (pi := _extension(circuit, sigma)) is None or pi[gate] != gate]
 
 
 def minimal_support(circuit: Circuit, gate: int, spec):
-    """A minimum-cardinality support of the gate.
+    """A minimum-cardinality support of the gate in the index-point action.
 
     The transpositions of points outside a set generate its pointwise
-    stabilizer in the index-point action (under Transpose, the diagonal
-    one), so the set is a support iff each of them has an extension fixing
-    the gate, that is iff it meets every pair in bad_pairs.  The minimum
-    support is thus a minimum vertex cover of the bad-pair graph.
-    Searched smallest-first with lexicographic tie-break; exponential in the
-    point count, intended for desk-scale index sets.
+    stabilizer in that action, so the set is a support iff each of them has
+    an extension fixing the gate, that is iff it meets every pair in
+    bad_pairs.  A minimum vertex cover of the bad-pair graph uses only points
+    of pairs; it is searched smallest-first over those, in
+    _point_transpositions order with lexicographic tie-break (exponential in
+    the point count, intended for desk-scale index sets).  Under Transpose(n)
+    it is the Square(n) support: the transpose map fixes every point, so a
+    gate it moves has no support in the full group.
     """
-    bad = bad_pairs(circuit, gate, spec)
-    points = _support_points(spec)
+    moves, bad = _bad_pairs(circuit, gate, spec)
+    points = list(dict.fromkeys(p for pair, _sigma in moves for p in pair))
     for size in range(len(points) + 1):
         for cand in itertools.combinations(points, size):
             cset = set(cand)

@@ -15,8 +15,7 @@ import itertools
 from symcirc.errors import CircuitError
 from symcirc.symmetry import (
     Witness,
-    _point_transposition,
-    _support_points,
+    _point_transpositions,
     verify_automorphism,
 )
 from symcirc.wl import refine
@@ -193,17 +192,15 @@ def fixing(pi, fix):
 
 def bad_pairs(circuit, gate, spec, colors=None) -> list:
     """Index pairs whose transposition has no extension fixing the gate."""
-    out = []
-    for a, b in itertools.combinations(_support_points(spec), 2):
-        sigma = _point_transposition(spec, a, b)
-        if sigma is not None and search_extension(circuit, sigma, gate, colors) is None:
-            out.append((a, b))
-    return out
+    return [pair for pair, sigma in _point_transpositions(spec)
+            if search_extension(circuit, sigma, gate, colors) is None]
 
 
 def minimal_support(circuit, gate, spec, colors=None) -> set:
-    """Smallest point set meeting every bad pair, lexicographic tie-break."""
-    points = _support_points(spec)
+    """Smallest point set meeting every bad pair, lexicographic tie-break
+    over the points of the transpositions in their order."""
+    points = list(dict.fromkeys(p for pair, _sigma in _point_transpositions(spec)
+                                for p in pair))
     bad = bad_pairs(circuit, gate, spec, colors)
     for size in range(len(points) + 1):
         for cand in itertools.combinations(points, size):

@@ -43,18 +43,17 @@ def write_asymmetric_circuit(path):
     path.write_text(serialize(b.build(out)))
 
 
-def test_gen_det_writes_circuit_and_witnesses(tmp_path, capsys):
+def test_gen_det_writes_only_the_circuit(tmp_path, capsys):
     out = tmp_path / "det3.json"
     code, rep, _ = invoke(capsys, "gen", "det", "--n", "3", "--out", str(out))
     assert code == 0
     assert rep["schema_version"] == 1
     assert rep["gates"] == 65
     assert rep["group"] == "transpose:3"
+    assert "witnesses" not in rep
+    assert [p.name for p in tmp_path.iterdir()] == ["det3.json"]
     circuit = deserialize(out.read_text())
     assert len(circuit) == 65
-    wit = json.loads((tmp_path / "det3.json.witnesses.json").read_text())
-    assert wit["group"] == "transpose:3"
-    assert len(wit["witnesses"]) == 4
 
 
 def test_gen_perm(tmp_path, capsys):
@@ -118,19 +117,6 @@ def test_check_sym_pass_and_fail(tmp_path, capsys):
     assert code == 1
     assert rep["symmetric"] is False
     assert rep["failed_generators"]
-
-
-def test_check_sym_witnesses_out(tmp_path, capsys):
-    perm = tmp_path / "perm2.json"
-    invoke(capsys, "gen", "perm", "--n", "2", "--out", str(perm))
-    wout = tmp_path / "w.json"
-    code, _, _ = invoke(capsys, "check-sym", "--circuit", str(perm),
-                        "--group", "matrix:2,2", "--witnesses-out", str(wout))
-    assert code == 0
-    blob = json.loads(wout.read_text())
-    assert len(blob["witnesses"]) == 2
-    for w in blob["witnesses"]:
-        assert w["sigma"] and w["pi"]
 
 
 def test_orbits(tmp_path, capsys):
@@ -329,6 +315,7 @@ def test_cfi_removed_flags_exit_2(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["wl", "--k", "1", "--budget", "10", "k4", "k4"],
     ["lower", "--circuit", "c.json", "--accept", "0", "--max-inputs", "5", "--out", "d.json"],
+    ["check-sym", "--circuit", "c.json", "--group", "square:2", "--witnesses-out", "w.json"],
 ])
 def test_removed_flags_exit_2(capsys, argv):
     code, rep, err = invoke(capsys, *argv)

@@ -191,7 +191,7 @@ def test_check_symmetric_determinant_transpose():
                          [(b, n, QQ) for b in (leverrier_det_circuit, ryser_perm_circuit)
                           for n in (2, 3, 4)] + [(ryser_perm_circuit, 3, GF(2))])
 def test_generator_witnesses_follow_group_generators_order(build, n, fld):
-    # the CLI writes witnesses in this order, one per group generator
+    # one witness per group generator, in group_generators order
     gen = build(n, fld)
     assert [w.sigma for w in gen.witnesses] == group_generators(gen.group)
 
@@ -266,6 +266,23 @@ def test_support_points_for_matrix_spec():
     g = names[("x", 1, 2)]
     spec = Matrix(3, 3)
     assert minimal_support(c, g, spec) == {("r", 1), ("c", 2)}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_transpose_supports_are_square_supports(n):
+    # supports are taken in the index-point action, which the transpose map
+    # fixes pointwise, so Transpose(n) and Square(n) give the same supports
+    c = leverrier_det_circuit(n, QQ).circuit
+    for g in sorted(c.gates):
+        assert minimal_support(c, g, Transpose(n)) == minimal_support(c, g, Square(n)), g
+
+
+def test_transpose_support_of_gate_the_transpose_moves():
+    gen = leverrier_det_circuit(4, QQ)
+    c, g = gen.circuit, gen.names[("pow", 2, 1, 2)]
+    assert g == 29   # the gate of README's support example
+    assert find_extension(c, transpose_sigma(4))[g] != g
+    assert minimal_support(c, g, Transpose(4)) == minimal_support(c, g, Square(4)) == {1, 2}
 
 
 def test_support_rejects_partition_spec():
