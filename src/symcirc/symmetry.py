@@ -6,12 +6,17 @@ bijection.  The circuits are rigid (no two gates share a label and
 children), so a variable permutation has at most one extension to the
 gates, and find_extension computes it in one bottom-up pass, cached per
 permutation.  Non-rigid input is rejected with CircuitError rather than
-merged: merging can make a circuit symmetric that was not.  orbits accepts a
-witness exactly when its gate map is that extension; verify_automorphism
-checks the automorphism conditions directly and serves as the independent
-judge in the tests.  Supports are read from the same cached extensions: a
-transposition of index points is bad for a gate iff its extension is
-missing or moves the gate.
+merged: merging can make a circuit symmetric that was not.  The variable
+permutations that extend form a group, so symmetry is checked on
+generators only: the adjacent transpositions (i i+1) of each factor's
+index points, plus the transpose map (for a Partition, the swaps of
+consecutive ids of each block).  orbits accepts a witness exactly
+when its gate map is that extension; verify_automorphism checks the
+automorphism conditions directly and serves as the independent judge in
+the tests.  Supports are read from the same cached extensions: a
+transposition (a b) of index points is bad for a gate iff its extension is
+missing or moves the gate, and the gate's image is read along the chain of
+adjacent transpositions that (a b) is a product of.
 """
 
 from __future__ import annotations
@@ -93,27 +98,34 @@ def transpose_sigma(n: int) -> dict:
     return _matrix_sigma(n, n, lambda i, j: (j, i))
 
 
-def _point_transpositions(spec) -> list:
-    """((a, b), sigma) per transposition of two index points of one factor
-    of the group: rows before columns, each factor in combinations order."""
+def _factors(spec) -> list:
+    """(tag, size, make) per factor of the group's action on index points,
+    rows before columns: tag is None for the diagonal action and "r"/"c"
+    for rows/columns, and make(perm) is the variable permutation of a
+    permutation of that factor's points 1..size."""
     if isinstance(spec, (Square, Transpose)):
-        return [((a, b), diagonal_sigma(spec.n, {a: b, b: a}))
-                for a, b in itertools.combinations(range(1, spec.n + 1), 2)]
+        return [(None, spec.n, lambda perm: diagonal_sigma(spec.n, perm))]
     if isinstance(spec, Matrix):
-        return [(((k, a), (k, b)), make(spec.m, spec.n, {a: b, b: a}))
-                for k, size, make in (("r", spec.m, row_sigma), ("c", spec.n, col_sigma))
-                for a, b in itertools.combinations(range(1, size + 1), 2)]
+        return [("r", spec.m, lambda perm: row_sigma(spec.m, spec.n, perm)),
+                ("c", spec.n, lambda perm: col_sigma(spec.m, spec.n, perm))]
     raise CircuitError(f"{spec!r} has no index points; supports are defined "
                        "for Square, Transpose and Matrix groups")
 
 
+def _point(tag, a):
+    return a if tag is None else (tag, a)
+
+
 def group_generators(spec) -> list:
-    """Variable permutations generating the group: all transpositions of the
-    index set(s), plus the transpose map for Transpose specs."""
+    """Variable permutations generating the group, as fresh dicts: the
+    adjacent transpositions (i i+1) of each factor's index points in factor
+    order (rows before columns), plus the transpose map for Transpose specs;
+    for Partition specs, the swaps of consecutive ids of each block.  The
+    adjacent transpositions of [n] generate Sym([n])."""
     if isinstance(spec, Partition):
-        return [{a: b, b: a} for block in spec.parts
-                for a, b in itertools.combinations(block, 2)]
-    gens = [sigma for _pair, sigma in _point_transpositions(spec)]
+        return [{a: b, b: a} for block in spec.parts for a, b in zip(block, block[1:])]
+    gens = [make({i: i + 1, i + 1: i})
+            for _tag, size, make in _factors(spec) for i in range(1, size)]
     if isinstance(spec, Transpose):
         gens.append(transpose_sigma(spec.n))
     return gens
@@ -190,6 +202,7 @@ def _gate_index(circuit: Circuit) -> dict:
                                    "the circuit is not rigid")
         circuit._gate_index = index
         circuit._extensions = {}
+        circuit._steps = {}
     return index
 
 
@@ -246,8 +259,10 @@ class SymmetryReport:
 
 
 def check_symmetric(circuit: Circuit, spec) -> SymmetryReport:
-    """The extension of every group generator.  Extensions compose, so
-    covering the generators covers the whole group."""
+    """The extension of every group_generators(spec) entry, in that order.
+    The variable permutations with an extension form a group (extensions
+    compose and invert), so the circuit is symmetric under the whole group
+    iff every generator extends."""
     witnesses = []
     failed = []
     for idx, sigma in enumerate(group_generators(spec)):
@@ -308,21 +323,51 @@ def orbits(circuit: Circuit, witnesses: list) -> OrbitReport:
 # Supports
 
 
+def _step_extensions(circuit: Circuit, spec) -> list:
+    """(tag, size, make, steps) per entry of _factors(spec), where steps[i-1]
+    is the extension of the adjacent transposition (i i+1) of the factor's
+    points, or None; computed once per (circuit, spec) and cached on the
+    circuit next to the per-sigma extensions."""
+    factors = _factors(spec)
+    _gate_index(circuit)
+    steps = circuit._steps.get(spec)
+    if steps is None:
+        steps = circuit._steps[spec] = [
+            (tag, size, make,
+             [_extension(circuit, make({i: i + 1, i + 1: i})) for i in range(1, size)])
+            for tag, size, make in factors]
+    return steps
+
+
 def bad_pairs(circuit: Circuit, gate: int, spec) -> list:
-    """Index pairs, in _point_transpositions order, whose transposition has
-    no extension fixing the gate: extensions are unique, so its cached one
-    is missing or moves the gate.  Under Transpose(n) these are the
-    Square(n) pairs, as the transpose map fixes every index point."""
-    return _bad_pairs(circuit, gate, spec)[1]
+    """Index pairs (a, b), a < b, of one factor, rows before columns and
+    each factor in combinations order, whose transposition has no extension
+    fixing the gate: extensions are unique, so the transposition's one is
+    missing or moves the gate.  Under Transpose(n) these are the Square(n)
+    pairs, as the transpose map fixes every index point.
 
-
-def _bad_pairs(circuit: Circuit, gate: int, spec) -> tuple:
-    """(_point_transpositions(spec), bad_pairs(circuit, gate, spec))."""
+    (a b) is the palindrome s_a s_(a+1) ... s_(b-1) ... s_(a+1) s_a of
+    adjacent transpositions s_i = (i i+1), and extensions compose, so when
+    every step extends, the gate's image is read along that chain of
+    cached step extensions in O(b - a) lookups, in either order.  When a
+    step has no extension, the transposition may still have one, and its
+    own extension is computed instead."""
     if gate not in circuit.gates:
         raise CircuitError(f"gate {gate} does not exist")
-    moves = _point_transpositions(spec)
-    return moves, [pair for pair, sigma in moves
-                   if (pi := _extension(circuit, sigma)) is None or pi[gate] != gate]
+    bad = []
+    for tag, size, make, steps in _step_extensions(circuit, spec):
+        for a, b in itertools.combinations(range(1, size + 1), 2):
+            chain = steps[a - 1:b - 1]
+            if None in chain:
+                pi = _extension(circuit, make({a: b, b: a}))
+                image = None if pi is None else pi[gate]
+            else:
+                image = gate
+                for pi in chain + chain[-2::-1]:
+                    image = pi[image]
+            if image != gate:
+                bad.append((_point(tag, a), _point(tag, b)))
+    return bad
 
 
 def minimal_support(circuit: Circuit, gate: int, spec):
@@ -331,15 +376,18 @@ def minimal_support(circuit: Circuit, gate: int, spec):
     The transpositions of points outside a set generate its pointwise
     stabilizer in that action, so the set is a support iff each of them has
     an extension fixing the gate, that is iff it meets every pair in
-    bad_pairs.  A minimum vertex cover of the bad-pair graph uses only points
-    of pairs; it is searched smallest-first over those, in
-    _point_transpositions order with lexicographic tie-break (exponential in
-    the point count, intended for desk-scale index sets).  Under Transpose(n)
-    it is the Square(n) support: the transpose map fixes every point, so a
-    gate it moves has no support in the full group.
+    bad_pairs, which costs O(size) cached lookups per transposition on a
+    symmetric circuit.  A minimum vertex cover of the bad-pair graph uses
+    only points of pairs; it is searched smallest-first over the points of
+    the factors with at least two points, in factor order with
+    lexicographic tie-break (exponential in the point count, intended for
+    desk-scale index sets).  Under Transpose(n) it is the Square(n)
+    support: the transpose map fixes every point, so a gate it moves has no
+    support in the full group.
     """
-    moves, bad = _bad_pairs(circuit, gate, spec)
-    points = list(dict.fromkeys(p for pair, _sigma in moves for p in pair))
+    bad = bad_pairs(circuit, gate, spec)
+    points = [_point(tag, a) for tag, count, _make in _factors(spec) if count > 1
+              for a in range(1, count + 1)]
     for size in range(len(points) + 1):
         for cand in itertools.combinations(points, size):
             cset = set(cand)

@@ -14,8 +14,14 @@ import itertools
 
 from symcirc.errors import CircuitError
 from symcirc.symmetry import (
+    Matrix,
+    Partition,
+    Transpose,
     Witness,
-    _point_transpositions,
+    col_sigma,
+    diagonal_sigma,
+    row_sigma,
+    transpose_sigma,
     verify_automorphism,
 )
 from symcirc.wl import refine
@@ -190,16 +196,41 @@ def fixing(pi, fix):
     return pi
 
 
+def point_transpositions(spec) -> list:
+    """((a, b), sigma) per transposition of two index points of one factor
+    of the group: rows before columns, each factor in combinations order."""
+    if isinstance(spec, Matrix):
+        factors = [(("r", spec.m), lambda p: row_sigma(spec.m, spec.n, p)),
+                   (("c", spec.n), lambda p: col_sigma(spec.m, spec.n, p))]
+        return [(((tag, a), (tag, b)), make({a: b, b: a}))
+                for (tag, size), make in factors
+                for a, b in itertools.combinations(range(1, size + 1), 2)]
+    return [((a, b), diagonal_sigma(spec.n, {a: b, b: a}))
+            for a, b in itertools.combinations(range(1, spec.n + 1), 2)]
+
+
+def all_transpositions(spec) -> list:
+    """Every transposition of the group's points (and, for Transpose, the
+    transpose map): a generating set with one map per pair of points."""
+    if isinstance(spec, Partition):
+        return [{a: b, b: a} for block in spec.parts
+                for a, b in itertools.combinations(block, 2)]
+    gens = [sigma for _pair, sigma in point_transpositions(spec)]
+    if isinstance(spec, Transpose):
+        gens.append(transpose_sigma(spec.n))
+    return gens
+
+
 def bad_pairs(circuit, gate, spec, colors=None) -> list:
     """Index pairs whose transposition has no extension fixing the gate."""
-    return [pair for pair, sigma in _point_transpositions(spec)
+    return [pair for pair, sigma in point_transpositions(spec)
             if search_extension(circuit, sigma, gate, colors) is None]
 
 
 def minimal_support(circuit, gate, spec, colors=None) -> set:
     """Smallest point set meeting every bad pair, lexicographic tie-break
     over the points of the transpositions in their order."""
-    points = list(dict.fromkeys(p for pair, _sigma in _point_transpositions(spec)
+    points = list(dict.fromkeys(p for pair, _sigma in point_transpositions(spec)
                                 for p in pair))
     bad = bad_pairs(circuit, gate, spec, colors)
     for size in range(len(points) + 1):

@@ -119,6 +119,26 @@ def test_check_sym_pass_and_fail(tmp_path, capsys):
     assert rep["failed_generators"]
 
 
+def test_check_sym_reports_failed_adjacent_transpositions(tmp_path, capsys):
+    # x_1_1 + x_3_3 under square:3: the generators are (1 2) and (2 3), and
+    # neither extends, though (1 3) does
+    b = CircuitBuilder(QQ, matrix_variables(3))
+    c = b.build(b.add(ADD, [b.add(input_label(matrix_var(1, 1))),
+                            b.add(input_label(matrix_var(3, 3)))]))
+    path = tmp_path / "corners.json"
+    path.write_text(serialize(c))
+    code, rep, err = invoke(capsys, "check-sym", "--circuit", str(path),
+                            "--group", "square:3")
+    assert code == 1
+    assert rep["symmetric"] is False
+    assert rep["failed_generators"] == [0, 1]
+    assert "(2 generators)" in err
+    code, rep, _ = invoke(capsys, "support", "--circuit", str(path),
+                          "--group", "square:3", "--gate", str(c.output))
+    assert code == 0
+    assert rep["support"] == [2]
+
+
 def test_orbits(tmp_path, capsys):
     det = tmp_path / "det2.json"
     invoke(capsys, "gen", "det", "--n", "2", "--out", str(det))

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from extension_oracle import all_transpositions
+from extension_oracle import bad_pairs as oracle_bad_pairs
 from symcirc import (
     ADD,
     GF,
@@ -79,10 +83,12 @@ def test_sigma_builders():
 
 
 def test_generator_counts():
-    assert len(group_generators(Square(3))) == 3
-    assert len(group_generators(Matrix(2, 3))) == 1 + 3
+    # the adjacent transpositions (i i+1) of each factor, plus the transpose
+    assert len(group_generators(Square(3))) == 2
+    assert len(group_generators(Matrix(2, 3))) == 1 + 2
     assert len(group_generators(Transpose(2))) == 1 + 1
     assert len(group_generators(Partition((("u", "v"), ("w",))))) == 1
+    assert len(group_generators(Partition((("u", "v", "w"),)))) == 2
 
 
 def test_find_extension_on_symmetric_circuit():
@@ -298,3 +304,77 @@ def test_support_rejects_missing_gate(spec):
         bad_pairs(c, 999, spec)
     with pytest.raises(CircuitError, match="gate 999 does not exist"):
         minimal_support(c, 999, spec)
+
+
+def corners3_circuit():
+    """x_1_1 + x_3_3 over the 3x3 variables: (1 3) extends, (1 2) and (2 3)
+    do not, as x_2_2 labels no gate."""
+    b = CircuitBuilder(QQ, matrix_variables(3))
+    x11 = b.add(input_label(matrix_var(1, 1)), name="x11")
+    x33 = b.add(input_label(matrix_var(3, 3)), name="x33")
+    return b.build(b.add(ADD, [x11, x33], name="out")), dict(b.names)
+
+
+def test_bad_pairs_fall_back_past_a_missing_step():
+    # (1 3) = (1 2)(2 3)(1 2), but neither step extends, so (1 3) is judged
+    # by its own extension, which fixes the output
+    c, names = corners3_circuit()
+    spec = Square(3)
+    assert check_symmetric(c, spec).failed == [0, 1]
+    assert find_extension(c, diagonal_sigma(3, {1: 3, 3: 1}))[names["out"]] == names["out"]
+    assert bad_pairs(c, names["out"], spec) == [(1, 2), (2, 3)]
+    assert minimal_support(c, names["out"], spec) == {2}
+    for g in sorted(c.gates):
+        assert bad_pairs(c, g, spec) == oracle_bad_pairs(c, g, spec), g
+
+
+def three_block_circuit():
+    """(u + v + w) * y * z, symmetric under Sym({u, v, w}) x Sym({y, z})."""
+    b = CircuitBuilder(QQ, ["u", "v", "w", "y", "z"])
+    u, v, w, y, z = (b.add(input_label(x)) for x in "uvwyz")
+    return b.build(b.add(MUL, [b.add(ADD, [u, v, w]), y, z]))
+
+
+SAME_GROUP_CASES = (
+    [(f"det{n}", lambda n=n: leverrier_det_circuit(n, QQ).circuit, spec)
+     for n in (3, 4, 5) for spec in (Transpose(n), Square(n))]
+    + [(f"perm{n}", lambda n=n: ryser_perm_circuit(n, QQ).circuit, Matrix(n, n))
+       for n in (3, 4, 5)]
+    + [("three-block", three_block_circuit, Partition((("u", "v", "w"), ("y", "z")))),
+       ("corners3", lambda: corners3_circuit()[0], Square(3))])
+
+
+@pytest.mark.parametrize("name, build, spec", SAME_GROUP_CASES,
+                         ids=[f"{name}-{spec}" for name, _b, spec in SAME_GROUP_CASES])
+def test_generators_generate_the_group_of_all_transpositions(name, build, spec):
+    # the adjacent transpositions and all transpositions generate one group,
+    # so they give one verdict and, on a symmetric circuit, one orbit partition
+    c = build()
+    rep = check_symmetric(c, spec)
+    oracle = [Witness(sigma, find_extension(c, sigma)) for sigma in all_transpositions(spec)]
+    assert rep.symmetric == all(w.pi is not None for w in oracle)
+    if rep.symmetric:
+        assert orbits(c, rep.witnesses).orbits == orbits(c, oracle).orbits
+    assert len(rep.witnesses) < len(oracle)
+
+
+CENSUS = [
+    ("det", 4, {0: 22, 1: 20, 2: 72, 3: 24}),
+    ("det", 5, {0: 30, 1: 40, 2: 260, 3: 180}),
+    ("det", 6, {0: 40, 1: 54, 2: 405, 3: 360}),
+    ("perm", 4, {0: 6, 1: 40, 2: 76, 3: 48}),
+    ("perm", 5, {0: 6, 1: 40, 2: 160, 3: 200}),
+    ("perm", 6, {0: 6, 1: 60, 2: 204, 3: 440, 4: 240}),
+]
+
+
+@pytest.mark.parametrize("kind, n, histogram", CENSUS, ids=[f"{k}{n}" for k, n, _h in CENSUS])
+def test_support_census(kind, n, histogram):
+    # minimal support size over every gate: Le Verrier gates are indexed by
+    # at most three points under Square, Ryser gates need up to n/2 + 1
+    if kind == "det":
+        c, spec = leverrier_det_circuit(n, QQ).circuit, Square(n)
+    else:
+        c, spec = ryser_perm_circuit(n, QQ).circuit, Matrix(n, n)
+    sizes = Counter(len(minimal_support(c, g, spec)) for g in c.gates)
+    assert dict(sizes) == histogram
