@@ -324,19 +324,18 @@ def orbits(circuit: Circuit, witnesses: list) -> OrbitReport:
 
 
 def _step_extensions(circuit: Circuit, spec) -> list:
-    """(tag, size, make, steps) per entry of _factors(spec), where steps[i-1]
-    is the extension of the adjacent transposition (i i+1) of the factor's
-    points, or None; computed once per (circuit, spec) and cached on the
-    circuit next to the per-sigma extensions."""
-    factors = _factors(spec)
+    """(steps, direct) per entry of _factors(spec): steps[i-1] is the
+    extension of the adjacent transposition (i i+1) of the factor's points,
+    or None, and direct caches the extensions of whole transpositions
+    (a, b) that bad_pairs had to compute.  Kept once per (circuit, spec) on
+    the circuit, next to the per-sigma extensions."""
     _gate_index(circuit)
-    steps = circuit._steps.get(spec)
-    if steps is None:
-        steps = circuit._steps[spec] = [
-            (tag, size, make,
-             [_extension(circuit, make({i: i + 1, i + 1: i})) for i in range(1, size)])
-            for tag, size, make in factors]
-    return steps
+    cached = circuit._steps.get(spec)
+    if cached is None:
+        cached = circuit._steps[spec] = [
+            ([_extension(circuit, make({i: i + 1, i + 1: i})) for i in range(1, size)], {})
+            for _tag, size, make in _factors(spec)]
+    return cached
 
 
 def bad_pairs(circuit: Circuit, gate: int, spec) -> list:
@@ -351,15 +350,18 @@ def bad_pairs(circuit: Circuit, gate: int, spec) -> list:
     every step extends, the gate's image is read along that chain of
     cached step extensions in O(b - a) lookups, in either order.  When a
     step has no extension, the transposition may still have one, and its
-    own extension is computed instead."""
+    own extension is computed instead, once per (circuit, spec, pair)."""
     if gate not in circuit.gates:
         raise CircuitError(f"gate {gate} does not exist")
     bad = []
-    for tag, size, make, steps in _step_extensions(circuit, spec):
+    for (tag, size, make), (steps, direct) in zip(_factors(spec),
+                                                  _step_extensions(circuit, spec)):
         for a, b in itertools.combinations(range(1, size + 1), 2):
             chain = steps[a - 1:b - 1]
             if None in chain:
-                pi = _extension(circuit, make({a: b, b: a}))
+                if (a, b) not in direct:
+                    direct[a, b] = _extension(circuit, make({a: b, b: a}))
+                pi = direct[a, b]
                 image = None if pi is None else pi[gate]
             else:
                 image = gate

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from extension_oracle import all_transpositions
 from extension_oracle import bad_pairs as oracle_bad_pairs
 from extension_oracle import fixing, invariant_colors, search_extension
 from extension_oracle import minimal_support as oracle_support
@@ -22,7 +23,6 @@ from symcirc import (
     Transpose,
     Witness,
     find_extension,
-    group_generators,
     leverrier_det_circuit,
     minimal_support,
     ryser_perm_circuit,
@@ -43,9 +43,10 @@ def build(kind, n, fld):
 
 
 def sigmas(n, rng):
-    """Row, column, diagonal and transpose generators, a row cycle composed
-    with the transpose, and two random variable permutations."""
-    out = group_generators(Matrix(n, n)) + group_generators(Transpose(n))
+    """Every row, column and diagonal transposition and the transpose map,
+    a row cycle composed with the transpose, and two random variable
+    permutations."""
+    out = all_transpositions(Matrix(n, n)) + all_transpositions(Transpose(n))
     # the row cycle i -> i+1 (mod n), then the transpose
     out.append(_matrix_sigma(n, n, lambda i, j: (j, i % n + 1)))
     variables = [f"x_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -71,7 +72,7 @@ def test_extension_matches_search(kind, n, fld):
             if got is not None:
                 assert verify_automorphism(c, Witness(sigma, got)) == []
             found += want is not None
-    assert found >= len(group_generators(Transpose(n)))
+    assert found >= len(all_transpositions(Transpose(n)))
 
 
 @pytest.mark.parametrize("kind, spec", [("det", Transpose(4)), ("perm", Matrix(4, 4))])
