@@ -18,6 +18,8 @@ from symcirc import (
     wl,
     wl_equivalent,
 )
+import wl_oracle
+from wl_oracle import wl_equivalent_oracle
 
 
 def shuffled(g, seed):
@@ -143,3 +145,73 @@ def test_budget_counts_each_graphs_tuples(monkeypatch):
     monkeypatch.setattr(wl, "_TUPLE_BUDGET", 31)
     with pytest.raises(BudgetExceededError):
         wl_equivalent(cycle_graph(4), cycle_graph(4), 2)
+
+
+def _oracle_pairs():
+    """(g, h, highest k) with the name of the pair."""
+    for m in range(3, 7):
+        c = cycle_graph(2 * m)
+        yield f"C{2 * m}-2C{m}", (c, cycle_graph(m).disjoint_union(cycle_graph(m)), 3)
+        yield f"C{2 * m}-shuffled", (c, shuffled(c, m), 3)
+    for n in (7, 8):
+        for seed in range(3):
+            yield f"random{n}-{seed}", (random_graph(n, seed), random_graph(n, seed + 10), 3)
+    yield "petersen-shuffled", (petersen_graph(), shuffled(petersen_graph(), 5), 3)
+    k4 = complete_graph(4)
+    yield "cfi-k4", (build_cfi(k4).graph, build_cfi(k4, twisted=True, special=1).graph, 2)
+    yield "orders-5-6", (cycle_graph(5), cycle_graph(6), 3)
+    yield "orders-4-3", (complete_graph(4), path_graph(3), 3)
+
+
+@pytest.mark.parametrize("g,h,top", [pytest.param(*case, id=name)
+                                     for name, case in _oracle_pairs()])
+def test_reports_match_oracle(g, h, top):
+    for k in range(1, top + 1):
+        assert wl_equivalent(g, h, k) == wl_equivalent_oracle(g, h, k), k
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_step_matches_oracle_on_random_colorings(k):
+    # arbitrary colorings, not only refinement-stable ones, with the largest
+    # color present so that a packing base of max(col) would collide
+    rng = random.Random(k)
+    for seed in range(5):
+        g = random_graph(5, seed)
+        seeds, step = wl._tuples(g, k, 0)
+        want_seeds, want_step = wl_oracle._tuples(g, k, 0)
+        assert wl._dense(seeds) == wl._dense(want_seeds)
+        for classes in (2, 3, 7):
+            col = [rng.randrange(classes) for _ in seeds] + [classes - 1]
+            assert wl._dense(step(col)) == wl._dense(want_step(col))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_empty_graphs(k):
+    empty = Graph((), ())
+    rep = wl_equivalent(empty, Graph((), ()), k)
+    assert (rep.equivalent, rep.rounds, rep.class_counts) == (True, 1, (0,))
+    assert rep.distinguishing_round is None
+    seeds, step = wl._tuples(empty, k, 0)
+    assert seeds == [] and list(step([])) == []
+    for g, h in ((empty, cycle_graph(3)), (cycle_graph(3), empty)):
+        assert wl_equivalent(g, h, k).distinguishing_round == 0
+
+
+@pytest.mark.parametrize("special", [1, 4])
+def test_cfi_k4_pair_split_at_dimension_three(special):
+    k4 = complete_graph(4)
+    rep = wl_equivalent(build_cfi(k4).graph,
+                        build_cfi(k4, twisted=True, special=special).graph, 3)
+    assert not rep.equivalent
+    assert rep.distinguishing_round == 2
+    assert rep.class_counts == (14, 62, 357)
+
+
+@pytest.mark.parametrize("special", [1, 7])
+def test_cfi_petersen_pair_fools_dimension_two(special):
+    pet = petersen_graph()
+    rep = wl_equivalent(build_cfi(pet).graph,
+                        build_cfi(pet, twisted=True, special=special).graph, 2)
+    assert rep.equivalent
+    assert rep.rounds == 3
+    assert rep.class_counts == (3, 5, 33)
