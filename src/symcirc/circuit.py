@@ -25,6 +25,7 @@ value it takes to the mask of lanes where it takes it.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -129,10 +130,16 @@ class Circuit:
     supported; derived adjacency data is cached on the instance."""
 
     def __init__(self, fld: Field, variables, gates: dict, wires: dict, output: int):
+        self._init(fld, variables, dict(gates),
+                   {g: _wire_tuple(wires.get(g, ())) for g in gates}, output)
+
+    def _init(self, fld: Field, variables, gates: dict, wires: dict, output: int):
+        """Set up from gates and wires the circuit owns, wires[g] being
+        gate g's sorted tuple of (id, tag) pairs for every gate g."""
         self.field = fld
         self.variables = tuple(variables)
-        self.gates = dict(gates)
-        self.wires = {g: _wire_tuple(wires.get(g, ())) for g in self.gates}
+        self.gates = gates
+        self.wires = wires
         self.output = output
         self._parents = None
         self.inputs_by_var = {}   # variable -> its input gate, filled by _check
@@ -283,8 +290,29 @@ class CircuitBuilder:
         return name in self.names
 
     def build(self, output) -> Circuit:
+        """The circuit of every gate added so far.  The wire tuples that add
+        made are handed over as they are; any other entry of self.wires is
+        sorted as Circuit sorts raw wires."""
         out = output if isinstance(output, int) else self.names[output]
-        return Circuit(self.field, self.variables, self.gates, self.wires, out)
+        made = {g: ws for (_lab, ws), g in self._made.items()}
+        wires = {g: ws if ws is made.get(g) else _wire_tuple(ws)
+                 for g, ws in self.wires.items()}
+        circuit = Circuit.__new__(Circuit)
+        circuit._init(self.field, self.variables, dict(self.gates), wires, out)
+        return circuit
+
+
+def _lane_fold(acc: dict, kid: dict, combine) -> dict:
+    """{combine(a, b): the lanes where a and b both hold} over acc's and
+    kid's {value: lane mask} maps, with the lanes of equal results merged."""
+    nxt = {}
+    for a, ma in acc.items():
+        for b, mb in kid.items():
+            m = ma & mb
+            if m:
+                s = combine(a, b)
+                nxt[s] = nxt[s] | m if s in nxt else m
+    return nxt
 
 
 def arith_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
@@ -293,12 +321,11 @@ def arith_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
     on lane j.  Empty masks are dropped.
 
     lanes maps each variable to its own {value: mask}.  An add or mul gate
-    folds its children from the first child's map, one child at a time,
-    giving combine(a, b) the lanes where both a and b hold.  When every lane
-    of a variable holds exactly one value, that is plain evaluation on each
-    lane; a variable holding several values on one lane yields, on that
-    lane, every value any choice of them gives (Minkowski sums and product
-    sets).
+    folds its children from the first child's map, one child at a time, with
+    _lane_fold.  When every lane of a variable holds exactly one value, that
+    is plain evaluation on each lane; a variable holding several values on
+    one lane yields, on that lane, every value any choice of them gives
+    (Minkowski sums and product sets).
     """
     fld = circuit.field
     full = (1 << width) - 1
@@ -311,15 +338,7 @@ def arith_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
             combine = operator.add if kind == "add" else operator.mul
             acc = vals[ws[0][0]] if ws else {fld.zero() if kind == "add" else fld.one(): full}
             for c, _t in ws[1:]:
-                kid = vals[c]
-                nxt = {}
-                for a, ma in acc.items():
-                    for b, mb in kid.items():
-                        m = ma & mb
-                        if m:
-                            s = combine(a, b)
-                            nxt[s] = nxt[s] | m if s in nxt else m
-                acc = nxt
+                acc = _lane_fold(acc, vals[c], combine)
         elif kind == "input":
             try:
                 given = lanes[lab.var]
@@ -349,20 +368,18 @@ def evaluate_arith(circuit: Circuit, assignment: dict) -> FieldValue:
 
 
 def partition_rule(kind: str, fld: Field):
-    """The psum / pprod rule as (unit, term, combine): a gate with weights
-    q_i and per-part counts k_i folds combine over term(q_i, k_i) from unit,
+    """The psum / pprod rule as (unit, combine): a gate with weights q_i and
+    per-part counts k_i folds combine over k_i copies of each q_i from unit,
     that is sum(k_i * q_i) for psum and prod(q_i ** k_i) for pprod."""
     if kind == "psum":
-        return fld.zero(), FieldValue.scaled, operator.add
-    return fld.one(), FieldValue.power, operator.mul
+        return fld.zero(), operator.add
+    return fld.one(), operator.mul
 
 
-def partition_hits(kind: str, c: FieldValue, weights, counts) -> bool:
-    """True iff the per-part counts (aligned with weights) hit the target c."""
-    acc, term, combine = partition_rule(kind, c.field)
-    for q, k in zip(weights, counts):
-        acc = combine(acc, term(q, k))
-    return acc == c
+def partition_terms(unit, combine, q: FieldValue, top: int) -> list:
+    """Part q's terms for the counts 0..top: the k-th is combine applied k
+    times to q from unit."""
+    return list(itertools.accumulate(itertools.repeat(q, top), combine, initial=unit))
 
 
 def _lane_add(planes: list, x: int):
@@ -405,17 +422,41 @@ def _lane_counts(planes: list, mask: int) -> list:
     return groups
 
 
+def _partition_fold(fld: Field, kind: str, parts: tuple, ws: tuple, vals: dict,
+                    full: int) -> dict:
+    """{value: lanes} of the partition family with these parts and wires:
+    each part counts its children with a bit-sliced counter, the counts
+    become that part's terms, and the parts fold like arith_lane_values."""
+    unit, combine = partition_rule(kind, fld)
+    slot = {t: i for i, (t, _q) in enumerate(parts)}
+    counters = [[] for _ in parts]
+    for c, tag in ws:
+        _lane_add(counters[slot[tag]], vals[c])
+    acc = {unit: full}
+    for (_t, q), planes in zip(parts, counters):
+        counts = _lane_counts(planes, full)
+        terms = partition_terms(unit, combine, q, max(k for k, _m in counts))
+        by_term = {}
+        for k, m in counts:
+            x = terms[k]
+            by_term[x] = by_term[x] | m if x in by_term else m
+        acc = _lane_fold(acc, by_term, combine)
+    return acc
+
+
 def bool_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
     """Bit-sliced 0/1 value of every gate over width assignments at once.
 
     lanes maps each variable to an int whose bit j is its value on
     assignment j; every gate's value comes back in the same layout.  A
-    threshold gate counts its children with a bit-sliced counter; a
-    partition gate keeps one counter per part and applies partition_hits
-    once per count vector that occurs in some lane.
+    threshold gate counts its children with a bit-sliced counter.  The
+    partition gates sharing kind, parts and wires form a family, which
+    _partition_fold evaluates once per call; each member reads the lanes
+    where the fold hits its target.
     """
     full = (1 << width) - 1
     vals = {}
+    families = {}   # (kind, parts, wires) -> {value: lanes}
     for g in circuit.topo_order():
         lab = circuit.gates[g]
         kind = lab.kind
@@ -437,20 +478,12 @@ def bool_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
             gt, eq = _lane_compare(planes, lab.k, full)
             acc = eq if kind == "th_eq" else gt | eq
         elif kind in ("psum", "pprod"):
-            slot = {t: i for i, (t, _q) in enumerate(lab.parts)}
-            counters = [[] for _ in slot]
-            for c, tag in ws:
-                _lane_add(counters[slot[tag]], vals[c])
-            vectors = [((), full)]
-            for planes in counters:
-                vectors = [(vec + (k,), m & mk)
-                           for vec, m in vectors
-                           for k, mk in _lane_counts(planes, m)]
-            weights = [q for _t, q in lab.parts]
-            acc = 0
-            for vec, m in vectors:
-                if partition_hits(kind, lab.c, weights, vec):
-                    acc |= m
+            key = (kind, lab.parts, ws)
+            folded = families.get(key)
+            if folded is None:
+                folded = families[key] = _partition_fold(circuit.field, kind, lab.parts,
+                                                          ws, vals, full)
+            acc = folded.get(lab.c, 0)
         elif kind == "input":
             try:
                 acc = lanes[lab.var]

@@ -28,6 +28,8 @@ source exactly on each block with arith_lane_values.  Exact value sets
 collect its values; verify_lowering checks either step exhaustively by
 evaluating the Boolean circuit bit-sliced on the same lanes and comparing
 its output with the lanes where the source lands in the accepting set.
+On the partition stage, bool_lane_values folds each family of gates (v, c)
+once per block, and each member reads the lanes where v takes c.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .circuit import (
     const,
     input_label,
     partition_rule,
+    partition_terms,
     pprod,
     psum,
     th_eq,
@@ -185,16 +188,16 @@ def lower_to_partition_basis(circuit: Circuit, accept, values: ValueSetMap) -> P
 def _ladder_edges(label: GateLabel, counts: dict, targets: set, left: int) -> tuple:
     """Plan a family's ladder from its wire counts per tag: (layers, AND-gate
     budget left), layer i as (tag, {s: [(s', k), ...]}) where combine(s',
-    term(q_i, k)) = s.  Raises BudgetExceededError once left runs out."""
-    unit, term, combine = partition_rule(label.kind, label.c.field)
+    x) = s for x the k-th term of part i (partition_terms).  Raises
+    BudgetExceededError once left runs out."""
+    unit, combine = partition_rule(label.kind, label.c.field)
     parts = label.parts_map()
     tags = sorted(parts, key=lambda t: parts[t].sort_key())
     layers = []
     reached = (unit,)
     for i, t in enumerate(tags, start=1):
         edges = {}
-        for k in range(counts[t] + 1):
-            x = term(parts[t], k)
+        for k, x in enumerate(partition_terms(unit, combine, parts[t], counts[t])):
             for s0 in reached:
                 s = combine(s0, x)
                 if i < len(tags) or s in targets:

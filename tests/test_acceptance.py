@@ -8,7 +8,9 @@ the suite combined.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import os
 import random
 from math import comb
@@ -38,6 +40,7 @@ from symcirc import (
     input_label,
     leverrier_det_circuit,
     lower_to_partition_basis,
+    lowering,
     matching_count_via_permanent,
     matching_experiment,
     minimal_support,
@@ -53,7 +56,7 @@ from symcirc import (
     verify_lowering,
     wl_equivalent,
 )
-from symcirc.circuit import ADD, AND, MUL, CircuitBuilder
+from symcirc.circuit import ADD, AND, MUL, CircuitBuilder, bool_lane_values
 from symcirc.symmetry import matrix_var
 
 SEED = 1729
@@ -176,16 +179,24 @@ def test_05_lowering_round_trips():
     print("PASS lowering verified exhaustively; gadget tables match up to size 4")
 
 
+def orbit_cases():
+    """(generated circuit, group, largest orbit, threshold gates with exact
+    value sets and accept {0}) for each lowering test_06 checks."""
+    return [(ryser_perm_circuit(2), Matrix(2, 2), 4, 455),
+            (ryser_perm_circuit(3, GF(3)), Matrix(3, 3), 9, 1087),
+            (leverrier_det_circuit(3, GF(5), allow_positive_char=True), Transpose(3), 12, 1653),
+            (leverrier_det_circuit(3), Transpose(3), 12, 19852),
+            (ryser_perm_circuit(3), Matrix(3, 3), 9, 8896),
+            (ryser_perm_circuit(4, GF(3)), Matrix(4, 4), 24, 3144),
+            (leverrier_det_circuit(4, GF(5), allow_positive_char=True), Transpose(4), 24, 4661),
+            (leverrier_det_circuit(4, GF(7), allow_positive_char=True), Transpose(4), 24, 6109)]
+
+
 def test_06_orbit_preservation():
     """Largest orbit is unchanged through both lowering stages, and both
     stages are verified exhaustively; expanded gate counts are frozen, and
     no AND gate has a single child."""
-    cases = [(ryser_perm_circuit(2), Matrix(2, 2), 4, 455),
-             (ryser_perm_circuit(3, GF(3)), Matrix(3, 3), 9, 1087),
-             (leverrier_det_circuit(3, GF(5), allow_positive_char=True), Transpose(3), 12, 1653),
-             (leverrier_det_circuit(3), Transpose(3), 12, 19852),
-             (ryser_perm_circuit(3), Matrix(3, 3), 9, 8896)]
-    for gen, group, orb, gates in cases:
+    for gen, group, orb, gates in orbit_cases():
         rep = check_symmetric(gen.circuit, group)
         assert rep.symmetric
         vs = value_sets(gen.circuit, "exact")
@@ -200,7 +211,31 @@ def test_06_orbit_preservation():
         assert report.equal
         assert report.orb_phi == report.orb_d == report.orb_c == orb
     print("PASS orbit preservation: perm n=2, 3 over Q and F_3, det n=3 over Q and "
-          "F_5 keep ORB at all three stages, both verified")
+          "F_5, perm n=4 over F_3 and det n=4 over F_5 and F_7 keep ORB at all "
+          "three stages, both verified")
+
+
+def test_06_partition_families_split_every_block():
+    """On every block of assignments, the partition gates (v, c) sharing
+    kind, parts and wires are true on disjoint lanes that cover the block:
+    v takes one value of its set on each assignment.  Both value-set modes."""
+    for gen, _group, _orb, _gates in orbit_cases():
+        for mode in ("exact", "compositional"):
+            low = lower_to_partition_basis(gen.circuit, {0}, value_sets(gen.circuit, mode))
+            d = low.circuit
+            families = {}
+            for g, lab in d.gates.items():
+                if lab.kind in ("psum", "pprod"):
+                    families.setdefault((lab.kind, lab.parts, d.wires[g]), []).append(g)
+            assert families
+            for lanes, width, _values in lowering._blocks(gen.circuit):
+                vals = bool_lane_values(d, lanes, width)
+                for members in families.values():
+                    masks = [vals[m] for m in members]
+                    assert sum(bin(m).count("1") for m in masks) == width, mode
+                    assert functools.reduce(operator.or_, masks) == (1 << width) - 1, mode
+    print("PASS partition families: one true member per lane on every block, "
+          "both value-set modes")
 
 
 def test_07_gadget_matchings():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st  # noqa: E402
 from symcirc import GF, CircuitBuilder, CircuitError, GateLabel, const, evaluate_bool, input_label  # noqa: E402
 from symcirc.circuit import (  # noqa: E402
     bool_lane_values,
-    partition_hits,
     pprod,
     psum,
     th_eq,
@@ -21,6 +20,15 @@ from symcirc.circuit import (  # noqa: E402
 
 PRIMES = (2, 3, 5)
 KINDS = ("and", "or", "not", "th_ge", "th_eq", "psum", "pprod")
+
+
+def partition_hits(kind: str, c, weights, counts) -> bool:
+    """True iff the per-part counts (aligned with weights) hit the target c:
+    sum(k_i * q_i) == c for psum, prod(q_i ** k_i) == c for pprod."""
+    acc = c.field.zero() if kind == "psum" else c.field.one()
+    for q, k in zip(weights, counts):
+        acc = acc + q.scaled(k) if kind == "psum" else acc * q.power(k)
+    return acc == c
 
 
 def scalar_bool_gate_values(circuit, assignment: dict) -> dict:
@@ -101,9 +109,9 @@ def bool_circuits(draw):
     return b.build(pool[-1])
 
 
-@settings(max_examples=150, deadline=None)
-@given(bool_circuits())
-def test_lanes_match_scalar_oracle(circuit):
+def assert_lanes_match_oracle(circuit) -> dict:
+    """bool_lane_values on all assignments at once, checked lane by lane
+    against the scalar oracle and evaluate_bool; returns the lane values."""
     variables = circuit.variables
     width = 1 << len(variables)
     # lane j holds the assignment in which variable i is bit i of j
@@ -116,3 +124,32 @@ def test_lanes_match_scalar_oracle(circuit):
         want = scalar_bool_gate_values(circuit, asg)
         assert {g: x >> j & 1 for g, x in got.items()} == want
         assert evaluate_bool(circuit, asg) == want[circuit.output]
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(bool_circuits())
+def test_lanes_match_scalar_oracle(circuit):
+    assert_lanes_match_oracle(circuit)
+
+
+def test_partition_family_cache_keys_on_kind_parts_and_wires():
+    """bool_lane_values folds each family of partition gates once.  Two psum
+    gates share parts and wires with different targets; a pprod gate shares
+    both with them; two more gates share the parts but read other wires.
+    Every gate must still match the scalar oracle on every assignment."""
+    fld = GF(5)
+    variables = ["x0", "x1", "x2", "x3"]
+    b = CircuitBuilder(fld, variables)
+    ins = [b.add(input_label(v)) for v in variables]
+    parts = {"1": fld.of(1), "2": fld.of(2)}
+    shared = [(ins[0], "1"), (ins[1], "1"), (ins[2], "2")]
+    other = [(ins[0], "1"), (ins[3], "2"), (ins[3], "2")]
+    gates = [b.add(psum(fld.of(0), parts), shared),
+             b.add(psum(fld.of(3), parts), shared),
+             b.add(pprod(fld.of(2), parts), shared),
+             b.add(psum(fld.of(1), parts), other),
+             b.add(psum(fld.of(3), parts), other)]
+    got = assert_lanes_match_oracle(b.build(b.add(GateLabel("or"), gates)))
+    assert all(got[g] for g in gates[:4])
+    assert not got[gates[4]]   # x0 + 4 * x3 is never 3 mod 5

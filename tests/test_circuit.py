@@ -124,6 +124,24 @@ def test_cycle_detected():
         Circuit(QQ, [], {0: ADD}, {0: [0]}, 0)
 
 
+def test_build_hands_over_sorted_wires():
+    """build gives the wires Circuit gives from the same raw wires, in dicts
+    the builder does not share."""
+    b = CircuitBuilder(GF(3), ["x", "y"])
+    x = b.add(input_label("x"))
+    y = b.add(input_label("y"))
+    s = b.add(ADD, [y, x, y])
+    parts = {"0": GF(3).of(0), "1": GF(3).of(1)}
+    p = b.add(psum(GF(3).of(1), parts), [(s, "1"), (x, "0"), (x, "1"), (s, "0")])
+    out = b.add(MUL, [p, s, p])
+    built = b.build(out)
+    assert built.wires == Circuit(GF(3), ["x", "y"], b.gates, b.wires, out).wires
+    assert built.wires[p] == ((x, "0"), (x, "1"), (s, "0"), (s, "1"))
+    assert built.wires[out] == ((s, None), (p, None), (p, None))
+    b.add(MUL, [out, out])
+    assert len(built.gates) == len(built.wires) == out + 1
+
+
 def test_wire_to_missing_child():
     with pytest.raises(CircuitError, match="gate 1: child 5 is not a gate"):
         Circuit(QQ, ["x"], {0: input_label("x"), 1: ADD}, {1: [0, 5]}, 1)
