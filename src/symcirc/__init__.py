@@ -50,14 +50,9 @@ from .symmetry import (
 )
 from .generators import (
     GeneratedCircuit,
-    det_oracle,
     eval_on_matrix,
-    gauss_det,
-    leibniz_det,
-    leibniz_perm,
     leverrier_det_circuit,
     matrix_assignment,
-    perm_oracle,
     ryser_perm_circuit,
 )
 from .lowering import (
@@ -88,13 +83,11 @@ from .cfi import (
     BaseGraphReport,
     CFIGraph,
     ExperimentReport,
-    GadgetReport,
     MatchingReport,
     bipartition,
     build_cfi,
     check_base_graph,
     enumerate_perfect_matchings,
-    gadget_matchings_check,
     matching_count_via_permanent,
     matching_experiment,
     orientation_odd_set_census,

@@ -16,11 +16,14 @@ Matchings are counted by one gadget contraction: assign each end e_b to
 the gadget of one endpoint of e, and a perfect matching falls apart into
 independent gadget-local matchings, so enumerate_perfect_matchings sums
 products of per-gadget counts over a sweep of the base graph instead of
-listing matchings.  The gadget bijection rule and the permanent check it
-independently; matching_count_via_permanent is a row-by-row DP over sets of
-used columns that reads only the bipartite graph, with its rows taken from
-the side whose greedy order keeps fewer columns open.  Under the shared
-state budget it checks the pairs over K4, K3,3 and Petersen.
+listing matchings.  The per-gadget counts come from the parity rule of the
+construction (_gadget_table), not from the built graph; listing the
+bijections of each induced gadget subgraph is a test oracle.  The permanent
+checks the contraction independently: matching_count_via_permanent is a
+row-by-row DP over sets of used columns that reads only the bipartite
+graph, with its rows taken from the side whose greedy order keeps fewer
+columns open.  Under the shared state budget it checks the pairs over K4,
+K3,3 and Petersen.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, CircuitError
-from .graphs import Graph, complete_graph, is_graph_isomorphism, is_two_connected
+from .graphs import Graph, is_graph_isomorphism, is_two_connected
 from .wl import wl_equivalent
 
 
@@ -146,21 +149,25 @@ class MatchingReport:
     histogram: dict  # (n0, n1, n2) projection-value counts -> matchings
 
 
-def _gadget_table(cfi: CFIGraph, v) -> dict:
-    """Perfect matchings local to v's gadget, by the ends it takes: maps one
-    mask per edge of base.incident(v) (bit b set when e_b is matched into
-    v's gadget) to the number of matchings of v's balance and inner vertices
-    with those ends.  Masks with no local matching are left out."""
-    inc = cfi.base.incident(v)
-    own = [u for u in cfi.graph.vertices if u[0] != "e" and u[1] == v]
+def _gadget_table(odd: int) -> dict:
+    """Perfect matchings local to one gadget, by the ends they take: maps one
+    mask per incident edge (bit b set when e_b is matched into the gadget)
+    to the number of matchings of the balance and inner vertices with those
+    ends.  Masks with no local matching are left out.
+
+    The inner vertices are the subsets S of the three edges with |S| = odd
+    mod 2, and S is adjacent to the balance vertex and to end e_[e in S] of
+    each edge e.  So a local matching gives one inner vertex to the balance
+    vertex and to each other one an end of one of its edges, all distinct."""
+    inner = [S for S in range(8) if bin(S).count("1") % 2 == odd]  # bit i: edge i in S
     table = {}
-    for masks in itertools.product(range(4), repeat=len(inc)):
-        ends = [("e", e, b) for e, m in zip(inc, masks) for b in (0, 1) if m >> b & 1]
-        # the balance vertex and one end per edge fill the inner vertices
-        if len(ends) == len(inc):
-            count = len(_bijection_matchings(cfi.graph.induced(own + ends)))
-            if count:
-                table[masks] = count
+    for s in inner:   # matched to the balance vertex
+        rest = [t for t in inner if t != s]
+        for picks in itertools.product(range(3), repeat=len(rest)):
+            ends = {(i, t >> i & 1) for t, i in zip(rest, picks)}
+            if len(ends) == len(rest):
+                masks = tuple(sum(1 << b for j, b in ends if j == i) for i in range(3))
+                table[masks] = table.get(masks, 0) + 1
     return table
 
 
@@ -178,6 +185,7 @@ def _contract(cfi: CFIGraph):
     frontier = ()  # edges with exactly one endpoint added
     states = {(): {0: 1}}  # masks taken at the added endpoint -> {j: count}
     incident = [base.incident(v) for v in base.vertices]
+    tables = (_gadget_table(0), _gadget_table(1))
     nodes = 0
     for r in _row_order(incident)[0]:
         v, inc = base.vertices[r], incident[r]
@@ -185,7 +193,7 @@ def _contract(cfi: CFIGraph):
         shut = [i for i, e in enumerate(inc) if e in pos]
         keep = [i for i, e in enumerate(frontier) if e not in inc]
         picks = {}  # masks on the shut edges -> (masks on the new edges, count, dj)
-        for masks, count in _gadget_table(cfi, v).items():
+        for masks, count in tables[cfi.twisted and v == cfi.special].items():
             picks.setdefault(tuple(masks[i] for i in shut), []).append(
                 (tuple(m for i, m in enumerate(masks) if i not in shut),
                  count, masks.count(0)))
@@ -344,62 +352,6 @@ def pq(m: int):
     if m < 1:
         raise CircuitError("m must be at least 1")
     return (36 ** m + 4 ** m) // 2, (36 ** m - 4 ** m) // 2
-
-
-# ---------------------------------------------------------------------------
-# Gadget subgraphs
-
-
-def _gadget_graph(bits) -> Graph:
-    """The gadget build_cfi puts at vertex 1 of K4: the subgraph of X(K4)
-    induced on the inner vertices and the balance vertex of 1, and on end
-    bits[i] of the i-th edge at 1."""
-    x = build_cfi(complete_graph(4))
-    ends = [("e", e, b) for e, b in zip(x.base.incident(1), bits)]
-    return x.graph.induced([v for v in x.graph.vertices
-                            if v[0] != "e" and v[1] == 1] + ends)
-
-
-def _bijection_matchings(g: Graph) -> set:
-    """Perfect matchings of a gadget graph, listed directly: the graph is
-    bipartite with the inner vertices on one side, so they are the
-    bijections from the other side onto the inner vertices that use only
-    edges."""
-    inner = [v for v in g.vertices if v[0] == "i"]
-    outer = [v for v in g.vertices if v[0] != "i"]
-    edges = set(g.edges)
-    found = set()
-    for image in itertools.permutations(inner):
-        pairs = frozenset(zip(outer, image))
-        if pairs <= edges:
-            found.add(pairs)
-    return found
-
-
-@dataclass
-class GadgetReport:
-    s_count: int
-    t_count: int
-    s_match_expected: bool
-    t_match_expected: bool
-    counts_by_bits: dict
-    ok: bool
-
-
-def gadget_matchings_check() -> GadgetReport:
-    """Count the perfect matchings of all eight gadget graphs by the
-    permanent and compare them with the bijection rule of
-    _bijection_matchings."""
-    counts = {}
-    agree = {}
-    for bits in itertools.product((0, 1), repeat=3):
-        g = _gadget_graph(bits)
-        counts[bits] = matching_count_via_permanent(g)
-        agree[bits] = counts[bits] == len(_bijection_matchings(g))
-    parity_ok = all(c == (4 if sum(bits) % 2 == 0 else 2)
-                    for bits, c in counts.items())
-    return GadgetReport(counts[(0, 0, 0)], counts[(0, 0, 1)], agree[(0, 0, 0)],
-                        agree[(0, 0, 1)], counts, parity_ok and all(agree.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,32 @@
 """Perfect-matching oracles for symcirc.cfi: the backtracking search that
-the gadget contraction replaced, and the Ryser summation that the
-permanent DP replaced.
+the gadget contraction replaced, the Ryser summation that the permanent DP
+replaced, and the bijection listing of gadget subgraphs that the parity
+rule of cfi._gadget_table replaced.
 
 search visits every perfect matching of any graph; counting, listing and the
 CFI classification are leaves over it.  classify also checks the projection
 equations on every matching it visits.  ryser_permanent sums over all 2^n
 column subsets, so it suits graphs with at most about 20 vertices a side.
+bijection_matchings lists the matchings of one gadget subgraph through the
+permutations of its inner vertices; listed_gadget_table applies it to every
+choice of ends at one vertex of a built CFI graph.
 """
 
 from __future__ import annotations
 
-from symcirc.cfi import CFIGraph, MatchingReport, bipartition
-from symcirc.errors import CircuitError
+import itertools
+from dataclasses import dataclass
+
+from symcirc import (
+    CFIGraph,
+    CircuitError,
+    Graph,
+    MatchingReport,
+    bipartition,
+    build_cfi,
+    complete_graph,
+    matching_count_via_permanent,
+)
 
 
 def search(g, leaf) -> int:
@@ -143,3 +158,78 @@ def ryser_permanent(g) -> int:
                 break
         total += sign * prod
     return total
+
+
+# ---------------------------------------------------------------------------
+# Gadget subgraphs
+
+
+def gadget_graph(bits) -> Graph:
+    """The gadget build_cfi puts at vertex 1 of K4: the subgraph of X(K4)
+    induced on the inner vertices and the balance vertex of 1, and on end
+    bits[i] of the i-th edge at 1."""
+    x = build_cfi(complete_graph(4))
+    ends = [("e", e, b) for e, b in zip(x.base.incident(1), bits)]
+    return x.graph.induced([v for v in x.graph.vertices
+                            if v[0] != "e" and v[1] == 1] + ends)
+
+
+def bijection_matchings(g: Graph) -> set:
+    """Perfect matchings of a gadget graph, listed directly: the graph is
+    bipartite with the inner vertices on one side, so they are the
+    bijections from the other side onto the inner vertices that use only
+    edges."""
+    inner = [v for v in g.vertices if v[0] == "i"]
+    outer = [v for v in g.vertices if v[0] != "i"]
+    edges = set(g.edges)
+    found = set()
+    for image in itertools.permutations(inner):
+        pairs = frozenset(zip(outer, image))
+        if pairs <= edges:
+            found.add(pairs)
+    return found
+
+
+def listed_gadget_table(cfi: CFIGraph, v) -> dict:
+    """v's gadget table read off the built graph: for every mask per edge of
+    base.incident(v) (bit b set when e_b is matched into v's gadget), the
+    number of bijection_matchings of the subgraph induced on v's balance and
+    inner vertices and those ends.  Masks with no local matching are left
+    out."""
+    inc = cfi.base.incident(v)
+    own = [u for u in cfi.graph.vertices if u[0] != "e" and u[1] == v]
+    table = {}
+    for masks in itertools.product(range(4), repeat=len(inc)):
+        ends = [("e", e, b) for e, m in zip(inc, masks) for b in (0, 1) if m >> b & 1]
+        # the balance vertex and one end per edge fill the inner vertices
+        if len(ends) == len(inc):
+            count = len(bijection_matchings(cfi.graph.induced(own + ends)))
+            if count:
+                table[masks] = count
+    return table
+
+
+@dataclass
+class GadgetReport:
+    s_count: int
+    t_count: int
+    s_match_expected: bool
+    t_match_expected: bool
+    counts_by_bits: dict
+    ok: bool
+
+
+def gadget_matchings_check() -> GadgetReport:
+    """Count the perfect matchings of all eight gadget graphs by the
+    permanent and compare them with the bijection listing of
+    bijection_matchings."""
+    counts = {}
+    agree = {}
+    for bits in itertools.product((0, 1), repeat=3):
+        g = gadget_graph(bits)
+        counts[bits] = matching_count_via_permanent(g)
+        agree[bits] = counts[bits] == len(bijection_matchings(g))
+    parity_ok = all(c == (4 if sum(bits) % 2 == 0 else 2)
+                    for bits, c in counts.items())
+    return GadgetReport(counts[(0, 0, 0)], counts[(0, 0, 1)], agree[(0, 0, 0)],
+                        agree[(0, 0, 1)], counts, parity_ok and all(agree.values()))

@@ -18,6 +18,7 @@ from math import comb
 import pytest
 
 import matching_oracle
+from matrix_oracle import det_oracle, perm_oracle
 from orientation_oracle import enumerate_orientations
 from symcirc import (
     GF,
@@ -31,12 +32,10 @@ from symcirc import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    det_oracle,
     enumerate_perfect_matchings,
     eval_on_matrix,
     evaluate_bool,
     expand_to_threshold,
-    gadget_matchings_check,
     input_label,
     leverrier_det_circuit,
     lower_to_partition_basis,
@@ -47,7 +46,6 @@ from symcirc import (
     orbit_preservation_check,
     orientation_odd_set_census,
     path_graph,
-    perm_oracle,
     pq,
     ryser_perm_circuit,
     uniform_count_formula,
@@ -240,7 +238,7 @@ def test_06_partition_families_split_every_block():
 
 def test_07_gadget_matchings():
     """The two edge gadgets have exactly 4 and 2 perfect matchings."""
-    rep = gadget_matchings_check()
+    rep = matching_oracle.gadget_matchings_check()
     assert rep.ok
     assert rep.s_count == 4 and rep.s_match_expected
     assert rep.t_count == 2 and rep.t_match_expected

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 from math import comb
 
@@ -21,7 +22,6 @@ from symcirc import (
     complete_graph,
     cycle_graph,
     enumerate_perfect_matchings,
-    gadget_matchings_check,
     is_graph_isomorphism,
     matching_count_via_permanent,
     matching_experiment,
@@ -125,10 +125,10 @@ def test_matching_enumeration_routes_agree():
         for m in listed:
             covered = sorted(v for e in m for v in e)
             assert covered == list(g.vertices)
-    # the search and the bijection rule list the same matchings of every gadget
+    # the search and the bijection listing find the same matchings of every gadget
     for bits in itertools.product((0, 1), repeat=3):
-        g = cfi._gadget_graph(bits)
-        assert set(oracle.all_perfect_matchings(g)) == cfi._bijection_matchings(g)
+        g = oracle.gadget_graph(bits)
+        assert set(oracle.all_perfect_matchings(g)) == oracle.bijection_matchings(g)
 
 
 def test_matching_count_via_permanent_agrees():
@@ -216,6 +216,21 @@ def test_cfi_pairs_beyond_k4(g, count_x, count_y, nodes):
     assert sum(rx.histogram.values()) == rx.count
 
 
+@pytest.mark.parametrize("g", [k4(), complete_bipartite(3, 3), petersen_graph()],
+                         ids=["K4", "K33", "petersen"])
+def test_counts_do_not_depend_on_labels(g):
+    def counts(h, special):
+        return [(rep.count, rep.histogram) for rep in (
+            enumerate_perfect_matchings(build_cfi(h)),
+            enumerate_perfect_matchings(build_cfi(h, twisted=True, special=special)))]
+
+    want = counts(g, None)
+    rng = random.Random(len(g.vertices))
+    for _ in range(8):
+        h = g.relabel(dict(zip(g.vertices, rng.sample(g.vertices, len(g.vertices)))))
+        assert counts(h, rng.choice(h.vertices)) == want
+
+
 def test_orientation_census_k4():
     g = k4()
     orients = list(enumerate_orientations(g))
@@ -285,7 +300,7 @@ def test_pq_sequences():
 
 
 def test_gadget_matchings():
-    rep = gadget_matchings_check()
+    rep = oracle.gadget_matchings_check()
     assert rep.ok
     assert rep.s_count == 4
     assert rep.t_count == 2

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from matrix_oracle import det_oracle, gauss_det, leibniz_det, leibniz_perm, perm_oracle
 from symcirc import (
     GF,
     QQ,
@@ -13,14 +14,9 @@ from symcirc import (
     Matrix,
     Transpose,
     check_symmetric,
-    det_oracle,
     eval_on_matrix,
-    gauss_det,
-    leibniz_det,
-    leibniz_perm,
     leverrier_det_circuit,
     matrix_assignment,
-    perm_oracle,
     ryser_perm_circuit,
     verify_automorphism,
 )
