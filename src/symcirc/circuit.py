@@ -12,7 +12,8 @@ CircuitError naming the gate that breaks one, so no other code handles a
 malformed circuit.
 CircuitBuilder hash-conses gates on (label, children), so the circuits it
 builds are rigid: no two gates share a label and children.  Rigidity is not
-a rule of the representation; the symmetry routines require it.
+a rule of the representation; the symmetry routines require it, and take
+a built circuit's hash-cons table as its (label, wires) -> gate index.
 
 Two evaluation semantics share the representation: exact field evaluation
 (input/const/add/mul) and Boolean evaluation (input, 0/1 constants, and/or/not,
@@ -142,6 +143,7 @@ class Circuit:
         self.wires = wires
         self.output = output
         self._parents = None
+        self._gate_index = None   # (label, wires) -> gate, see symmetry._gate_index
         self.inputs_by_var = {}   # variable -> its input gate, filled by _check
         self._topo = self._check()
 
@@ -292,13 +294,21 @@ class CircuitBuilder:
     def build(self, output) -> Circuit:
         """The circuit of every gate added so far.  The wire tuples that add
         made are handed over as they are; any other entry of self.wires is
-        sorted as Circuit sorts raw wires."""
+        sorted as Circuit sorts raw wires.  When every gate keeps the label
+        and wire tuple add made, the hash-cons table is handed over too, as
+        the circuit's gate index: its keys are then the gates' own, one per
+        gate, so the circuit is rigid."""
         out = output if isinstance(output, int) else self.names[output]
-        made = {g: ws for (_lab, ws), g in self._made.items()}
-        wires = {g: ws if ws is made.get(g) else _wire_tuple(ws)
-                 for g, ws in self.wires.items()}
+        wires = {g: ws for (lab, ws), g in self._made.items()
+                 if self.wires.get(g) is ws and self.gates.get(g) is lab}
+        handed = len(wires) == len(self.wires)
+        if not handed:
+            wires = {g: wires[g] if g in wires else _wire_tuple(ws)
+                     for g, ws in self.wires.items()}
         circuit = Circuit.__new__(Circuit)
         circuit._init(self.field, self.variables, dict(self.gates), wires, out)
+        if handed:
+            circuit._gate_index = dict(self._made)
         return circuit
 
 
@@ -448,8 +458,9 @@ def bool_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
     """Bit-sliced 0/1 value of every gate over width assignments at once.
 
     lanes maps each variable to an int whose bit j is its value on
-    assignment j; every gate's value comes back in the same layout.  A
-    threshold gate counts its children with a bit-sliced counter.  The
+    assignment j; every gate's value comes back in the same layout.  The
+    threshold gates reading one wire tuple share one bit-sliced counter of
+    their children per call, and each compares it with its own k.  The
     partition gates sharing kind, parts and wires form a family, which
     _partition_fold evaluates once per call; each member reads the lanes
     where the fold hits its target.
@@ -457,6 +468,7 @@ def bool_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
     full = (1 << width) - 1
     vals = {}
     families = {}   # (kind, parts, wires) -> {value: lanes}
+    counters = {}   # wires -> bit-sliced count of the children's lanes
     for g in circuit.topo_order():
         lab = circuit.gates[g]
         kind = lab.kind
@@ -472,9 +484,11 @@ def bool_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
         elif kind == "not":
             acc = full ^ vals[ws[0][0]]
         elif kind in ("th_ge", "th_eq"):
-            planes = []
-            for c, _t in ws:
-                _lane_add(planes, vals[c])
+            planes = counters.get(ws)
+            if planes is None:
+                planes = counters[ws] = []
+                for c, _t in ws:
+                    _lane_add(planes, vals[c])
             gt, eq = _lane_compare(planes, lab.k, full)
             acc = eq if kind == "th_eq" else gt | eq
         elif kind in ("psum", "pprod"):

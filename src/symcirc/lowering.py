@@ -19,8 +19,10 @@ Phi evaluates into B.  It proceeds in two symmetry-preserving steps:
 
 The builder hash-conses, so both stages are rigid, and
 orbit_preservation_check extends each source witness's variable
-permutation to each stage with find_extension: a stage is symmetric under
-the source's group exactly when every such extension exists.
+permutation to each stage: a stage is symmetric under the source's group
+exactly when every such extension exists.  Extensions are cached as maps
+of the gates they move, and the stage's orbits are closed over those, so
+the check's cost follows the gates with a moved child.
 
 One driver, _blocks, runs over every 0-1 assignment of the source in
 blocks of up to 2^12, each assignment one lane of an int, and evaluates the
@@ -57,7 +59,7 @@ from .circuit import (
     th_eq,
 )
 from .errors import BudgetExceededError, CircuitError
-from .symmetry import Witness, find_extension, orbits
+from .symmetry import _extension, _orbit_report, orbits
 
 _LADDER_BUDGET = 2 * 10 ** 5   # AND gates in all ladders of one expansion
 _BLOCK_BITS = 12   # _blocks evaluates up to 2^12 assignments at once
@@ -296,18 +298,19 @@ def orbit_preservation_check(circuit: Circuit, witnesses,
                              expanded: ExpandedCircuit) -> OrbitPreservationReport:
     """Max orbit sizes of the source and of both stages under the group the
     witnesses generate.  Each witness's variable permutation is extended to
-    each stage with find_extension; a stage without such an extension
+    each stage, and the stage's orbits are closed over the cached maps of
+    the gates each extension moves; a stage without such an extension
     raises CircuitError, as does an invalid witness of the source."""
     if lowered.trivial is not None:
         raise CircuitError("orbit check needs a non-trivial lowering")
     sizes = [orbits(circuit, witnesses).max_orbit]
     for stage, lowered_circuit in (("partition", lowered.circuit),
                                    ("threshold", expanded.circuit)):
-        extended = []
+        moves = []
         for i, w in enumerate(witnesses):
-            pi = find_extension(lowered_circuit, w.sigma)
-            if pi is None:
+            moved = _extension(lowered_circuit, w.sigma)
+            if moved is None:
                 raise CircuitError(f"the {stage} stage has no extension of witness {i}")
-            extended.append(Witness(w.sigma, pi))
-        sizes.append(orbits(lowered_circuit, extended).max_orbit)
+            moves.append(moved)
+        sizes.append(_orbit_report(lowered_circuit, moves).max_orbit)
     return OrbitPreservationReport(*sizes, sizes[0] == sizes[1] == sizes[2])

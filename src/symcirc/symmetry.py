@@ -5,18 +5,22 @@ A variable permutation is a dict mapping variable ids to variable ids
 bijection.  The circuits are rigid (no two gates share a label and
 children), so a variable permutation has at most one extension to the
 gates, and find_extension computes it in one bottom-up pass, cached per
-permutation.  Non-rigid input is rejected with CircuitError rather than
+permutation as the map of the gates it moves: a gate none of whose
+children moved is fixed by rigidity, so the pass looks up only gates with
+a moved child, and its cost follows those gates rather than the whole
+circuit.  Non-rigid input is rejected with CircuitError rather than
 merged: merging can make a circuit symmetric that was not.  The variable
 permutations that extend form a group, so symmetry is checked on
 generators only: the adjacent transpositions (i i+1) of each factor's
 index points, plus the transpose map (for a Partition, the swaps of
-consecutive ids of each block).  orbits accepts a witness exactly
-when its gate map is that extension; verify_automorphism checks the
-automorphism conditions directly and serves as the independent judge in
-the tests.  Supports are read from the same cached extensions: a
-transposition (a b) of index points is bad for a gate iff its extension is
-missing or moves the gate, and the gate's image is read along the chain of
-adjacent transpositions that (a b) is a product of.
+consecutive ids of each block).  orbits accepts a witness exactly when
+its gate map is that extension, and closes the orbits over the moved
+gates only; verify_automorphism checks the automorphism conditions
+directly and serves as the independent judge in the tests.  Supports are
+read from the same cached extensions: a transposition (a b) of index
+points is bad for a gate iff its extension is missing or moves the gate,
+and the gate's image is read along the chain of adjacent transpositions
+that (a b) is a product of.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .circuit import Circuit, _child_key, _sorted_wires, input_label
+from .circuit import Circuit, _child_key, _sorted_wires
 from .errors import CircuitError
 
 
@@ -189,62 +193,90 @@ def verify_automorphism(circuit: Circuit, witness: Witness) -> list:
 
 
 def _gate_index(circuit: Circuit) -> dict:
-    """(label, wires) -> gate, cached on the circuit next to an empty
-    per-sigma extension cache; raises CircuitError naming the first two
-    gates that share a label and children."""
-    index = getattr(circuit, "_gate_index", None)
-    if index is None:
-        index = {}
-        for g in sorted(circuit.gates):
-            h = index.setdefault((circuit.gates[g], circuit.wires[g]), g)
-            if h != g:
-                raise CircuitError(f"gates {h} and {g} share a label and children; "
-                                   "the circuit is not rigid")
-        circuit._gate_index = index
+    """(label, wires) -> gate, with an empty per-sigma extension cache next
+    to it on the circuit.  A circuit built by CircuitBuilder comes with its
+    hash-cons table as the index (see CircuitBuilder.build); any other
+    circuit is indexed here, and CircuitError names the first two gates
+    that share a label and children."""
+    if getattr(circuit, "_extensions", None) is None:
+        if circuit._gate_index is None:
+            index = {}
+            for g in sorted(circuit.gates):
+                h = index.setdefault((circuit.gates[g], circuit.wires[g]), g)
+                if h != g:
+                    raise CircuitError(f"gates {h} and {g} share a label and children; "
+                                       "the circuit is not rigid")
+            circuit._gate_index = index
         circuit._extensions = {}
         circuit._steps = {}
-    return index
+    return circuit._gate_index
 
 
 def _extension(circuit: Circuit, sigma: dict):
-    """The gate map extending sigma, or None; cached per sigma."""
-    index = _gate_index(circuit)
+    """The extension of sigma as {gate: image} over the gates it moves, or
+    None if sigma has no extension; cached per sigma.
+
+    Input gates map through inputs_by_var.  One pass in topological order
+    then looks up the image of each gate with a moved child, by its label
+    and the images of its wires; a gate none of whose children moved keeps
+    its own (label, wires) key, which by rigidity is its own index entry, so
+    it is fixed without a lookup.  The work follows the gates with a moved
+    child, not the whole circuit."""
+    _gate_index(circuit)
     key = tuple(sorted(sigma.items()))
-    if key in circuit._extensions:
-        return circuit._extensions[key]
-    _check_sigma(circuit, sigma)
-    gates, wires = circuit.gates, circuit.wires
-    pi = {}
+    if key not in circuit._extensions:
+        _check_sigma(circuit, sigma)
+        circuit._extensions[key] = _moved_gates(circuit, sigma)
+    return circuit._extensions[key]
+
+
+def _moved_gates(circuit: Circuit, sigma: dict):
+    """The uncached pass of _extension."""
+    index, gates, wires = circuit._gate_index, circuit.gates, circuit.wires
+    by_var = circuit.inputs_by_var
+    moved = {}
+    for var, image in sigma.items():
+        if var != image and var in by_var:
+            if image not in by_var:
+                return None
+            moved[by_var[var]] = by_var[image]
     for g in circuit.topo_order():
-        lab = gates[g]
-        if lab.kind == "input":
-            lab = input_label(sigma.get(lab.var, lab.var))
-        h = index.get((lab, _sorted_wires([(pi[c], t) for c, t in wires[g]])))
+        ws = wires[g]
+        for c, _t in ws:
+            if c in moved:
+                break
+        else:
+            continue
+        h = index.get((gates[g], _sorted_wires([(moved.get(c, c), t) for c, t in ws])))
         if h is None:
-            pi = None
-            break
-        pi[g] = h
-    if pi is not None and pi[circuit.output] != circuit.output:
-        pi = None
-    circuit._extensions[key] = pi
-    return pi
+            return None
+        if h != g:
+            moved[g] = h
+    return None if circuit.output in moved else moved
 
 
 def find_extension(circuit: Circuit, sigma: dict):
     """The gate map pi making (sigma, pi) an automorphism, or None if none
     exists.  The circuit must be rigid.
 
-    One pass in topological order maps each gate to the gate whose label is
-    its own (with sigma applied to an input's variable) and whose wires are
-    the images of its own; any automorphism must do exactly that, so the
-    extension is unique.  The map is injective by induction along the
-    order: two gates with one image have equal labels and, by induction,
-    equal children, so by rigidity they are one gate.  An injective map of
-    the gates into themselves is a bijection, and it keeps labels and maps
-    wires onto wires by construction.
+    Any automorphism maps each gate to the gate whose label is its own (with
+    sigma applied to an input's variable) and whose wires are the images of
+    its own, so the extension is unique, and one pass in topological order
+    computes it.  The map is injective by induction along the order: two
+    gates with one image have equal labels and, by induction, equal
+    children, so by rigidity they are one gate.  An injective map of the
+    gates into themselves is a bijection, and it keeps labels and maps wires
+    onto wires by construction.  The pass is cached per sigma as the map of
+    the gates it moves (_extension); the full map returned here is the
+    identity updated with it.
     """
-    pi = _extension(circuit, sigma)
-    return None if pi is None else dict(pi)
+    moved = _extension(circuit, sigma)
+    if moved is None:
+        return None
+    order = circuit.topo_order()
+    pi = dict(zip(order, order))
+    pi.update(moved)
+    return pi
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +321,28 @@ class OrbitReport:
 
 def orbits(circuit: Circuit, witnesses: list) -> OrbitReport:
     """Orbit partition of the gates under the group generated by the witness
-    gate maps (union-find closure).  The circuit must be rigid.  A witness is
-    valid iff its gate map is the extension of its variable permutation,
-    which is unique (see find_extension) and cached after check_symmetric;
-    invalid witnesses are rejected."""
+    gate maps.  The circuit must be rigid.  A witness is valid iff its gate
+    map is the extension of its variable permutation, which is unique (see
+    find_extension) and cached after check_symmetric; invalid witnesses are
+    rejected.  The union-find closure runs over the cached moved-gate maps,
+    so it touches only the gates some witness moves; every other gate is a
+    singleton orbit."""
+    moves = []
     for w in witnesses:
-        if _extension(circuit, w.sigma) != w.pi:
+        moved = _extension(circuit, w.sigma)
+        if moved is None or find_extension(circuit, w.sigma) != w.pi:
             raise CircuitError("invalid witness: its gate map is not the extension "
                                "of its variable permutation")
-    parent = {g: g for g in circuit.gates}
+        moves.append(moved)
+    return _orbit_report(circuit, moves)
+
+
+def _orbit_report(circuit: Circuit, moves: list) -> OrbitReport:
+    """The orbits of the group generated by extensions given as moved-gate
+    maps (_extension): union-find over the moved gates, the others alone."""
+    parent = {}
+    for moved in moves:
+        parent.update(zip(moved, moved))
 
     def find(x):
         root = x
@@ -307,15 +352,17 @@ def orbits(circuit: Circuit, witnesses: list) -> OrbitReport:
             parent[x], x = root, parent[x]
         return root
 
-    for w in witnesses:
-        for g, h in w.pi.items():
+    for moved in moves:
+        for g, h in moved.items():
             rg, rh = find(g), find(h)
             if rg != rh:
                 parent[rg] = rh
     classes = {}
-    for g in circuit.gates:
+    for g in parent:
         classes.setdefault(find(g), []).append(g)
-    orbs = sorted(sorted(c) for c in classes.values())
+    orbs = [sorted(c) for c in classes.values()]
+    orbs += [[g] for g in circuit.gates if g not in parent]
+    orbs.sort()
     return OrbitReport(orbs, max(len(c) for c in orbs))
 
 
@@ -362,11 +409,11 @@ def bad_pairs(circuit: Circuit, gate: int, spec) -> list:
                 if (a, b) not in direct:
                     direct[a, b] = _extension(circuit, make({a: b, b: a}))
                 pi = direct[a, b]
-                image = None if pi is None else pi[gate]
+                image = None if pi is None else pi.get(gate, gate)
             else:
                 image = gate
                 for pi in chain + chain[-2::-1]:
-                    image = pi[image]
+                    image = pi.get(image, image)
             if image != gate:
                 bad.append((_point(tag, a), _point(tag, b)))
     return bad

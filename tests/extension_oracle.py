@@ -238,3 +238,23 @@ def minimal_support(circuit, gate, spec, colors=None) -> set:
             if all(a in cand or b in cand for a, b in bad):
                 return set(cand)
     raise AssertionError("unreachable: the full point set is always a support")
+
+
+def orbit_partition(circuit, witnesses) -> list:
+    """Orbits of the group the witnesses' full gate maps generate, as a
+    sorted list of sorted gate lists: union-find over every gate, each
+    witness map read at every gate."""
+    parent = {g: g for g in circuit.gates}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for w in witnesses:
+        for g in circuit.gates:
+            parent[find(g)] = find(w.pi[g])
+    classes = {}
+    for g in circuit.gates:
+        classes.setdefault(find(g), []).append(g)
+    return sorted(sorted(c) for c in classes.values())

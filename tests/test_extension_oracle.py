@@ -3,6 +3,8 @@
 On every generated family below, find_extension must find an extension
 exactly when the old search does, with the same gate map, and
 minimal_support must agree with the old per-gate search on every gate.
+orbits, which closes over the gates the extensions move, must give the
+orbits a union-find over the full gate maps gives.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import pytest
 
 from extension_oracle import all_transpositions
 from extension_oracle import bad_pairs as oracle_bad_pairs
-from extension_oracle import fixing, invariant_colors, search_extension
+from extension_oracle import fixing, invariant_colors, orbit_partition, search_extension
 from extension_oracle import minimal_support as oracle_support
 from symcirc import (
     GF,
@@ -22,10 +24,15 @@ from symcirc import (
     Square,
     Transpose,
     Witness,
+    check_symmetric,
+    expand_to_threshold,
     find_extension,
     leverrier_det_circuit,
+    lower_to_partition_basis,
     minimal_support,
+    orbits,
     ryser_perm_circuit,
+    value_sets,
     verify_automorphism,
 )
 from symcirc.symmetry import _matrix_sigma, bad_pairs
@@ -92,3 +99,35 @@ def test_bad_pairs_match_search(kind, n, spec):
     colors = invariant_colors(c)
     for g in sorted(c.gates):
         assert bad_pairs(c, g, spec) == oracle_bad_pairs(c, g, spec, colors), g
+
+
+ORBIT_CASES = [(kind, n, spec) for kind in ("det", "perm") for n in (3, 4, 5)
+               for spec in (Square(n), Transpose(n), Matrix(n, n))]
+
+
+@pytest.mark.parametrize("kind, n, spec", ORBIT_CASES, ids=str)
+def test_orbits_match_full_map_union_find(kind, n, spec):
+    # the witnesses of the generators that extend: perm under Transpose
+    # closes the subgroup of the diagonal swaps, and det under Matrix, where
+    # no row or column swap extends, has only singleton orbits
+    c = build(kind, n, QQ).circuit
+    witnesses = [w for w in check_symmetric(c, spec).witnesses if w is not None]
+    assert orbits(c, witnesses).orbits == orbit_partition(c, witnesses)
+
+
+LOWERED_CASES = [(ryser_perm_circuit(3, GF(3)), Matrix(3, 3)),
+                 (leverrier_det_circuit(3, GF(5), allow_positive_char=True), Transpose(3)),
+                 (leverrier_det_circuit(3), Transpose(3)),
+                 (ryser_perm_circuit(3), Matrix(3, 3))]
+
+
+@pytest.mark.parametrize("gen, spec", LOWERED_CASES,
+                         ids=[f"{gen.circuit.field.name()}-{spec}" for gen, spec in LOWERED_CASES])
+def test_lowered_orbits_match_full_map_union_find(gen, spec):
+    # both stages of the lowerings that orbit preservation is asserted on
+    low = lower_to_partition_basis(gen.circuit, {0}, value_sets(gen.circuit, "exact"))
+    exp = expand_to_threshold(low)
+    for stage in (low.circuit, exp.circuit):
+        witnesses = [Witness(w.sigma, find_extension(stage, w.sigma))
+                     for w in check_symmetric(gen.circuit, spec).witnesses]
+        assert orbits(stage, witnesses).orbits == orbit_partition(stage, witnesses)

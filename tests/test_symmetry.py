@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -33,6 +34,7 @@ from symcirc import (
     verify_automorphism,
 )
 from symcirc.symmetry import (
+    _gate_index,
     bad_pairs,
     col_sigma,
     diagonal_sigma,
@@ -169,6 +171,36 @@ def test_non_rigid_circuit_rejected():
     assert verify_automorphism(c, identity) == []
     with pytest.raises(CircuitError, match="not rigid"):
         orbits(c, [identity])
+
+
+@pytest.mark.parametrize("edit", ["wires", "label"])
+def test_builder_edit_breaking_rigidity_is_caught(edit):
+    # a builder hands its hash-cons table over as the gate index only when
+    # every gate keeps what add made; here x*x becomes a second x*y behind
+    # add's back, by its wires or (from x+y) by its label
+    b = CircuitBuilder(QQ, ["x", "y"])
+    x = b.add(input_label("x"))
+    y = b.add(input_label("y"))
+    m1 = b.add(MUL, [x, y])
+    if edit == "wires":
+        m2 = b.add(MUL, [x, x])
+        b.wires[m2] = b.wires[m1]
+    else:
+        m2 = b.add(ADD, [x, y])
+        b.gates[m2] = MUL
+    c = b.build(b.add(ADD, [m1, m2]))
+    with pytest.raises(CircuitError, match=f"gates {m1} and {m2} share a label and children"):
+        find_extension(c, {"x": "y", "y": "x"})
+    with pytest.raises(CircuitError, match="not rigid"):
+        orbits(c, [Witness({}, {g: g for g in c.gates})])
+
+
+def test_builder_index_is_the_gate_index():
+    # the handed-over table indexes a built circuit as its own gates would
+    c = leverrier_det_circuit(3, QQ).circuit
+    rebuilt = Circuit(c.field, c.variables, c.gates, c.wires, c.output)
+    assert c._gate_index is not None and rebuilt._gate_index is None
+    assert _gate_index(c) == _gate_index(rebuilt)
 
 
 def test_check_symmetric_permanent():
@@ -378,3 +410,24 @@ def test_support_census(kind, n, histogram):
         c, spec = ryser_perm_circuit(n, QQ).circuit, Matrix(n, n)
     sizes = Counter(len(minimal_support(c, g, spec)) for g in c.gates)
     assert dict(sizes) == histogram
+
+
+@pytest.mark.parametrize("kind, n", [(k, n) for k in ("det", "perm") for n in (2, 3, 4, 5)],
+                         ids=str)
+def test_good_pairs_are_an_equivalence(kind, n):
+    # on each factor, a ~ b iff (a b) fixes the gate is transitive, since
+    # (a c) = (a b)(b c)(a b), so a chain read that lost a gate would show here
+    if kind == "det":
+        c, spec = leverrier_det_circuit(n, QQ).circuit, Square(n)
+    else:
+        c, spec = ryser_perm_circuit(n, QQ).circuit, Matrix(n, n)
+    tags = ["r", "c"] if kind == "perm" else [None]
+    for g in c.gates:
+        bad = set(bad_pairs(c, g, spec))
+        for tag in tags:
+            points = [a if tag is None else (tag, a) for a in range(1, n + 1)]
+            good = {(a, b) for a, b in itertools.permutations(points, 2)
+                    if (a, b) not in bad and (b, a) not in bad}
+            for (a, b), (b2, d) in itertools.product(good, good):
+                if b == b2 and a != d:
+                    assert (a, d) in good, (g, a, b, d)
