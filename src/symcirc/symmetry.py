@@ -17,10 +17,12 @@ consecutive ids of each block).  orbits accepts a witness exactly when
 its gate map is that extension, and closes the orbits over the moved
 gates only; verify_automorphism checks the automorphism conditions
 directly and serves as the independent judge in the tests.  Supports are
-read from the same cached extensions: a transposition (a b) of index
-points is bad for a gate iff its extension is missing or moves the gate,
-and the gate's image is read along the chain of adjacent transpositions
-that (a b) is a product of.
+read from the same cached extensions: for a fixed gate, a ~ b iff the
+transposition (a b) of index points has an extension fixing it, an
+equivalence on each factor's points since extensions compose and
+(a c) = (a b)(b c)(a b).  One pass reads the classes off chains of adjacent
+transpositions; the bad pairs cross classes, and a minimum support leaves
+out one largest class per factor, with no search.
 """
 
 from __future__ import annotations
@@ -370,52 +372,58 @@ def _orbit_report(circuit: Circuit, moves: list) -> OrbitReport:
 # Supports
 
 
-def _step_extensions(circuit: Circuit, spec) -> list:
-    """(steps, direct) per entry of _factors(spec): steps[i-1] is the
-    extension of the adjacent transposition (i i+1) of the factor's points,
-    or None, and direct caches the extensions of whole transpositions
-    (a, b) that bad_pairs had to compute.  Kept once per (circuit, spec) on
-    the circuit, next to the per-sigma extensions."""
+def _point_classes(circuit: Circuit, gate: int, spec) -> list:
+    """(tag, classes) per entry of _factors(spec): the classes of ~ on the
+    factor's points 1..size, each ascending, in order of first points.  Each
+    point b joins the first class whose first point a has (a b) fixing the
+    gate, in O(size * classes) reads.  (a b) = s_a ... s_(b-1) ... s_a for
+    the steps s_i = (i i+1), whose extensions are cached once per
+    (circuit, spec), so the gate's image is read along that chain; when a
+    step has no extension, (a b) may still have one, and its own extension,
+    cached in direct, is read instead."""
+    if gate not in circuit.gates:
+        raise CircuitError(f"gate {gate} does not exist")
     _gate_index(circuit)
-    cached = circuit._steps.get(spec)
-    if cached is None:
-        cached = circuit._steps[spec] = [
+    if spec not in circuit._steps:
+        circuit._steps[spec] = [
             ([_extension(circuit, make({i: i + 1, i + 1: i})) for i in range(1, size)], {})
             for _tag, size, make in _factors(spec)]
-    return cached
+    out = []
+    for (tag, size, make), (steps, direct) in zip(_factors(spec), circuit._steps[spec]):
+        classes = []
+        for b in range(1, size + 1):
+            for cls in classes:
+                a = cls[0]
+                chain = steps[a - 1:b - 1]
+                if None in chain:
+                    if (a, b) not in direct:
+                        direct[a, b] = _extension(circuit, make({a: b, b: a}))
+                    pi = direct[a, b]
+                    image = None if pi is None else pi.get(gate, gate)
+                else:
+                    image = gate
+                    for pi in chain + chain[-2::-1]:
+                        image = pi.get(image, image)
+                if image == gate:
+                    cls.append(b)
+                    break
+            else:
+                classes.append([b])
+        out.append((tag, classes))
+    return out
 
 
 def bad_pairs(circuit: Circuit, gate: int, spec) -> list:
-    """Index pairs (a, b), a < b, of one factor, rows before columns and
-    each factor in combinations order, whose transposition has no extension
-    fixing the gate: extensions are unique, so the transposition's one is
-    missing or moves the gate.  Under Transpose(n) these are the Square(n)
-    pairs, as the transpose map fixes every index point.
-
-    (a b) is the palindrome s_a s_(a+1) ... s_(b-1) ... s_(a+1) s_a of
-    adjacent transpositions s_i = (i i+1), and extensions compose, so when
-    every step extends, the gate's image is read along that chain of
-    cached step extensions in O(b - a) lookups, in either order.  When a
-    step has no extension, the transposition may still have one, and its
-    own extension is computed instead, once per (circuit, spec, pair)."""
-    if gate not in circuit.gates:
-        raise CircuitError(f"gate {gate} does not exist")
+    """Index pairs (a, b), a < b, of one factor whose transposition has no
+    extension fixing the gate, rows before columns and each factor in
+    combinations order: the pairs across the classes of _point_classes.
+    Under Transpose(n) they are the Square(n) pairs (see minimal_support)."""
     bad = []
-    for (tag, size, make), (steps, direct) in zip(_factors(spec),
-                                                  _step_extensions(circuit, spec)):
-        for a, b in itertools.combinations(range(1, size + 1), 2):
-            chain = steps[a - 1:b - 1]
-            if None in chain:
-                if (a, b) not in direct:
-                    direct[a, b] = _extension(circuit, make({a: b, b: a}))
-                pi = direct[a, b]
-                image = None if pi is None else pi.get(gate, gate)
-            else:
-                image = gate
-                for pi in chain + chain[-2::-1]:
-                    image = pi.get(image, image)
-            if image != gate:
-                bad.append((_point(tag, a), _point(tag, b)))
+    for tag, classes in _point_classes(circuit, gate, spec):
+        cls_of = {p: i for i, cls in enumerate(classes) for p in cls}
+        bad += [(_point(tag, a), _point(tag, b))
+                for a, b in itertools.combinations(sorted(cls_of), 2)
+                if cls_of[a] != cls_of[b]]
     return bad
 
 
@@ -423,23 +431,15 @@ def minimal_support(circuit: Circuit, gate: int, spec):
     """A minimum-cardinality support of the gate in the index-point action.
 
     The transpositions of points outside a set generate its pointwise
-    stabilizer in that action, so the set is a support iff each of them has
-    an extension fixing the gate, that is iff it meets every pair in
-    bad_pairs, which costs O(size) cached lookups per transposition on a
-    symmetric circuit.  A minimum vertex cover of the bad-pair graph uses
-    only points of pairs; it is searched smallest-first over the points of
-    the factors with at least two points, in factor order with
-    lexicographic tie-break (exponential in the point count, intended for
-    desk-scale index sets).  Under Transpose(n) it is the Square(n)
-    support: the transpose map fixes every point, so a gate it moves has no
-    support in the full group.
-    """
-    bad = bad_pairs(circuit, gate, spec)
-    points = [_point(tag, a) for tag, count, _make in _factors(spec) if count > 1
-              for a in range(1, count + 1)]
-    for size in range(len(points) + 1):
-        for cand in itertools.combinations(points, size):
-            cset = set(cand)
-            if all(a in cset or b in cset for a, b in bad):
-                return cset
-    raise AssertionError("unreachable: the full point set is always a support")
+    stabilizer, so the set is a support iff it meets every bad pair.  Those
+    of a factor form a complete multipartite graph on its point classes, so
+    a minimum cover is the factor's points minus one largest class: among
+    equal ones, the class with the latest first point, which makes the
+    cover the lexicographically first.  Under Transpose(n) it is the
+    Square(n) support: the transpose map fixes every point, so a gate it
+    moves has no support in the full group."""
+    support = set()
+    for tag, classes in _point_classes(circuit, gate, spec):
+        left_out = max(reversed(classes), key=len, default=[])
+        support.update(_point(tag, p) for cls in classes if cls is not left_out for p in cls)
+    return support

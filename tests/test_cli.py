@@ -165,6 +165,14 @@ def test_support(tmp_path, capsys):
                           "--group", "transpose:2", "--gate", str(out_gate))
     assert code == 0
     assert rep["support"] == []
+    # no row or column swap of det 6 extends, so every point is its own class
+    # and the support leaves out only the last row and the last column
+    det6 = tmp_path / "det6.json"
+    invoke(capsys, "gen", "det", "--n", "6", "--out", str(det6))
+    code, rep, _ = invoke(capsys, "support", "--circuit", str(det6), "--group", "matrix:6,6",
+                          "--gate", str(deserialize(det6.read_text()).output))
+    assert code == 0
+    assert rep["support"] == [[tag, a] for tag in "cr" for a in range(1, 6)]
 
 
 @pytest.mark.parametrize("n", [1, 2])

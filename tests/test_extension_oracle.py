@@ -82,7 +82,8 @@ def test_extension_matches_search(kind, n, fld):
     assert found >= len(all_transpositions(Transpose(n)))
 
 
-@pytest.mark.parametrize("kind, spec", [("det", Transpose(4)), ("perm", Matrix(4, 4))])
+@pytest.mark.parametrize("kind, spec", [("det", Transpose(4)), ("perm", Matrix(4, 4)),
+                                        ("det", Matrix(4, 4))])
 def test_minimal_support_matches_search(kind, spec):
     c = build(kind, 4, QQ).circuit
     colors = invariant_colors(c)
@@ -92,7 +93,8 @@ def test_minimal_support_matches_search(kind, spec):
 
 @pytest.mark.parametrize("kind, n, spec",
                          [("det", n, spec) for n in (3, 4) for spec in (Transpose(n), Square(n))]
-                         + [("perm", n, Matrix(n, n)) for n in (3, 4)],
+                         + [("perm", n, Matrix(n, n)) for n in (3, 4)]
+                         + [("det", n, Matrix(n, n)) for n in (3, 4)],
                          ids=str)
 def test_bad_pairs_match_search(kind, n, spec):
     c = build(kind, n, QQ).circuit

@@ -394,9 +394,13 @@ CENSUS = [
     ("det", 4, {0: 22, 1: 20, 2: 72, 3: 24}),
     ("det", 5, {0: 30, 1: 40, 2: 260, 3: 180}),
     ("det", 6, {0: 40, 1: 54, 2: 405, 3: 360}),
+    ("det", 7, {0: 50, 1: 77, 2: 735, 3: 840}),
+    ("det", 8, {0: 62, 1: 96, 2: 1008, 3: 1344}),
     ("perm", 4, {0: 6, 1: 40, 2: 76, 3: 48}),
     ("perm", 5, {0: 6, 1: 40, 2: 160, 3: 200}),
     ("perm", 6, {0: 6, 1: 60, 2: 204, 3: 440, 4: 240}),
+    ("perm", 7, {0: 6, 1: 56, 2: 322, 3: 798, 4: 980}),
+    ("perm", 8, {0: 6, 1: 80, 2: 368, 3: 1344, 4: 1932, 5: 1120}),
 ]
 
 
@@ -410,24 +414,41 @@ def test_support_census(kind, n, histogram):
         c, spec = ryser_perm_circuit(n, QQ).circuit, Matrix(n, n)
     sizes = Counter(len(minimal_support(c, g, spec)) for g in c.gates)
     assert dict(sizes) == histogram
-
-
-@pytest.mark.parametrize("kind, n", [(k, n) for k in ("det", "perm") for n in (2, 3, 4, 5)],
-                         ids=str)
-def test_good_pairs_are_an_equivalence(kind, n):
-    # on each factor, a ~ b iff (a b) fixes the gate is transitive, since
-    # (a c) = (a b)(b c)(a b), so a chain read that lost a gate would show here
     if kind == "det":
-        c, spec = leverrier_det_circuit(n, QQ).circuit, Square(n)
+        assert max(sizes) <= 3
     else:
-        c, spec = ryser_perm_circuit(n, QQ).circuit, Matrix(n, n)
-    tags = ["r", "c"] if kind == "perm" else [None]
+        assert max(sizes) == n // 2 + 1
+
+
+EQUIVALENCE_CASES = ([pytest.param("det", n, Square(n), id=f"det-{n}") for n in range(2, 7)]
+                     + [pytest.param("perm", n, Matrix(n, n), id=f"perm-{n}") for n in range(2, 7)]
+                     + [pytest.param("det", n, Matrix(n, n), id=f"det-matrix-{n}")
+                        for n in range(2, 7)])
+
+
+@pytest.mark.parametrize("kind, n, spec", EQUIVALENCE_CASES)
+def test_good_pairs_are_an_equivalence(kind, n, spec):
+    # a ~ b iff (a b)'s own extension fixes the gate: the relation is
+    # transitive, since (a c) = (a b)(b c)(a b), and bad_pairs, which reads
+    # chains of adjacent steps or falls back past a missing one, lists
+    # exactly its complement; det under Matrix has no step that extends
+    if kind == "det":
+        c = leverrier_det_circuit(n, QQ).circuit
+    else:
+        c = ryser_perm_circuit(n, QQ).circuit
+    if isinstance(spec, Square):
+        factors = [(None, lambda p: diagonal_sigma(n, p))]
+    else:
+        factors = [("r", lambda p: row_sigma(n, n, p)), ("c", lambda p: col_sigma(n, n, p))]
+    extensions = {}
+    for tag, make in factors:
+        for a, b in itertools.combinations(range(1, n + 1), 2):
+            pair = (a, b) if tag is None else ((tag, a), (tag, b))
+            extensions[pair] = find_extension(c, make({a: b, b: a}))
     for g in c.gates:
-        bad = set(bad_pairs(c, g, spec))
-        for tag in tags:
-            points = [a if tag is None else (tag, a) for a in range(1, n + 1)]
-            good = {(a, b) for a, b in itertools.permutations(points, 2)
-                    if (a, b) not in bad and (b, a) not in bad}
-            for (a, b), (b2, d) in itertools.product(good, good):
-                if b == b2 and a != d:
-                    assert (a, d) in good, (g, a, b, d)
+        good = {pair for pair, pi in extensions.items() if pi is not None and pi[g] == g}
+        good |= {(b, a) for a, b in good}
+        for a, b, d in itertools.permutations({p for pair in extensions for p in pair}, 3):
+            if (a, b) in good and (b, d) in good:
+                assert (a, d) in good, (g, a, b, d)
+        assert bad_pairs(c, g, spec) == [pair for pair in extensions if pair not in good], g
