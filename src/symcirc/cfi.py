@@ -29,7 +29,6 @@ K3,3 and Petersen.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, CircuitError
@@ -314,22 +313,43 @@ def matching_count_via_permanent(g: Graph) -> int:
 
 
 def orientation_odd_set_census(g: Graph) -> dict:
-    """Number of orientations per odd in-degree vertex set.  One Gray-code
-    sweep over the orientations keeps the odd set as a vertex bitmask:
-    reversing edge uv flips the in-degree parity of u and of v."""
-    m = len(g.edges)
-    if m > 24:
-        raise BudgetExceededError(f"2^{m} orientations exceed the budget")
-    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
-    flips = [bit[u] ^ bit[v] for u, v in g.edges]
-    odd = 0
-    for _u, v in g.edges:   # start with every edge u -> v
-        odd ^= bit[v]
-    masks = Counter([odd])
-    for s in range(1, 1 << m):
-        odd ^= flips[(s & -s).bit_length() - 1]
-        masks[odd] += 1
-    return {frozenset(v for v in g.vertices if mask & bit[v]): k for mask, k in masks.items()}
+    """Number of orientations per odd in-degree vertex set, in closed form.
+
+    Reversing edge uv flips the in-degree parity of u and of v.  Over
+    GF(2) the odd set is therefore an affine function of the set of
+    reversed edges, whose linear part maps an edge set to its boundary.
+    The boundaries are the vertex sets that meet every component in an
+    even number of vertices, 2^(|V| - c) of them for c components, and the
+    kernel is the cycle space, of size 2^(|E| - |V| + c).  The in-degrees
+    inside a component C sum to |E(C)|.  So S is an odd set iff
+    |S ∩ C| = |E(C)| (mod 2) for every C, and each is the odd set of
+    2^(|E| - |V| + c) orientations."""
+    where = {}      # vertex -> index of its component
+    members = []    # vertices per component
+    for v in g.vertices:
+        if v not in where:
+            where[v] = len(members)
+            members.append([v])
+            for u in members[-1]:
+                for w in g.adj(u):
+                    if w not in where:
+                        where[w] = where[v]
+                        members[-1].append(w)
+    edges = [0] * len(members)
+    for u, _v in g.edges:
+        edges[where[u]] += 1
+    free = len(g.vertices) - len(members)
+    if free > 24:
+        raise BudgetExceededError(f"2^{free} odd in-degree sets exceed the budget 2^24")
+    per_set = 2 ** (len(g.edges) - free)
+    # within each component, any subset of all but the first vertex, with
+    # the first vertex added when the parity asks for it
+    choices = [[(first,) * ((len(pick) + m) % 2) + pick
+                for r in range(len(rest) + 1)
+                for pick in itertools.combinations(rest, r)]
+               for (first, *rest), m in zip(members, edges)]
+    return {frozenset(itertools.chain(*parts)): per_set
+            for parts in itertools.product(*choices)}
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,10 @@ def invariant_colors(circuit) -> dict:
     kids = [[(t or "", index[c]) for c, t in circuit.wires[g]] for g in order]
     pars = [[(t or "", index[p]) for p, t in parents[g]] for g in order]
 
-    def step(col):
-        return [(tuple(sorted((t, col[c]) for t, c in ks)),
-                 tuple(sorted((t, col[p]) for t, p in ps)))
-                for ks, ps in zip(kids, pars)]
+    def step(col, ids):
+        return [ids.setdefault((col[i], tuple(sorted((t, col[c]) for t, c in ks)),
+                                tuple(sorted((t, col[p]) for t, p in ps))), len(ids))
+                for i, (ks, ps) in enumerate(zip(kids, pars))]
 
     for col, _ in refine(seeds, step):
         pass

@@ -14,6 +14,7 @@ from orientation_oracle import enumerate_orientations
 from symcirc import (
     BudgetExceededError,
     CircuitError,
+    Graph,
     bipartition,
     build_cfi,
     cfi,
@@ -242,10 +243,21 @@ def test_orientation_census_k4():
     assert sum(census.values()) == 64
 
 
-@pytest.mark.parametrize("g", [k4(), complete_bipartite(3, 3), petersen_graph(), cycle_graph(5)],
-                         ids=["K4", "K33", "petersen", "C5"])
+@pytest.mark.parametrize("g", [k4(), complete_bipartite(3, 3), petersen_graph(), cycle_graph(5),
+                               Graph(tuple(range(1, 10)),
+                                     ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (7, 8))),
+                               Graph((), ())],
+                         ids=["K4", "K33", "petersen", "C5", "C3+P3+K2+K1", "empty"])
 def test_orientation_census_counts_enumerated_odd_sets(g):
     assert orientation_odd_set_census(g) == Counter(odd for _o, odd in enumerate_orientations(g))
+
+
+def test_orientation_census_budget_counts_sets_not_edges():
+    # 2^(|V| - components) odd sets: 2^25 for a path on 26 vertices, and one
+    # for 40 isolated vertices
+    with pytest.raises(BudgetExceededError, match="odd in-degree sets"):
+        orientation_odd_set_census(path_graph(26))
+    assert orientation_odd_set_census(Graph(tuple(range(40)), ())) == {frozenset(): 1}
 
 
 def test_orientation_odd_sets_match_indegrees():

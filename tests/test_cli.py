@@ -380,6 +380,17 @@ def test_wl_command(tmp_path, capsys):
     assert rep["distinguishing_round"] == 1
 
 
+def test_wl_command_splits_cfi_k4_pair_at_dimension_three(tmp_path, capsys):
+    x, y = tmp_path / "x.graph", tmp_path / "y.graph"
+    assert invoke(capsys, "cfi", "build", "--graph", "k4", "--out", str(x))[0] == 0
+    assert invoke(capsys, "cfi", "build", "--graph", "k4", "--twisted", "--special", "1",
+                  "--out", str(y))[0] == 0
+    code, rep, _ = invoke(capsys, "wl", "--k", "3", str(x), str(y))
+    assert code == 0
+    assert rep["equivalent"] is False
+    assert rep["class_counts"] == [14, 62, 357]
+
+
 def test_pq_command(capsys):
     code, rep, _ = invoke(capsys, "pq", "--m", "3")
     assert code == 0

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from math import comb, factorial
 
 import pytest
 
@@ -11,6 +13,7 @@ from symcirc import (
     CircuitError,
     Graph,
     build_cfi,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -138,6 +141,21 @@ def test_cfi_k4_pair_report_at_dimension_two():
     assert rep.class_counts == (3, 5, 24)
 
 
+@pytest.mark.parametrize("k,frozen", [(1, (64,)), (2, (1061, 1073, 1073)), (3, (12203, 12673))])
+def test_signatures_count_canonical_tuples_and_representatives(k, frozen):
+    # each step sorts one signature per canonical tuple of both graphs, and
+    # k! - 1 more per class met on a canonical tuple
+    k4 = complete_graph(4)
+    rep = wl_equivalent(build_cfi(k4).graph,
+                        build_cfi(k4, twisted=True, special=1).graph, k)
+    canonical = 2 * comb(32 + k - 1, k)
+    assert len(rep.signatures) == (rep.rounds if rep.equivalent else rep.distinguishing_round)
+    for sigs, classes in zip(rep.signatures, rep.class_counts[1:] + rep.class_counts[-1:]):
+        assert (sigs - canonical) % max(factorial(k) - 1, 1) == 0
+        assert canonical <= sigs <= canonical + (factorial(k) - 1) * classes
+    assert rep.signatures == frozen
+
+
 def test_budget_counts_each_graphs_tuples(monkeypatch):
     # two 4-vertex graphs have 4^2 + 4^2 = 32 pairs at k = 2
     monkeypatch.setattr(wl, "_TUPLE_BUDGET", 32)
@@ -145,6 +163,32 @@ def test_budget_counts_each_graphs_tuples(monkeypatch):
     monkeypatch.setattr(wl, "_TUPLE_BUDGET", 31)
     with pytest.raises(BudgetExceededError):
         wl_equivalent(cycle_graph(4), cycle_graph(4), 2)
+
+
+def prism():
+    return Graph(tuple(range(1, 7)),
+                 ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)))
+
+
+def with_isolated(g):
+    return g.disjoint_union(Graph(("iso",), ()))
+
+
+def regular_pairs():
+    """Pairs of regular graphs with equal orders and degrees, which 2-WL
+    splits: the triangle-free K3,3 against the triangular prism, and C6
+    against two triangles, each with an isolated vertex added."""
+    c6 = cycle_graph(6)
+    cc = cycle_graph(3).disjoint_union(cycle_graph(3))
+    return [(complete_bipartite(3, 3), prism()), (with_isolated(c6), with_isolated(cc))]
+
+
+@pytest.mark.parametrize("g,h", regular_pairs(), ids=["K33-prism", "C6-2C3-isolated"])
+def test_regular_pairs_split_at_dimension_two(g, h):
+    assert wl_equivalent(g, h, 1).equivalent
+    rep = wl_equivalent(g, h, 2)
+    assert not rep.equivalent
+    assert rep.distinguishing_round == 1
 
 
 def _oracle_pairs():
@@ -161,6 +205,10 @@ def _oracle_pairs():
     yield "cfi-k4", (build_cfi(k4).graph, build_cfi(k4, twisted=True, special=1).graph, 2)
     yield "orders-5-6", (cycle_graph(5), cycle_graph(6), 3)
     yield "orders-4-3", (complete_graph(4), path_graph(3), 3)
+    yield "K33-prism", (*regular_pairs()[0], 3)
+    yield "C6-2C3-isolated", (*regular_pairs()[1], 3)
+    yield "isolated-shuffled", (with_isolated(random_graph(6, 4)),
+                                shuffled(with_isolated(random_graph(6, 4)), 9), 3)
 
 
 @pytest.mark.parametrize("g,h,top", [pytest.param(*case, id=name)
@@ -170,10 +218,25 @@ def test_reports_match_oracle(g, h, top):
         assert wl_equivalent(g, h, k) == wl_equivalent_oracle(g, h, k), k
 
 
+def equivariant_coloring(n, k, classes, rng):
+    """A random coloring of the k-tuples over range(n), in index order, under
+    which the color of a tuple with its positions permuted is a function of
+    the tuple's color: a random color per sorted tuple, paired with the
+    tuple's rank pattern."""
+    drawn = {}
+    keys = []
+    for t in itertools.product(range(n), repeat=k):
+        s = tuple(sorted(t))
+        if s not in drawn:
+            drawn[s] = rng.randrange(classes)
+        keys.append((drawn[s], tuple(sorted(set(t)).index(x) for x in t)))
+    return wl._dense(keys)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_step_matches_oracle_on_random_colorings(k):
-    # arbitrary colorings, not only refinement-stable ones, with the largest
-    # color present so that a packing base of max(col) would collide
+    # colorings that no refinement reaches; they are dense, so the largest
+    # color is present and a packing base of max(col) would collide
     rng = random.Random(k)
     for seed in range(5):
         g = random_graph(5, seed)
@@ -181,8 +244,9 @@ def test_step_matches_oracle_on_random_colorings(k):
         want_seeds, want_step = wl_oracle._tuples(g, k, 0)
         assert wl._dense(seeds) == wl._dense(want_seeds)
         for classes in (2, 3, 7):
-            col = [rng.randrange(classes) for _ in seeds] + [classes - 1]
-            assert wl._dense(step(col)) == wl._dense(want_step(col))
+            col, _count = equivariant_coloring(5, k, classes, rng)
+            want = wl._dense(zip(col, want_step(col)))[0]
+            assert wl._dense(step(col, {}, {}))[0] == want
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -192,7 +256,7 @@ def test_empty_graphs(k):
     assert (rep.equivalent, rep.rounds, rep.class_counts) == (True, 1, (0,))
     assert rep.distinguishing_round is None
     seeds, step = wl._tuples(empty, k, 0)
-    assert seeds == [] and list(step([])) == []
+    assert list(seeds) == [] and step([], {}, {}) == []
     for g, h in ((empty, cycle_graph(3)), (cycle_graph(3), empty)):
         assert wl_equivalent(g, h, k).distinguishing_round == 0
 

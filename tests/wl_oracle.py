@@ -1,12 +1,14 @@
 """Reference k-WL, used only by tests: the tuple-of-colors refinement step
-that `symcirc.wl` packs into ints and streams.
+that `symcirc.wl` packs into ints and runs on canonical tuples only.
 
 A k-tuple's seed is the tuple of (equal, adjacent) flags of its entry pairs,
 and its signature in a round is the sorted list of the k-vectors of colors
 of the tuples obtained by substituting each vertex w into each position,
-read off stride slices of the color list.  Both graphs go through one
-`refine` call, as in `wl_equivalent`, so the reports are comparable field
-by field.
+read off stride slices of the color list.  Every one of the n^k tuples
+gets its own signature.  Both graphs go through one refinement, as in
+`wl_equivalent`, so the reports are comparable field by field.  The
+refinement loop is this file's own, so the oracle shares no code with the
+kernel it checks.
 """
 
 from __future__ import annotations
@@ -15,7 +17,25 @@ import itertools
 from collections import Counter
 
 from symcirc.graphs import Graph
-from symcirc.wl import WLReport, refine
+from symcirc.wl import WLReport
+
+
+def _dense(keys):
+    ids = {}
+    return [ids.setdefault(key, len(ids)) for key in keys], len(ids)
+
+
+def refine(seeds, step):
+    """Recolor every element by (its color, its item of step(colors)) until
+    a round splits no class; yields (colors, classes) for the seeds and after
+    every round that splits one."""
+    col, classes = _dense(seeds)
+    while True:
+        yield col, classes
+        new, count = _dense(zip(col, step(col)))
+        if count == classes:
+            return
+        col, classes = new, count
 
 
 def _tuples(g: Graph, k: int, base: int):
