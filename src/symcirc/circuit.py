@@ -392,62 +392,47 @@ def partition_terms(unit, combine, q: FieldValue, top: int) -> list:
     return list(itertools.accumulate(itertools.repeat(q, top), combine, initial=unit))
 
 
-def _lane_add(planes: list, x: int):
-    """Add the 0/1 lanes of x to the bit-sliced counter planes (low bit
-    first) by ripple carry."""
+def _count_map(masks, full: int) -> dict:
+    """{count: lanes of full on which exactly count of the 0/1 lane masks
+    are set}, for every count that occurs.  The masks are added into
+    bit-sliced counter planes (low bit first) by ripple carry, and the
+    planes then split full by count, one plane at a time."""
+    planes = []
+    for x in masks:
+        for i, p in enumerate(planes):
+            if not x:
+                break
+            planes[i], x = p ^ x, p & x
+        if x:
+            planes.append(x)
+    counts = {0: full}
     for i, p in enumerate(planes):
-        if not x:
-            return
-        planes[i], x = p ^ x, p & x
-    if x:
-        planes.append(x)
-
-
-def _lane_compare(planes: list, k: int, full: int):
-    """(lanes whose count exceeds k, lanes whose count equals k)."""
-    if k >> len(planes):
-        return 0, 0
-    gt, eq = 0, full
-    for i in reversed(range(len(planes))):
-        if k >> i & 1:
-            eq &= planes[i]
-        else:
-            gt |= eq & planes[i]
-            eq &= ~planes[i]
-    return gt, eq
-
-
-def _lane_counts(planes: list, mask: int) -> list:
-    """[(count, lanes of mask with that count)] for every count that occurs
-    in some lane of mask."""
-    groups = [(0, mask)]
-    for i, p in enumerate(planes):
-        split = []
-        for k, m in groups:
+        split = {}
+        for k, m in counts.items():
             if m & ~p:
-                split.append((k, m & ~p))
+                split[k] = m & ~p
             if m & p:
-                split.append((k | 1 << i, m & p))
-        groups = split
-    return groups
+                split[k | 1 << i] = m & p
+        counts = split
+    return counts
 
 
 def _partition_fold(fld: Field, kind: str, parts: tuple, ws: tuple, vals: dict,
                     full: int) -> dict:
     """{value: lanes} of the partition family with these parts and wires:
-    each part counts its children with a bit-sliced counter, the counts
-    become that part's terms, and the parts fold like arith_lane_values."""
+    the wires are grouped by tag in one pass, each part's count map
+    (_count_map) becomes that part's terms, and the parts fold like
+    arith_lane_values."""
     unit, combine = partition_rule(kind, fld)
-    slot = {t: i for i, (t, _q) in enumerate(parts)}
-    counters = [[] for _ in parts]
+    by_tag = {t: [] for t, _q in parts}
     for c, tag in ws:
-        _lane_add(counters[slot[tag]], vals[c])
+        by_tag[tag].append(vals[c])
     acc = {unit: full}
-    for (_t, q), planes in zip(parts, counters):
-        counts = _lane_counts(planes, full)
-        terms = partition_terms(unit, combine, q, max(k for k, _m in counts))
+    for t, q in parts:
+        counts = _count_map(by_tag[t], full)
+        terms = partition_terms(unit, combine, q, max(counts))
         by_term = {}
-        for k, m in counts:
+        for k, m in counts.items():
             x = terms[k]
             by_term[x] = by_term[x] | m if x in by_term else m
         acc = _lane_fold(acc, by_term, combine)
@@ -458,17 +443,16 @@ def bool_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
     """Bit-sliced 0/1 value of every gate over width assignments at once.
 
     lanes maps each variable to an int whose bit j is its value on
-    assignment j; every gate's value comes back in the same layout.  The
-    threshold gates reading one wire tuple share one bit-sliced counter of
-    their children per call, and each compares it with its own k.  The
-    partition gates sharing kind, parts and wires form a family, which
-    _partition_fold evaluates once per call; each member reads the lanes
-    where the fold hits its target.
+    assignment j; every gate's value comes back in the same layout.  Gates
+    that count one wire tuple share one fold per call: the threshold gates
+    reading it share its count map (_count_map), th_eq(k) reading count k
+    and th_ge(k) every count from k up; the partition gates sharing kind,
+    parts and wires form a family, which _partition_fold evaluates, and
+    each member reads the lanes where the fold hits its target.
     """
     full = (1 << width) - 1
     vals = {}
-    families = {}   # (kind, parts, wires) -> {value: lanes}
-    counters = {}   # wires -> bit-sliced count of the children's lanes
+    families = {}   # (kind, parts, wires) -> {value: lanes}; (None, None, wires) -> {count: lanes}
     for g in circuit.topo_order():
         lab = circuit.gates[g]
         kind = lab.kind
@@ -484,13 +468,17 @@ def bool_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
         elif kind == "not":
             acc = full ^ vals[ws[0][0]]
         elif kind in ("th_ge", "th_eq"):
-            planes = counters.get(ws)
-            if planes is None:
-                planes = counters[ws] = []
-                for c, _t in ws:
-                    _lane_add(planes, vals[c])
-            gt, eq = _lane_compare(planes, lab.k, full)
-            acc = eq if kind == "th_eq" else gt | eq
+            key = (None, None, ws)
+            counts = families.get(key)
+            if counts is None:
+                counts = families[key] = _count_map([vals[c] for c, _t in ws], full)
+            if kind == "th_eq":
+                acc = counts.get(lab.k, 0)
+            else:
+                acc = 0
+                for n, m in counts.items():
+                    if n >= lab.k:
+                        acc |= m
         elif kind in ("psum", "pprod"):
             key = (kind, lab.parts, ws)
             folded = families.get(key)
@@ -590,7 +578,8 @@ def _want(obj, key, typ, path):
     if key not in obj:
         raise SchemaError(f"{path}.{key}", "missing")
     v = obj[key]
-    if typ is not None and not isinstance(v, typ):
+    # a JSON true/false loads as a bool, which is an int to isinstance
+    if typ is not None and (not isinstance(v, typ) or typ is int and isinstance(v, bool)):
         raise SchemaError(f"{path}.{key}", f"expected {typ.__name__}, got {type(v).__name__}")
     return v
 

@@ -124,7 +124,7 @@ def _load_graph(text: str, name=""):
 def _cmd_gen(args) -> int:
     fld = Field.parse(args.field)
     if args.kind == "det":
-        gen = leverrier_det_circuit(args.n, fld, allow_positive_char=args.allow_positive_char)
+        gen = leverrier_det_circuit(args.n, fld, allow_positive_char=True)
     else:
         gen = ryser_perm_circuit(args.n, fld)
     _write(args.out, serialize(gen.circuit))
@@ -315,8 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("det", "perm"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", default="Q", help="Q or Fp:<prime> (default Q)")
-    p.add_argument("--allow-positive-char", action="store_true",
-                   help="permit det over F_p with p > n (experimental)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 

@@ -216,7 +216,8 @@ def _ladder_edges(label: GateLabel, counts: dict, targets: set, left: int) -> tu
 @dataclass
 class ExpandedCircuit:
     circuit: Circuit
-    # ("copy" | "d", g) | ("te", g, i, k) | ("pa", g, i, s', k) | ("ps", g, i, s) -> id
+    # ("copy", g) per non-partition gate g of the partition stage and ("d", m)
+    # per psum/pprod gate m -> the gate standing for it; ladder gates have no name
     gate_of: dict
 
 
@@ -250,12 +251,11 @@ def expand_to_threshold(lowered: PartitionCircuit) -> ExpandedCircuit:
             layer = {}
             for i, (t, edges) in enumerate(layers, start=1):
                 kids = [image[d] for d, tag in src.wires[g] if tag == t]
-                tes = [b.add(th_eq(k), kids, ("te", g, i, k)) for k in range(len(kids) + 1)]
-                ins = {s: [tes[k] if i == 1 else
-                           b.add(AND, [tes[k], layer[s0]], ("pa", g, i, s0, k))
+                tes = [b.add(th_eq(k), kids) for k in range(len(kids) + 1)]
+                ins = {s: [tes[k] if i == 1 else b.add(AND, [tes[k], layer[s0]])
                            for s0, k in pairs]
                        for s, pairs in edges.items()}
-                layer = {s: b.add(OR, ws, ("ps", g, i, s)) for s, ws in ins.items()}
+                layer = {s: b.add(OR, ws) for s, ws in ins.items()}
             for m in members:
                 image[m] = b.add(OR, ins.get(src.gates[m].c, []), ("d", m))
     return ExpandedCircuit(b.build(image[src.output]), dict(b.names))

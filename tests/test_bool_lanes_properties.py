@@ -159,19 +159,27 @@ def test_threshold_counter_cache_keys_on_wires():
     """bool_lane_values counts each wire tuple of threshold gates once.  The
     th_eq(0..3) and th_ge(0..4) gates of one wire tuple share its count; a
     th_eq(1) and a th_ge(2) over other wires, one child read twice, have
-    the k of shared gates but must count their own children.  Every gate
-    must still match the scalar oracle on every assignment."""
+    the k of shared gates but must count their own children.  A wide tuple
+    of eight wires, whose count 8 takes a fourth counter plane, carries
+    th_eq and th_ge for k = 0..10.  Every gate must still match the scalar
+    oracle on every assignment."""
     fld = GF(2)
     variables = ["x0", "x1", "x2", "x3"]
     b = CircuitBuilder(fld, variables)
     ins = [b.add(input_label(v)) for v in variables]
     shared = ins[:3]
     other = [ins[1], ins[3], ins[3]]
+    # x0 + 2 * x1 + 2 * x2 + 3 * x3 takes every count 0..8
+    wide = [ins[0], ins[1], ins[1], ins[2], ins[2], ins[3], ins[3], ins[3]]
     gates = ([b.add(th_eq(k), shared) for k in range(4)]
              + [b.add(th_ge(k), shared) for k in range(5)]
              + [b.add(th_eq(1), other), b.add(th_ge(2), other)])
-    got = assert_lanes_match_oracle(b.build(b.add(GateLabel("or"), gates)))
+    wide_eq = [b.add(th_eq(k), wide) for k in range(len(wide) + 3)]
+    wide_ge = [b.add(th_ge(k), wide) for k in range(len(wide) + 3)]
+    got = assert_lanes_match_oracle(b.build(b.add(GateLabel("or"), gates + wide_eq + wide_ge)))
     assert all(got[g] for g in gates[:3]) and not got[gates[8]]
     # x1 + 2 * x3 is 1 exactly when x1 = 1 and x3 = 0; it is >= 2 when x3 = 1
     assert got[gates[9]] == got[ins[1]] & ~got[ins[3]]
     assert got[gates[10]] == got[ins[3]]
+    assert all(got[g] for g in wide_eq[:9]) and not got[wide_eq[9]] | got[wide_eq[10]]
+    assert got[wide_ge[0]] == 0xFFFF and got[wide_ge[8]] == got[wide_eq[8]] == 0x8000

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from symcirc import (
@@ -366,6 +368,34 @@ def test_deserialize_rejects_malformed():
         deserialize("{}")
     with pytest.raises(SchemaError):
         deserialize('{"schema_version": 1, "field": "Q"}')
+
+
+def _threshold_doc() -> dict:
+    """A th_ge(1) gate over input x, with a constant 0 gate before it."""
+    return {"field": "Q", "variables": ["x"], "output": 2, "gates": [
+        {"id": 0, "label": {"kind": "const", "value": "0"}, "children": []},
+        {"id": 1, "label": {"kind": "input", "var": "x"}, "children": []},
+        {"id": 2, "label": {"kind": "th_ge", "k": 1}, "children": [{"id": 1}]}]}
+
+
+@pytest.mark.parametrize("path", ["$.gates[1].id", "$.gates[2].children[0].id",
+                                  "$.output", "$.gates[2].label.k"])
+def test_deserialize_rejects_booleans_as_integers(path):
+    # JSON true loads as Python True, which equals 1; each field must
+    # still be refused, naming its path
+    doc = _threshold_doc()
+    assert evaluate_bool(deserialize(json.dumps(doc)), {"x": 1}) == 1
+    if path == "$.gates[1].id":
+        doc["gates"][1]["id"] = True
+    elif path == "$.gates[2].children[0].id":
+        doc["gates"][2]["children"][0]["id"] = True
+    elif path == "$.output":
+        doc["output"] = True
+    else:
+        doc["gates"][2]["label"]["k"] = True
+    with pytest.raises(SchemaError, match="expected int, got bool") as exc:
+        deserialize(json.dumps(doc))
+    assert exc.value.path == path
 
 
 def test_export_dot_mentions_gates():

@@ -64,15 +64,23 @@ def test_gen_perm(tmp_path, capsys):
     assert rep["group"] == "matrix:2,2"
 
 
-def test_gen_positive_char_needs_flag(tmp_path, capsys):
+def test_gen_det_over_fp_needs_p_above_n(tmp_path, capsys):
+    # Le Verrier divides by 1..n, so F_p with p > n is exact and p <= n is bad input
     out = tmp_path / "d.json"
-    code, _, _ = invoke(capsys, "gen", "det", "--n", "3", "--field", "Fp:7",
-                        "--out", str(out))
-    assert code == 2
     code, rep, _ = invoke(capsys, "gen", "det", "--n", "3", "--field", "Fp:7",
-                          "--allow-positive-char", "--out", str(out))
+                          "--out", str(out))
     assert code == 0
     assert rep["field"] == "Fp:7"
+    assert deserialize(out.read_text()).field.p == 7
+    out.unlink()
+    code, rep, err = invoke(capsys, "gen", "det", "--n", "3", "--field", "Fp:3",
+                            "--out", str(out))
+    assert (code, rep) == (2, None)
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+    code, _, err = invoke(capsys, "gen", "det", "--n", "3", "--field", "Fp:7",
+                          "--allow-positive-char", "--out", str(out))
+    assert code == 2 and "unrecognized arguments: --allow-positive-char" in err
 
 
 def test_eval_matrix(tmp_path, capsys):
@@ -427,6 +435,17 @@ def test_non_circuit_json_exits_2(tmp_path, capsys, text):
     assert rep is None
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_json_boolean_for_integer_exits_2(tmp_path, capsys):
+    # true equals 1 in Python; as a threshold k it is still bad input
+    path = tmp_path / "bool.json"
+    gates = [{"id": 0, "label": {"kind": "input", "var": "x"}, "children": []},
+             {"id": 1, "label": {"kind": "th_ge", "k": True}, "children": [{"id": 0}]}]
+    path.write_text(json.dumps({"field": "Q", "variables": ["x"], "gates": gates, "output": 1}))
+    code, rep, err = invoke(capsys, "eval", "--circuit", str(path), "--assign", "x=1")
+    assert (code, rep) == (2, None)
+    assert err == "error: $.gates[1].label.k: expected int, got bool\n"
 
 
 def _gate(gid, label, *children):

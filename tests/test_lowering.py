@@ -164,6 +164,15 @@ def test_expand_to_threshold_equivalence():
     for bits in itertools.product((0, 1), repeat=4):
         asg = dict(zip(names, bits))
         assert evaluate_bool(low.circuit, asg) == evaluate_bool(exp.circuit, asg)
+    # gate_of names one gate per partition-stage gate: its copy, or the
+    # gadget OR of a partition gate; ladder gates are unnamed
+    src = low.circuit
+    partition = {g for g, lab in src.gates.items() if lab.kind in ("psum", "pprod")}
+    assert partition
+    assert set(exp.gate_of) == ({("copy", g) for g in src.gates if g not in partition}
+                                | {("d", m) for m in partition})
+    for (role, g), h in exp.gate_of.items():
+        assert exp.circuit.gates[h] == (OR if role == "d" else src.gates[g])
 
 
 def test_expanded_symmetry_lifts():

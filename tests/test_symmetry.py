@@ -401,6 +401,13 @@ CENSUS = [
     ("perm", 6, {0: 6, 1: 60, 2: 204, 3: 440, 4: 240}),
     ("perm", 7, {0: 6, 1: 56, 2: 322, 3: 798, 4: 980}),
     ("perm", 8, {0: 6, 1: 80, 2: 368, 3: 1344, 4: 1932, 5: 1120}),
+    # the group of the paper's permanent lower bound: one permutation of [n]
+    # acting on rows and columns at once
+    ("perm-square", 4, {0: 6, 1: 56, 2: 108}),
+    ("perm-square", 5, {0: 6, 1: 60, 2: 220, 3: 120}),
+    ("perm-square", 6, {0: 6, 1: 84, 2: 300, 3: 560}),
+    ("perm-square", 7, {0: 6, 1: 84, 2: 462, 3: 1050, 4: 560}),
+    ("perm-square", 8, {0: 6, 1: 112, 2: 560, 3: 1792, 4: 2380}),
 ]
 
 
@@ -408,16 +415,21 @@ CENSUS = [
 def test_support_census(kind, n, histogram):
     # minimal support size over every gate: Le Verrier gates are indexed by
     # at most three points under Square, Ryser gates need up to n/2 + 1
+    # under Matrix and ceil(n/2) under Square
     if kind == "det":
         c, spec = leverrier_det_circuit(n, QQ).circuit, Square(n)
-    else:
+    elif kind == "perm":
         c, spec = ryser_perm_circuit(n, QQ).circuit, Matrix(n, n)
+    else:
+        c, spec = ryser_perm_circuit(n, QQ).circuit, Square(n)
     sizes = Counter(len(minimal_support(c, g, spec)) for g in c.gates)
     assert dict(sizes) == histogram
     if kind == "det":
         assert max(sizes) <= 3
-    else:
+    elif kind == "perm":
         assert max(sizes) == n // 2 + 1
+    else:
+        assert max(sizes) == (n + 1) // 2
 
 
 EQUIVALENCE_CASES = ([pytest.param("det", n, Square(n), id=f"det-{n}") for n in range(2, 7)]
