@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, CircuitError
-from .graphs import Graph, is_graph_isomorphism, is_two_connected
+from .graphs import Graph, _reach, is_graph_isomorphism, is_two_connected
 from .wl import wl_equivalent
 
 
@@ -230,23 +230,14 @@ def enumerate_perfect_matchings(cfi: CFIGraph, mode: str = "count") -> MatchingR
 
 
 def bipartition(g: Graph):
-    """(left, right) by BFS 2-coloring; raises on odd cycles."""
+    """(left, right) by the parity of breadth-first depth in each
+    component; raises on odd cycles, which join two vertices of one parity."""
     color = {}
     for start in g.vertices:
-        if start in color:
-            continue
-        color[start] = 0
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in g.adj(u):
-                    if w not in color:
-                        color[w] = 1 - color[u]
-                        nxt.append(w)
-                    elif color[w] == color[u]:
-                        raise CircuitError("graph is not bipartite")
-            frontier = nxt
+        if start not in color:
+            color.update((v, d % 2) for v, d in _reach(g, start).items())
+    if any(color[u] == color[v] for u, v in g.edges):
+        raise CircuitError("graph is not bipartite")
     left = tuple(v for v in g.vertices if color[v] == 0)
     right = tuple(v for v in g.vertices if color[v] == 1)
     return left, right
@@ -325,16 +316,12 @@ def orientation_odd_set_census(g: Graph) -> dict:
     |S ∩ C| = |E(C)| (mod 2) for every C, and each is the odd set of
     2^(|E| - |V| + c) orientations."""
     where = {}      # vertex -> index of its component
-    members = []    # vertices per component
+    members = []    # vertices per component, first vertex first
     for v in g.vertices:
         if v not in where:
-            where[v] = len(members)
-            members.append([v])
+            members.append(list(_reach(g, v)))
             for u in members[-1]:
-                for w in g.adj(u):
-                    if w not in where:
-                        where[w] = where[v]
-                        members[-1].append(w)
+                where[u] = len(members) - 1
     edges = [0] * len(members)
     for u, _v in g.edges:
         edges[where[u]] += 1

@@ -2,17 +2,20 @@
 
 The determinant circuit follows Le Verrier's method: power-sum traces s_k
 feed the coefficient recurrence p_k = (1/k)[p_{k-1}s_1 - p_{k-2}s_2 + ...
-+/- s_k], and p_n is the determinant.  Matrix powers are computed by a
-balanced split (M^{2r} = M^r M^r, M^{2r+1} = (M^r M^{r+1} + M^{r+1} M^r)/2)
-so that the transpose map extends to a gate automorphism; a one-sided chain
-M^k = M^{k-1} M would not admit one once the product gates are explicit.
-Only powers up to ceil(n/2) are materialised as full matrices; higher traces
-are assembled directly from pairs of half powers.
++/- s_k], and p_n is the determinant.  Two rules build it.  The power
+rule makes M^(a+b) from built M^a and M^b: M^a M^a when a = b, else
+(M^a M^b + M^b M^a)/2, so that the transpose map extends to a gate
+automorphism, which a one-sided product M^a M^b would not admit.  The
+trace rule reads tr M^k off the diagonal of a built power, or as the pair
+sum of (M^a)_ij (M^b)_ji over built powers with a + b = k.  Powers up to
+ceil(n/2) and the higher traces take the balanced split (m//2, m - m//2);
+a baby-step/giant-step schedule would change only these exponents.
 
 The permanent circuit symmetrises Ryser's formula over rows and columns:
 PERM = (-1)^n sum_S (-1)^{|S|} prod_i sum_{j in S} x_ij, averaged with the
 same expression on the transposed matrix, which yields transpose symmetry
-on top of the row/column symmetry.  Over characteristic 2 the average is
+on top of the row/column symmetry.  One term body builds both forms, which
+differ only in index order.  Over characteristic 2 the average is
 unavailable and the plain row form is emitted.
 
 Both are built through the hash-consing CircuitBuilder, so they are rigid:
@@ -95,42 +98,40 @@ def leverrier_det_circuit(n: int, fld: Field = QQ, allow_positive_char: bool = F
     def pow_gate(k, i, j):
         return b.names[("pow", k, i, j)]
 
+    def power(lo, hi):
+        """M^(lo+hi) by the power rule, from the built M^lo and M^hi."""
+        m = lo + hi
+        for i in idx:
+            for j in idx:
+                kids = []
+                for a in idx:
+                    kids.append(b.add(MUL, [pow_gate(lo, i, a), pow_gate(hi, a, j)],
+                                      name=("F", m, i, a, j)))
+                    if lo != hi:
+                        kids.append(b.add(MUL, [pow_gate(hi, i, a), pow_gate(lo, a, j)],
+                                          name=("FR", m, i, a, j)))
+                total = b.add(ADD, kids, name=("pow" if lo == hi else "raw", m, i, j))
+                if lo != hi:
+                    b.add(MUL, [cgate["1/2"], total], name=("pow", m, i, j))
+
+    def trace(lo, hi):
+        """tr M^(lo+hi) by the trace rule; hi = 0 reads M^lo's diagonal."""
+        k = lo + hi
+        if hi == 0:
+            kids = [pow_gate(k, a, a) for a in idx]
+        else:
+            kids = [b.add(MUL, [pow_gate(lo, a, c), pow_gate(hi, c, a)], name=("tprod", k, a, c))
+                    for a in idx for c in idx]
+        b.add(ADD, kids, name=("trace", k))
+
     top = (n + 1) // 2  # full power matrices for 1..top
     for m in range(2, top + 1):
-        if m % 2 == 0:
-            r = m // 2
-            for i in idx:
-                for j in idx:
-                    kids = []
-                    for a in idx:
-                        kids.append(b.add(MUL, [pow_gate(r, i, a), pow_gate(r, a, j)],
-                                          name=("F", m, i, a, j)))
-                    b.add(ADD, kids, name=("pow", m, i, j))
-        else:
-            r = m // 2
-            for i in idx:
-                for j in idx:
-                    kids = []
-                    for a in idx:
-                        kids.append(b.add(MUL, [pow_gate(r, i, a), pow_gate(r + 1, a, j)],
-                                          name=("FL", m, i, a, j)))
-                        kids.append(b.add(MUL, [pow_gate(r + 1, i, a), pow_gate(r, a, j)],
-                                          name=("FR", m, i, a, j)))
-                    raw = b.add(ADD, kids, name=("raw", m, i, j))
-                    b.add(MUL, [cgate["1/2"], raw], name=("pow", m, i, j))
-
+        power(m // 2, m - m // 2)
     for k in range(1, n + 1):
         if k <= top:
-            b.add(ADD, [pow_gate(k, a, a) for a in idx], name=("trace", k))
+            trace(k, 0)
         else:
-            m = k // 2
-            m1, m2 = (m, m) if k % 2 == 0 else (m, m + 1)
-            kids = []
-            for a in idx:
-                for c in idx:
-                    kids.append(b.add(MUL, [pow_gate(m1, a, c), pow_gate(m2, c, a)],
-                                      name=("tprod", k, a, c)))
-            b.add(ADD, kids, name=("trace", k))
+            trace(k // 2, k - k // 2)
 
     b.names[("p", 1)] = b.names[("trace", 1)]
     for k in range(2, n + 1):
@@ -173,14 +174,11 @@ def ryser_perm_circuit(n: int, fld: Field = QQ) -> GeneratedCircuit:
                for S in itertools.combinations(idx, size)]
 
     def term(prefix, S):
-        sumname = "rsum" if prefix == "r" else "csum"
-        kids = []
-        for k in idx:
-            if prefix == "r":
-                ch = [b.names[("x", k, j)] for j in S]
-            else:
-                ch = [b.names[("x", i, k)] for i in S]
-            kids.append(b.add(ADD, ch, name=(sumname, k, S)))
+        """The signed product over rows k ("r") or columns k ("c") of the
+        sum of line k's entries at the indices in S."""
+        kids = [b.add(ADD, [b.names[("x", k, j) if prefix == "r" else ("x", j, k)] for j in S],
+                      name=(prefix + "sum", k, S))
+                for k in idx]
         prod = b.add(MUL, kids, name=(prefix + "prod", S))
         if two_sided and (n + len(S)) % 2 == 1:
             return b.add(MUL, [neg_one, prod], name=(prefix + "neg", S))

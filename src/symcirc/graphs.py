@@ -55,19 +55,7 @@ class Graph:
         return tuple(e for e in self.edges if v in e)
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in self.adj(u):
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return len(seen) == len(self.vertices)
+        return not self.vertices or len(_reach(self, self.vertices[0])) == len(self.vertices)
 
     def induced(self, verts, name="") -> "Graph":
         keep = set(verts)
@@ -86,15 +74,26 @@ class Graph:
         return Graph(a.vertices + b.vertices, a.edges + b.edges, name)
 
 
+def _reach(g: Graph, start, skip=None) -> dict:
+    """{vertex: distance from start} over the vertices that paths from start
+    avoiding skip reach, in breadth-first order."""
+    depth = {start: 0}
+    queue = [start]
+    for u in queue:
+        for w in g.adj(u):
+            if w != skip and w not in depth:
+                depth[w] = depth[u] + 1
+                queue.append(w)
+    return depth
+
+
 def is_two_connected(g: Graph) -> bool:
-    """Connected, at least 3 vertices, and no cut vertex (brute force)."""
+    """Connected, at least 3 vertices, and no cut vertex: for every v, a
+    neighbour of v reaches all other vertices without passing v."""
     if len(g.vertices) < 3 or not g.is_connected():
         return False
-    for v in g.vertices:
-        rest = [u for u in g.vertices if u != v]
-        if not g.induced(rest).is_connected():
-            return False
-    return True
+    return all(len(_reach(g, min(g.adj(v)), skip=v)) == len(g.vertices) - 1
+               for v in g.vertices)
 
 
 def is_graph_isomorphism(g1: Graph, g2: Graph, mapping: dict) -> bool:

@@ -168,13 +168,11 @@ def lower_to_partition_basis(circuit: Circuit, accept, values: ValueSetMap) -> P
             unit = fld.zero() if lab.kind == "add" else fld.one()
             b.add(const(fld.one()), name=(v, unit))
         else:
-            parts = {}
+            parts, kids = {}, []
             for u, _t in circuit.wires[v]:
                 for q in values.sets[u]:
                     parts[str(q)] = q
-            kids = [(b.names[(u, q)], str(q))
-                    for u, _t in circuit.wires[v]
-                    for q in values.sets[u]]
+                    kids.append((b.names[(u, q)], str(q)))
             make = psum if lab.kind == "add" else pprod
             for c in values.sets[v]:
                 b.add(make(c, parts), kids, name=(v, c))
@@ -248,9 +246,12 @@ def expand_to_threshold(lowered: PartitionCircuit) -> ExpandedCircuit:
             image[g] = b.add(lab, kids, name=("copy", g))
         elif g not in image:
             members, layers = families[(lab.kind, lab.parts, src.wires[g])]
+            by_tag = {t: [] for t, _e in layers}
+            for d, tag in src.wires[g]:
+                by_tag[tag].append(image[d])
             layer = {}
             for i, (t, edges) in enumerate(layers, start=1):
-                kids = [image[d] for d, tag in src.wires[g] if tag == t]
+                kids = by_tag[t]
                 tes = [b.add(th_eq(k), kids) for k in range(len(kids) + 1)]
                 ins = {s: [tes[k] if i == 1 else b.add(AND, [tes[k], layer[s0]])
                            for s0, k in pairs]

@@ -163,6 +163,12 @@ def test_bipartition():
     assert len(left) == len(right) == 3
     with pytest.raises(CircuitError):
         bipartition(complete_graph(3))
+    # every component is colored: an isolated vertex joins the left side,
+    # and an odd cycle outside the first component is still found
+    square = ((1, 2), (2, 3), (3, 4), (1, 4))
+    assert bipartition(Graph((1, 2, 3, 4, 5), square)) == ((1, 3, 5), (2, 4))
+    with pytest.raises(CircuitError):
+        bipartition(Graph(tuple(range(1, 8)), square + ((5, 6), (6, 7), (5, 7))))
 
 
 def test_classify_x_k4():

@@ -181,6 +181,16 @@ def test_support(tmp_path, capsys):
                           "--gate", str(deserialize(det6.read_text()).output))
     assert code == 0
     assert rep["support"] == [[tag, a] for tag in "cr" for a in range(1, 6)]
+    # README's example: gate 29 is ("pow", 2, 1, 2), the (1, 2) entry of M^2,
+    # which the transpose map moves to gate 44, the (2, 1) entry
+    det4 = tmp_path / "det4.json"
+    invoke(capsys, "gen", "det", "--n", "4", "--out", str(det4))
+    names = leverrier_det_circuit(4).names
+    assert [names[("pow", 2, 1, 2)], names[("pow", 2, 2, 1)]] == [29, 44]
+    code, rep, _ = invoke(capsys, "support", "--circuit", str(det4),
+                          "--group", "transpose:4", "--gate", "29")
+    assert code == 0
+    assert rep["support"] == [1, 2]
 
 
 @pytest.mark.parametrize("n", [1, 2])

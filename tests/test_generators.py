@@ -77,8 +77,8 @@ def test_leverrier_fractional_entries():
 
 
 def test_leverrier_gate_counts_frozen():
-    got = [len(leverrier_det_circuit(n).circuit) for n in range(2, 9)]
-    assert got == [15, 65, 138, 510, 859, 1702, 2510]
+    got = [len(leverrier_det_circuit(n).circuit) for n in range(2, 13)]
+    assert got == [15, 65, 138, 510, 859, 1702, 2510, 5033, 6863, 10475, 13546]
 
 
 def test_leverrier_gate_count_bounds():

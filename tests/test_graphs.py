@@ -51,6 +51,8 @@ def test_connectivity():
     assert not two.is_connected()
     assert len(two.vertices) == 6
     assert len(two.edges) == 6
+    assert Graph((), ()).is_connected()
+    assert Graph((1,), ()).is_connected()
 
 
 def test_induced_and_relabel():
@@ -70,6 +72,7 @@ def test_two_connected():
     tri = Graph((1, 2, 3, 4, 5), ((1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)))
     assert not is_two_connected(tri)
     assert not is_two_connected(Graph((1, 2), ((1, 2),)))
+    assert not is_two_connected(cycle_graph(3).disjoint_union(cycle_graph(3)))
 
 
 def test_isomorphism_check():
