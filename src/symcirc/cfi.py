@@ -17,23 +17,25 @@ the gadget of one endpoint of e, and a perfect matching falls apart into
 independent gadget-local matchings, so enumerate_perfect_matchings sums
 products of per-gadget counts over a sweep of the base graph instead of
 listing matchings.  The per-gadget counts come from the parity rule of the
-construction (_gadget_table), not from the built graph; listing the
-bijections of each induced gadget subgraph is a test oracle.  The permanent
-checks the contraction independently: matching_count_via_permanent is a
-row-by-row DP over sets of used columns that reads only the bipartite
-graph, with its rows taken from the side whose greedy order keeps fewer
-columns open.  Under the shared state budget it checks the pairs over K4,
-K3,3 and Petersen.
+construction (_gadget_table, derived once per parity and shared read-only),
+not from the built graph; listing the bijections of each induced gadget
+subgraph is a test oracle.  The permanent checks the contraction
+independently: matching_count_via_permanent is a row-by-row DP over sets of
+used columns that reads only the bipartite graph, with its rows taken from
+the side whose greedy order keeps fewer columns open.  Under the shared
+state budget it checks the pairs over K4, K3,3 and Petersen.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import BudgetExceededError, CircuitError
 from .graphs import Graph, _reach, is_graph_isomorphism, is_two_connected
-from .wl import wl_equivalent
+from .wl import _check_dimension, wl_equivalent
 
 
 @dataclass
@@ -148,11 +150,13 @@ class MatchingReport:
     histogram: dict  # (n0, n1, n2) projection-value counts -> matchings
 
 
-def _gadget_table(odd: int) -> dict:
+@functools.cache
+def _gadget_table(odd: int) -> MappingProxyType:
     """Perfect matchings local to one gadget, by the ends they take: maps one
     mask per incident edge (bit b set when e_b is matched into the gadget)
     to the number of matchings of the balance and inner vertices with those
-    ends.  Masks with no local matching are left out.
+    ends.  Masks with no local matching are left out.  Derived once per
+    parity and shared read-only.
 
     The inner vertices are the subsets S of the three edges with |S| = odd
     mod 2, and S is adjacent to the balance vertex and to end e_[e in S] of
@@ -167,7 +171,7 @@ def _gadget_table(odd: int) -> dict:
             if len(ends) == len(rest):
                 masks = tuple(sum(1 << b for j, b in ends if j == i) for i in range(3))
                 table[masks] = table.get(masks, 0) + 1
-    return table
+    return MappingProxyType(table)
 
 
 def _contract(cfi: CFIGraph):
@@ -396,6 +400,8 @@ def matching_experiment(g: Graph, k_list=(1, 2), p_list=(2, 3, 5)) -> Experiment
     for q in p_list:
         if q < 2:
             raise CircuitError(f"modulus {q} is below 2")
+    for k in k_list:
+        _check_dimension(k)
     x = build_cfi(g, twisted=False)
     y = build_cfi(g, twisted=True)
     fx = uniform_count_formula(g, False)

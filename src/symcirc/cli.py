@@ -9,6 +9,7 @@ codes: 0 success, 1 failed check, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -305,6 +306,7 @@ def _cmd_base_check(args) -> int:
 # Parser
 
 
+@functools.cache   # parse_args keeps its state in a fresh Namespace
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="symcirc",
@@ -385,18 +387,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code or 0
         return code if isinstance(code, int) else 2
+    # reports carry exact integers, such as P_m and Q_m, past Python's
+    # int-to-str digit limit, so the limit is lifted while a command runs
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (SymcircError, OSError, ValueError, ZeroDivisionError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry():

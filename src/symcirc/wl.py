@@ -187,9 +187,13 @@ def _tuples(g: Graph, k: int, base: int):
     return seeds, step
 
 
-def wl_equivalent(g1: Graph, g2: Graph, k: int) -> WLReport:
+def _check_dimension(k):
     if k not in (1, 2, 3):
         raise CircuitError("k must be 1, 2, or 3")
+
+
+def wl_equivalent(g1: Graph, g2: Graph, k: int) -> WLReport:
+    _check_dimension(k)
     n1, n2 = len(g1.vertices), len(g2.vertices)
     cut, rest = n1 ** k, n2 ** k
     if cut + rest > _TUPLE_BUDGET:

@@ -22,7 +22,7 @@ from symcirc import (
     lowering,
     serialize,
 )
-from symcirc.cli import run
+from symcirc.cli import _build_parser, run
 from symcirc.symmetry import matrix_var, matrix_variables
 
 
@@ -543,10 +543,66 @@ def test_console_script_runs():
     assert json.loads(proc.stdout)["p"] == 656
 
 
-def test_report_is_byte_stable(capsys):
-    run(["pq", "--m", "2"])
-    first = capsys.readouterr().out
-    run(["pq", "--m", "2"])
-    second = capsys.readouterr().out
-    assert first == second
-    assert "timestamp" not in first
+def test_report_is_byte_stable(tmp_path, capsys):
+    # one process, one parser: every command run twice gives the same exit
+    # code and byte-identical stdout, so a parse leaves nothing behind
+    det, bad, graph = (str(tmp_path / name) for name in ("det2.json", "bad.json", "x.graph"))
+    write_asymmetric_circuit(tmp_path / "bad.json")
+    output = str(leverrier_det_circuit(2).circuit.output)
+    runs = [
+        (2, ["nonsense"]),
+        (0, ["--help"]),
+        (0, ["gen", "det", "--n", "2", "--out", det]),
+        (0, ["eval", "--circuit", det, "--matrix", "1,2;3,4"]),
+        (0, ["check-sym", "--circuit", det, "--group", "transpose:2"]),
+        (1, ["check-sym", "--circuit", bad, "--group", "matrix:2,2"]),
+        (0, ["orbits", "--circuit", det, "--group", "transpose:2"]),
+        (0, ["support", "--circuit", det, "--group", "transpose:2", "--gate", output]),
+        (0, ["lower", "--circuit", det, "--accept", "0", "--mode", "exact",
+             "--out", str(tmp_path / "low.json")]),
+        (0, ["cfi", "check", "--graph", "k4"]),
+        (0, ["cfi", "build", "--graph", "k4", "--out", graph]),
+        (1, ["cfi", "check", "--graph", graph]),
+        (0, ["cfi", "count", "--graph", "k4", "--twisted"]),
+        (0, ["cfi", "experiment", "--graph", "k4", "--wl", "1", "--mod", "2,3"]),
+        (2, ["cfi", "experiment", "--graph", "k4", "--wl", "4"]),
+        (0, ["wl", "--k", "1", "k4", "k4"]),
+        (0, ["pq", "--m", "2"]),
+    ]
+    _build_parser.cache_clear()
+    for want, argv in runs:
+        outs = []
+        for _ in range(2):
+            assert run(argv) == want, argv
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], argv
+        assert "timestamp" not in outs[0]
+    assert _build_parser.cache_info().misses == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int-to-str digit limit")
+def test_pq_prints_exact_integers_past_the_digit_limit(capsys):
+    # P_3000 and Q_3000 have 4,669 digits; run lifts the digit limit while
+    # the command runs and gives the caller its own limit back
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4321)
+        assert run(["pq", "--m", "3000"]) == 0
+        assert sys.get_int_max_str_digits() == 4321
+        sys.set_int_max_str_digits(0)
+        rep = json.loads(capsys.readouterr().out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rep["p"] - rep["q"] == rep["difference"] == 4 ** 3000
+    assert rep["p"] + rep["q"] == 36 ** 3000
+
+
+def test_cfi_experiment_rejects_wl_dimension_before_counting(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("counted matchings before validating --wl")
+
+    monkeypatch.setattr(cfi, "enumerate_perfect_matchings", boom)
+    code, rep, err = invoke(capsys, "cfi", "experiment", "--graph", "petersen", "--wl", "4")
+    assert (code, rep) == (2, None)
+    assert err == "error: k must be 1, 2, or 3\n"

@@ -44,3 +44,11 @@ def test_gadget_table_matches_listing(g):
         x = build_cfi(g, twisted=special is not None, special=special)
         for v in g.vertices:
             assert oracle.listed_gadget_table(x, v) == tables[v == special]
+
+
+def test_gadget_tables_are_shared_and_read_only():
+    for odd in (0, 1):
+        table = cfi._gadget_table(odd)
+        assert cfi._gadget_table(odd) is table
+        with pytest.raises(TypeError):
+            table[(0, 0, 0)] = 1
