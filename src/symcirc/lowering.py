@@ -9,13 +9,17 @@ Phi evaluates into B.  It proceeds in two symmetry-preserving steps:
    PartitionSum / PartitionProd gates whose tagged wires group the children
    gates (u, q) by the value q they assert.
 2. expand_to_threshold: each partition gate becomes a partial-sum ladder.
-   With the parts in ascending value order, layer i has one OR gate per
-   value s that parts 1..i can fold to, over ANDs of th_eq(k) on part i
-   and the layer i-1 gate at each s' that k inputs of part i extend to s.
-   Only the last layer depends on the target c, so the gates (v, c) sharing
-   parts and wires share one ladder, prefix included.  Part i's threshold
-   gates read the children's images directly.  The ladders of one
-   expansion may have _LADDER_BUDGET AND gates.
+   With the parts in ascending value order, layer i has one gate per value
+   s that parts 1..i can fold to and from which some target is still
+   reachable: an OR over ANDs of th_eq(k) on part i and the layer i-1 gate
+   at each s' that k inputs of part i extend to s, or that AND itself when
+   it is the only one.  An identity part (psum weight 0, pprod weight 1)
+   passes each s through one AND with th_ge(0) on its wires, which keeps
+   the wires, and so the gadgets of different gates, apart.  Only the last
+   layer depends on the target c, so the gates (v, c) sharing parts and
+   wires share one ladder, prefix included.  Part i's threshold gates read
+   the children's images directly.  The ladders of one expansion may have
+   _LADDER_BUDGET AND gates, charged before pruning.
 
 The builder hash-conses, so both stages are rigid, and
 orbit_preservation_check extends each source witness's variable
@@ -57,6 +61,7 @@ from .circuit import (
     pprod,
     psum,
     th_eq,
+    th_ge,
 )
 from .errors import BudgetExceededError, CircuitError
 from .symmetry import _extension, _orbit_report, orbits
@@ -187,27 +192,40 @@ def lower_to_partition_basis(circuit: Circuit, accept, values: ValueSetMap) -> P
 
 def _ladder_edges(label: GateLabel, counts: dict, targets: set, left: int) -> tuple:
     """Plan a family's ladder from its wire counts per tag: (layers, AND-gate
-    budget left), layer i as (tag, {s: [(s', k), ...]}) where combine(s',
-    x) = s for x the k-th term of part i (partition_terms).  Raises
-    BudgetExceededError once left runs out."""
+    budget left), layer i as (tag, threshold, {s: [(s', k), ...]}) where
+    the threshold gate of count k on part i carries s' to s.  It is th_eq(k)
+    when combine(s', x) = s for x the k-th term of part i
+    (partition_terms).  An identity part keeps every s' whatever its count,
+    so its one edge per s' reads th_ge(0).  The forward plan charges one
+    AND gate per edge past layer 1 and raises BudgetExceededError once left
+    runs out; a backward pass then keeps, per layer, the sums from which
+    some target is reachable."""
     unit, combine = partition_rule(label.kind, label.c.field)
     parts = label.parts_map()
     tags = sorted(parts, key=lambda t: parts[t].sort_key())
     layers = []
     reached = (unit,)
     for i, t in enumerate(tags, start=1):
+        identity = parts[t] == unit
+        terms = [unit] if identity else partition_terms(unit, combine, parts[t], counts[t])
         edges = {}
-        for k, x in enumerate(partition_terms(unit, combine, parts[t], counts[t])):
+        for k, x in enumerate(terms):
             for s0 in reached:
                 s = combine(s0, x)
                 if i < len(tags) or s in targets:
                     edges.setdefault(s, []).append((s0, k))
-                    left -= i > 1   # layer 1 reads th_eq(k) without AND gates
+                    left -= i > 1   # layer 1 reads its thresholds without AND gates
             if left < 0:
                 raise BudgetExceededError(
                     f"partial-sum ladders need more than {_LADDER_BUDGET} AND gates")
-        layers.append((t, edges))
+        layers.append((t, th_ge if identity else th_eq, edges))
         reached = edges
+    keep = targets
+    for i in reversed(range(len(layers))):
+        t, threshold, edges = layers[i]
+        edges = {s: pairs for s, pairs in edges.items() if s in keep}
+        layers[i] = (t, threshold, edges)
+        keep = {s0 for pairs in edges.values() for s0, _k in pairs}
     return layers, left
 
 
@@ -223,8 +241,10 @@ def expand_to_threshold(lowered: PartitionCircuit) -> ExpandedCircuit:
     """Replace every partition gate with its ladder.  A family of gates
     sharing kind, parts and wires gets one, named after and built at its
     first member in topological order; member m's gadget ("d", m) is the
-    last layer's gate at its target, or an empty OR.  All ladders are
-    planned first, so BudgetExceededError comes before anything is built."""
+    OR over the last layer's edges into its target, or an empty OR; below
+    the last layer, a sum with one edge is that edge's gate, with no OR.
+    All ladders are planned first, so BudgetExceededError comes before
+    anything is built."""
     src = lowered.circuit
     families = {}   # (kind, parts, wires) -> members, then (members, layers)
     for g in src.topo_order():
@@ -246,17 +266,18 @@ def expand_to_threshold(lowered: PartitionCircuit) -> ExpandedCircuit:
             image[g] = b.add(lab, kids, name=("copy", g))
         elif g not in image:
             members, layers = families[(lab.kind, lab.parts, src.wires[g])]
-            by_tag = {t: [] for t, _e in layers}
+            by_tag = {t: [] for t, _th, _e in layers}
             for d, tag in src.wires[g]:
                 by_tag[tag].append(image[d])
             layer = {}
-            for i, (t, edges) in enumerate(layers, start=1):
+            for i, (t, threshold, edges) in enumerate(layers, start=1):
                 kids = by_tag[t]
-                tes = [b.add(th_eq(k), kids) for k in range(len(kids) + 1)]
+                read = sorted({k for pairs in edges.values() for _s0, k in pairs})
+                tes = {k: b.add(threshold(k), kids) for k in read}
                 ins = {s: [tes[k] if i == 1 else b.add(AND, [tes[k], layer[s0]])
                            for s0, k in pairs]
                        for s, pairs in edges.items()}
-                layer = {s: b.add(OR, ws) for s, ws in ins.items()}
+                layer = {s: ws[0] if len(ws) == 1 else b.add(OR, ws) for s, ws in ins.items()}
             for m in members:
                 image[m] = b.add(OR, ins.get(src.gates[m].c, []), ("d", m))
     return ExpandedCircuit(b.build(image[src.output]), dict(b.names))

@@ -180,14 +180,14 @@ def test_05_lowering_round_trips():
 def orbit_cases():
     """(generated circuit, group, largest orbit, threshold gates with exact
     value sets and accept {0}) for each lowering test_06 checks."""
-    return [(ryser_perm_circuit(2), Matrix(2, 2), 4, 455),
-            (ryser_perm_circuit(3, GF(3)), Matrix(3, 3), 9, 1087),
-            (leverrier_det_circuit(3, GF(5), allow_positive_char=True), Transpose(3), 12, 1653),
-            (leverrier_det_circuit(3), Transpose(3), 12, 19852),
-            (ryser_perm_circuit(3), Matrix(3, 3), 9, 8896),
-            (ryser_perm_circuit(4, GF(3)), Matrix(4, 4), 24, 3144),
-            (leverrier_det_circuit(4, GF(5), allow_positive_char=True), Transpose(4), 24, 4661),
-            (leverrier_det_circuit(4, GF(7), allow_positive_char=True), Transpose(4), 24, 6109)]
+    return [(ryser_perm_circuit(2), Matrix(2, 2), 4, 282),
+            (ryser_perm_circuit(3, GF(3)), Matrix(3, 3), 9, 771),
+            (leverrier_det_circuit(3, GF(5), allow_positive_char=True), Transpose(3), 12, 1240),
+            (leverrier_det_circuit(3), Transpose(3), 12, 10419),
+            (ryser_perm_circuit(3), Matrix(3, 3), 9, 5096),
+            (ryser_perm_circuit(4, GF(3)), Matrix(4, 4), 24, 2216),
+            (leverrier_det_circuit(4, GF(5), allow_positive_char=True), Transpose(4), 24, 3612),
+            (leverrier_det_circuit(4, GF(7), allow_positive_char=True), Transpose(4), 24, 4970)]
 
 
 def test_06_orbit_preservation():
@@ -211,6 +211,26 @@ def test_06_orbit_preservation():
     print("PASS orbit preservation: perm n=2, 3 over Q and F_3, det n=3 over Q and "
           "F_5, perm n=4 over F_3 and det n=4 over F_5 and F_7 keep ORB at all "
           "three stages, both verified")
+
+
+def test_06_threshold_stage_has_no_orphans():
+    """Every gate of the threshold stage lies below a gate gate_of names:
+    the ladders keep only partial sums from which a target is reachable."""
+    cases = [(gen.circuit, "exact") for gen, _group, _orb, _gates in orbit_cases()]
+    cases.append((leverrier_det_circuit(2).circuit, "compositional"))
+    for circuit, mode in cases:
+        low = lower_to_partition_basis(circuit, {0}, value_sets(circuit, mode))
+        exp = expand_to_threshold(low)
+        wires = exp.circuit.wires
+        seen = set(exp.gate_of.values())
+        stack = list(seen)
+        while stack:
+            for c, _t in wires[stack.pop()]:
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+        assert len(seen) == len(exp.circuit.gates), mode
+    print("PASS threshold stage: every gate reachable from a named gate")
 
 
 def test_06_partition_families_split_every_block():

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import symcirc
 
 from symcirc import (
     ADD,
@@ -20,6 +26,7 @@ from symcirc import (
     CircuitError,
     ExpandedCircuit,
     Matrix,
+    Partition,
     PartitionCircuit,
     check_symmetric,
     const,
@@ -357,6 +364,65 @@ def test_gadget_pprod_with_zero_part():
     # the empty product is 1
     assert_gadget_table(pprod(QQ.of(1), parts), sizes,
                         lambda n: (n["0"], n["2"]) == (0, 0))
+
+
+def test_gadget_identity_and_absorbing_parts():
+    # over F_3 with parts 0, 1, 2: weight 0 leaves a sum and weight 1 a
+    # product unchanged, and weight 0 absorbs a product
+    fld = GF(3)
+    parts = {str(q): fld.of(q) for q in range(3)}
+    folds = {"psum": lambda n: (n["1"] + 2 * n["2"]) % 3,
+             "pprod": lambda n: 0 if n["0"] else 2 ** n["2"] % 3}
+    for (kind, fold), c in itertools.product(folds.items(), range(3)):
+        label = (psum if kind == "psum" else pprod)(fld.of(c), parts)
+        for counts in itertools.product(range(3), repeat=3):
+            assert_gadget_table(label, dict(zip(parts, counts)),
+                                lambda n, fold=fold, c=c: fold(n) == c)
+
+
+def test_identity_parts_keep_gadgets_apart():
+    # z_i = x_i * 0 takes only the value 0, so in w_ab = x_a + z_b the part of
+    # weight 0 holds z_b's wire: a ladder that left that part out would read
+    # x_a's wires alone and give w_ab and w_ac one gadget, halving its orbit
+    fld = GF(3)
+    names = ["v0", "v1", "v2"]
+    b = CircuitBuilder(fld, names)
+    x = [b.add(input_label(v)) for v in names]
+    zero = b.add(const(fld.zero()))
+    z = [b.add(MUL, [xi, zero]) for xi in x]
+    w = [b.add(ADD, [x[i], z[j]]) for i, j in itertools.permutations(range(3), 2)]
+    c = b.build(b.add(ADD, w))
+    rep = check_symmetric(c, Partition((tuple(names),)))
+    assert rep.symmetric
+    low = lower_to_partition_basis(c, {0}, value_sets(c, "compositional"))
+    exp = expand_to_threshold(low)
+    report = orbit_preservation_check(c, rep.witnesses, low, exp)
+    assert (report.orb_phi, report.orb_d, report.orb_c) == (6, 6, 6)
+    assert verify_lowering(c, {0}, low.circuit)
+    assert verify_lowering(c, {0}, exp.circuit)
+
+
+THRESHOLD_STAGES = """
+from symcirc import *
+for circuit, mode in ((ryser_perm_circuit(3, GF(3)).circuit, "exact"),
+                      (leverrier_det_circuit(2).circuit, "compositional")):
+    low = lower_to_partition_basis(circuit, {0}, value_sets(circuit, mode))
+    print(serialize(expand_to_threshold(low).circuit))
+"""
+
+
+def test_threshold_stage_ignores_hash_seed():
+    # no set or hash order leaks into the gate ids of the threshold stage;
+    # both lowerings have identity parts, so th_ge gates are among them
+    src = str(Path(symcirc.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", THRESHOLD_STAGES], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert '"th_ge"' in outs[0]
 
 
 def test_ladder_budget():
