@@ -25,6 +25,7 @@ value it takes to the mask of lanes where it takes it.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -41,12 +42,23 @@ _KINDS = _ARITH_KINDS | _BOOL_KINDS
 
 @dataclass(frozen=True)
 class GateLabel:
+    """A gate's label.  Labels are immutable, so the hash is computed once,
+    when the label is made, and dict lookups in the builder's hash-cons
+    table do not re-hash its field values; equality compares the fields."""
+
     kind: str
     var: str | None = None            # input
     value: FieldValue | None = None   # const
     k: int | None = None              # th_ge / th_eq
     c: FieldValue | None = None       # psum / pprod target
     parts: tuple[tuple[str, FieldValue], ...] | None = None  # tag -> weight, sorted by tag
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.var, self.value,
+                                                self.k, self.c, self.parts)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def parts_map(self) -> dict:
         return dict(self.parts or ())
@@ -79,12 +91,14 @@ NOT = GateLabel("not")
 _PLAIN_LABELS = {lab.kind: lab for lab in (ADD, MUL, AND, OR, NOT)}   # reused by deserialize
 
 
+@functools.cache   # one label object per k
 def th_ge(k: int) -> GateLabel:
     if k < 0:
         raise ValueError("threshold must be >= 0")
     return GateLabel("th_ge", k=k)
 
 
+@functools.cache
 def th_eq(k: int) -> GateLabel:
     if k < 0:
         raise ValueError("threshold must be >= 0")
@@ -128,7 +142,10 @@ class Circuit:
     """Immutable labelled DAG, well-formed by construction: the constructor
     raises CircuitError naming the first gate that breaks a rule of the
     representation (see _check).  Mutating after construction is not
-    supported; derived adjacency data is cached on the instance."""
+    supported; derived data is cached on the instance: the parent map, the
+    gate index, and _zero_one, the one pass of lowering._zero_one over
+    every 0-1 assignment (exact value sets and the output's lanes per
+    block)."""
 
     def __init__(self, fld: Field, variables, gates: dict, wires: dict, output: int):
         self._init(fld, variables, dict(gates),
@@ -144,6 +161,7 @@ class Circuit:
         self.output = output
         self._parents = None
         self._gate_index = None   # (label, wires) -> gate, see symmetry._gate_index
+        self._zero_one = None     # (value sets, blocks), see lowering._zero_one
         self.inputs_by_var = {}   # variable -> its input gate, filled by _check
         self._topo = self._check()
 

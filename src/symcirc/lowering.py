@@ -30,12 +30,16 @@ the check's cost follows the gates with a moved child.
 
 One driver, _blocks, runs over every 0-1 assignment of the source in
 blocks of up to 2^12, each assignment one lane of an int, and evaluates the
-source exactly on each block with arith_lane_values.  Exact value sets
-collect its values; verify_lowering checks either step exhaustively by
-evaluating the Boolean circuit bit-sliced on the same lanes and comparing
-its output with the lanes where the source lands in the accepting set.
-On the partition stage, bool_lane_values folds each family of gates (v, c)
-once per block, and each member reads the lanes where v takes c.
+source exactly on each block with arith_lane_values.  _zero_one runs it once
+per source circuit and caches the result on the circuit: every gate's exact
+value set, and per block its lanes and the output's {value: lanes}.  Exact
+value sets read the former; verify_lowering checks either step
+exhaustively by evaluating the Boolean circuit bit-sliced on the cached
+lanes and comparing its output with the lanes where the source lands in
+the accepting set, so an exact lowering verified on both stages enumerates
+the source once.  On the partition stage, bool_lane_values folds each
+family of gates (v, c) once per block, and each member reads the lanes
+where v takes c.
 """
 
 from __future__ import annotations
@@ -116,6 +120,22 @@ def _blocks(circuit: Circuit):
         yield lanes, width, values
 
 
+def _zero_one(circuit: Circuit) -> tuple:
+    """(sets, blocks) from one pass of _blocks over the circuit, cached on
+    it: sets maps each gate to the sorted tuple of values it takes on 0-1
+    assignments, blocks holds (lanes, width, the output's {value: lanes})
+    per block.  A pass that raises caches nothing."""
+    if circuit._zero_one is None:
+        seen = {g: set() for g in circuit.gates}
+        blocks = []
+        for lanes, width, values in _blocks(circuit):
+            for g, by_value in values.items():
+                seen[g].update(by_value)
+            blocks.append((lanes, width, values[circuit.output]))
+        circuit._zero_one = ({g: _sorted_vals(vs) for g, vs in seen.items()}, tuple(blocks))
+    return circuit._zero_one
+
+
 def value_sets(circuit: Circuit, mode: str = "compositional") -> ValueSetMap:
     """Per-gate candidate value sets over 0-1 assignments.
 
@@ -128,11 +148,7 @@ def value_sets(circuit: Circuit, mode: str = "compositional") -> ValueSetMap:
     _require_arith(circuit)
     fld = circuit.field
     if mode == "exact":
-        seen = {g: set() for g in circuit.gates}
-        for _lanes, _width, values in _blocks(circuit):
-            for g, by_value in values.items():
-                seen[g].update(by_value)
-        return ValueSetMap({g: _sorted_vals(vs) for g, vs in seen.items()}, exact=True)
+        return ValueSetMap(dict(_zero_one(circuit)[0]), exact=True)
     if mode != "compositional":
         raise CircuitError(f"unknown value-set mode {mode!r}")
     both = {fld.zero(): 1, fld.one(): 1}
@@ -291,15 +307,16 @@ def verify_lowering(circuit: Circuit, accept, lowered_circuit: Circuit) -> bool:
     """True iff on every 0-1 assignment the Boolean circuit accepts exactly
     when the arithmetic circuit evaluates into accept.
 
-    Both circuits are evaluated on the same blocks of assignments (_blocks):
-    a block's expected accept mask is the OR of the source output's lane
-    masks at accepted values, and the Boolean output's lanes must equal it.
+    Both circuits are evaluated on the same blocks of assignments, the
+    source's from its cached pass (_zero_one): a block's expected accept
+    mask is the OR of the source output's lane masks at accepted values,
+    and the Boolean output's lanes must equal it.
     """
     _require_arith(circuit)
     accept = frozenset(circuit.field.of(a) for a in accept)
-    for lanes, width, values in _blocks(circuit):
+    for lanes, width, out in _zero_one(circuit)[1]:
         want = 0
-        for val, m in values[circuit.output].items():
+        for val, m in out.items():
             if val in accept:
                 want |= m
         if bool_lane_values(lowered_circuit, lanes, width)[lowered_circuit.output] != want:

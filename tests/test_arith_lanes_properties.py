@@ -1,6 +1,7 @@
 """Property tests: the lane evaluator agrees, gate by gate and lane by lane,
-with a scalar evaluator and a set fold kept here as oracles, and the 0-1
-block driver visits every assignment once, in order."""
+with a scalar evaluator and a set fold kept here as oracles, the 0-1
+block driver visits every assignment once, in order, and its cached pass
+gives the same verdicts whichever call filled it."""
 
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from symcirc import ADD, GF, MUL, QQ, CircuitBuilder, CircuitError, FieldMismatchError  # noqa: E402
-from symcirc import const, evaluate_arith, input_label, value_sets  # noqa: E402
+from symcirc import Circuit, const, evaluate_arith, input_label, value_sets  # noqa: E402
+from symcirc import lower_to_partition_basis, verify_lowering  # noqa: E402
 from symcirc import lowering  # noqa: E402
 from symcirc.circuit import arith_lane_values  # noqa: E402
 from symcirc.field import FieldValue  # noqa: E402
@@ -183,3 +185,29 @@ def test_blocks_visit_every_assignment_in_order(circuit, block_bits):
         exact = value_sets(circuit, "exact")
     assert runs == list(itertools.product((0, 1), repeat=len(variables)))
     assert {g: set(s) for g, s in exact.sets.items()} == seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_warm_pass_gives_the_cold_verdicts(data):
+    circuit = data.draw(arith_circuits())
+    block_bits = data.draw(st.integers(0, 3))
+
+    def fresh():
+        return Circuit(circuit.field, circuit.variables, circuit.gates, circuit.wires,
+                       circuit.output)
+
+    with mock.patch.object(lowering, "_BLOCK_BITS", block_bits):
+        warm = fresh()
+        exact = value_sets(warm, "exact")
+        outs = exact.sets[warm.output]
+        accepts = data.draw(st.lists(st.sets(st.sampled_from(outs)), min_size=1, max_size=3))
+        lowered = [lower_to_partition_basis(warm, accept, exact).circuit for accept in accepts]
+        for accept in accepts:
+            for d in lowered:
+                cold = fresh()
+                assert verify_lowering(warm, accept, d) == verify_lowering(cold, accept, d)
+                # the pass a verification filled holds the same exact sets
+                assert value_sets(cold, "exact").sets == exact.sets
+        for accept, d in zip(accepts, lowered):
+            assert verify_lowering(warm, accept, d)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -22,14 +23,18 @@ from symcirc import (
     deserialize,
     evaluate_arith,
     evaluate_bool,
+    expand_to_threshold,
     export_dot,
     input_label,
+    leverrier_det_circuit,
+    lower_to_partition_basis,
     pprod,
     psum,
     serialize,
     size_stats,
     th_eq,
     th_ge,
+    value_sets,
 )
 from symcirc.circuit import _kahn
 from symcirc.errors import FieldMismatchError, SchemaError
@@ -262,6 +267,23 @@ def test_threshold_gates():
     assert evaluate_bool(c, {"a": 1, "b": 1, "c": 1}) == 0
 
 
+def test_labels_hash_as_their_fields():
+    assert th_eq(3) is th_eq(3) and th_ge(3) is th_ge(3)
+    assert GateLabel("th_eq", k=3) == th_eq(3)
+    assert hash(GateLabel("th_eq", k=3)) == hash(th_eq(3))
+    parts = {"1": QQ.of(1), "2": QQ.of(2)}
+    moved = dataclasses.replace(psum(QQ.of(1), parts), c=QQ.of(3))
+    assert moved == psum(QQ.of(3), parts)
+    assert hash(moved) == hash(psum(QQ.of(3), parts))
+    assert moved != psum(QQ.of(1), parts)
+    # a raising call is not cached
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            th_ge(-1)
+        with pytest.raises(ValueError):
+            th_eq(-1)
+
+
 def test_partition_sum_gate():
     # true iff the weighted count of true children equals the target
     parts = {"1": QQ.of(1), "2": QQ.of(2)}
@@ -361,6 +383,14 @@ def test_serialize_round_trip_partition_gates():
     c2 = deserialize(serialize(c))
     assert evaluate_bool(c2, {"a": 1, "b": 1}) == 1
     assert evaluate_bool(c2, {"a": 1, "b": 0}) == 0
+
+
+def test_serialize_round_trip_threshold_stage():
+    c = leverrier_det_circuit(2).circuit
+    low = lower_to_partition_basis(c, {0}, value_sets(c, "compositional"))
+    text = serialize(expand_to_threshold(low).circuit)
+    assert '"th_eq"' in text and '"th_ge"' in text
+    assert serialize(deserialize(text)) == text
 
 
 def test_deserialize_rejects_malformed():

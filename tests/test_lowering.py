@@ -100,10 +100,38 @@ def test_value_sets_exact_budget(monkeypatch):
     ins = [b.add(input_label(f"v{i}")) for i in range(6)]
     c = b.build(b.add(ADD, ins))
     monkeypatch.setattr(lowering, "_MAX_INPUTS", 5)
-    with pytest.raises(BudgetExceededError):
-        value_sets(c, "exact")
-    with pytest.raises(BudgetExceededError):
-        verify_lowering(c, {0}, c)
+    # a pass that raises caches nothing, so every call raises
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError):
+            value_sets(c, "exact")
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError):
+            verify_lowering(c, {0}, c)
+
+
+def test_one_enumeration_per_source_circuit(monkeypatch):
+    passes = []
+    blocks = lowering._blocks
+
+    def counted(circuit):
+        passes.append(circuit)
+        return blocks(circuit)
+
+    monkeypatch.setattr(lowering, "_blocks", counted)
+    for mode in ("exact", "compositional"):
+        c = crossing_pair()   # a fresh instance runs its own pass
+        low = lower_to_partition_basis(c, {0}, value_sets(c, mode))
+        assert verify_lowering(c, {0}, low.circuit)
+        assert verify_lowering(c, {0}, expand_to_threshold(low).circuit)
+        assert len(passes) == 1 and passes[0] is c, mode
+        passes.clear()
+    # value_sets hands out a fresh map: editing it leaves the cache alone
+    first = value_sets(c, "exact")
+    want = dict(first.sets)
+    first.sets[c.output] = ()
+    first.sets.pop(min(first.sets))
+    assert value_sets(c, "exact").sets == want
+    assert passes == []
 
 
 def test_value_sets_rejects_boolean_gates():
