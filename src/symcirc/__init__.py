@@ -1,6 +1,7 @@
 """Symmetric arithmetic circuits and their combinatorial companions.
 
-Exact determinant/permanent circuits with verified symmetry witnesses,
+Exact determinant/permanent circuits whose symmetry witnesses are
+variable permutations, each extending to a unique gate automorphism,
 a symmetry-preserving lowering to Boolean threshold circuits, CFI
 perfect-matching graphs, and k-Weisfeiler-Leman equivalence testing.
 """
@@ -40,13 +41,11 @@ from .symmetry import (
     Partition,
     Square,
     Transpose,
-    Witness,
     check_symmetric,
     find_extension,
     group_generators,
     minimal_support,
     orbits,
-    verify_automorphism,
 )
 from .generators import (
     GeneratedCircuit,

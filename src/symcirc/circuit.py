@@ -142,10 +142,12 @@ class Circuit:
     """Immutable labelled DAG, well-formed by construction: the constructor
     raises CircuitError naming the first gate that breaks a rule of the
     representation (see _check).  Mutating after construction is not
-    supported; derived data is cached on the instance: the parent map, the
-    gate index, and _zero_one, the one pass of lowering._zero_one over
-    every 0-1 assignment (exact value sets and the output's lanes per
-    block)."""
+    supported; derived data is cached on the instance: the parent map and
+    four caches, _gate_index (the (label, wires) index of the gates),
+    _extensions (each variable permutation's moved-gate map), _steps (the
+    adjacent-transposition extensions per group, read by supports) and
+    _zero_one (the one pass of lowering._zero_one over every 0-1
+    assignment: exact value sets and the output's lanes per block)."""
 
     def __init__(self, fld: Field, variables, gates: dict, wires: dict, output: int):
         self._init(fld, variables, dict(gates),
@@ -161,6 +163,8 @@ class Circuit:
         self.output = output
         self._parents = None
         self._gate_index = None   # (label, wires) -> gate, see symmetry._gate_index
+        self._extensions = {}     # sorted sigma items -> moved gates, see symmetry._extension
+        self._steps = {}          # spec -> step extensions, see symmetry._point_classes
         self._zero_one = None     # (value sets, blocks), see lowering._zero_one
         self.inputs_by_var = {}   # variable -> its input gate, filled by _check
         self._topo = self._check()

@@ -21,8 +21,9 @@ unavailable and the plain row form is emitted.
 Both are built through the hash-consing CircuitBuilder, so they are rigid:
 a term built twice, such as x_12*x_21 as ("F", 2, 1, 2, 1) and
 ("F", 2, 2, 1, 2), is one gate under two names, and a square reads its
-child twice.  Witnesses are the extensions of the group generators,
-computed on first use.
+child twice.  Their witnesses are the group generators, each a variable
+permutation whose extension to the gates check_symmetric computes, on
+first use, and caches on the circuit.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ class GeneratedCircuit:
 
     @cached_property
     def witnesses(self) -> list:
-        """One Witness per group_generators(group) entry, same order."""
+        """check_symmetric's witnesses: the group_generators(group) entries,
+        same order, each None where it has no extension."""
         return check_symmetric(self.circuit, self.group).witnesses
 
 

@@ -22,11 +22,11 @@ Phi evaluates into B.  It proceeds in two symmetry-preserving steps:
    _LADDER_BUDGET AND gates, charged before pruning.
 
 The builder hash-conses, so both stages are rigid, and
-orbit_preservation_check extends each source witness's variable
-permutation to each stage: a stage is symmetric under the source's group
-exactly when every such extension exists.  Extensions are cached as maps
-of the gates they move, and the stage's orbits are closed over those, so
-the check's cost follows the gates with a moved child.
+orbit_preservation_check runs symmetry.orbits on the source and on each
+stage with the source's variable permutations: a stage is symmetric under
+the source's group exactly when each of them extends to it.  orbits closes
+over the cached maps of the gates each extension moves, so the check's
+cost follows the gates with a moved child.
 
 One driver, _blocks, runs over every 0-1 assignment of the source in
 blocks of up to 2^12, each assignment one lane of an int, and evaluates the
@@ -68,7 +68,7 @@ from .circuit import (
     th_ge,
 )
 from .errors import BudgetExceededError, CircuitError
-from .symmetry import _extension, _orbit_report, orbits
+from .symmetry import orbits
 
 _LADDER_BUDGET = 2 * 10 ** 5   # AND gates in all ladders of one expansion
 _BLOCK_BITS = 12   # _blocks evaluates up to 2^12 assignments at once
@@ -336,20 +336,17 @@ def orbit_preservation_check(circuit: Circuit, witnesses,
                              lowered: PartitionCircuit,
                              expanded: ExpandedCircuit) -> OrbitPreservationReport:
     """Max orbit sizes of the source and of both stages under the group the
-    witnesses generate.  Each witness's variable permutation is extended to
-    each stage, and the stage's orbits are closed over the cached maps of
-    the gates each extension moves; a stage without such an extension
-    raises CircuitError, as does an invalid witness of the source."""
+    variable permutations witnesses generate, each from orbits.  A source
+    permutation without an extension raises CircuitError, and so does a
+    stage without an extension of one of them, naming the stage."""
     if lowered.trivial is not None:
         raise CircuitError("orbit check needs a non-trivial lowering")
     sizes = [orbits(circuit, witnesses).max_orbit]
     for stage, lowered_circuit in (("partition", lowered.circuit),
                                    ("threshold", expanded.circuit)):
-        moves = []
-        for i, w in enumerate(witnesses):
-            moved = _extension(lowered_circuit, w.sigma)
-            if moved is None:
-                raise CircuitError(f"the {stage} stage has no extension of witness {i}")
-            moves.append(moved)
-        sizes.append(_orbit_report(lowered_circuit, moves).max_orbit)
+        try:
+            sizes.append(orbits(lowered_circuit, witnesses).max_orbit)
+        except CircuitError as exc:
+            raise CircuitError(f"the {stage} stage has no extension of the "
+                               f"source's group: {exc}") from exc
     return OrbitPreservationReport(*sizes, sizes[0] == sizes[1] == sizes[2])

@@ -1,22 +1,20 @@
 """Group actions on variable spaces, circuit automorphisms, orbits, supports.
 
 A variable permutation is a dict mapping variable ids to variable ids
-(identity where missing).  A witness pairs such a permutation with a gate
-bijection.  The circuits are rigid (no two gates share a label and
-children), so a variable permutation has at most one extension to the
-gates, and find_extension computes it in one bottom-up pass, cached per
-permutation as the map of the gates it moves: a gate none of whose
-children moved is fixed by rigidity, so the pass looks up only gates with
-a moved child, and its cost follows those gates rather than the whole
-circuit.  Non-rigid input is rejected with CircuitError rather than
-merged: merging can make a circuit symmetric that was not.  The variable
-permutations that extend form a group, so symmetry is checked on
-generators only: the adjacent transpositions (i i+1) of each factor's
-index points, plus the transpose map (for a Partition, the swaps of
-consecutive ids of each block).  orbits accepts a witness exactly when
-its gate map is that extension, and closes the orbits over the moved
-gates only; verify_automorphism checks the automorphism conditions
-directly and serves as the independent judge in the tests.  Supports are
+(identity where missing).  The circuits are rigid (no two gates share a
+label and children), so a variable permutation has at most one extension
+to the gates, and the permutation alone witnesses it.  _extension computes
+it in one bottom-up pass, cached per permutation as the map of the gates
+it moves: a gate none of whose children moved is fixed by rigidity, so the
+pass looks up only gates with a moved child, and its cost follows those
+gates rather than the whole circuit.  find_extension is the one place that
+widens it to a full gate map.  Non-rigid input is rejected with
+CircuitError rather than merged: merging can make a circuit symmetric that
+was not.  The variable permutations that extend form a group, so symmetry
+is checked on generators only: the adjacent transpositions (i i+1) of each
+factor's index points, plus the transpose map (for a Partition, the swaps
+of consecutive ids of each block).  orbits extends each permutation it is
+given and closes the orbits over the moved gates only.  Supports are
 read from the same cached extensions: for a fixed gate, a ~ b iff the
 transposition (a b) of index points has an extension fixing it, an
 equivalence on each factor's points since extensions compose and
@@ -30,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .circuit import Circuit, _child_key, _sorted_wires
+from .circuit import Circuit, _sorted_wires
 from .errors import CircuitError
 
 
@@ -147,70 +145,22 @@ def _check_sigma(circuit: Circuit, sigma: dict):
 
 
 # ---------------------------------------------------------------------------
-# Automorphism verification
-
-
-@dataclass
-class Witness:
-    sigma: dict  # variable permutation
-    pi: dict     # gate bijection
-
-
-def verify_automorphism(circuit: Circuit, witness: Witness) -> list:
-    """All violations of the automorphism conditions; empty list means valid.
-
-    Conditions: pi is a gate bijection fixing the output and every constant
-    gate, acts on input gates as sigma does on variables, preserves every
-    other label exactly, and maps each gate's wire multiset onto its image's
-    tag-for-tag, multiplicities included.
-    """
-    pi = witness.pi
-    sigma = witness.sigma
-    gates = circuit.gates
-    probs = []
-    if set(pi) != set(gates) or set(pi.values()) != set(gates):
-        return ["gate map is not a bijection on the gate set"]
-    if pi[circuit.output] != circuit.output:
-        probs.append(f"output gate {circuit.output} maps to {pi[circuit.output]}")
-    for g, lab in gates.items():
-        h = pi[g]
-        hlab = gates[h]
-        if lab.kind == "input":
-            want = sigma.get(lab.var, lab.var)
-            if hlab.kind != "input" or hlab.var != want:
-                probs.append(f"input gate {g} ({lab.var}) maps to {h} ({hlab!r}), wanted {want}")
-        elif lab.kind == "const":
-            if h != g:
-                probs.append(f"constant gate {g} moves to {h}")
-        elif hlab != lab:
-            probs.append(f"gate {g} label {lab!r} maps to {h} label {hlab!r}")
-        image = tuple(sorted(((pi[c], t) for c, t in circuit.wires[g]), key=_child_key))
-        if image != circuit.wires[h]:
-            probs.append(f"wires of gate {g} do not map onto wires of {h}")
-    return probs
-
-
-# ---------------------------------------------------------------------------
 # Extensions
 
 
 def _gate_index(circuit: Circuit) -> dict:
-    """(label, wires) -> gate, with an empty per-sigma extension cache next
-    to it on the circuit.  A circuit built by CircuitBuilder comes with its
-    hash-cons table as the index (see CircuitBuilder.build); any other
+    """(label, wires) -> gate.  A circuit built by CircuitBuilder comes with
+    its hash-cons table as the index (see CircuitBuilder.build); any other
     circuit is indexed here, and CircuitError names the first two gates
     that share a label and children."""
-    if getattr(circuit, "_extensions", None) is None:
-        if circuit._gate_index is None:
-            index = {}
-            for g in sorted(circuit.gates):
-                h = index.setdefault((circuit.gates[g], circuit.wires[g]), g)
-                if h != g:
-                    raise CircuitError(f"gates {h} and {g} share a label and children; "
-                                       "the circuit is not rigid")
-            circuit._gate_index = index
-        circuit._extensions = {}
-        circuit._steps = {}
+    if circuit._gate_index is None:
+        index = {}
+        for g in sorted(circuit.gates):
+            h = index.setdefault((circuit.gates[g], circuit.wires[g]), g)
+            if h != g:
+                raise CircuitError(f"gates {h} and {g} share a label and children; "
+                                   "the circuit is not rigid")
+        circuit._gate_index = index
     return circuit._gate_index
 
 
@@ -288,24 +238,24 @@ def find_extension(circuit: Circuit, sigma: dict):
 @dataclass
 class SymmetryReport:
     symmetric: bool
-    witnesses: list       # Witness per generator, None where no extension exists
+    witnesses: list       # generator's variable permutation, None where it has no extension
     failed: list          # indices of generators without extensions
 
 
 def check_symmetric(circuit: Circuit, spec) -> SymmetryReport:
-    """The extension of every group_generators(spec) entry, in that order.
-    The variable permutations with an extension form a group (extensions
-    compose and invert), so the circuit is symmetric under the whole group
-    iff every generator extends."""
+    """Extend every group_generators(spec) entry, in that order, and report
+    it as its own witness, or None where it has no extension.  The variable
+    permutations with an extension form a group (extensions compose and
+    invert), so the circuit is symmetric under the whole group iff every
+    generator extends.  The extensions stay cached for orbits and supports."""
     witnesses = []
     failed = []
     for idx, sigma in enumerate(group_generators(spec)):
-        pi = find_extension(circuit, sigma)
-        if pi is None:
+        if _extension(circuit, sigma) is None:
             witnesses.append(None)
             failed.append(idx)
         else:
-            witnesses.append(Witness(sigma, pi))
+            witnesses.append(sigma)
     return SymmetryReport(not failed, witnesses, failed)
 
 
@@ -321,27 +271,19 @@ class OrbitReport:
         raise KeyError(gate)
 
 
-def orbits(circuit: Circuit, witnesses: list) -> OrbitReport:
-    """Orbit partition of the gates under the group generated by the witness
-    gate maps.  The circuit must be rigid.  A witness is valid iff its gate
-    map is the extension of its variable permutation, which is unique (see
-    find_extension) and cached after check_symmetric; invalid witnesses are
-    rejected.  The union-find closure runs over the cached moved-gate maps,
-    so it touches only the gates some witness moves; every other gate is a
-    singleton orbit."""
+def orbits(circuit: Circuit, perms: list) -> OrbitReport:
+    """Orbit partition of the gates under the group generated by the
+    extensions of the variable permutations perms.  The circuit must be
+    rigid; CircuitError names the first entry that has no extension (a None
+    entry of SymmetryReport.witnesses included).  Union-find runs over the
+    cached moved-gate maps (_extension), so it touches only the gates some
+    extension moves; every other gate is a singleton orbit."""
     moves = []
-    for w in witnesses:
-        moved = _extension(circuit, w.sigma)
-        if moved is None or find_extension(circuit, w.sigma) != w.pi:
-            raise CircuitError("invalid witness: its gate map is not the extension "
-                               "of its variable permutation")
+    for i, sigma in enumerate(perms):
+        moved = None if sigma is None else _extension(circuit, sigma)
+        if moved is None:
+            raise CircuitError(f"permutation {i} has no extension")
         moves.append(moved)
-    return _orbit_report(circuit, moves)
-
-
-def _orbit_report(circuit: Circuit, moves: list) -> OrbitReport:
-    """The orbits of the group generated by extensions given as moved-gate
-    maps (_extension): union-find over the moved gates, the others alone."""
     parent = {}
     for moved in moves:
         parent.update(zip(moved, moved))

@@ -1,30 +1,74 @@
-"""The backtracking extension search that find_extension replaced, kept as
-a test oracle.
+"""The backtracking extension search that find_extension replaced, and the
+automorphism conditions, kept as test oracles.
 
-It does not assume rigidity: it refines an automorphism-invariant gate
-coloring, then backtracks over candidate images with forced propagation.
-It is complete, so a None answer means no extension exists.  It prunes on
-wire sets; a total map is accepted only if verify_automorphism, which counts
-multiplicities, passes, and the search goes on otherwise.
+verify_automorphism checks a (sigma, pi) pair against the conditions
+directly, and is the independent judge of every gate map find_extension
+returns.  The search does not assume rigidity: it refines an
+automorphism-invariant gate coloring, then backtracks over candidate
+images with forced propagation.  It is complete, so a None answer means no
+extension exists.  It prunes on wire sets; a total map is accepted only if
+verify_automorphism, which counts multiplicities, passes, and the search
+goes on otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
+from symcirc.circuit import _child_key
 from symcirc.errors import CircuitError
 from symcirc.symmetry import (
     Matrix,
     Partition,
     Transpose,
-    Witness,
     col_sigma,
     diagonal_sigma,
+    find_extension,
     row_sigma,
     transpose_sigma,
-    verify_automorphism,
 )
 from symcirc.wl import refine
+
+
+@dataclass
+class Witness:
+    sigma: dict  # variable permutation
+    pi: dict     # gate bijection
+
+
+def verify_automorphism(circuit, witness: Witness) -> list:
+    """All violations of the automorphism conditions; empty list means valid.
+
+    Conditions: pi is a gate bijection fixing the output and every constant
+    gate, acts on input gates as sigma does on variables, preserves every
+    other label exactly, and maps each gate's wire multiset onto its image's
+    tag-for-tag, multiplicities included.
+    """
+    pi = witness.pi
+    sigma = witness.sigma
+    gates = circuit.gates
+    probs = []
+    if set(pi) != set(gates) or set(pi.values()) != set(gates):
+        return ["gate map is not a bijection on the gate set"]
+    if pi[circuit.output] != circuit.output:
+        probs.append(f"output gate {circuit.output} maps to {pi[circuit.output]}")
+    for g, lab in gates.items():
+        h = pi[g]
+        hlab = gates[h]
+        if lab.kind == "input":
+            want = sigma.get(lab.var, lab.var)
+            if hlab.kind != "input" or hlab.var != want:
+                probs.append(f"input gate {g} ({lab.var}) maps to {h} ({hlab!r}), wanted {want}")
+        elif lab.kind == "const":
+            if h != g:
+                probs.append(f"constant gate {g} moves to {h}")
+        elif hlab != lab:
+            probs.append(f"gate {g} label {lab!r} maps to {h} label {hlab!r}")
+        image = tuple(sorted(((pi[c], t) for c, t in circuit.wires[g]), key=_child_key))
+        if image != circuit.wires[h]:
+            probs.append(f"wires of gate {g} do not map onto wires of {h}")
+    return probs
 
 
 def invariant_colors(circuit) -> dict:
@@ -240,10 +284,10 @@ def minimal_support(circuit, gate, spec, colors=None) -> set:
     raise AssertionError("unreachable: the full point set is always a support")
 
 
-def orbit_partition(circuit, witnesses) -> list:
-    """Orbits of the group the witnesses' full gate maps generate, as a
-    sorted list of sorted gate lists: union-find over every gate, each
-    witness map read at every gate."""
+def orbit_partition(circuit, perms) -> list:
+    """Orbits of the group the full gate maps of perms' extensions
+    generate, as a sorted list of sorted gate lists: union-find over every
+    gate, each map read at every gate."""
     parent = {g: g for g in circuit.gates}
 
     def find(x):
@@ -251,9 +295,10 @@ def orbit_partition(circuit, witnesses) -> list:
             parent[x] = x = parent[parent[x]]
         return x
 
-    for w in witnesses:
+    for sigma in perms:
+        pi = find_extension(circuit, sigma)
         for g in circuit.gates:
-            parent[find(g)] = find(w.pi[g])
+            parent[find(g)] = find(pi[g])
     classes = {}
     for g in circuit.gates:
         classes.setdefault(find(g), []).append(g)

@@ -18,6 +18,7 @@ from math import comb
 import pytest
 
 import matching_oracle
+from extension_oracle import Witness, verify_automorphism
 from matrix_oracle import det_oracle, perm_oracle
 from orientation_oracle import enumerate_orientations
 from symcirc import (
@@ -36,6 +37,7 @@ from symcirc import (
     eval_on_matrix,
     evaluate_bool,
     expand_to_threshold,
+    find_extension,
     input_label,
     leverrier_det_circuit,
     lower_to_partition_basis,
@@ -50,7 +52,6 @@ from symcirc import (
     ryser_perm_circuit,
     uniform_count_formula,
     value_sets,
-    verify_automorphism,
     verify_lowering,
     wl_equivalent,
 )
@@ -81,8 +82,9 @@ def test_02_determinant_symmetry_and_size():
         gen = leverrier_det_circuit(n)
         rep = check_symmetric(gen.circuit, Transpose(n))
         assert rep.symmetric, f"n={n} not transpose symmetric"
-        for w in gen.witnesses:
-            assert verify_automorphism(gen.circuit, w) == []
+        for sigma in gen.witnesses:
+            pi = find_extension(gen.circuit, sigma)
+            assert verify_automorphism(gen.circuit, Witness(sigma, pi)) == []
     for n in range(2, 9):
         size = len(leverrier_det_circuit(n).circuit)
         assert size <= 10 * n ** 3, f"n={n}: {size} gates"

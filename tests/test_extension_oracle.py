@@ -15,15 +15,15 @@ import pytest
 
 from extension_oracle import all_transpositions
 from extension_oracle import bad_pairs as oracle_bad_pairs
-from extension_oracle import fixing, invariant_colors, orbit_partition, search_extension
+from extension_oracle import Witness, fixing, invariant_colors, orbit_partition, search_extension
 from extension_oracle import minimal_support as oracle_support
+from extension_oracle import verify_automorphism
 from symcirc import (
     GF,
     QQ,
     Matrix,
     Square,
     Transpose,
-    Witness,
     check_symmetric,
     expand_to_threshold,
     find_extension,
@@ -33,7 +33,6 @@ from symcirc import (
     orbits,
     ryser_perm_circuit,
     value_sets,
-    verify_automorphism,
 )
 from symcirc.symmetry import _matrix_sigma, bad_pairs
 
@@ -109,12 +108,12 @@ ORBIT_CASES = [(kind, n, spec) for kind in ("det", "perm") for n in (3, 4, 5)
 
 @pytest.mark.parametrize("kind, n, spec", ORBIT_CASES, ids=str)
 def test_orbits_match_full_map_union_find(kind, n, spec):
-    # the witnesses of the generators that extend: perm under Transpose
-    # closes the subgroup of the diagonal swaps, and det under Matrix, where
-    # no row or column swap extends, has only singleton orbits
+    # the generators that extend: perm under Transpose closes the subgroup
+    # of the diagonal swaps, and det under Matrix, where no row or column
+    # swap extends, has only singleton orbits
     c = build(kind, n, QQ).circuit
-    witnesses = [w for w in check_symmetric(c, spec).witnesses if w is not None]
-    assert orbits(c, witnesses).orbits == orbit_partition(c, witnesses)
+    perms = [sigma for sigma in check_symmetric(c, spec).witnesses if sigma is not None]
+    assert orbits(c, perms).orbits == orbit_partition(c, perms)
 
 
 LOWERED_CASES = [(ryser_perm_circuit(3, GF(3)), Matrix(3, 3)),
@@ -129,7 +128,6 @@ def test_lowered_orbits_match_full_map_union_find(gen, spec):
     # both stages of the lowerings that orbit preservation is asserted on
     low = lower_to_partition_basis(gen.circuit, {0}, value_sets(gen.circuit, "exact"))
     exp = expand_to_threshold(low)
+    perms = check_symmetric(gen.circuit, spec).witnesses
     for stage in (low.circuit, exp.circuit):
-        witnesses = [Witness(w.sigma, find_extension(stage, w.sigma))
-                     for w in check_symmetric(gen.circuit, spec).witnesses]
-        assert orbits(stage, witnesses).orbits == orbit_partition(stage, witnesses)
+        assert orbits(stage, perms).orbits == orbit_partition(stage, perms)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from extension_oracle import Witness, verify_automorphism
 from matrix_oracle import det_oracle, gauss_det, leibniz_det, leibniz_perm, perm_oracle
 from symcirc import (
     GF,
@@ -15,10 +16,10 @@ from symcirc import (
     Transpose,
     check_symmetric,
     eval_on_matrix,
+    find_extension,
     leverrier_det_circuit,
     matrix_assignment,
     ryser_perm_circuit,
-    verify_automorphism,
 )
 
 
@@ -94,8 +95,9 @@ def test_leverrier_witnesses_verify():
         gen = leverrier_det_circuit(n)
         assert gen.group == Transpose(n)
         assert gen.witnesses
-        for w in gen.witnesses:
-            assert verify_automorphism(gen.circuit, w) == []
+        for sigma in gen.witnesses:
+            pi = find_extension(gen.circuit, sigma)
+            assert verify_automorphism(gen.circuit, Witness(sigma, pi)) == []
 
 
 def test_leverrier_transpose_symmetry_search():
@@ -163,8 +165,9 @@ def test_ryser_witnesses_verify():
     for n in (2, 3):
         gen = ryser_perm_circuit(n)
         assert gen.group == Matrix(n, n)
-        for w in gen.witnesses:
-            assert verify_automorphism(gen.circuit, w) == []
+        for sigma in gen.witnesses:
+            pi = find_extension(gen.circuit, sigma)
+            assert verify_automorphism(gen.circuit, Witness(sigma, pi)) == []
 
 
 def test_ryser_matrix_and_transpose_symmetry():

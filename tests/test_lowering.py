@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import symcirc
-
+from extension_oracle import Witness, verify_automorphism
 from symcirc import (
     ADD,
     AND,
@@ -40,11 +40,10 @@ from symcirc import (
     orbit_preservation_check,
     ryser_perm_circuit,
     value_sets,
-    verify_automorphism,
     verify_lowering,
 )
 from symcirc.circuit import bool_lane_values, pprod, psum
-from symcirc.symmetry import Witness, matrix_var, matrix_variables
+from symcirc.symmetry import matrix_var, matrix_variables
 
 
 def two_input(kind):
@@ -185,10 +184,10 @@ def test_lowered_symmetry_lifts():
     rep = check_symmetric(c, Matrix(2, 2))
     assert rep.symmetric
     low = lower_to_partition_basis(c, {0}, value_sets(c))
-    for w in rep.witnesses:
-        pi = find_extension(low.circuit, w.sigma)
+    for sigma in rep.witnesses:
+        pi = find_extension(low.circuit, sigma)
         assert pi is not None
-        assert verify_automorphism(low.circuit, Witness(w.sigma, pi)) == []
+        assert verify_automorphism(low.circuit, Witness(sigma, pi)) == []
 
 
 def test_expand_to_threshold_equivalence():
@@ -215,10 +214,10 @@ def test_expanded_symmetry_lifts():
     rep = check_symmetric(c, Matrix(2, 2))
     low = lower_to_partition_basis(c, {0}, value_sets(c))
     exp = expand_to_threshold(low)
-    for w in rep.witnesses:
-        pi = find_extension(exp.circuit, w.sigma)
+    for sigma in rep.witnesses:
+        pi = find_extension(exp.circuit, sigma)
         assert pi is not None
-        assert verify_automorphism(exp.circuit, Witness(w.sigma, pi)) == []
+        assert verify_automorphism(exp.circuit, Witness(sigma, pi)) == []
 
 
 def test_verify_lowering_catches_wrong_circuit():
@@ -314,16 +313,16 @@ def test_orbit_preservation_rejects_asymmetric_stage():
         orbit_preservation_check(c, rep.witnesses, low, ExpandedCircuit(mutated, exp.gate_of))
 
 
-def test_orbit_preservation_rejects_invalid_witness():
+def test_orbit_preservation_rejects_source_permutation_without_extension():
     c = crossing_pair()
     rep = check_symmetric(c, Matrix(2, 2))
     low = lower_to_partition_basis(c, {0}, value_sets(c))
     exp = expand_to_threshold(low)
-    # moves the variables but fixes every gate, so input labels disagree
-    bad = Witness(rep.witnesses[0].sigma, {g: g for g in c.gates})
-    assert verify_automorphism(c, bad)
-    with pytest.raises(CircuitError, match="invalid witness"):
-        orbit_preservation_check(c, [bad], low, exp)
+    # swapping x_1_1 and x_1_2 alone maps x_1_1*x_2_2 onto no gate
+    swap = {matrix_var(1, 1): matrix_var(1, 2), matrix_var(1, 2): matrix_var(1, 1)}
+    assert find_extension(c, swap) is None
+    with pytest.raises(CircuitError, match="^permutation 1 has no extension$"):
+        orbit_preservation_check(c, [rep.witnesses[0], swap], low, exp)
 
 
 def lane_table(circuit, names):

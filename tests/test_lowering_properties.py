@@ -18,11 +18,9 @@ from symcirc import (  # noqa: E402
     MUL,
     CircuitBuilder,
     PartitionCircuit,
-    Witness,
     const,
     evaluate_bool,
     expand_to_threshold,
-    find_extension,
     input_label,
     lower_to_partition_basis,
     orbit_preservation_check,
@@ -73,12 +71,11 @@ def test_lowering_preserves_orbits(case, mode, data):
     hypothesis.assume(len(out_values) > 1)
     accept = data.draw(st.sets(st.sampled_from(out_values), min_size=1,
                                max_size=len(out_values) - 1))
-    witnesses = [Witness(tau, find_extension(circuit, tau)) for tau in taus]
     low = lower_to_partition_basis(circuit, accept, vs)
     exp = expand_to_threshold(low)
     assert not [g for g, lab in exp.circuit.gates.items()
                 if lab == AND and len(exp.circuit.wires[g]) == 1]
-    assert orbit_preservation_check(circuit, witnesses, low, exp).equal
+    assert orbit_preservation_check(circuit, taus, low, exp).equal
 
 
 @settings(max_examples=50, deadline=None)

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from extension_oracle import all_transpositions
+from extension_oracle import Witness, all_transpositions, verify_automorphism
 from extension_oracle import bad_pairs as oracle_bad_pairs
 from symcirc import (
     ADD,
@@ -21,7 +21,6 @@ from symcirc import (
     Partition,
     Square,
     Transpose,
-    Witness,
     check_symmetric,
     const,
     find_extension,
@@ -31,7 +30,6 @@ from symcirc import (
     minimal_support,
     orbits,
     ryser_perm_circuit,
-    verify_automorphism,
 )
 from symcirc.symmetry import (
     _gate_index,
@@ -170,7 +168,7 @@ def test_non_rigid_circuit_rejected():
     identity = Witness({}, {g: g for g in c.gates})
     assert verify_automorphism(c, identity) == []
     with pytest.raises(CircuitError, match="not rigid"):
-        orbits(c, [identity])
+        orbits(c, [{}])
 
 
 @pytest.mark.parametrize("edit", ["wires", "label"])
@@ -192,7 +190,7 @@ def test_builder_edit_breaking_rigidity_is_caught(edit):
     with pytest.raises(CircuitError, match=f"gates {m1} and {m2} share a label and children"):
         find_extension(c, {"x": "y", "y": "x"})
     with pytest.raises(CircuitError, match="not rigid"):
-        orbits(c, [Witness({}, {g: g for g in c.gates})])
+        orbits(c, [{}])
 
 
 def test_builder_index_is_the_gate_index():
@@ -208,8 +206,8 @@ def test_check_symmetric_permanent():
     rep = check_symmetric(c, Matrix(2, 2))
     assert rep.symmetric
     assert len(rep.witnesses) == 2
-    for w in rep.witnesses:
-        assert verify_automorphism(c, w) == []
+    for sigma in rep.witnesses:
+        assert verify_automorphism(c, Witness(sigma, find_extension(c, sigma))) == []
 
 
 def test_check_symmetric_determinant_fails_row_swap():
@@ -231,7 +229,7 @@ def test_check_symmetric_determinant_transpose():
 def test_generator_witnesses_follow_group_generators_order(build, n, fld):
     # one witness per group generator, in group_generators order
     gen = build(n, fld)
-    assert [w.sigma for w in gen.witnesses] == group_generators(gen.group)
+    assert gen.witnesses == group_generators(gen.group)
 
 
 def test_partition_spec_on_plain_variables():
@@ -260,11 +258,27 @@ def test_orbits_of_permanent():
 
 
 def test_orbits_rejects_invalid_witness():
-    c, names = perm2_circuit()
-    sigma = row_sigma(2, 2, {1: 2, 2: 1})
-    bad = Witness(sigma, {g: g for g in c.gates})
-    with pytest.raises(Exception):
-        orbits(c, [bad])
+    # (1 2) maps x_1_1 to x_2_2, which labels no gate
+    c, _ = corners3_circuit()
+    swap = diagonal_sigma(3, {1: 2, 2: 1})
+    with pytest.raises(CircuitError, match="^permutation 1 has no extension$"):
+        orbits(c, [diagonal_sigma(3, {1: 3, 3: 1}), swap])
+    # x_1_1 and x_2_2 both go to x_3_3
+    not_a_perm = {matrix_var(1, 1): matrix_var(3, 3), matrix_var(2, 2): matrix_var(3, 3)}
+    with pytest.raises(CircuitError, match="map is not a permutation of the variables"):
+        orbits(c, [not_a_perm])
+
+
+def test_orbits_rejects_a_failed_generator():
+    # x*x + y: swapping x and y has no extension, so check_symmetric reports
+    # None for generator 0, and orbits names it instead of reading it
+    b = CircuitBuilder(QQ, ["x", "y"])
+    x = b.add(input_label("x"))
+    c = b.build(b.add(ADD, [b.add(MUL, [x, x]), b.add(input_label("y"))]))
+    rep = check_symmetric(c, Partition((("x", "y"),)))
+    assert rep.witnesses == [None] and rep.failed == [0]
+    with pytest.raises(CircuitError, match="^permutation 0 has no extension$"):
+        orbits(c, rep.witnesses)
 
 
 def full_matrix_sum(n):
@@ -383,11 +397,11 @@ def test_generators_generate_the_group_of_all_transpositions(name, build, spec):
     # so they give one verdict and, on a symmetric circuit, one orbit partition
     c = build()
     rep = check_symmetric(c, spec)
-    oracle = [Witness(sigma, find_extension(c, sigma)) for sigma in all_transpositions(spec)]
-    assert rep.symmetric == all(w.pi is not None for w in oracle)
+    every = all_transpositions(spec)
+    assert rep.symmetric == all(find_extension(c, sigma) is not None for sigma in every)
     if rep.symmetric:
-        assert orbits(c, rep.witnesses).orbits == orbits(c, oracle).orbits
-    assert len(rep.witnesses) < len(oracle)
+        assert orbits(c, rep.witnesses).orbits == orbits(c, every).orbits
+    assert len(rep.witnesses) < len(every)
 
 
 CENSUS = [

@@ -15,17 +15,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from extension_oracle import fixing, search_extension  # noqa: E402
+from extension_oracle import Witness, fixing, search_extension, verify_automorphism  # noqa: E402
 from symcirc import (  # noqa: E402
     ADD,
     GF,
     MUL,
     CircuitBuilder,
-    Witness,
     const,
     find_extension,
     input_label,
-    verify_automorphism,
 )
 
 LABELS = {"add": ADD, "mul": MUL}
