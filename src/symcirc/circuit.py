@@ -7,9 +7,11 @@ only meaningful on the partition-counting labels; everywhere else they must
 be absent.  A Circuit is well-formed by construction: its constructor
 checks every structural rule (children are gates, no cycle, known labels of
 the right fan-in, declared variables on one input gate each, field elements
-in the circuit's field, tags only where a label has parts) and raises
-CircuitError naming the gate that breaks one, so no other code handles a
-malformed circuit.
+in the circuit's field, tags only where a label has parts) and the types a
+circuit file holds (int ids that are not bools, str variables and part
+tags), and raises CircuitError naming the gate that breaks one, so no other
+code handles a malformed circuit and every circuit serializes to a file
+that deserialize reads back.
 CircuitBuilder hash-conses gates on (label, children), so the circuits it
 builds are rigid: no two gates share a label and children.  Rigidity is not
 a rule of the representation; the symmetry routines require it, and take
@@ -171,18 +173,29 @@ class Circuit:
 
     def _check(self) -> tuple:
         """The children-first order, least ready gate first (Kahn's
-        algorithm), after checking that the output and every child are
-        gates, every label is well-formed over the circuit's field and
-        variables, no variable labels two gates, and there is no cycle."""
+        algorithm), after checking that variables are distinct strings,
+        ids are ints, the output and every child are gates, every label is
+        well-formed over the circuit's field and variables, no variable
+        labels two gates, and there is no cycle."""
+        for v in self.variables:
+            if type(v) is not str:
+                raise CircuitError(f"variable {v!r} is not a string")
         declared = frozenset(self.variables)
         if len(declared) != len(self.variables):
             raise CircuitError(f"variables {list(self.variables)} are not distinct")
+        # ids are ints and never bools (True == 1), as the file schema reads them
+        if type(self.output) is not int:
+            raise CircuitError(f"output {self.output!r} is not an int")
         if self.output not in self.gates:
             raise CircuitError(f"output {self.output} is not a gate")
         forward = True
         for g, lab in self.gates.items():
+            if type(g) is not int:
+                raise CircuitError(f"gate {g!r}: id is not an int")
             ws = self.wires[g]
             for c, _t in ws:
+                if type(c) is not int:
+                    raise CircuitError(f"gate {g}: child {c!r} is not an int")
                 if c not in self.gates:
                     raise CircuitError(f"gate {g}: child {c} is not a gate")
                 forward = forward and c < g
@@ -236,6 +249,9 @@ def _broken_rule(lab: GateLabel, ws: tuple, declared, inputs: dict, fld: Field) 
         return f"unknown label kind {kind!r}"
     if kind in ("psum", "pprod"):
         parts = lab.parts_map()
+        for t in parts:
+            if type(t) is not str:
+                return f"part tag {t!r} is not a string"
         if not _in_field(lab.c, fld):
             return f"target {lab.c} is not in {fld.name()}"
         if not all(_in_field(q, fld) for q in parts.values()):
@@ -257,7 +273,7 @@ def _broken_rule(lab: GateLabel, ws: tuple, declared, inputs: dict, fld: Field) 
         return f"variable {lab.var!r} already labels gate {inputs[lab.var]}"
     if kind == "const" and not _in_field(lab.value, fld):
         return f"constant {lab.value} is not in {fld.name()}"
-    if kind in ("th_ge", "th_eq") and not (isinstance(lab.k, int) and lab.k >= 0):
+    if kind in ("th_ge", "th_eq") and not (type(lab.k) is int and lab.k >= 0):
         return f"threshold {lab.k} is not an integer >= 0"
     return None
 
@@ -577,21 +593,26 @@ def _label_to_json(lab: GateLabel) -> dict:
 
 
 def serialize(circuit: Circuit) -> str:
+    """The circuit as one line of JSON and a newline: the object
+    {"field", "gates", "output", "variables"}, each gate {"children", "id",
+    "label"} in ascending id order and each child {"id"} or {"id", "tag"}
+    in wire order, every object's keys sorted and separated by ", " and
+    ": ", as json.dumps(doc, sort_keys=True) writes it.  The text is
+    formatted directly, each distinct label encoded once, so equal circuits
+    give equal bytes."""
+    dumps = json.dumps
+    labels = {}
     gates = []
     for g in sorted(circuit.gates):
-        entry = {"id": g, "label": _label_to_json(circuit.gates[g])}
-        kids = []
-        for c, tag in circuit.wires[g]:
-            kids.append({"id": c} if tag is None else {"id": c, "tag": tag})
-        entry["children"] = kids
-        gates.append(entry)
-    doc = {
-        "field": circuit.field.name(),
-        "variables": list(circuit.variables),
-        "gates": gates,
-        "output": circuit.output,
-    }
-    return json.dumps(doc, sort_keys=True) + "\n"
+        lab = circuit.gates[g]
+        text = labels.get(lab)
+        if text is None:
+            text = labels[lab] = dumps(_label_to_json(lab), sort_keys=True)
+        kids = ", ".join([f'{{"id": {c}}}' if tag is None else f'{{"id": {c}, "tag": {dumps(tag)}}}'
+                          for c, tag in circuit.wires[g]])
+        gates.append(f'{{"children": [{kids}], "id": {g}, "label": {text}}}')
+    return (f'{{"field": {dumps(circuit.field.name())}, "gates": [{", ".join(gates)}], '
+            f'"output": {circuit.output}, "variables": {dumps(list(circuit.variables))}}}\n')
 
 
 def _want(obj, key, typ, path):
@@ -625,7 +646,59 @@ def _label_from_json(obj, fld: Field, path: str) -> GateLabel:
     return _PLAIN_LABELS.get(kind) or GateLabel(kind)
 
 
+def _typed_gate(entry, i: int, fld: Field, gates: dict):
+    """_gate_from_json's result for an entry whose id, label object and
+    children have their types, read with a few type tests and no gate
+    path; None for any other entry.  A label of a kind with fields is read
+    by _label_from_json, and any other (add, mul, and, or, not) is taken
+    from _PLAIN_LABELS."""
+    if type(entry) is not dict:
+        return None
+    gid, label, raw = entry.get("id"), entry.get("label"), entry.get("children")
+    if type(gid) is not int or gid in gates or type(label) is not dict or type(raw) is not list:
+        return None
+    kind = label.get("kind")
+    lab = _PLAIN_LABELS.get(kind) if type(kind) is str else None
+    if lab is None:
+        lab = _label_from_json(label, fld, f"$.gates[{i}].label")
+    kids = []
+    for ch in raw:
+        if type(ch) is not dict:
+            return None
+        cid, tag = ch.get("id"), ch.get("tag")
+        if type(cid) is not int or not (tag is None or type(tag) is str):
+            return None
+        kids.append((cid, tag))
+    return gid, lab, kids
+
+
+def _gate_from_json(entry, i: int, fld: Field, gates: dict) -> tuple:
+    """The i-th entry of "gates" as (id, label, children as (id, tag)
+    pairs), each field checked in file order against the schema and the
+    ids in gates, with a SchemaError naming the path of the first fault."""
+    path = f"$.gates[{i}]"
+    gid = _want(entry, "id", int, path)
+    if gid in gates:
+        raise SchemaError(f"{path}.id", f"duplicate gate id {gid}")
+    label = _label_from_json(_want(entry, "label", dict, path), fld, f"{path}.label")
+    kids = []
+    for j, ch in enumerate(_want(entry, "children", list, path)):
+        cpath = f"{path}.children[{j}]"
+        cid = _want(ch, "id", int, cpath)
+        tag = ch.get("tag")
+        if tag is not None and not isinstance(tag, str):
+            raise SchemaError(f"{cpath}.tag", "tag must be a string")
+        kids.append((cid, tag))
+    return gid, label, kids
+
+
 def deserialize(text: str) -> Circuit:
+    """The circuit a serialize text describes.  Any JSON object with the
+    schema's fields is read, whatever its key order, spacing, gate order
+    and child order; each gate's children are sorted once, into the
+    circuit's wire order.  A field of the wrong type raises SchemaError
+    naming its JSON path (JSON true and false are not ints), as does a
+    circuit the Circuit constructor would refuse."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -635,33 +708,19 @@ def deserialize(text: str) -> Circuit:
     for i, v in enumerate(variables):
         if not isinstance(v, str):
             raise SchemaError(f"$.variables[{i}]", "variable ids must be strings")
-    raw_gates = _want(doc, "gates", list, "$")
     gates = {}
     wires = {}
-    for i, entry in enumerate(raw_gates):
-        path = f"$.gates[{i}]"
-        gid = _want(entry, "id", int, path)
-        if gid in gates:
-            raise SchemaError(f"{path}.id", f"duplicate gate id {gid}")
-        gates[gid] = _label_from_json(_want(entry, "label", dict, path), fld, f"{path}.label")
-        kids = []
-        for j, ch in enumerate(_want(entry, "children", list, path)):
-            # the common well-formed entry in one test; the path only on error
-            if type(ch) is dict and type(ch.get("id")) is int and type(ch.get("tag", "")) is str:
-                kids.append((ch["id"], ch.get("tag")))
-                continue
-            cpath = f"{path}.children[{j}]"
-            cid = _want(ch, "id", int, cpath)
-            tag = ch.get("tag")
-            if tag is not None and not isinstance(tag, str):
-                raise SchemaError(f"{cpath}.tag", "tag must be a string")
-            kids.append((cid, tag))
-        wires[gid] = kids
+    for i, entry in enumerate(_want(doc, "gates", list, "$")):
+        gid, lab, kids = _typed_gate(entry, i, fld, gates) or _gate_from_json(entry, i, fld, gates)
+        gates[gid] = lab
+        wires[gid] = _sorted_wires(kids)
     output = _want(doc, "output", int, "$")
+    circuit = Circuit.__new__(Circuit)
     try:
-        return Circuit(fld, variables, gates, wires, output)
+        circuit._init(fld, variables, gates, wires, output)
     except CircuitError as exc:
         raise SchemaError("$.gates", str(exc)) from None
+    return circuit
 
 
 def export_dot(circuit: Circuit) -> str:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
+from serialize_oracle import label_doc, serialize_oracle
 from symcirc import (
     ADD,
     AND,
@@ -30,6 +32,7 @@ from symcirc import (
     lower_to_partition_basis,
     pprod,
     psum,
+    ryser_perm_circuit,
     serialize,
     size_stats,
     th_eq,
@@ -182,6 +185,22 @@ _MALFORMED = {
                         "gate 1: wire from 0 has tag 'a', but only psum/pprod"),
     "untagged_psum_wire": (["x"], {0: input_label("x"), 1: psum(QQ.of(1), {"a": QQ.of(1)})},
                            {1: [0]}, 1, "gate 1: wire from 0 has tag None outside the parts"),
+    # the types the file schema reads back: int ids (never bool), str
+    # variables and str part tags
+    "string_gate_id": (["x"], {0: input_label("x"), "a": NOT}, {"a": [(0, None)]}, 0,
+                       "gate 'a': id is not an int"),
+    "bool_gate_id": (["x"], {0: input_label("x"), True: NOT}, {True: [0]}, 0,
+                     "gate True: id is not an int"),
+    "string_output": (["x"], {"a": input_label("x")}, {}, "a", "output 'a' is not an int"),
+    "bool_output": (["x"], {0: input_label("x"), 1: NOT}, {1: [0]}, True,
+                    "output True is not an int"),
+    "bool_child_id": (["x", "y"], {0: input_label("x"), 1: input_label("y"), 2: ADD},
+                      {2: [0, True]}, 2, "gate 2: child True is not an int"),
+    "variable_not_a_string": ([5], {0: input_label(5)}, {}, 0, "variable 5 is not a string"),
+    "part_tag_not_a_string": (["x"], {0: input_label("x"), 1: psum(QQ.of(1), {7: QQ.of(1)})},
+                              {1: [(0, 7)]}, 1, "gate 1: part tag 7 is not a string"),
+    "bool_threshold": (["x"], {0: input_label("x"), 1: GateLabel("th_ge", k=True)}, {1: [0]}, 1,
+                       "gate 1: threshold True is not an integer >= 0"),
 }
 
 
@@ -391,6 +410,89 @@ def test_serialize_round_trip_threshold_stage():
     text = serialize(expand_to_threshold(low).circuit)
     assert '"th_eq"' in text and '"th_ge"' in text
     assert serialize(deserialize(text)) == text
+
+
+def test_serialize_matches_oracle_on_escapes():
+    # a variable and part tags that JSON must escape, fractional and F_p
+    # constants, and both threshold kinds
+    odd = 'q"b\\s\u00e9\x01'
+    b = CircuitBuilder(QQ, [odd, "y"])
+    x, y = b.add(input_label(odd)), b.add(input_label("y"))
+    frac = b.add(const(QQ.of("-3/7")))
+    s = b.add(psum(QQ.of("-3/7"), {odd: QQ.of("-3/7"), "\t": QQ.of(2)}),
+              [(x, odd), (y, "\t"), (x, "\t"), (x, odd)])
+    ge, eq = b.add(th_ge(2), [s, x, x]), b.add(th_eq(1), [s, y])
+    rational = b.build(b.add(OR, [ge, eq, frac]))
+    b = CircuitBuilder(GF(5), ["x"])
+    x = b.add(input_label("x"))
+    modular = b.build(b.add(MUL, [x, b.add(const(GF(5).of("-3/7"))), b.add(const(GF(5).of(4)))]))
+    for c in (rational, modular):
+        text = serialize(c)
+        assert text == serialize_oracle(c)
+        back = deserialize(text)
+        assert (back.variables, back.gates, back.wires, back.output) == (
+            c.variables, c.gates, c.wires, c.output)
+    assert "\\u00e9" in serialize(rational) and "\\u0001" in serialize(rational)
+
+
+# SHA-256 of the concatenated serialize texts of each generator family,
+# frozen so that a change to the file format or to the generators' gate
+# numbering shows
+_FROZEN_STREAMS = {
+    "det_Q_1_12": (lambda n: leverrier_det_circuit(n), range(1, 13),
+                   "fdedde40fb7a1f783da3533f8633b58549fcdf92bc635ba871720bd3baba21de"),
+    "det_F13_1_12": (lambda n: leverrier_det_circuit(n, GF(13), allow_positive_char=True),
+                     range(1, 13),
+                     "3b86625107ee18c8b8a4d5df208f62a49b5817d74a69ff751539efb918a340ed"),
+    "perm_Q_1_8": (lambda n: ryser_perm_circuit(n), range(1, 9),
+                   "01ee04574fa9735cce058336fee48e92e20ef6132a4fb58347ff6124239778e7"),
+    "perm_F2_1_8": (lambda n: ryser_perm_circuit(n, GF(2)), range(1, 9),
+                    "233c13dcdb6904fd6ad663aa6818890aae03f6572763e2ee1b7878a6d7bc43d6"),
+    "perm_F3_1_8": (lambda n: ryser_perm_circuit(n, GF(3)), range(1, 9),
+                    "5d839b6fdb1a469c4fe04cd69881c5efd9a3b37cac9b84c1595be628b33e6d6e"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FROZEN_STREAMS))
+def test_serialize_stream_is_frozen(family):
+    make, sizes, digest = _FROZEN_STREAMS[family]
+    stream = hashlib.sha256()
+    for n in sizes:
+        c = make(n).circuit
+        text = serialize(c)
+        stream.update(text.encode())
+        back = deserialize(text)
+        assert (back.gates, back.wires, back.output) == (c.gates, c.wires, c.output)
+    assert stream.hexdigest() == digest
+
+
+def test_deserialize_sorts_unusual_files_as_the_constructor_does():
+    # gate ids out of topological order, children unsorted and repeated,
+    # and one child read under two tags
+    gates = {7: OR, 0: th_ge(2), 2: psum(QQ.of(2), {"a": QQ.of(1), "b": QQ.of(1)}),
+             4: NOT, 9: input_label("x"), 1: input_label("y"), 3: const(QQ.of(1))}
+    wires = {7: [4, 0], 0: [2, 9, 2, 3], 2: [(9, "b"), (1, "a"), (9, "a"), (1, "a")], 4: [1]}
+    doc = {"field": "Q", "variables": ["x", "y"], "output": 7, "gates": [
+        {"id": g, "label": label_doc(lab),
+         "children": [{"id": w} if isinstance(w, int) else {"id": w[0], "tag": w[1]}
+                      for w in wires.get(g, [])]}
+        for g, lab in gates.items()]}
+    built = Circuit(QQ, ["x", "y"], gates, wires, 7)
+    read = deserialize(json.dumps(doc))
+    assert (read.gates, read.wires, read.output) == (built.gates, built.wires, built.output)
+    assert read.topo_order() == built.topo_order() != tuple(sorted(gates))
+    assert read.wires[2] == ((1, "a"), (1, "a"), (9, "a"), (9, "b"))
+    assert serialize(read) == serialize(built)
+    # a child listed untagged and tagged sorts, and is refused, alike
+    wires[2].append(9)
+    doc["gates"][2]["children"].append({"id": 9})
+    with pytest.raises(CircuitError) as built_exc:
+        Circuit(QQ, ["x", "y"], gates, wires, 7)
+    with pytest.raises(SchemaError) as read_exc:
+        deserialize(json.dumps(doc))
+    assert read_exc.value.path == "$.gates"
+    assert str(built_exc.value) in str(read_exc.value)
+    assert "wire from 9 has tag None outside the parts" in str(built_exc.value)
 
 
 def test_deserialize_rejects_malformed():

@@ -1,6 +1,7 @@
-"""Property test: serialize / deserialize round-trips random circuits,
+"""Property tests: serialize / deserialize round-trips random circuits,
 including gates that read a child several times and gates that share a
-label and children (deserialize keeps them apart)."""
+label and children (deserialize keeps them apart), and serialize writes
+the bytes of the dict-document encoder it replaced (serialize_oracle)."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from serialize_oracle import serialize_oracle  # noqa: E402
 from symcirc import (  # noqa: E402
     ADD,
     AND,
@@ -18,14 +20,18 @@ from symcirc import (  # noqa: E402
     OR,
     QQ,
     Circuit,
+    CircuitBuilder,
     const,
     deserialize,
+    expand_to_threshold,
     input_label,
+    lower_to_partition_basis,
     pprod,
     psum,
     serialize,
     th_eq,
     th_ge,
+    value_sets,
 )
 
 
@@ -67,3 +73,35 @@ def test_serialize_round_trip(c):
     assert back.variables == c.variables
     assert (back.gates, back.wires, back.output) == (c.gates, c.wires, c.output)
     assert serialize(back) == text
+    assert text == serialize_oracle(c)
+
+
+@st.composite
+def arith_circuits(draw):
+    """An arithmetic circuit over Q, F_2 or F_5 with fractional constants
+    and add/mul gates that may read a child several times."""
+    fld = draw(st.sampled_from((QQ, GF(2), GF(5))))
+    variables = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+    b = CircuitBuilder(fld, variables)
+    pool = [b.add(input_label(v)) for v in variables]
+    num, den = draw(st.integers(-3, 3)), draw(st.sampled_from((1, 3, 7)))
+    pool.append(b.add(const(fld.of(f"{num}/{den}"))))
+    for _ in range(draw(st.integers(1, 3))):
+        kids = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        pool.append(b.add(draw(st.sampled_from((ADD, MUL))), kids))
+    return b.build(pool[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(arith_circuits(), st.data())
+def test_serialize_matches_oracle_on_lowering_stages(c, data):
+    vs = value_sets(c, "exact")
+    accept = data.draw(st.sets(st.sampled_from(vs.sets[c.output]), min_size=1))
+    low = lower_to_partition_basis(c, accept, vs)
+    stages = [c, low.circuit]
+    if low.trivial is None:
+        stages.append(expand_to_threshold(low).circuit)
+    for stage in stages:
+        text = serialize(stage)
+        assert text == serialize_oracle(stage)
+        assert serialize(deserialize(text)) == text
