@@ -140,20 +140,44 @@ def _wire_tuple(children) -> tuple:
     return _sorted_wires([(c, None) if isinstance(c, int) else (c[0], c[1]) for c in children])
 
 
+def _gate_wires(g, children) -> tuple:
+    """_wire_tuple(children) for gate g, with CircuitError naming the gate
+    for children that are not iterable, a child that is neither an id nor
+    an (id, tag) pair, and ids or tags of types that do not sort together."""
+    try:
+        children = iter(children)
+    except TypeError:
+        raise CircuitError(f"gate {g!r}: children {children!r} are not a list") from None
+    pairs = []
+    for c in children:
+        if isinstance(c, int):
+            pairs.append((c, None))
+        elif isinstance(c, (tuple, list)) and len(c) == 2:
+            pairs.append((c[0], c[1]))
+        else:
+            raise CircuitError(f"gate {g!r}: child {c!r} is neither an id nor an (id, tag) pair")
+    try:
+        return _sorted_wires(pairs)
+    except TypeError:
+        raise CircuitError(f"gate {g!r}: children {pairs} have ids or tags "
+                           "of types that do not sort together") from None
+
+
 class Circuit:
     """Immutable labelled DAG, well-formed by construction: the constructor
     raises CircuitError naming the first gate that breaks a rule of the
     representation (see _check).  Mutating after construction is not
     supported; derived data is cached on the instance: the parent map and
     four caches, _gate_index (the (label, wires) index of the gates),
-    _extensions (each variable permutation's moved-gate map), _steps (the
-    adjacent-transposition extensions per group, read by supports) and
+    _extensions (each variable permutation's moved-gate map), _stars (the
+    extensions of the star transpositions (1 k) of each factor per group,
+    read by supports) and
     _zero_one (the one pass of lowering._zero_one over every 0-1
     assignment: exact value sets and the output's lanes per block)."""
 
     def __init__(self, fld: Field, variables, gates: dict, wires: dict, output: int):
         self._init(fld, variables, dict(gates),
-                   {g: _wire_tuple(wires.get(g, ())) for g in gates}, output)
+                   {g: _gate_wires(g, wires.get(g, ())) for g in gates}, output)
 
     def _init(self, fld: Field, variables, gates: dict, wires: dict, output: int):
         """Set up from gates and wires the circuit owns, wires[g] being
@@ -166,7 +190,7 @@ class Circuit:
         self._parents = None
         self._gate_index = None   # (label, wires) -> gate, see symmetry._gate_index
         self._extensions = {}     # sorted sigma items -> moved gates, see symmetry._extension
-        self._steps = {}          # spec -> step extensions, see symmetry._point_classes
+        self._stars = {}          # spec -> star extensions, see symmetry._point_classes
         self._zero_one = None     # (value sets, blocks), see lowering._zero_one
         self.inputs_by_var = {}   # variable -> its input gate, filled by _check
         self._topo = self._check()
@@ -703,7 +727,10 @@ def deserialize(text: str) -> Circuit:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from None
-    fld = Field.parse(_want(doc, "field", str, "$"))
+    try:
+        fld = Field.parse(_want(doc, "field", str, "$"))
+    except ValueError as exc:
+        raise SchemaError("$.field", str(exc)) from None
     variables = _want(doc, "variables", list, "$")
     for i, v in enumerate(variables):
         if not isinstance(v, str):

@@ -21,9 +21,12 @@ unavailable and the plain row form is emitted.
 Both are built through the hash-consing CircuitBuilder, so they are rigid:
 a term built twice, such as x_12*x_21 as ("F", 2, 1, 2, 1) and
 ("F", 2, 2, 1, 2), is one gate under two names, and a square reads its
-child twice.  Their witnesses are the group generators, each a variable
-permutation whose extension to the gates check_symmetric computes, on
-first use, and caches on the circuit.
+child twice.  Their witnesses are the group generators: per index set
+(rows, then columns, for the permanent) the transposition (1 2) and the
+cycle (2 3 ... n), plus the transpose map for the determinant, so three
+for det and four for perm at any n >= 3.  Each is a variable permutation
+whose extension to the gates check_symmetric computes, on first use, and
+caches on the circuit.
 """
 
 from __future__ import annotations

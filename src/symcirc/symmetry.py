@@ -11,16 +11,19 @@ gates rather than the whole circuit.  find_extension is the one place that
 widens it to a full gate map.  Non-rigid input is rejected with
 CircuitError rather than merged: merging can make a circuit symmetric that
 was not.  The variable permutations that extend form a group, so symmetry
-is checked on generators only: the adjacent transpositions (i i+1) of each
-factor's index points, plus the transpose map (for a Partition, the swaps
-of consecutive ids of each block).  orbits extends each permutation it is
-given and closes the orbits over the moved gates only.  Supports are
-read from the same cached extensions: for a fixed gate, a ~ b iff the
-transposition (a b) of index points has an extension fixing it, an
-equivalence on each factor's points since extensions compose and
-(a c) = (a b)(b c)(a b).  One pass reads the classes off chains of adjacent
-transpositions; the bad pairs cross classes, and a minimum support leaves
-out one largest class per factor, with no search.
+is checked on generators only: per factor of index points, the
+transposition (1 2) and the cycle (2 3 ... n), which generate Sym(n) at
+any n, plus the transpose map (for a Partition, the same pair per block).
+orbits extends each permutation it is given and closes the orbits over the
+moved gates only.  Supports are read from the same cached extensions: for
+a fixed gate, a ~ b iff the transposition (a b) of index points has an
+extension fixing it, an equivalence on each factor's points since
+extensions compose and (a c) = (a b)(b c)(a b).  The star transpositions
+(1 k) are the conjugates of (1 2) by powers of the cycle, so their
+extensions follow from the two generators' by relabelling the moved gates,
+and (a b) = (1 a)(1 b)(1 a) is read in at most three lookups.  One pass
+reads the classes off the stars; the bad pairs cross classes, and a
+minimum support leaves out one largest class per factor, with no search.
 """
 
 from __future__ import annotations
@@ -120,16 +123,30 @@ def _point(tag, a):
     return a if tag is None else (tag, a)
 
 
+def _generating_pair(points) -> list:
+    """The transposition (p1 p2) and, for three or more points, the cycle
+    (p2 p3 ... pk), as maps of the points they move; together they generate
+    Sym(points), since conjugating (p1 p2) by the powers of the cycle gives
+    every star transposition (p1 pk)."""
+    p = tuple(points)
+    gens = [{p[0]: p[1], p[1]: p[0]}] if len(p) >= 2 else []
+    if len(p) >= 3:
+        gens.append(dict(zip(p[1:], p[2:] + p[1:2])))
+    return gens
+
+
 def group_generators(spec) -> list:
-    """Variable permutations generating the group, as fresh dicts: the
-    adjacent transpositions (i i+1) of each factor's index points in factor
-    order (rows before columns), plus the transpose map for Transpose specs;
-    for Partition specs, the swaps of consecutive ids of each block.  The
-    adjacent transpositions of [n] generate Sym([n])."""
+    """Variable permutations generating the group, as fresh dicts: per
+    factor of index points, in factor order (rows before columns), the
+    transposition (1 2) and, for three or more points, the cycle
+    (2 3 ... n), plus the transpose map for Transpose specs; for Partition
+    specs, (b1 b2) and the cycle (b2 ... bk) of each block (b1 ... bk).  So
+    a factor needs two generators at any size, and for n <= 3 they are the
+    adjacent transpositions."""
     if isinstance(spec, Partition):
-        return [{a: b, b: a} for block in spec.parts for a, b in zip(block, block[1:])]
-    gens = [make({i: i + 1, i + 1: i})
-            for _tag, size, make in _factors(spec) for i in range(1, size)]
+        return [gen for block in spec.parts for gen in _generating_pair(block)]
+    gens = [make(perm) for _tag, size, make in _factors(spec)
+            for perm in _generating_pair(range(1, size + 1))]
     if isinstance(spec, Transpose):
         gens.append(transpose_sigma(spec.n))
     return gens
@@ -314,29 +331,46 @@ def orbits(circuit: Circuit, perms: list) -> OrbitReport:
 # Supports
 
 
+def _stars(circuit: Circuit, size: int, make) -> dict:
+    """{k: t_k} for 2 <= k <= size, t_k the extension (moved-gate map) of
+    the star transposition (1 k) of one factor's points, or None where
+    (1 k) has none.  With t_2 and the cycle c = (2 3 ... size) extended (the factor's
+    generators, cached by check_symmetric), t_(k+1) is t_k conjugated by c,
+    since c (1 k) c^-1 = (1 k+1): c(g) -> c(t_k(g)) over the gates t_k
+    moves, dict work with no gate lookup.  Otherwise each star gets its own
+    extension."""
+    gens = [_extension(circuit, make(perm)) for perm in _generating_pair(range(1, size + 1))]
+    if None in gens:
+        return {k: _extension(circuit, make({1: k, k: 1})) for k in range(2, size + 1)}
+    stars = gens[:1]
+    cycle = gens[1] if size >= 3 else {}
+    for _k in range(3, size + 1):
+        stars.append({cycle.get(g, g): cycle.get(h, h) for g, h in stars[-1].items()})
+    return dict(enumerate(stars, start=2))
+
+
 def _point_classes(circuit: Circuit, gate: int, spec) -> list:
     """(tag, classes) per entry of _factors(spec): the classes of ~ on the
     factor's points 1..size, each ascending, in order of first points.  Each
     point b joins the first class whose first point a has (a b) fixing the
-    gate, in O(size * classes) reads.  (a b) = s_a ... s_(b-1) ... s_a for
-    the steps s_i = (i i+1), whose extensions are cached once per
-    (circuit, spec), so the gate's image is read along that chain; when a
-    step has no extension, (a b) may still have one, and its own extension,
-    cached in direct, is read instead."""
+    gate, in O(size * classes) reads.  (a b) is the star (1 b) when a = 1,
+    else (1 a)(1 b)(1 a), and the stars' extensions (_stars) are cached
+    once per (circuit, spec), so the gate's image takes at most three
+    reads; when a star has no extension, (a b) may still have one, and its
+    own extension, cached in direct, is read instead."""
     if gate not in circuit.gates:
         raise CircuitError(f"gate {gate} does not exist")
     _gate_index(circuit)
-    if spec not in circuit._steps:
-        circuit._steps[spec] = [
-            ([_extension(circuit, make({i: i + 1, i + 1: i})) for i in range(1, size)], {})
-            for _tag, size, make in _factors(spec)]
+    if spec not in circuit._stars:
+        circuit._stars[spec] = [(_stars(circuit, size, make), {})
+                                for _tag, size, make in _factors(spec)]
     out = []
-    for (tag, size, make), (steps, direct) in zip(_factors(spec), circuit._steps[spec]):
+    for (tag, size, make), (stars, direct) in zip(_factors(spec), circuit._stars[spec]):
         classes = []
         for b in range(1, size + 1):
             for cls in classes:
                 a = cls[0]
-                chain = steps[a - 1:b - 1]
+                chain = (stars[b],) if a == 1 else (stars[a], stars[b], stars[a])
                 if None in chain:
                     if (a, b) not in direct:
                         direct[a, b] = _extension(circuit, make({a: b, b: a}))
@@ -344,7 +378,7 @@ def _point_classes(circuit: Circuit, gate: int, spec) -> list:
                     image = None if pi is None else pi.get(gate, gate)
                 else:
                     image = gate
-                    for pi in chain + chain[-2::-1]:
+                    for pi in chain:
                         image = pi.get(image, image)
                 if image == gate:
                     cls.append(b)

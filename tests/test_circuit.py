@@ -201,6 +201,16 @@ _MALFORMED = {
                               {1: [(0, 7)]}, 1, "gate 1: part tag 7 is not a string"),
     "bool_threshold": (["x"], {0: input_label("x"), 1: GateLabel("th_ge", k=True)}, {1: [0]}, 1,
                        "gate 1: threshold True is not an integer >= 0"),
+    # children that are neither ids nor (id, tag) pairs, or do not sort
+    "children_not_a_list": (["x"], {0: input_label("x"), 1: ADD}, {1: 5}, 1,
+                            "gate 1: children 5 are not a list"),
+    "string_child": (["x"], {0: input_label("x"), 1: psum(QQ.of(1), {"a": QQ.of(1)})},
+                     {1: ["a"]}, 1, "gate 1: child 'a' is neither an id nor an"),
+    "float_child": (["x"], {0: input_label("x"), 1: psum(QQ.of(1), {"a": QQ.of(1)})},
+                    {1: [1.5]}, 1, "gate 1: child 1.5 is neither an id nor an"),
+    "int_and_str_tags": (["x"], {0: input_label("x"), 1: psum(QQ.of(1), {"a": QQ.of(1)})},
+                         {1: [(0, 7), (0, "a")]}, 1,
+                         r"gate 1: children \[\(0, 7\), \(0, 'a'\)\] have ids or tags of types"),
 }
 
 
@@ -500,6 +510,15 @@ def test_deserialize_rejects_malformed():
         deserialize("{}")
     with pytest.raises(SchemaError):
         deserialize('{"schema_version": 1, "field": "Q"}')
+
+
+@pytest.mark.parametrize("name, message", [("R", "unknown field 'R'"),
+                                           ("Fp:4", "modulus 4 is not prime")])
+def test_deserialize_rejects_unknown_fields(name, message):
+    text = json.dumps({"field": name, "variables": [], "gates": [], "output": 0})
+    with pytest.raises(SchemaError, match=message) as exc:
+        deserialize(text)
+    assert exc.value.path == "$.field"
 
 
 def _threshold_doc() -> dict:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -606,3 +608,22 @@ def test_cfi_experiment_rejects_wl_dimension_before_counting(capsys, monkeypatch
     code, rep, err = invoke(capsys, "cfi", "experiment", "--graph", "petersen", "--wl", "4")
     assert (code, rep) == (2, None)
     assert err == "error: k must be 1, 2, or 3\n"
+
+
+def readme_commands() -> list:
+    """The symcirc lines of README's command-line block, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("symcirc ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # every example runs as written, in order, from one directory: the
+    # later lines read the files the earlier ones write
+    commands = readme_commands()
+    assert len(commands) >= 15
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, report, err = invoke(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert report["command"], argv

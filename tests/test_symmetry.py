@@ -32,7 +32,10 @@ from symcirc import (
     ryser_perm_circuit,
 )
 from symcirc.symmetry import (
+    _factors,
     _gate_index,
+    _moved_gates,
+    _stars,
     bad_pairs,
     col_sigma,
     diagonal_sigma,
@@ -83,12 +86,55 @@ def test_sigma_builders():
 
 
 def test_generator_counts():
-    # the adjacent transpositions (i i+1) of each factor, plus the transpose
+    # (1 2) and, from three points on, the cycle (2 3 ... n) per factor,
+    # plus the transpose
     assert len(group_generators(Square(3))) == 2
     assert len(group_generators(Matrix(2, 3))) == 1 + 2
     assert len(group_generators(Transpose(2))) == 1 + 1
     assert len(group_generators(Partition((("u", "v"), ("w",))))) == 1
     assert len(group_generators(Partition((("u", "v", "w"),)))) == 2
+    assert len(group_generators(Square(6))) == 2
+    assert len(group_generators(Matrix(4, 6))) == 2 + 2
+    assert len(group_generators(Transpose(16))) == 2 + 1
+    assert len(group_generators(Partition((("a", "b", "c", "d"), ("y", "z"))))) == 2 + 1
+
+
+def test_generators_are_the_pair_and_the_cycle():
+    assert group_generators(Square(5)) == [diagonal_sigma(5, {1: 2, 2: 1}),
+                                           diagonal_sigma(5, {2: 3, 3: 4, 4: 5, 5: 2})]
+    assert group_generators(Matrix(2, 4)) == [row_sigma(2, 4, {1: 2, 2: 1}),
+                                              col_sigma(2, 4, {1: 2, 2: 1}),
+                                              col_sigma(2, 4, {2: 3, 3: 4, 4: 2})]
+    assert group_generators(Partition((("a", "b", "c", "d"),))) == [
+        {"a": "b", "b": "a"}, {"b": "c", "c": "d", "d": "b"}]
+
+
+def adjacent_transpositions(spec) -> list:
+    """Another generating set of the group: the swaps (i i+1) of each
+    factor, plus the transpose map; for a Partition, the swaps of
+    consecutive ids of each block.  Up to three points per factor it is
+    group_generators(spec) itself."""
+    if isinstance(spec, Partition):
+        return [{a: b, b: a} for block in spec.parts for a, b in zip(block, block[1:])]
+    if isinstance(spec, Matrix):
+        gens = ([row_sigma(spec.m, spec.n, {i: i + 1, i + 1: i}) for i in range(1, spec.m)]
+                + [col_sigma(spec.m, spec.n, {j: j + 1, j + 1: j}) for j in range(1, spec.n)])
+    else:
+        gens = [diagonal_sigma(spec.n, {i: i + 1, i + 1: i}) for i in range(1, spec.n)]
+    if isinstance(spec, Transpose):
+        gens.append(transpose_sigma(spec.n))
+    return gens
+
+
+SMALL_SPECS = ([cls(n) for cls in (Square, Transpose) for n in (1, 2, 3)]
+               + [Matrix(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
+               + [Partition((("u",), ("v", "w"), ("x", "y", "z")))])
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_generators_up_to_three_points_are_adjacent_transpositions(spec):
+    # so lowering, whose groups have n <= 3, extends the same witnesses
+    assert group_generators(spec) == adjacent_transpositions(spec)
 
 
 def test_find_extension_on_symmetric_circuit():
@@ -362,8 +408,8 @@ def corners3_circuit():
 
 
 def test_bad_pairs_fall_back_past_a_missing_step():
-    # (1 3) = (1 2)(2 3)(1 2), but neither step extends, so (1 3) is judged
-    # by its own extension, which fixes the output
+    # neither generator, (1 2) nor (2 3), extends, so the star (1 3) is
+    # not derived but judged by its own extension, which fixes the output
     c, names = corners3_circuit()
     spec = Square(3)
     assert check_symmetric(c, spec).failed == [0, 1]
@@ -374,6 +420,47 @@ def test_bad_pairs_fall_back_past_a_missing_step():
         assert bad_pairs(c, g, spec) == oracle_bad_pairs(c, g, spec), g
 
 
+def diagonal4_circuit():
+    """x_1_1 + x_2_2 over the 4x4 variables: (1 2) extends, the cycle
+    (2 3 4) does not, as x_3_3 labels no gate."""
+    b = CircuitBuilder(QQ, matrix_variables(4))
+    x11 = b.add(input_label(matrix_var(1, 1)), name="x11")
+    x22 = b.add(input_label(matrix_var(2, 2)), name="x22")
+    return b.build(b.add(ADD, [x11, x22], name="out")), dict(b.names)
+
+
+def test_bad_pairs_fall_back_past_a_missing_cycle():
+    # the stars (1 3) and (1 4) cannot be derived from the cycle, so each
+    # is extended on its own: neither extends, yet (3 4) does
+    c, names = diagonal4_circuit()
+    spec = Square(4)
+    assert check_symmetric(c, spec).failed == [1]
+    (_tag, size, make), = _factors(spec)
+    assert _stars(c, size, make) == {2: _moved_gates(c, make({1: 2, 2: 1})), 3: None, 4: None}
+    assert bad_pairs(c, names["out"], spec) == [(1, 3), (1, 4), (2, 3), (2, 4)]
+    assert minimal_support(c, names["out"], spec) == {1, 2}
+    for g in sorted(c.gates):
+        assert bad_pairs(c, g, spec) == oracle_bad_pairs(c, g, spec), g
+
+
+STAR_CASES = ([pytest.param("det", n, spec, id=f"det-{spec}")
+               for n in range(3, 9) for spec in (Square(n), Transpose(n))]
+              + [pytest.param("perm", n, Matrix(n, n), id=f"perm-{n}") for n in range(3, 9)])
+
+
+@pytest.mark.parametrize("kind, n, spec", STAR_CASES)
+def test_derived_stars_are_the_star_extensions(kind, n, spec):
+    # t_(k+1) is t_k conjugated by the cycle; it must equal the extension
+    # of the star (1 k+1) computed by its own pass
+    gen = leverrier_det_circuit(n, QQ) if kind == "det" else ryser_perm_circuit(n, QQ)
+    c = gen.circuit
+    for _tag, size, make in _factors(spec):
+        stars = _stars(c, size, make)
+        assert sorted(stars) == list(range(2, size + 1))
+        for k, star in stars.items():
+            assert star == _moved_gates(c, make({1: k, k: 1})), k
+
+
 def three_block_circuit():
     """(u + v + w) * y * z, symmetric under Sym({u, v, w}) x Sym({y, z})."""
     b = CircuitBuilder(QQ, ["u", "v", "w", "y", "z"])
@@ -381,19 +468,30 @@ def three_block_circuit():
     return b.build(b.add(MUL, [b.add(ADD, [u, v, w]), y, z]))
 
 
+def four_block_circuit():
+    """(ab + ac + ad + bc + bd + cd) * (y + z), symmetric under
+    Sym({a, b, c, d}) x Sym({y, z}); its six products form one orbit."""
+    b = CircuitBuilder(QQ, ["a", "b", "c", "d", "y", "z"])
+    xs = {v: b.add(input_label(v)) for v in "abcdyz"}
+    e2 = b.add(ADD, [b.add(MUL, [xs[u], xs[v]]) for u, v in itertools.combinations("abcd", 2)])
+    return b.build(b.add(MUL, [e2, b.add(ADD, [xs["y"], xs["z"]])]))
+
+
 SAME_GROUP_CASES = (
     [(f"det{n}", lambda n=n: leverrier_det_circuit(n, QQ).circuit, spec)
-     for n in (3, 4, 5) for spec in (Transpose(n), Square(n))]
+     for n in (3, 4, 5, 6) for spec in (Transpose(n), Square(n))]
     + [(f"perm{n}", lambda n=n: ryser_perm_circuit(n, QQ).circuit, Matrix(n, n))
-       for n in (3, 4, 5)]
+       for n in (3, 4, 5, 6)]
     + [("three-block", three_block_circuit, Partition((("u", "v", "w"), ("y", "z")))),
-       ("corners3", lambda: corners3_circuit()[0], Square(3))])
+       ("four-block", four_block_circuit, Partition((("a", "b", "c", "d"), ("y", "z")))),
+       ("corners3", lambda: corners3_circuit()[0], Square(3)),
+       ("diagonal4", lambda: diagonal4_circuit()[0], Square(4))])
 
 
 @pytest.mark.parametrize("name, build, spec", SAME_GROUP_CASES,
                          ids=[f"{name}-{spec}" for name, _b, spec in SAME_GROUP_CASES])
 def test_generators_generate_the_group_of_all_transpositions(name, build, spec):
-    # the adjacent transpositions and all transpositions generate one group,
+    # the pair (1 2), (2 3 ... n) and all transpositions generate one group,
     # so they give one verdict and, on a symmetric circuit, one orbit partition
     c = build()
     rep = check_symmetric(c, spec)
@@ -402,6 +500,25 @@ def test_generators_generate_the_group_of_all_transpositions(name, build, spec):
     if rep.symmetric:
         assert orbits(c, rep.witnesses).orbits == orbits(c, every).orbits
     assert len(rep.witnesses) < len(every)
+
+
+def test_det16_is_symmetric_under_three_generators():
+    # the frontier of the determinant family: 44,286 gates, yet the
+    # transpose group still needs only (1 2), (2 3 ... 16) and the transpose
+    c = leverrier_det_circuit(16, QQ).circuit
+    rep = check_symmetric(c, Transpose(16))
+    assert rep.symmetric
+    assert len(rep.witnesses) == 3
+    assert orbits(c, rep.witnesses).max_orbit == 6720
+
+
+def test_det12_orbits_equal_the_adjacent_transposition_orbits():
+    c = leverrier_det_circuit(12, QQ).circuit
+    spec = Transpose(12)
+    rep = check_symmetric(c, spec)
+    adjacent = adjacent_transpositions(spec)
+    assert len(adjacent) == 11 + 1
+    assert orbits(c, rep.witnesses).orbits == orbits(c, adjacent).orbits
 
 
 CENSUS = [
@@ -456,8 +573,8 @@ EQUIVALENCE_CASES = ([pytest.param("det", n, Square(n), id=f"det-{n}") for n in 
 def test_good_pairs_are_an_equivalence(kind, n, spec):
     # a ~ b iff (a b)'s own extension fixes the gate: the relation is
     # transitive, since (a c) = (a b)(b c)(a b), and bad_pairs, which reads
-    # chains of adjacent steps or falls back past a missing one, lists
-    # exactly its complement; det under Matrix has no step that extends
+    # (1 a)(1 b)(1 a) off the stars or falls back past a missing one, lists
+    # exactly its complement; det under Matrix has no generator that extends
     if kind == "det":
         c = leverrier_det_circuit(n, QQ).circuit
     else:
