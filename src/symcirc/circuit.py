@@ -11,7 +11,9 @@ in the circuit's field, tags only where a label has parts) and the types a
 circuit file holds (int ids that are not bools, str variables and part
 tags), and raises CircuitError naming the gate that breaks one, so no other
 code handles a malformed circuit and every circuit serializes to a file
-that deserialize reads back.
+that deserialize reads back.  One function, _gate_wires, turns children
+into wires for the constructor and CircuitBuilder alike, and one,
+_gate_from_json, reads a gate of a circuit file.
 CircuitBuilder hash-conses gates on (label, children), so the circuits it
 builds are rigid: no two gates share a label and children.  Rigidity is not
 a rule of the representation; the symmetry routines require it, and take
@@ -135,15 +137,11 @@ def _sorted_wires(pairs: list) -> tuple:
     return tuple(pairs)
 
 
-def _wire_tuple(children) -> tuple:
-    """Children (ids or (id, tag) pairs) as a sorted multiset of pairs."""
-    return _sorted_wires([(c, None) if isinstance(c, int) else (c[0], c[1]) for c in children])
-
-
 def _gate_wires(g, children) -> tuple:
-    """_wire_tuple(children) for gate g, with CircuitError naming the gate
-    for children that are not iterable, a child that is neither an id nor
-    an (id, tag) pair, and ids or tags of types that do not sort together."""
+    """Gate g's children (ids or (id, tag) pairs) as a sorted multiset of
+    pairs, for the constructor and CircuitBuilder alike, with CircuitError
+    naming the gate for children that are not iterable, a child that is
+    neither an id nor an (id, tag) pair, and ids or tags that do not sort."""
     try:
         children = iter(children)
     except TypeError:
@@ -165,7 +163,8 @@ def _gate_wires(g, children) -> tuple:
 
 class Circuit:
     """Immutable labelled DAG, well-formed by construction: the constructor
-    raises CircuitError naming the first gate that breaks a rule of the
+    turns each gate's children into wires with _gate_wires and raises
+    CircuitError naming the first gate that breaks a rule of the
     representation (see _check).  Mutating after construction is not
     supported; derived data is cached on the instance: the parent map and
     four caches, _gate_index (the (label, wires) index of the gates),
@@ -336,11 +335,12 @@ class CircuitBuilder:
         """The gate with this label and children, made on first request.
         A name aliases the gate; naming a different gate with a name already
         in use raises ValueError."""
-        key = (label, _wire_tuple(children))
-        g = self._made.get(key, len(self.gates))
+        new = len(self.gates)
+        key = (label, _gate_wires(new, children))
+        g = self._made.get(key, new)
         if name is not None and self.names.get(name, g) != g:
             raise ValueError(f"duplicate gate name {name!r}")
-        if g == len(self.gates):
+        if g == new:
             self._made[key] = g
             self.gates[g], self.wires[g] = key
         if name is not None:
@@ -354,23 +354,19 @@ class CircuitBuilder:
         return name in self.names
 
     def build(self, output) -> Circuit:
-        """The circuit of every gate added so far.  The wire tuples that add
-        made are handed over as they are; any other entry of self.wires is
-        sorted as Circuit sorts raw wires.  When every gate keeps the label
-        and wire tuple add made, the hash-cons table is handed over too, as
-        the circuit's gate index: its keys are then the gates' own, one per
-        gate, so the circuit is rigid."""
+        """The circuit of every gate added so far.  When every gate keeps
+        the label and wire tuple add made, those tuples are handed over as
+        they are, and the hash-cons table too, as the circuit's gate index:
+        its keys are then the gates' own, one per gate, so the circuit is
+        rigid.  Otherwise the gates and wires go through the constructor."""
         out = output if isinstance(output, int) else self.names[output]
         wires = {g: ws for (lab, ws), g in self._made.items()
                  if self.wires.get(g) is ws and self.gates.get(g) is lab}
-        handed = len(wires) == len(self.wires)
-        if not handed:
-            wires = {g: wires[g] if g in wires else _wire_tuple(ws)
-                     for g, ws in self.wires.items()}
+        if not len(wires) == len(self.wires) == len(self.gates):
+            return Circuit(self.field, self.variables, self.gates, self.wires, out)
         circuit = Circuit.__new__(Circuit)
         circuit._init(self.field, self.variables, dict(self.gates), wires, out)
-        if handed:
-            circuit._gate_index = dict(self._made)
+        circuit._gate_index = dict(self._made)
         return circuit
 
 
@@ -670,59 +666,47 @@ def _label_from_json(obj, fld: Field, path: str) -> GateLabel:
     return _PLAIN_LABELS.get(kind) or GateLabel(kind)
 
 
-def _typed_gate(entry, i: int, fld: Field, gates: dict):
-    """_gate_from_json's result for an entry whose id, label object and
-    children have their types, read with a few type tests and no gate
-    path; None for any other entry.  A label of a kind with fields is read
-    by _label_from_json, and any other (add, mul, and, or, not) is taken
-    from _PLAIN_LABELS."""
-    if type(entry) is not dict:
-        return None
-    gid, label, raw = entry.get("id"), entry.get("label"), entry.get("children")
-    if type(gid) is not int or gid in gates or type(label) is not dict or type(raw) is not list:
-        return None
+def _gate_from_json(entry, i: int, fld: Field, gates: dict) -> tuple:
+    """The i-th entry of "gates" as (id, label, children as (id, tag)
+    pairs): the one reader of a JSON gate.  Each field (id, then the ids in
+    gates, label, children, and per child its id and tag) is read with one
+    type test; a field that fails it gets its JSON path, and _want or the
+    tag rule raises the SchemaError naming it.  Labels of kinds without
+    fields come from _PLAIN_LABELS, any other from _label_from_json."""
+    gid = entry.get("id") if type(entry) is dict else None
+    if type(gid) is not int:
+        _want(entry, "id", int, f"$.gates[{i}]")
+    if gid in gates:
+        raise SchemaError(f"$.gates[{i}].id", f"duplicate gate id {gid}")
+    label = entry.get("label")
+    if type(label) is not dict:
+        _want(entry, "label", dict, f"$.gates[{i}]")
     kind = label.get("kind")
     lab = _PLAIN_LABELS.get(kind) if type(kind) is str else None
     if lab is None:
         lab = _label_from_json(label, fld, f"$.gates[{i}].label")
+    raw = entry.get("children")
+    if type(raw) is not list:
+        _want(entry, "children", list, f"$.gates[{i}]")
     kids = []
     for ch in raw:
-        if type(ch) is not dict:
-            return None
-        cid, tag = ch.get("id"), ch.get("tag")
-        if type(cid) is not int or not (tag is None or type(tag) is str):
-            return None
+        cid = ch.get("id") if type(ch) is dict else None
+        if type(cid) is not int:
+            _want(ch, "id", int, f"$.gates[{i}].children[{len(kids)}]")
+        tag = ch.get("tag")
+        if tag is not None and type(tag) is not str:
+            raise SchemaError(f"$.gates[{i}].children[{len(kids)}].tag", "tag must be a string")
         kids.append((cid, tag))
     return gid, lab, kids
-
-
-def _gate_from_json(entry, i: int, fld: Field, gates: dict) -> tuple:
-    """The i-th entry of "gates" as (id, label, children as (id, tag)
-    pairs), each field checked in file order against the schema and the
-    ids in gates, with a SchemaError naming the path of the first fault."""
-    path = f"$.gates[{i}]"
-    gid = _want(entry, "id", int, path)
-    if gid in gates:
-        raise SchemaError(f"{path}.id", f"duplicate gate id {gid}")
-    label = _label_from_json(_want(entry, "label", dict, path), fld, f"{path}.label")
-    kids = []
-    for j, ch in enumerate(_want(entry, "children", list, path)):
-        cpath = f"{path}.children[{j}]"
-        cid = _want(ch, "id", int, cpath)
-        tag = ch.get("tag")
-        if tag is not None and not isinstance(tag, str):
-            raise SchemaError(f"{cpath}.tag", "tag must be a string")
-        kids.append((cid, tag))
-    return gid, label, kids
 
 
 def deserialize(text: str) -> Circuit:
     """The circuit a serialize text describes.  Any JSON object with the
     schema's fields is read, whatever its key order, spacing, gate order
-    and child order; each gate's children are sorted once, into the
-    circuit's wire order.  A field of the wrong type raises SchemaError
-    naming its JSON path (JSON true and false are not ints), as does a
-    circuit the Circuit constructor would refuse."""
+    and child order; _gate_from_json reads each gate, and its children are
+    sorted once, into the circuit's wire order.  A field of the wrong type
+    raises SchemaError naming its JSON path (JSON true and false are not
+    ints), as does a circuit the Circuit constructor would refuse."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -738,7 +722,7 @@ def deserialize(text: str) -> Circuit:
     gates = {}
     wires = {}
     for i, entry in enumerate(_want(doc, "gates", list, "$")):
-        gid, lab, kids = _typed_gate(entry, i, fld, gates) or _gate_from_json(entry, i, fld, gates)
+        gid, lab, kids = _gate_from_json(entry, i, fld, gates)
         gates[gid] = lab
         wires[gid] = _sorted_wires(kids)
     output = _want(doc, "output", int, "$")

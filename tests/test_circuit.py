@@ -152,6 +152,35 @@ def test_build_hands_over_sorted_wires():
     assert len(built.gates) == len(built.wires) == out + 1
 
 
+def test_build_takes_a_gate_added_without_wires():
+    b = CircuitBuilder(QQ, ["x", "y"])
+    x = b.add(input_label("x"))
+    b.gates[1] = input_label("y")
+    c = b.build(x)
+    assert c.wires == {0: (), 1: ()}
+    assert c._gate_index is None
+
+
+@pytest.mark.parametrize("children, message", [
+    ([(0, "a", "junk")], r"child \(0, 'a', 'junk'\) is neither an id nor an"),
+    ([1.5], "child 1.5 is neither an id nor an"),
+    (5, "children 5 are not a list"),
+    ([(0, 7), (0, "a")], r"children \[\(0, 7\), \(0, 'a'\)\] have ids or tags of types"),
+])
+def test_add_refuses_children_as_the_constructor(children, message):
+    b = CircuitBuilder(QQ, ["x"])
+    x = b.add(input_label("x"))
+    lab = psum(QQ.of(1), {"a": QQ.of(1)})
+    before = (dict(b.gates), dict(b.wires), dict(b._made))
+    with pytest.raises(CircuitError, match=f"gate 1: {message}") as added:
+        b.add(lab, children)
+    with pytest.raises(CircuitError) as made:
+        Circuit(QQ, ["x"], {x: input_label("x"), 1: lab}, {1: children}, 1)
+    assert str(added.value) == str(made.value)
+    assert (b.gates, b.wires, b._made) == before
+    assert b.add(lab, [(x, "a")]) == 1
+
+
 def test_wire_to_missing_child():
     with pytest.raises(CircuitError, match="gate 1: child 5 is not a gate"):
         Circuit(QQ, ["x"], {0: input_label("x"), 1: ADD}, {1: [0, 5]}, 1)
@@ -547,6 +576,80 @@ def test_deserialize_rejects_booleans_as_integers(path):
     with pytest.raises(SchemaError, match="expected int, got bool") as exc:
         deserialize(json.dumps(doc))
     assert exc.value.path == path
+
+
+def _psum_doc() -> dict:
+    """A psum gate over input x, tagged "a", with a constant 1 gate before it."""
+    return {"field": "Q", "variables": ["x"], "output": 2, "gates": [
+        {"id": 0, "label": {"kind": "const", "value": "1"}, "children": []},
+        {"id": 1, "label": {"kind": "input", "var": "x"}, "children": []},
+        {"id": 2, "label": {"kind": "psum", "c": "1", "parts": {"a": "1"}},
+         "children": [{"id": 1, "tag": "a"}]}]}
+
+
+_DROP = object()   # as a _MALFORMED_GATES value: delete the field
+
+# One case per field of a gate entry: (keys from _psum_doc down to the
+# field, its new value or _DROP, the SchemaError's path and message).
+_MALFORMED_GATES = {
+    "entry_not_an_object": (("gates", 1), [], "$.gates[1]", "expected object, got list"),
+    "id_missing": (("gates", 1, "id"), _DROP, "$.gates[1].id", "missing"),
+    "id_str": (("gates", 1, "id"), "1", "$.gates[1].id", "expected int, got str"),
+    "id_bool": (("gates", 1, "id"), True, "$.gates[1].id", "expected int, got bool"),
+    "id_duplicate": (("gates", 1, "id"), 0, "$.gates[1].id", "duplicate gate id 0"),
+    "label_missing": (("gates", 1, "label"), _DROP, "$.gates[1].label", "missing"),
+    "label_list": (("gates", 1, "label"), [], "$.gates[1].label", "expected dict, got list"),
+    "kind_missing": (("gates", 1, "label", "kind"), _DROP, "$.gates[1].label.kind", "missing"),
+    "kind_int": (("gates", 1, "label", "kind"), 3, "$.gates[1].label.kind",
+                 "expected str, got int"),
+    "var_int": (("gates", 1, "label", "var"), 3, "$.gates[1].label.var", "expected str, got int"),
+    "value_int": (("gates", 0, "label", "value"), 1, "$.gates[0].label.value",
+                  "expected str, got int"),
+    "value_zero_denominator": (("gates", 0, "label", "value"), "1/0", "$.gates[0].label",
+                               "Fraction(1, 0)"),
+    "parts_list": (("gates", 2, "label", "parts"), [], "$.gates[2].label.parts",
+                   "expected dict, got list"),
+    "weight_not_a_number": (("gates", 2, "label", "parts", "a"), "x", "$.gates[2].label",
+                            "Invalid literal for Fraction: 'x'"),
+    "children_missing": (("gates", 2, "children"), _DROP, "$.gates[2].children", "missing"),
+    "children_dict": (("gates", 2, "children"), {}, "$.gates[2].children",
+                      "expected list, got dict"),
+    "child_int": (("gates", 2, "children", 0), 1, "$.gates[2].children[0]",
+                  "expected object, got int"),
+    "child_id_missing": (("gates", 2, "children", 0, "id"), _DROP, "$.gates[2].children[0].id",
+                         "missing"),
+    "child_id_float": (("gates", 2, "children", 0, "id"), 1.0, "$.gates[2].children[0].id",
+                       "expected int, got float"),
+    "child_id_bool": (("gates", 2, "children", 0, "id"), True, "$.gates[2].children[0].id",
+                      "expected int, got bool"),
+    "tag_int": (("gates", 2, "children", 0, "tag"), 7, "$.gates[2].children[0].tag",
+                "tag must be a string"),
+    "second_child_id_float": (("gates", 2, "children"), [{"id": 1, "tag": "a"}, {"id": 1.5}],
+                              "$.gates[2].children[1].id", "expected int, got float"),
+    "second_child_tag_int": (("gates", 2, "children"), [{"id": 1, "tag": "a"}, {"id": 0, "tag": 7}],
+                             "$.gates[2].children[1].tag", "tag must be a string"),
+    # the constructor's refusals, reported at $.gates
+    "unknown_kind": (("gates", 2, "label", "kind"), "xor", "$.gates",
+                     "gate 2: unknown label kind 'xor'"),
+    "tag_on_add_wire": (("gates", 2, "label"), {"kind": "add"}, "$.gates",
+                        "gate 2: wire from 1 has tag 'a', but only psum/pprod wires are tagged"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_GATES))
+def test_deserialize_names_the_faulty_field(case):
+    keys, value, path, message = _MALFORMED_GATES[case]
+    doc = _psum_doc()
+    obj = doc
+    for key in keys[:-1]:
+        obj = obj[key]
+    if value is _DROP:
+        del obj[keys[-1]]
+    else:
+        obj[keys[-1]] = value
+    with pytest.raises(SchemaError) as exc:
+        deserialize(json.dumps(doc))
+    assert (exc.value.path, str(exc.value)) == (path, f"{path}: {message}")
 
 
 def test_export_dot_mentions_gates():

@@ -1,7 +1,8 @@
 """Property tests: serialize / deserialize round-trips random circuits,
 including gates that read a child several times and gates that share a
-label and children (deserialize keeps them apart), and serialize writes
-the bytes of the dict-document encoder it replaced (serialize_oracle)."""
+label and children (deserialize keeps them apart), serialize writes the
+bytes of the dict-document encoder it replaced (serialize_oracle), and
+CircuitBuilder makes the wires the Circuit constructor makes."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from symcirc import (  # noqa: E402
     QQ,
     Circuit,
     CircuitBuilder,
+    CircuitError,
     const,
     deserialize,
     expand_to_threshold,
@@ -105,3 +107,43 @@ def test_serialize_matches_oracle_on_lowering_stages(c, data):
         text = serialize(stage)
         assert text == serialize_oracle(stage)
         assert serialize(deserialize(text)) == text
+
+
+@st.composite
+def raw_children(draw, ids, tags):
+    """A child list over ids, repeats allowed: each child an int, an (id,
+    tag) tuple or an [id, tag] list, an untagged child in any of the three."""
+    kids = []
+    for c in draw(st.lists(st.sampled_from(ids), min_size=1, max_size=5)):
+        tag = draw(st.sampled_from(tags))
+        form = draw(st.sampled_from((tuple, list) if tag is not None else (int, tuple, list)))
+        kids.append(c if form is int else form((c, tag)))
+    return kids
+
+
+def _wires_or_error(make):
+    try:
+        return make().wires
+    except CircuitError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_build_makes_the_constructors_wires(data):
+    """b.build gives the wires Circuit gives for the raw children add took,
+    or the same CircuitError: a psum child may be tagged None and a str
+    on one id, which sorts but breaks the label's rule."""
+    variables = ["x", "y", "z"]
+    b = CircuitBuilder(QQ, variables)
+    ids = [b.add(input_label(v)) for v in variables]
+    raw = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        lab = data.draw(st.sampled_from((ADD, MUL, psum(QQ.of(1), {"a": QQ.of(1), "b": QQ.of(2)}))))
+        kids = data.draw(raw_children(ids, (None,) if lab.kind != "psum" else (None, "a", "b")))
+        g = b.add(lab, kids)
+        if g == len(ids):   # a new gate, not one add already made
+            ids.append(g)
+            raw[g] = kids
+    built = _wires_or_error(lambda: b.build(ids[-1]))
+    assert built == _wires_or_error(lambda: Circuit(QQ, variables, b.gates, raw, ids[-1]))

@@ -610,10 +610,15 @@ def test_cfi_experiment_rejects_wl_dimension_before_counting(capsys, monkeypatch
     assert err == "error: k must be 1, 2, or 3\n"
 
 
+def readme_block(section: str, lang: str) -> str:
+    """The first ```lang block of README's section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(f"## {section}", 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_commands() -> list:
     """The symcirc lines of README's command-line block, in order."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_block("Command line", "sh")
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("symcirc ")]
 
 
@@ -627,3 +632,9 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         code, report, err = invoke(capsys, *argv)
         assert code == 0, (argv, err)
         assert report["command"], argv
+
+
+def test_readme_python_api_runs(capsys):
+    # the block runs as written and prints the values its comments state
+    exec(readme_block("Python API", "python"), {})
+    assert capsys.readouterr().out.splitlines() == ["-2", "23680", "23552", "True"]
