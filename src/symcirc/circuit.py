@@ -658,7 +658,8 @@ def _label_from_json(obj, fld: Field, path: str) -> GateLabel:
             return GateLabel(kind, k=_want(obj, "k", int, path))
         if kind in ("psum", "pprod"):
             c = fld.of(_want(obj, "c", str, path))
-            parts = {t: fld.of(q) for t, q in _want(obj, "parts", dict, path).items()}
+            raw = _want(obj, "parts", dict, path)
+            parts = {t: fld.of(_want(raw, t, str, f"{path}.parts")) for t in raw}
             return GateLabel(kind, c=c, parts=_parts_tuple(parts))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(path, str(exc)) from None

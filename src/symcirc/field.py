@@ -1,8 +1,14 @@
 """Exact scalar arithmetic over the rationals and over prime fields.
 
-Values are immutable and always normalized: rationals in lowest terms with a
-positive denominator, prime-field elements as representatives in [0, p).
-Mixing values from different fields raises FieldMismatchError.
+A field element is an immutable (num, den) tuple of the FieldValue subclass
+made once for its field's modulus, so values are built and hashed by tuple
+code, and a dict keyed by values calls FieldValue.__eq__ only when a lookup
+meets an equal key that is another object.  Values are always normalized:
+rationals in lowest terms with a positive denominator, prime-field elements
+as representatives in [0, p) over 1.  Values are equal only within one
+field, and mixing fields in arithmetic raises FieldMismatchError.  To len,
+iteration and json.dumps a value is the pair (num, den); str(value) is its
+written form.
 """
 
 from __future__ import annotations
@@ -10,8 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 from .errors import FieldMismatchError
+
+_new = tuple.__new__
+_VALUE_CLASSES = {}   # modulus, None for Q -> the FieldValue subclass of that field
 
 
 def _is_prime(p: int) -> bool:
@@ -29,16 +39,26 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """Field descriptor: the rationals when ``p`` is None, otherwise F_p."""
+    """Field descriptor: the rationals when ``p`` is None, otherwise F_p.
+    Every Field with one ``p`` makes values of one FieldValue subclass,
+    whose class attribute ``field`` is the first such Field made."""
 
     p: int | None = None
 
     def __post_init__(self):
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
+        cls = _VALUE_CLASSES.get(self.p)
+        if cls is None:
+            cls = _VALUE_CLASSES[self.p] = type("FieldValue", (FieldValue,),
+                                                {"__slots__": (), "field": self})
+        object.__setattr__(self, "_values", cls)
         # values are immutable, so every caller shares one zero and one one
-        object.__setattr__(self, "_zero", FieldValue(self, 0, 1))
-        object.__setattr__(self, "_one", FieldValue(self, 1, 1))
+        object.__setattr__(self, "_zero", _new(cls, (0, 1)))
+        object.__setattr__(self, "_one", _new(cls, (1, 1)))
+
+    def __reduce__(self):
+        return Field, (self.p,)
 
     @property
     def char(self) -> int:
@@ -58,7 +78,7 @@ class Field:
     def of(self, value) -> "FieldValue":
         """Coerce an int, Fraction, FieldValue or decimal/fraction string."""
         if isinstance(value, FieldValue):
-            if value.field != self:
+            if type(value) is not self._values:
                 raise FieldMismatchError(f"{value} is not in {self.name()}")
             return value
         if isinstance(value, str):
@@ -68,12 +88,12 @@ class Field:
         if not isinstance(value, Fraction):
             raise TypeError(f"cannot coerce {value!r} into {self.name()}")
         if self.p is None:
-            return FieldValue(self, value.numerator, value.denominator)
+            return _new(self._values, (value.numerator, value.denominator))
         den = value.denominator % self.p
         if den == 0:
             raise ZeroDivisionError(f"denominator divisible by {self.p}")
         num = value.numerator % self.p
-        return FieldValue(self, num * pow(den, -1, self.p) % self.p, 1)
+        return _new(self._values, (num * pow(den, -1, self.p) % self.p, 1))
 
     def zero(self) -> "FieldValue":
         return self._zero
@@ -82,57 +102,67 @@ class Field:
         return self._one
 
 
-@dataclass(frozen=True)
-class FieldValue:
-    """A field element as a normalized numerator/denominator pair.
+class FieldValue(tuple):
+    """A field element: the normalized pair (num, den), of the subclass its
+    Field made, which holds that Field as ``field``.  Prime-field elements
+    keep den == 1.  Values are made by Field.of and the arithmetic."""
 
-    Prime-field elements keep den == 1.  Construct through Field.of rather
-    than directly so normalization is guaranteed.
-    """
-
+    __slots__ = ()
     field: Field
-    num: int
-    den: int = 1
+    num = property(itemgetter(0))
+    den = property(itemgetter(1))
+    # equal values of different fields share a hash, but not a class
+    __hash__ = tuple.__hash__
 
-    # Hash on (num, den) alone: the generated hash would rebuild a tuple
-    # holding the Field on every call.  Equal values of different fields
-    # share a hash but stay unequal.
     def __eq__(self, other) -> bool:
-        if not isinstance(other, FieldValue):
-            return NotImplemented
-        return (self.num == other.num and self.den == other.den
-                and (self.field is other.field or self.field == other.field))
+        return type(other) is type(self) and self[0] == other[0] and self[1] == other[1]
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
+    def __ne__(self, other) -> bool:   # tuple's own would compare pairs
+        return not self == other
 
-    def _check(self, other: "FieldValue"):
+    # raise, not NotImplemented, which would let the tuple operation run
+    def _not_a_tuple(self, other):
+        raise TypeError(f"{self!r} has no order, concatenation or repetition")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __radd__ = __rmul__ = _not_a_tuple
+
+    def __reduce__(self):
+        return Field.of, (self.field, str(self))
+
+    def _refuse(self, other):
+        """Raise for an operand that is not a value of this field."""
         if not isinstance(other, FieldValue):
             raise TypeError(f"expected FieldValue, got {other!r}")
-        if other.field is not self.field and other.field != self.field:
-            raise FieldMismatchError(
-                f"cannot mix {self.field.name()} and {other.field.name()}"
-            )
+        raise FieldMismatchError(f"cannot mix {self.field.name()} and {other.field.name()}")
 
     def __add__(self, other: "FieldValue") -> "FieldValue":
-        self._check(other)
-        if self.field.p is not None:
-            return FieldValue(self.field, (self.num + other.num) % self.field.p, 1)
-        return _mk(self.field, self.num * other.den + other.num * self.den, self.den * other.den)
+        if type(other) is not type(self):
+            self._refuse(other)
+        p = self.field.p
+        if p is not None:
+            return _new(type(self), ((self[0] + other[0]) % p, 1))
+        a, b = self
+        c, d = other
+        return _mk(type(self), a * d + c * b, b * d)
 
     def __sub__(self, other: "FieldValue") -> "FieldValue":
         return self + (-other)
 
     def __neg__(self) -> "FieldValue":
-        if self.field.p is not None:
-            return FieldValue(self.field, (-self.num) % self.field.p, 1)
-        return FieldValue(self.field, -self.num, self.den)
+        p = self.field.p
+        if p is not None:
+            return _new(type(self), (-self[0] % p, 1))
+        return _new(type(self), (-self[0], self[1]))
 
     def __mul__(self, other: "FieldValue") -> "FieldValue":
-        self._check(other)
-        if self.field.p is not None:
-            return FieldValue(self.field, (self.num * other.num) % self.field.p, 1)
-        return _mk(self.field, self.num * other.num, self.den * other.den)
+        if type(other) is not type(self):
+            self._refuse(other)
+        p = self.field.p
+        if p is not None:
+            return _new(type(self), (self[0] * other[0] % p, 1))
+        a, b = self
+        c, d = other
+        return _mk(type(self), a * c, b * d)
 
     def __truediv__(self, other: "FieldValue") -> "FieldValue":
         return self * other.inverse()
@@ -140,9 +170,10 @@ class FieldValue:
     def inverse(self) -> "FieldValue":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.field.p is not None:
-            return FieldValue(self.field, pow(self.num, -1, self.field.p), 1)
-        return _mk(self.field, self.den, self.num)
+        p = self.field.p
+        if p is not None:
+            return _new(type(self), (pow(self[0], -1, p), 1))
+        return _mk(type(self), self[1], self[0])
 
     def scaled(self, n: int) -> "FieldValue":
         """self multiplied by the integer n (n reduced into the field first)."""
@@ -162,23 +193,21 @@ class FieldValue:
         return out
 
     def is_zero(self) -> bool:
-        return self.num == 0
+        return self[0] == 0
 
     def is_one(self) -> bool:
-        return self.num == self.den
+        return self[0] == self[1]
 
     def sort_key(self):
         if self.field.p is not None:
-            return self.num
-        return Fraction(self.num, self.den)
+            return self[0]
+        return Fraction(*self)
 
     def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
+        return Fraction(*self)
 
     def __str__(self) -> str:
-        if self.den == 1:
-            return str(self.num)
-        return f"{self.num}/{self.den}"
+        return str(self[0]) if self[1] == 1 else f"{self[0]}/{self[1]}"
 
     def __repr__(self) -> str:
         return f"<{self} in {self.field.name()}>"
@@ -191,7 +220,8 @@ def GF(p: int) -> Field:
     return Field(p)
 
 
-def _mk(field: Field, num: int, den: int) -> FieldValue:
+def _mk(cls: type, num: int, den: int) -> FieldValue:
+    """The rational num/den as a value of class cls, in lowest terms."""
     if den == 0:
         raise ZeroDivisionError("zero denominator")
     if den < 0:
@@ -200,4 +230,4 @@ def _mk(field: Field, num: int, den: int) -> FieldValue:
     if g > 1:
         num //= g
         den //= g
-    return FieldValue(field, num, den)
+    return _new(cls, (num, den))

@@ -611,6 +611,16 @@ _MALFORMED_GATES = {
                    "expected dict, got list"),
     "weight_not_a_number": (("gates", 2, "label", "parts", "a"), "x", "$.gates[2].label",
                             "Invalid literal for Fraction: 'x'"),
+    "weight_list": (("gates", 2, "label", "parts", "a"), [], "$.gates[2].label.parts.a",
+                    "expected str, got list"),
+    "weight_float": (("gates", 2, "label", "parts", "a"), 1.5, "$.gates[2].label.parts.a",
+                     "expected str, got float"),
+    "weight_null": (("gates", 2, "label", "parts", "a"), None, "$.gates[2].label.parts.a",
+                    "expected str, got NoneType"),
+    "weight_int": (("gates", 2, "label", "parts", "a"), 1, "$.gates[2].label.parts.a",
+                   "expected str, got int"),
+    "weight_bool": (("gates", 2, "label", "parts", "a"), True, "$.gates[2].label.parts.a",
+                    "expected str, got bool"),
     "children_missing": (("gates", 2, "children"), _DROP, "$.gates[2].children", "missing"),
     "children_dict": (("gates", 2, "children"), {}, "$.gates[2].children",
                       "expected list, got dict"),

@@ -498,6 +498,16 @@ def test_malformed_circuit_file_exits_2(tmp_path, capsys, case, command):
     assert not (tmp_path / "low.json").exists()
 
 
+@pytest.mark.parametrize("weight", [[], 1.5, None, 1, True], ids=repr)
+def test_part_weight_that_is_not_a_string_exits_2(tmp_path, capsys, weight):
+    path = tmp_path / "weight.json"
+    gates = [_gate(0, _X), _gate(1, {"kind": "psum", "c": "1", "parts": {"a": weight}}, (0, "a"))]
+    path.write_text(json.dumps({"field": "Q", "variables": ["x"], "gates": gates, "output": 1}))
+    code, rep, err = invoke(capsys, "eval", "--circuit", str(path), "--assign", "x=1")
+    assert (code, rep) == (2, None)
+    assert err == f"error: $.gates[1].label.parts.a: expected str, got {type(weight).__name__}\n"
+
+
 @pytest.mark.parametrize("command, group, doc", [
     ("check-sym", None, [["x_1_1", "x_2_2"]]),  # a JSON list, not an object
     ("check-sym", None, {"blocks": [1, 2]}),

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from symcirc import GF, QQ, Field, FieldMismatchError
+from symcirc import GF, QQ, Circuit, Field, FieldMismatchError, leverrier_det_circuit, serialize
 
 
 def test_rational_field_basics():
@@ -122,3 +124,49 @@ def test_equal_values_of_different_fields_stay_apart():
     seen = {three_f5, three_q, GF(5).of(8), QQ.of("6/2"), GF(7).of(3)}
     assert seen == {three_f5, three_q, GF(7).of(3)}
     assert len(seen) == 3
+
+
+_CLONES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda x: pickle.loads(pickle.dumps(x))}
+
+
+@pytest.mark.parametrize("obj", [QQ.of("-3/4"), GF(7).of(3), QQ, GF(7)], ids=repr)
+@pytest.mark.parametrize("clone", _CLONES.values(), ids=list(_CLONES))
+def test_values_and_fields_copy_and_pickle(obj, clone):
+    twin = clone(obj)
+    assert type(twin) is type(obj)
+    assert twin == obj
+    assert hash(twin) == hash(obj)
+
+
+@pytest.mark.parametrize("clone", _CLONES.values(), ids=list(_CLONES))
+def test_built_circuit_copies_and_pickles(clone):
+    c = leverrier_det_circuit(3).circuit
+    twin = clone(c)
+    assert type(twin) is Circuit
+    assert serialize(twin) == serialize(c)
+
+
+def test_separately_made_prime_fields_agree():
+    a, b = Field(7), Field(7)
+    assert a.of(3) == b.of(10)
+    assert hash(a.of(3)) == hash(b.of(10))
+    assert len({a.of(3), b.of(3)}) == 1
+    assert a.of(GF(7).of(3)) == b.of(3)
+    assert a.of(3) + b.of(5) == GF(7).one()
+
+
+@pytest.mark.parametrize("op", [lambda v: v < v, lambda v: v <= (3, 1), lambda v: (3, 1) < v,
+                                lambda v: 2 * v, lambda v: v * 2, lambda v: (1,) + v],
+                         ids=["v<v", "v<=pair", "pair<v", "2*v", "v*2", "tuple+v"])
+def test_values_do_not_order_or_repeat(op):
+    with pytest.raises(TypeError):
+        op(QQ.of(3))
+
+
+def test_values_are_not_equal_to_pairs():
+    v = QQ.of(3)
+    assert not v == (3, 1)
+    assert not (3, 1) == v
+    assert v != (3, 1)
+    assert (3, 1) != v
