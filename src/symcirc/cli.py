@@ -70,46 +70,23 @@ def _load_circuit(path: str):
     return deserialize(_read(path))
 
 
-def _size(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise ValueError(f"size {n} is below 1")
-    return n
-
-
 def _parse_group(text: str):
     kind, _, rest = text.partition(":")
-    try:
-        if kind == "square":
-            return Square(_size(rest))
-        if kind == "transpose":
-            return Transpose(_size(rest))
-        if kind == "matrix":
-            m, n = rest.split(",")
-            return Matrix(_size(m), _size(n))
-    except ValueError:
-        raise SymcircError(f"bad group spec {text!r} (sizes are integers >= 1)") from None
+    sized = {"square": Square, "transpose": Transpose, "matrix": Matrix}
+    if kind in sized:
+        try:
+            return sized[kind](*(int(t) for t in rest.split(",")))
+        except (ValueError, TypeError, SymcircError):
+            raise SymcircError(f"bad group spec {text!r} (sizes are integers >= 1)") from None
     if kind == "partition":
         doc = json.loads(_read(rest))
         blocks = doc.get("blocks") if isinstance(doc, dict) else None
-        if not (isinstance(blocks, list)
-                and all(isinstance(b, list) and all(isinstance(v, str) for v in b)
-                        for b in blocks)):
+        if not (isinstance(blocks, list) and all(isinstance(b, list) for b in blocks)):
             raise SymcircError(f"{rest}: expected a JSON object whose 'blocks' "
                                "is a list of lists of variable names")
-        return Partition(tuple(tuple(b) for b in blocks))
+        return Partition(tuple(map(tuple, blocks)))
     raise SymcircError(f"unknown group kind {kind!r} "
                        "(want square:N | matrix:M,N | transpose:N | partition:FILE)")
-
-
-def _group_text(spec) -> str:
-    if isinstance(spec, Square):
-        return f"square:{spec.n}"
-    if isinstance(spec, Transpose):
-        return f"transpose:{spec.n}"
-    if isinstance(spec, Matrix):
-        return f"matrix:{spec.m},{spec.n}"
-    return "partition"
 
 
 def _load_graph(text: str, name=""):
@@ -133,7 +110,7 @@ def _cmd_gen(args) -> int:
     _note(f"wrote {args.kind} circuit for n={args.n} ({stats.gates} gates) to {args.out}")
     _emit({"command": "gen", "kind": args.kind, "n": args.n, "field": fld.name(),
            "gates": stats.gates, "wires": stats.wires, "depth": stats.depth,
-           "circuit": args.out, "group": _group_text(gen.group)})
+           "circuit": args.out, "group": gen.group.text()})
     return 0
 
 

@@ -21,12 +21,12 @@ unavailable and the plain row form is emitted.
 Both are built through the hash-consing CircuitBuilder, so they are rigid:
 a term built twice, such as x_12*x_21 as ("F", 2, 1, 2, 1) and
 ("F", 2, 2, 1, 2), is one gate under two names, and a square reads its
-child twice.  Their witnesses are the group generators: per index set
-(rows, then columns, for the permanent) the transposition (1 2) and the
-cycle (2 3 ... n), plus the transpose map for the determinant, so three
-for det and four for perm at any n >= 3.  Each is a variable permutation
-whose extension to the gates check_symmetric computes, on first use, and
-caches on the circuit.
+child twice.  Each carries its group spec, Transpose(n) or Matrix(n, n),
+whose generators() are its witnesses: per index set (rows, then columns,
+for the permanent) the transposition (1 2) and the cycle (2 3 ... n),
+plus the transpose map for the determinant, so three for det and four
+for perm at any n >= 3.  check_symmetric extends each variable
+permutation to the gates on first use and caches the extension.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class GeneratedCircuit:
 
     @cached_property
     def witnesses(self) -> list:
-        """check_symmetric's witnesses: the group_generators(group) entries,
+        """check_symmetric's witnesses: the group.generators() entries,
         same order, each None where it has no extension."""
         return check_symmetric(self.circuit, self.group).witnesses
 

@@ -10,8 +10,9 @@ pass looks up only gates with a moved child, and its cost follows those
 gates rather than the whole circuit.  find_extension is the one place that
 widens it to a full gate map.  Non-rigid input is rejected with
 CircuitError rather than merged: merging can make a circuit symmetric that
-was not.  The variable permutations that extend form a group, so symmetry
-is checked on generators only: per factor of index points, the
+was not.  Each group spec (Square, Matrix, Transpose, Partition) gives its
+own generators, factors and text.  The variable permutations that extend
+form a group, so symmetry is checked on generators only: per factor, the
 transposition (1 2) and the cycle (2 3 ... n), which generate Sym(n) at
 any n, plus the transpose map (for a Partition, the same pair per block).
 orbits extends each permutation it is given and closes the orbits over the
@@ -50,33 +51,88 @@ def matrix_variables(m: int, n: int | None = None) -> list:
 # Group specifications
 
 
+class _IndexAction:
+    """A group acting on matrix index points; its fields are sizes, ints >= 1.
+    factors() gives (tag, size, make) per factor, rows before columns: tag
+    is None for the diagonal action and "r"/"c" for rows/columns, and
+    make(perm) is the variable permutation of a permutation of 1..size."""
+
+    def __post_init__(self):
+        for size in vars(self).values():
+            if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+                raise CircuitError(f"bad group spec {self!r} (sizes are integers >= 1)")
+
+    def generators(self) -> list:
+        """Per factor in order, (1 2) and, from three points on, (2 3 ... n)."""
+        return [make(perm) for _tag, size, make in self.factors()
+                for perm in _generating_pair(range(1, size + 1))]
+
+
 @dataclass(frozen=True)
-class Square:
+class Square(_IndexAction):
     """Sym([n]) acting diagonally: x_ij -> x_{s(i)s(j)}."""
 
     n: int
 
+    def factors(self) -> list:
+        return [(None, self.n, lambda perm: diagonal_sigma(self.n, perm))]
+
+    def text(self) -> str:
+        return f"square:{self.n}"
+
 
 @dataclass(frozen=True)
-class Matrix:
+class Matrix(_IndexAction):
     """Sym([m]) x Sym([n]): rows and columns permuted independently."""
 
     m: int
     n: int
 
+    def factors(self) -> list:
+        return [("r", self.m, lambda perm: row_sigma(self.m, self.n, perm)),
+                ("c", self.n, lambda perm: col_sigma(self.m, self.n, perm))]
+
+    def text(self) -> str:
+        return f"matrix:{self.m},{self.n}"
+
 
 @dataclass(frozen=True)
-class Transpose:
+class Transpose(_IndexAction):
     """Group generated by the diagonal action of Sym([n]) and x_ij -> x_ji."""
 
     n: int
+    factors = Square.factors
+
+    def generators(self) -> list:
+        return super().generators() + [transpose_sigma(self.n)]
+
+    def text(self) -> str:
+        return f"transpose:{self.n}"
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Product of symmetric groups, one per block of variable ids."""
+    """Product of symmetric groups, one per block of variable ids: parts is
+    a tuple of tuples of str, with no variable in two places."""
 
     parts: tuple
+
+    def __post_init__(self):
+        nested = isinstance(self.parts, tuple) and all(isinstance(b, tuple) for b in self.parts)
+        names = [v for b in self.parts for v in b] if nested else [None]
+        if not all(isinstance(v, str) for v in names) or len(set(names)) < len(names):
+            raise CircuitError(f"bad group spec {self!r} (parts are tuples of distinct str)")
+
+    def factors(self) -> list:
+        raise CircuitError(f"{self!r} has no index points; supports are defined "
+                           "for Square, Transpose and Matrix groups")
+
+    def generators(self) -> list:
+        """(b1 b2) and the cycle (b2 ... bk) of each block (b1 ... bk)."""
+        return [gen for block in self.parts for gen in _generating_pair(block)]
+
+    def text(self) -> str:
+        return "partition"
 
 
 def _matrix_sigma(m: int, n: int, f) -> dict:
@@ -105,20 +161,6 @@ def transpose_sigma(n: int) -> dict:
     return _matrix_sigma(n, n, lambda i, j: (j, i))
 
 
-def _factors(spec) -> list:
-    """(tag, size, make) per factor of the group's action on index points,
-    rows before columns: tag is None for the diagonal action and "r"/"c"
-    for rows/columns, and make(perm) is the variable permutation of a
-    permutation of that factor's points 1..size."""
-    if isinstance(spec, (Square, Transpose)):
-        return [(None, spec.n, lambda perm: diagonal_sigma(spec.n, perm))]
-    if isinstance(spec, Matrix):
-        return [("r", spec.m, lambda perm: row_sigma(spec.m, spec.n, perm)),
-                ("c", spec.n, lambda perm: col_sigma(spec.m, spec.n, perm))]
-    raise CircuitError(f"{spec!r} has no index points; supports are defined "
-                       "for Square, Transpose and Matrix groups")
-
-
 def _point(tag, a):
     return a if tag is None else (tag, a)
 
@@ -136,20 +178,8 @@ def _generating_pair(points) -> list:
 
 
 def group_generators(spec) -> list:
-    """Variable permutations generating the group, as fresh dicts: per
-    factor of index points, in factor order (rows before columns), the
-    transposition (1 2) and, for three or more points, the cycle
-    (2 3 ... n), plus the transpose map for Transpose specs; for Partition
-    specs, (b1 b2) and the cycle (b2 ... bk) of each block (b1 ... bk).  So
-    a factor needs two generators at any size, and for n <= 3 they are the
-    adjacent transpositions."""
-    if isinstance(spec, Partition):
-        return [gen for block in spec.parts for gen in _generating_pair(block)]
-    gens = [make(perm) for _tag, size, make in _factors(spec)
-            for perm in _generating_pair(range(1, size + 1))]
-    if isinstance(spec, Transpose):
-        gens.append(transpose_sigma(spec.n))
-    return gens
+    """spec.generators(): variable permutations generating the group, fresh dicts."""
+    return spec.generators()
 
 
 def _check_sigma(circuit: Circuit, sigma: dict):
@@ -260,14 +290,14 @@ class SymmetryReport:
 
 
 def check_symmetric(circuit: Circuit, spec) -> SymmetryReport:
-    """Extend every group_generators(spec) entry, in that order, and report
+    """Extend every spec.generators() entry, in that order, and report
     it as its own witness, or None where it has no extension.  The variable
     permutations with an extension form a group (extensions compose and
     invert), so the circuit is symmetric under the whole group iff every
     generator extends.  The extensions stay cached for orbits and supports."""
     witnesses = []
     failed = []
-    for idx, sigma in enumerate(group_generators(spec)):
+    for idx, sigma in enumerate(spec.generators()):
         if _extension(circuit, sigma) is None:
             witnesses.append(None)
             failed.append(idx)
@@ -350,7 +380,7 @@ def _stars(circuit: Circuit, size: int, make) -> dict:
 
 
 def _point_classes(circuit: Circuit, gate: int, spec) -> list:
-    """(tag, classes) per entry of _factors(spec): the classes of ~ on the
+    """(tag, classes) per entry of spec.factors(): the classes of ~ on the
     factor's points 1..size, each ascending, in order of first points.  Each
     point b joins the first class whose first point a has (a b) fixing the
     gate, in O(size * classes) reads.  (a b) is the star (1 b) when a = 1,
@@ -362,10 +392,10 @@ def _point_classes(circuit: Circuit, gate: int, spec) -> list:
         raise CircuitError(f"gate {gate} does not exist")
     _gate_index(circuit)
     if spec not in circuit._stars:
-        circuit._stars[spec] = [(_stars(circuit, size, make), {})
-                                for _tag, size, make in _factors(spec)]
+        circuit._stars[spec] = [(tag, size, make, _stars(circuit, size, make), {})
+                                for tag, size, make in spec.factors()]
     out = []
-    for (tag, size, make), (stars, direct) in zip(_factors(spec), circuit._stars[spec]):
+    for tag, size, make, stars, direct in circuit._stars[spec]:
         classes = []
         for b in range(1, size + 1):
             for cls in classes:

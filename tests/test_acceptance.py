@@ -20,6 +20,7 @@ import pytest
 import matching_oracle
 from extension_oracle import Witness, verify_automorphism
 from matrix_oracle import det_oracle, perm_oracle
+from orbit_bounds import orbit_ratios
 from orientation_oracle import enumerate_orientations
 from symcirc import (
     GF,
@@ -192,16 +193,25 @@ def orbit_cases():
             (leverrier_det_circuit(4, GF(7), allow_positive_char=True), Transpose(4), 24, 4970)]
 
 
+@functools.cache
+def orbit_case_stages():
+    """Per orbit_cases() entry: the entry, then check_symmetric's report and
+    the partition and threshold stages of the lowering with exact value
+    sets and accept {0}."""
+    stages = []
+    for gen, group, orb, gates in orbit_cases():
+        rep = check_symmetric(gen.circuit, group)
+        low = lower_to_partition_basis(gen.circuit, {0}, value_sets(gen.circuit, "exact"))
+        stages.append((gen, group, orb, gates, rep, low, expand_to_threshold(low)))
+    return stages
+
+
 def test_06_orbit_preservation():
     """Largest orbit is unchanged through both lowering stages, and both
     stages are verified exhaustively; expanded gate counts are frozen, and
     no AND gate has a single child."""
-    for gen, group, orb, gates in orbit_cases():
-        rep = check_symmetric(gen.circuit, group)
+    for gen, group, orb, gates, rep, low, exp in orbit_case_stages():
         assert rep.symmetric
-        vs = value_sets(gen.circuit, "exact")
-        low = lower_to_partition_basis(gen.circuit, {0}, vs)
-        exp = expand_to_threshold(low)
         assert len(exp.circuit.gates) == gates
         assert not [g for g, lab in exp.circuit.gates.items()
                     if lab == AND and len(exp.circuit.wires[g]) == 1]
@@ -213,6 +223,19 @@ def test_06_orbit_preservation():
     print("PASS orbit preservation: perm n=2, 3 over Q and F_3, det n=3 over Q and "
           "F_5, perm n=4 over F_3 and det n=4 over F_5 and F_7 keep ORB at all "
           "three stages, both verified")
+
+
+def test_06_orbits_within_the_young_bounds():
+    """On every gate of all three stages, the orbit lies between the Young
+    bounds of the gate's point classes, and sits at the upper end, except
+    under Transpose, where as many gates as measured sit at twice it."""
+    doubled = {Transpose(3): [12, 24, 108], Transpose(4): [24, 48, 216]}
+    for gen, group, _orb, _gates, rep, low, exp in orbit_case_stages():
+        ratios = [orbit_ratios(c, group, rep.witnesses)
+                  for c in (gen.circuit, low.circuit, exp.circuit)]
+        assert all(set(r) <= {1, 2} for r in ratios), group
+        assert [r[2] for r in ratios] == doubled.get(group, [0, 0, 0]), group
+    print("PASS Young bounds: every gate of every stage of the eight lowerings")
 
 
 def test_06_threshold_stage_has_no_orphans():

@@ -24,8 +24,8 @@ from symcirc import (
     lowering,
     serialize,
 )
-from symcirc.cli import _build_parser, run
-from symcirc.symmetry import matrix_var, matrix_variables
+from symcirc.cli import _build_parser, _parse_group, run
+from symcirc.symmetry import Matrix, Square, Transpose, matrix_var, matrix_variables
 
 
 def invoke(capsys, *argv):
@@ -64,6 +64,21 @@ def test_gen_perm(tmp_path, capsys):
     assert code == 0
     assert rep["gates"] == 26
     assert rep["group"] == "matrix:2,2"
+
+
+def test_group_text_is_read_back():
+    specs = ([cls(n) for cls in (Square, Transpose) for n in range(1, 5)]
+             + [Matrix(m, n) for m in range(1, 5) for n in range(1, 5)])
+    for spec in specs:
+        assert _parse_group(spec.text()) == spec
+
+
+@pytest.mark.parametrize("kind", ["det", "perm"])
+def test_gen_group_is_read_back_by_check_sym(tmp_path, capsys, kind):
+    out = tmp_path / f"{kind}3.json"
+    _code, rep, _ = invoke(capsys, "gen", kind, "--n", "3", "--out", str(out))
+    code, check, _ = invoke(capsys, "check-sym", "--circuit", str(out), "--group", rep["group"])
+    assert (code, check["symmetric"], check["group"]) == (0, True, rep["group"])
 
 
 def test_gen_det_over_fp_needs_p_above_n(tmp_path, capsys):
@@ -515,6 +530,8 @@ def test_part_weight_that_is_not_a_string_exits_2(tmp_path, capsys, weight):
     ("check-sym", "square:0", None),
     ("check-sym", "transpose:0", None),
     ("check-sym", "matrix:2,0", None),
+    ("check-sym", None, {"blocks": [["x_1_1", "x_1_2"], ["x_1_2", "x_2_1"]]}),
+    ("check-sym", None, {"blocks": [["x_1_1", "x_1_1"]]}),
 ])
 def test_bad_group_exits_2(tmp_path, capsys, command, group, doc):
     det = tmp_path / "det2.json"

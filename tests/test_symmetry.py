@@ -9,6 +9,7 @@ import pytest
 
 from extension_oracle import Witness, all_transpositions, verify_automorphism
 from extension_oracle import bad_pairs as oracle_bad_pairs
+from orbit_bounds import orbit_ratios
 from symcirc import (
     ADD,
     GF,
@@ -32,7 +33,6 @@ from symcirc import (
     ryser_perm_circuit,
 )
 from symcirc.symmetry import (
-    _factors,
     _gate_index,
     _moved_gates,
     _stars,
@@ -135,6 +135,39 @@ SMALL_SPECS = ([cls(n) for cls in (Square, Transpose) for n in (1, 2, 3)]
 def test_generators_up_to_three_points_are_adjacent_transpositions(spec):
     # so lowering, whose groups have n <= 3, extends the same witnesses
     assert group_generators(spec) == adjacent_transpositions(spec)
+
+
+BAD_SPECS = [
+    pytest.param(Square, (0,), id="Square(0)"),
+    pytest.param(Square, (-1,), id="Square(-1)"),
+    pytest.param(Square, (True,), id="Square(True)"),
+    pytest.param(Square, (2.5,), id="Square(2.5)"),
+    pytest.param(Transpose, (0,), id="Transpose(0)"),
+    pytest.param(Matrix, (0, 3), id="Matrix(0,3)"),
+    pytest.param(Partition, ((("x_1_1", "x_1_2"), ("x_1_2", "x_2_1")),), id="overlapping-blocks"),
+    pytest.param(Partition, ((("x_1_1", "x_1_1"),),), id="repeated-variable"),
+    pytest.param(Partition, ([["x_1_1", "x_2_2"]],), id="list-blocks"),
+    pytest.param(Partition, (((1, 2),),), id="int-variables"),
+]
+
+
+@pytest.mark.parametrize("cls, args", BAD_SPECS)
+def test_bad_spec_is_refused_where_it_is_made(cls, args):
+    # sizes are ints >= 1 and not bool; parts are tuples of str, no
+    # variable in two places; anything else would be answered as a group
+    with pytest.raises(CircuitError, match="bad group spec"):
+        cls(*args)
+
+
+def test_spec_factors_and_text():
+    assert [(tag, size) for tag, size, _make in Matrix(2, 3).factors()] == [("r", 2), ("c", 3)]
+    assert [(tag, size) for tag, size, _make in Transpose(4).factors()] == [(None, 4)]
+    assert Square(4).factors()[0][2]({1: 2, 2: 1}) == diagonal_sigma(4, {1: 2, 2: 1})
+    assert [Square(2).text(), Transpose(3).text(), Matrix(2, 5).text()] == [
+        "square:2", "transpose:3", "matrix:2,5"]
+    assert Partition((("u", "v"),)).text() == "partition"
+    with pytest.raises(CircuitError, match="no index points"):
+        Partition((("u", "v"),)).factors()
 
 
 def test_find_extension_on_symmetric_circuit():
@@ -435,7 +468,7 @@ def test_bad_pairs_fall_back_past_a_missing_cycle():
     c, names = diagonal4_circuit()
     spec = Square(4)
     assert check_symmetric(c, spec).failed == [1]
-    (_tag, size, make), = _factors(spec)
+    (_tag, size, make), = spec.factors()
     assert _stars(c, size, make) == {2: _moved_gates(c, make({1: 2, 2: 1})), 3: None, 4: None}
     assert bad_pairs(c, names["out"], spec) == [(1, 3), (1, 4), (2, 3), (2, 4)]
     assert minimal_support(c, names["out"], spec) == {1, 2}
@@ -454,7 +487,7 @@ def test_derived_stars_are_the_star_extensions(kind, n, spec):
     # of the star (1 k+1) computed by its own pass
     gen = leverrier_det_circuit(n, QQ) if kind == "det" else ryser_perm_circuit(n, QQ)
     c = gen.circuit
-    for _tag, size, make in _factors(spec):
+    for _tag, size, make in spec.factors():
         stars = _stars(c, size, make)
         assert sorted(stars) == list(range(2, size + 1))
         for k, star in stars.items():
@@ -561,6 +594,27 @@ def test_support_census(kind, n, histogram):
         assert max(sizes) == n // 2 + 1
     else:
         assert max(sizes) == (n + 1) // 2
+
+
+YOUNG_CASES = ([pytest.param("det", spec, id=f"det-{spec}")
+                for n in range(3, 8) for spec in (Square(n), Transpose(n))]
+               + [pytest.param("perm", spec, id=f"perm-{spec}")
+                  for n in range(3, 8) for spec in (Matrix(n, n), Square(n))])
+TRANSPOSE_DOUBLED = {3: 12, 4: 24, 5: 240, 6: 420, 7: 756}   # det gates at twice the upper end
+
+
+@pytest.mark.parametrize("kind, spec", YOUNG_CASES)
+def test_orbits_within_the_young_bounds(kind, spec):
+    # every gate's orbit lies between the Young bounds of its point classes
+    # (orbit_ratios asserts it) and, as measured, sits at the upper end,
+    # except under Transpose, where some det gates sit at twice it
+    n = spec.n
+    c = (leverrier_det_circuit if kind == "det" else ryser_perm_circuit)(n, QQ).circuit
+    rep = check_symmetric(c, spec)
+    assert rep.symmetric
+    ratios = orbit_ratios(c, spec, rep.witnesses)
+    assert set(ratios) <= {1, 2}
+    assert ratios[2] == (TRANSPOSE_DOUBLED[n] if isinstance(spec, Transpose) else 0)
 
 
 EQUIVALENCE_CASES = ([pytest.param("det", n, Square(n), id=f"det-{n}") for n in range(2, 7)]
