@@ -27,7 +27,6 @@ from .circuit import (
     deserialize,
     evaluate_arith,
     evaluate_bool,
-    export_dot,
     input_label,
     pprod,
     psum,
@@ -46,6 +45,7 @@ from .symmetry import (
     group_generators,
     minimal_support,
     orbits,
+    parse_group,
 )
 from .generators import (
     GeneratedCircuit,

@@ -14,10 +14,11 @@ code handles a malformed circuit and every circuit serializes to a file
 that deserialize reads back.  One function, _gate_wires, turns children
 into wires for the constructor and CircuitBuilder alike, and one,
 _gate_from_json, reads a gate of a circuit file.
-CircuitBuilder hash-conses gates on (label, children), so the circuits it
-builds are rigid: no two gates share a label and children.  Rigidity is not
-a rule of the representation; the symmetry routines require it, and take
-a built circuit's hash-cons table as its (label, wires) -> gate index.
+CircuitBuilder hash-conses gates on (label, children) and keeps them only
+in that table, so the circuits it builds are rigid: no two gates share a
+label and children, and no gate can change behind the table.  Rigidity is
+not a rule of the representation; the symmetry routines require it, and
+build hands the table over as the circuit's (label, wires) -> gate index.
 
 Two evaluation semantics share the representation: exact field evaluation
 (input/const/add/mul) and Boolean evaluation (input, 0/1 constants, and/or/not,
@@ -321,51 +322,43 @@ def _kahn(circuit: Circuit) -> list:
 
 class CircuitBuilder:
     """Incremental, hash-consing construction with optional structured gate
-    names.  Several names may alias one gate."""
+    names.  Several names may alias one gate.  The hash-cons table
+    _made, (label, wire tuple) -> gate, is the only store of gates, so no
+    gate can change behind it and every circuit built is rigid."""
 
     def __init__(self, fld: Field, variables):
         self.field = fld
         self.variables = list(variables)
-        self.gates = {}
-        self.wires = {}
         self.names = {}
-        self._made = {}   # (label, wire tuple) -> gate
+        self._made = {}   # (label, wire tuple) -> gate, ids 0, 1, ... in order
 
     def add(self, label: GateLabel, children=(), name=None) -> int:
         """The gate with this label and children, made on first request.
         A name aliases the gate; naming a different gate with a name already
         in use raises ValueError."""
-        new = len(self.gates)
+        new = len(self._made)
         key = (label, _gate_wires(new, children))
         g = self._made.get(key, new)
         if name is not None and self.names.get(name, g) != g:
             raise ValueError(f"duplicate gate name {name!r}")
         if g == new:
             self._made[key] = g
-            self.gates[g], self.wires[g] = key
         if name is not None:
             self.names[name] = g
         return g
 
-    def __getitem__(self, name) -> int:
-        return self.names[name]
-
-    def __contains__(self, name) -> bool:
-        return name in self.names
-
     def build(self, output) -> Circuit:
-        """The circuit of every gate added so far.  When every gate keeps
-        the label and wire tuple add made, those tuples are handed over as
-        they are, and the hash-cons table too, as the circuit's gate index:
-        its keys are then the gates' own, one per gate, so the circuit is
-        rigid.  Otherwise the gates and wires go through the constructor."""
+        """The circuit of every gate added so far, output being a gate id or
+        a name.  Its gates and wires are read off the hash-cons table, which
+        the circuit also takes as its gate index: the index's keys are the
+        gates' own, one per gate, so the circuit is rigid.  The constructor's
+        checks (see Circuit._check) run as for any circuit."""
         out = output if isinstance(output, int) else self.names[output]
-        wires = {g: ws for (lab, ws), g in self._made.items()
-                 if self.wires.get(g) is ws and self.gates.get(g) is lab}
-        if not len(wires) == len(self.wires) == len(self.gates):
-            return Circuit(self.field, self.variables, self.gates, self.wires, out)
+        gates, wires = {}, {}
+        for key, g in self._made.items():
+            gates[g], wires[g] = key
         circuit = Circuit.__new__(Circuit)
-        circuit._init(self.field, self.variables, dict(self.gates), wires, out)
+        circuit._init(self.field, self.variables, gates, wires, out)
         circuit._gate_index = dict(self._made)
         return circuit
 
@@ -733,18 +726,3 @@ def deserialize(text: str) -> Circuit:
     except CircuitError as exc:
         raise SchemaError("$.gates", str(exc)) from None
     return circuit
-
-
-def export_dot(circuit: Circuit) -> str:
-    lines = ["digraph circuit {", "  rankdir=BT;"]
-    for g in sorted(circuit.gates):
-        lab = repr(circuit.gates[g]).replace('"', "'")
-        shape = "box" if circuit.gates[g].kind in ("input", "const") else "ellipse"
-        extra = ", peripheries=2" if g == circuit.output else ""
-        lines.append(f'  n{g} [label="{g}: {lab}", shape={shape}{extra}];')
-    for g in sorted(circuit.gates):
-        for c, tag in circuit.wires[g]:
-            attr = "" if tag is None else f' [label="{tag}"]'
-            lines.append(f"  n{c} -> n{g}{attr};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

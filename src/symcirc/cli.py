@@ -33,15 +33,7 @@ from .lowering import (
     value_sets,
     verify_lowering,
 )
-from .symmetry import (
-    Matrix,
-    Partition,
-    Square,
-    Transpose,
-    check_symmetric,
-    minimal_support,
-    orbits,
-)
+from .symmetry import Partition, check_symmetric, minimal_support, orbits, parse_group
 from .wl import wl_equivalent
 
 SCHEMA_VERSION = 1
@@ -71,22 +63,15 @@ def _load_circuit(path: str):
 
 
 def _parse_group(text: str):
-    kind, _, rest = text.partition(":")
-    sized = {"square": Square, "transpose": Transpose, "matrix": Matrix}
-    if kind in sized:
-        try:
-            return sized[kind](*(int(t) for t in rest.split(",")))
-        except (ValueError, TypeError, SymcircError):
-            raise SymcircError(f"bad group spec {text!r} (sizes are integers >= 1)") from None
-    if kind == "partition":
-        doc = json.loads(_read(rest))
-        blocks = doc.get("blocks") if isinstance(doc, dict) else None
-        if not (isinstance(blocks, list) and all(isinstance(b, list) for b in blocks)):
-            raise SymcircError(f"{rest}: expected a JSON object whose 'blocks' "
-                               "is a list of lists of variable names")
-        return Partition(tuple(map(tuple, blocks)))
-    raise SymcircError(f"unknown group kind {kind!r} "
-                       "(want square:N | matrix:M,N | transpose:N | partition:FILE)")
+    kind, _, path = text.partition(":")
+    if kind != "partition":
+        return parse_group(text)
+    doc = json.loads(_read(path))
+    blocks = doc.get("blocks") if isinstance(doc, dict) else None
+    if not (isinstance(blocks, list) and all(isinstance(b, list) for b in blocks)):
+        raise SymcircError(f"{path}: expected a JSON object whose 'blocks' "
+                           "is a list of lists of variable names")
+    return Partition(tuple(map(tuple, blocks)))
 
 
 def _load_graph(text: str, name=""):

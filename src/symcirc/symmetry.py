@@ -11,7 +11,8 @@ gates rather than the whole circuit.  find_extension is the one place that
 widens it to a full gate map.  Non-rigid input is rejected with
 CircuitError rather than merged: merging can make a circuit symmetric that
 was not.  Each group spec (Square, Matrix, Transpose, Partition) gives its
-own generators, factors and text.  The variable permutations that extend
+own generators, factors and text, and parse_group reads the text of the
+first three back.  The variable permutations that extend
 form a group, so symmetry is checked on generators only: per factor, the
 transposition (1 2) and the cycle (2 3 ... n), which generate Sym(n) at
 any n, plus the transpose map (for a Partition, the same pair per block).
@@ -133,6 +134,21 @@ class Partition:
 
     def text(self) -> str:
         return "partition"
+
+
+def parse_group(text: str):
+    """The spec whose text() is text: square:N, matrix:M,N or transpose:N.
+    A Partition's blocks are data, not text; the CLI reads them from the
+    JSON file of partition:FILE.  Any other text raises CircuitError."""
+    kind, _, sizes = text.partition(":")
+    make = {"square": Square, "transpose": Transpose, "matrix": Matrix}.get(kind)
+    if make is None:
+        raise CircuitError(f"unknown group kind {kind!r} "
+                           "(want square:N | matrix:M,N | transpose:N | partition:FILE)")
+    try:
+        return make(*(int(t) for t in sizes.split(",")))
+    except (ValueError, TypeError, CircuitError):
+        raise CircuitError(f"bad group spec {text!r} (sizes are integers >= 1)") from None
 
 
 def _matrix_sigma(m: int, n: int, f) -> dict:

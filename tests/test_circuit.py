@@ -26,7 +26,6 @@ from symcirc import (
     evaluate_arith,
     evaluate_bool,
     expand_to_threshold,
-    export_dot,
     input_label,
     leverrier_det_circuit,
     lower_to_partition_basis,
@@ -96,7 +95,7 @@ def test_builder_hash_conses():
     m = b.add(MUL, [x, y], name="xy")
     # the same label and children, in any order, is the same gate
     assert b.add(MUL, [y, x], name="yx") == m
-    assert b["yx"] == b["xy"] == m
+    assert b.names["yx"] == b.names["xy"] == m
     assert b.add(input_label("x")) == x
     assert b.add(MUL, [x, y], name="xy") == m
     assert b.add(MUL, [x, x]) != m
@@ -123,10 +122,9 @@ def test_unknown_variable_flagged():
 def test_cycle_detected():
     b = CircuitBuilder(QQ, ["x"])
     b.add(const(QQ.of(1)))
-    a = b.add(ADD, [0], name="a")
-    m = b.add(MUL, [a])
-    # force a back edge behind the builder's hash-consing: 1 -> 2 -> 1
-    b.wires[a] = [0, m]
+    a = b.add(ADD, [0, 2])   # gate 1 reads gate 2, made next
+    m = b.add(MUL, [a])      # gate 2 reads gate 1: 1 -> 2 -> 1
+    assert m == 2
     with pytest.raises(CircuitError, match="gate 1 lies on a cycle"):
         b.build(b.add(ADD, [a]))
     # a gate wired to itself
@@ -135,30 +133,33 @@ def test_cycle_detected():
 
 
 def test_build_hands_over_sorted_wires():
-    """build gives the wires Circuit gives from the same raw wires, in dicts
-    the builder does not share."""
-    b = CircuitBuilder(GF(3), ["x", "y"])
-    x = b.add(input_label("x"))
-    y = b.add(input_label("y"))
-    s = b.add(ADD, [y, x, y])
-    parts = {"0": GF(3).of(0), "1": GF(3).of(1)}
-    p = b.add(psum(GF(3).of(1), parts), [(s, "1"), (x, "0"), (x, "1"), (s, "0")])
-    out = b.add(MUL, [p, s, p])
+    """build gives each gate the label it was added with and the wires
+    Circuit gives from the same raw children, hands the hash-cons table
+    over as the gate index, and shares none of these dicts with the
+    builder."""
+    fld = GF(3)
+    b = CircuitBuilder(fld, ["x", "y"])
+    labels, raw = {}, {}
+
+    def add(lab, children=()):
+        g = b.add(lab, children)
+        labels[g], raw[g] = lab, children
+        return g
+
+    x = add(input_label("x"))
+    y = add(input_label("y"))
+    s = add(ADD, [y, x, y])
+    p = add(psum(fld.of(1), {"0": fld.of(0), "1": fld.of(1)}),
+            [(s, "1"), (x, "0"), (x, "1"), (s, "0")])
+    out = add(MUL, [p, s, p])
     built = b.build(out)
-    assert built.wires == Circuit(GF(3), ["x", "y"], b.gates, b.wires, out).wires
+    assert built.gates == labels
+    assert built.wires == Circuit(fld, ["x", "y"], labels, raw, out).wires
     assert built.wires[p] == ((x, "0"), (x, "1"), (s, "0"), (s, "1"))
     assert built.wires[out] == ((s, None), (p, None), (p, None))
+    assert built._gate_index == b._made == {(labels[g], built.wires[g]): g for g in labels}
     b.add(MUL, [out, out])
-    assert len(built.gates) == len(built.wires) == out + 1
-
-
-def test_build_takes_a_gate_added_without_wires():
-    b = CircuitBuilder(QQ, ["x", "y"])
-    x = b.add(input_label("x"))
-    b.gates[1] = input_label("y")
-    c = b.build(x)
-    assert c.wires == {0: (), 1: ()}
-    assert c._gate_index is None
+    assert len(built.gates) == len(built.wires) == len(built._gate_index) == out + 1
 
 
 @pytest.mark.parametrize("children, message", [
@@ -169,15 +170,16 @@ def test_build_takes_a_gate_added_without_wires():
 ])
 def test_add_refuses_children_as_the_constructor(children, message):
     b = CircuitBuilder(QQ, ["x"])
-    x = b.add(input_label("x"))
+    x = b.add(input_label("x"), name="x")
     lab = psum(QQ.of(1), {"a": QQ.of(1)})
-    before = (dict(b.gates), dict(b.wires), dict(b._made))
     with pytest.raises(CircuitError, match=f"gate 1: {message}") as added:
-        b.add(lab, children)
+        b.add(lab, children, name="bad")
     with pytest.raises(CircuitError) as made:
         Circuit(QQ, ["x"], {x: input_label("x"), 1: lab}, {1: children}, 1)
     assert str(added.value) == str(made.value)
-    assert (b.gates, b.wires, b._made) == before
+    # the refused gate left no trace: neither its gate nor its name
+    assert b._made == {(input_label("x"), ()): x}
+    assert b.names == {"x": x}
     assert b.add(lab, [(x, "a")]) == 1
 
 
@@ -660,10 +662,3 @@ def test_deserialize_names_the_faulty_field(case):
     with pytest.raises(SchemaError) as exc:
         deserialize(json.dumps(doc))
     assert (exc.value.path, str(exc.value)) == (path, f"{path}: {message}")
-
-
-def test_export_dot_mentions_gates():
-    c = build_xy_sum()
-    dot = export_dot(c)
-    assert "digraph" in dot
-    assert dot.count("->") == 2

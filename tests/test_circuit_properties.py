@@ -35,6 +35,7 @@ from symcirc import (  # noqa: E402
     th_ge,
     value_sets,
 )
+from symcirc.symmetry import _gate_index  # noqa: E402
 
 
 @st.composite
@@ -131,12 +132,14 @@ def _wires_or_error(make):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_build_makes_the_constructors_wires(data):
-    """b.build gives the wires Circuit gives for the raw children add took,
-    or the same CircuitError: a psum child may be tagged None and a str
-    on one id, which sorts but breaks the label's rule."""
+    """b.build gives the wires Circuit gives for the labels and raw children
+    add took, or the same CircuitError: a psum child may be tagged None and
+    a str on one id, which sorts but breaks the label's rule.  A circuit it
+    builds carries the gate index symmetry._gate_index would make."""
     variables = ["x", "y", "z"]
     b = CircuitBuilder(QQ, variables)
     ids = [b.add(input_label(v)) for v in variables]
+    labels = {g: input_label(v) for g, v in zip(ids, variables)}
     raw = {}
     for _ in range(data.draw(st.integers(1, 4))):
         lab = data.draw(st.sampled_from((ADD, MUL, psum(QQ.of(1), {"a": QQ.of(1), "b": QQ.of(2)}))))
@@ -144,6 +147,11 @@ def test_build_makes_the_constructors_wires(data):
         g = b.add(lab, kids)
         if g == len(ids):   # a new gate, not one add already made
             ids.append(g)
-            raw[g] = kids
+            labels[g], raw[g] = lab, kids
     built = _wires_or_error(lambda: b.build(ids[-1]))
-    assert built == _wires_or_error(lambda: Circuit(QQ, variables, b.gates, raw, ids[-1]))
+    assert built == _wires_or_error(lambda: Circuit(QQ, variables, labels, raw, ids[-1]))
+    if not isinstance(built, str):   # no CircuitError
+        c = b.build(ids[-1])
+        assert c.gates == labels
+        rebuilt = Circuit(c.field, c.variables, c.gates, c.wires, c.output)
+        assert c._gate_index == b._made == _gate_index(rebuilt)

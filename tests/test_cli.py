@@ -16,15 +16,17 @@ from symcirc import (
     QQ,
     Circuit,
     CircuitBuilder,
+    CircuitError,
     cfi,
     const,
     deserialize,
     input_label,
     leverrier_det_circuit,
     lowering,
+    parse_group,
     serialize,
 )
-from symcirc.cli import _build_parser, _parse_group, run
+from symcirc.cli import _build_parser, run
 from symcirc.symmetry import Matrix, Square, Transpose, matrix_var, matrix_variables
 
 
@@ -70,7 +72,14 @@ def test_group_text_is_read_back():
     specs = ([cls(n) for cls in (Square, Transpose) for n in range(1, 5)]
              + [Matrix(m, n) for m in range(1, 5) for n in range(1, 5)])
     for spec in specs:
-        assert _parse_group(spec.text()) == spec
+        assert parse_group(spec.text()) == spec
+    for text, message in (("square:0", "bad group spec 'square:0' (sizes are integers >= 1)"),
+                          ("matrix:2", "bad group spec 'matrix:2' (sizes are integers >= 1)"),
+                          ("cube:3", "unknown group kind 'cube' (want square:N | matrix:M,N "
+                                     "| transpose:N | partition:FILE)")):
+        with pytest.raises(CircuitError) as exc:
+            parse_group(text)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("kind", ["det", "perm"])

