@@ -173,7 +173,8 @@ class Circuit:
     extensions of the star transpositions (1 k) of each factor per group,
     read by supports) and
     _zero_one (the one pass of lowering._zero_one over every 0-1
-    assignment: exact value sets and the output's lanes per block)."""
+    assignment at once: exact value sets, the lanes and the output's
+    {value: lanes})."""
 
     def __init__(self, fld: Field, variables, gates: dict, wires: dict, output: int):
         self._init(fld, variables, dict(gates),
@@ -191,7 +192,7 @@ class Circuit:
         self._gate_index = None   # (label, wires) -> gate, see symmetry._gate_index
         self._extensions = {}     # sorted sigma items -> moved gates, see symmetry._extension
         self._stars = {}          # spec -> star extensions, see symmetry._point_classes
-        self._zero_one = None     # (value sets, blocks), see lowering._zero_one
+        self._zero_one = None     # (sets, lanes, width, out), see lowering._zero_one
         self.inputs_by_var = {}   # variable -> its input gate, filled by _check
         self._topo = self._check()
 
@@ -700,7 +701,9 @@ def deserialize(text: str) -> Circuit:
     and child order; _gate_from_json reads each gate, and its children are
     sorted once, into the circuit's wire order.  A field of the wrong type
     raises SchemaError naming its JSON path (JSON true and false are not
-    ints), as does a circuit the Circuit constructor would refuse."""
+    ints), as does a circuit the Circuit constructor would refuse, in its
+    wording: at $.variables or $.output when they are at fault, else at
+    $.gates."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -713,6 +716,8 @@ def deserialize(text: str) -> Circuit:
     for i, v in enumerate(variables):
         if not isinstance(v, str):
             raise SchemaError(f"$.variables[{i}]", "variable ids must be strings")
+    if len(set(variables)) != len(variables):
+        raise SchemaError("$.variables", f"variables {variables} are not distinct")
     gates = {}
     wires = {}
     for i, entry in enumerate(_want(doc, "gates", list, "$")):
@@ -720,6 +725,8 @@ def deserialize(text: str) -> Circuit:
         gates[gid] = lab
         wires[gid] = _sorted_wires(kids)
     output = _want(doc, "output", int, "$")
+    if output not in gates:
+        raise SchemaError("$.output", f"output {output} is not a gate")
     circuit = Circuit.__new__(Circuit)
     try:
         circuit._init(fld, variables, gates, wires, output)

@@ -116,7 +116,11 @@ def _parse_assignment(circuit, args) -> dict:
 
 def _cmd_eval(args) -> int:
     circuit = _load_circuit(args.circuit)
-    value = evaluate_arith(circuit, _parse_assignment(circuit, args))
+    asg = _parse_assignment(circuit, args)
+    unknown = sorted(set(asg) - set(circuit.variables))
+    if unknown:
+        raise SymcircError(f"the circuit declares no variables {unknown}")
+    value = evaluate_arith(circuit, asg)
     _note(f"value: {value}")
     _emit({"command": "eval", "circuit": args.circuit, "value": str(value)})
     return 0

@@ -169,7 +169,7 @@ def parse_graph(text: str, name="") -> Graph:
         raise SchemaError("$.header", "vertex/edge counts must be integers") from None
     if len(lines) - 1 != m:
         raise SchemaError("$.edges", f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = []
+    edges = set()
     for i, ln in enumerate(lines[1:], start=1):
         parts = ln.split()
         if len(parts) != 2:
@@ -180,7 +180,12 @@ def parse_graph(text: str, name="") -> Graph:
             raise SchemaError(f"$.edges[{i}]", "endpoints must be integers") from None
         if not (1 <= u <= n and 1 <= v <= n):
             raise SchemaError(f"$.edges[{i}]", f"endpoint out of range 1..{n}")
-        edges.append((u, v))
+        if u == v:
+            raise SchemaError(f"$.edges[{i}]", f"self-loop at {u}")
+        e = (min(u, v), max(u, v))
+        if e in edges:
+            raise SchemaError(f"$.edges[{i}]", f"repeated edge {u} {v}")
+        edges.add(e)
     return Graph(tuple(range(1, n + 1)), tuple(edges), name)
 
 

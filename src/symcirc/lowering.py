@@ -28,23 +28,22 @@ the source's group exactly when each of them extends to it.  orbits closes
 over the cached maps of the gates each extension moves, so the check's
 cost follows the gates with a moved child.
 
-One driver, _blocks, runs over every 0-1 assignment of the source in
-blocks of up to 2^12, each assignment one lane of an int, and evaluates the
-source exactly on each block with arith_lane_values.  _zero_one runs it once
-per source circuit and caches the result on the circuit: every gate's exact
-value set, and per block its lanes and the output's {value: lanes}.  Exact
-value sets read the former; verify_lowering checks either step
-exhaustively by evaluating the Boolean circuit bit-sliced on the cached
-lanes and comparing its output with the lanes where the source lands in
-the accepting set, so an exact lowering verified on both stages enumerates
-the source once.  On the partition stage, bool_lane_values folds each
-family of gates (v, c) once per block, and each member reads the lanes
-where v takes c.
+One driver, _zero_one, evaluates the source exactly on every 0-1
+assignment at once with one arith_lane_values call, each assignment one
+lane of an int, and caches on the circuit every gate's exact value set, the
+lanes and the output's {value: lanes}.  Exact value sets read the former;
+verify_lowering checks either step exhaustively by evaluating the Boolean
+circuit bit-sliced on the cached lanes in one bool_lane_values call and
+comparing its output with the lanes where the source lands in the
+accepting set, so an exact lowering verified on both stages enumerates the
+source once.  Each evaluation holds a 2^inputs-bit mask per gate (per
+value, on the source): 8 KB at 16 inputs, 128 KB at the 20-input limit.
+On the partition stage, bool_lane_values folds each family of gates
+(v, c) once, and each member reads the lanes where v takes c.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -71,8 +70,7 @@ from .errors import BudgetExceededError, CircuitError
 from .symmetry import orbits
 
 _LADDER_BUDGET = 2 * 10 ** 5   # AND gates in all ladders of one expansion
-_BLOCK_BITS = 12   # _blocks evaluates up to 2^12 assignments at once
-_MAX_INPUTS = 20   # _blocks enumerates at most 2^20 assignments
+_MAX_INPUTS = 20   # _zero_one evaluates at most 2^20 assignments, one lane each
 
 
 def _sorted_vals(vals) -> tuple:
@@ -97,51 +95,35 @@ def _lane_pattern(s: int, bits: int) -> int:
     return int(("1" * run + "0" * run) * ((1 << bits) // (2 * run)), 2)
 
 
-def _blocks(circuit: Circuit):
-    """Every 0-1 assignment of the variables the input gates read, sorted,
-    in blocks of up to 2^_BLOCK_BITS lanes.  Yields (lanes, width, values)
-    per block: lanes maps each variable to its 0/1 lane int, values is
-    arith_lane_values on the block.  Lane j of block b is assignment
-    b * width + j in itertools.product order (the last variable changes
-    fastest), so only the slowest variables are constant in a block."""
-    variables = sorted({lab.var for lab in circuit.gates.values() if lab.kind == "input"})
-    if len(variables) > _MAX_INPUTS:
-        raise BudgetExceededError(f"{len(variables)} inputs exceed budget {_MAX_INPUTS}")
-    low = min(len(variables), _BLOCK_BITS)
-    width = 1 << low
-    full = (1 << width) - 1
-    high = variables[:len(variables) - low]
-    sliced = {v: _lane_pattern(s, low) for s, v in enumerate(reversed(variables[len(high):]))}
-    zero, one = circuit.field.zero(), circuit.field.one()
-    for bits in itertools.product((0, full), repeat=len(high)):
-        lanes = dict(zip(high, bits)) | sliced
+def _zero_one(circuit: Circuit) -> tuple:
+    """(sets, lanes, width, out) from one arith_lane_values call on every
+    0-1 assignment of the variables the input gates read, cached on the
+    circuit.  Lane j of the width = 2^inputs lanes is assignment j in
+    itertools.product order over the sorted variables (the last changes
+    fastest): lanes maps each variable to its 0/1 lane int, sets maps each
+    gate to the sorted tuple of values it takes, and out is the output's
+    {value: lanes}.  A pass that raises caches nothing."""
+    if circuit._zero_one is None:
+        variables = sorted(circuit.inputs_by_var)
+        if len(variables) > _MAX_INPUTS:
+            raise BudgetExceededError(f"{len(variables)} inputs exceed budget {_MAX_INPUTS}")
+        width = 1 << len(variables)
+        full = (1 << width) - 1
+        lanes = {v: _lane_pattern(s, len(variables)) for s, v in enumerate(reversed(variables))}
+        zero, one = circuit.field.zero(), circuit.field.one()
         values = arith_lane_values(circuit, {v: {zero: full ^ m, one: m}
                                              for v, m in lanes.items()}, width)
-        yield lanes, width, values
-
-
-def _zero_one(circuit: Circuit) -> tuple:
-    """(sets, blocks) from one pass of _blocks over the circuit, cached on
-    it: sets maps each gate to the sorted tuple of values it takes on 0-1
-    assignments, blocks holds (lanes, width, the output's {value: lanes})
-    per block.  A pass that raises caches nothing."""
-    if circuit._zero_one is None:
-        seen = {g: set() for g in circuit.gates}
-        blocks = []
-        for lanes, width, values in _blocks(circuit):
-            for g, by_value in values.items():
-                seen[g].update(by_value)
-            blocks.append((lanes, width, values[circuit.output]))
-        circuit._zero_one = ({g: _sorted_vals(vs) for g, vs in seen.items()}, tuple(blocks))
+        circuit._zero_one = ({g: _sorted_vals(vs) for g, vs in values.items()},
+                             lanes, width, values[circuit.output])
     return circuit._zero_one
 
 
 def value_sets(circuit: Circuit, mode: str = "compositional") -> ValueSetMap:
     """Per-gate candidate value sets over 0-1 assignments.
 
-    exact mode collects the values of every block of assignments (the true
-    Q_v); compositional mode evaluates one lane on which every input is both
-    0 and 1, so each gate gets the Minkowski sums / product sets of its
+    exact mode collects the values of every 0-1 assignment (the true Q_v);
+    compositional mode evaluates one lane on which every input is both 0
+    and 1, so each gate gets the Minkowski sums / product sets of its
     children's sets, a superset that only depends on the children's sets
     and is therefore symmetry-invariant.
     """
@@ -307,21 +289,19 @@ def verify_lowering(circuit: Circuit, accept, lowered_circuit: Circuit) -> bool:
     """True iff on every 0-1 assignment the Boolean circuit accepts exactly
     when the arithmetic circuit evaluates into accept.
 
-    Both circuits are evaluated on the same blocks of assignments, the
-    source's from its cached pass (_zero_one): a block's expected accept
-    mask is the OR of the source output's lane masks at accepted values,
-    and the Boolean output's lanes must equal it.
+    Both circuits are evaluated once on the same lanes, the source's from
+    its cached pass (_zero_one): the expected accept mask is the OR of the
+    source output's lane masks at accepted values, and the Boolean output's
+    lanes must equal it.
     """
     _require_arith(circuit)
     accept = frozenset(circuit.field.of(a) for a in accept)
-    for lanes, width, out in _zero_one(circuit)[1]:
-        want = 0
-        for val, m in out.items():
-            if val in accept:
-                want |= m
-        if bool_lane_values(lowered_circuit, lanes, width)[lowered_circuit.output] != want:
-            return False
-    return True
+    _sets, lanes, width, out = _zero_one(circuit)
+    want = 0
+    for val, m in out.items():
+        if val in accept:
+            want |= m
+    return bool_lane_values(lowered_circuit, lanes, width)[lowered_circuit.output] == want
 
 
 @dataclass

@@ -259,9 +259,10 @@ def test_06_threshold_stage_has_no_orphans():
 
 
 def test_06_partition_families_split_every_block():
-    """On every block of assignments, the partition gates (v, c) sharing
-    kind, parts and wires are true on disjoint lanes that cover the block:
-    v takes one value of its set on each assignment.  Both value-set modes."""
+    """On the lanes of every 0-1 assignment, the partition gates (v, c)
+    sharing kind, parts and wires are true on disjoint lanes that cover
+    them all: v takes one value of its set on each assignment.  Both
+    value-set modes."""
     for gen, _group, _orb, _gates in orbit_cases():
         for mode in ("exact", "compositional"):
             low = lower_to_partition_basis(gen.circuit, {0}, value_sets(gen.circuit, mode))
@@ -271,13 +272,13 @@ def test_06_partition_families_split_every_block():
                 if lab.kind in ("psum", "pprod"):
                     families.setdefault((lab.kind, lab.parts, d.wires[g]), []).append(g)
             assert families
-            for lanes, width, _values in lowering._blocks(gen.circuit):
-                vals = bool_lane_values(d, lanes, width)
-                for members in families.values():
-                    masks = [vals[m] for m in members]
-                    assert sum(bin(m).count("1") for m in masks) == width, mode
-                    assert functools.reduce(operator.or_, masks) == (1 << width) - 1, mode
-    print("PASS partition families: one true member per lane on every block, "
+            _sets, lanes, width, _out = lowering._zero_one(gen.circuit)
+            vals = bool_lane_values(d, lanes, width)
+            for members in families.values():
+                masks = [vals[m] for m in members]
+                assert sum(bin(m).count("1") for m in masks) == width, mode
+                assert functools.reduce(operator.or_, masks) == (1 << width) - 1, mode
+    print("PASS partition families: one true member per lane on every 0-1 assignment, "
           "both value-set modes")
 
 

@@ -1,13 +1,12 @@
 """Property tests: the lane evaluator agrees, gate by gate and lane by lane,
 with a scalar evaluator and a set fold kept here as oracles, the 0-1
-block driver visits every assignment once, in order, and its cached pass
-gives the same verdicts whichever call filled it."""
+driver's one pass visits every assignment once, in order, and its cached
+pass gives the same verdicts whichever call filled it."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from unittest import mock
 
 import pytest
 
@@ -164,25 +163,27 @@ def test_multi_valued_lanes_match_set_fold(data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(arith_circuits(), st.integers(0, 3))
-def test_blocks_visit_every_assignment_in_order(circuit, block_bits):
+@given(arith_circuits())
+def test_zero_one_visits_every_assignment_in_order(circuit):
     fld = circuit.field
     variables = sorted(circuit.variables)
     runs = []
     seen = {g: set() for g in circuit.gates}
-    with mock.patch.object(lowering, "_BLOCK_BITS", block_bits):
-        for lanes, width, values in lowering._blocks(circuit):
-            assert width == 1 << min(block_bits, len(variables))
-            for j in range(width):
-                bits = tuple(lanes[v] >> j & 1 for v in variables)
-                want = scalar_arith_gate_values(
-                    circuit, {v: fld.of(x) for v, x in zip(variables, bits)})
-                assert {g: [x for x, m in vals.items() if m >> j & 1]
-                        for g, vals in values.items()} == {g: [x] for g, x in want.items()}
-                runs.append(bits)
-                for g, x in want.items():
-                    seen[g].add(x)
-        exact = value_sets(circuit, "exact")
+    _sets, lanes, width, out = lowering._zero_one(circuit)
+    assert width == 1 << len(variables)
+    full = (1 << width) - 1
+    values = arith_lane_values(circuit, {v: {fld.zero(): full ^ m, fld.one(): m}
+                                         for v, m in lanes.items()}, width)
+    assert out == values[circuit.output]
+    for j in range(width):
+        bits = tuple(lanes[v] >> j & 1 for v in variables)
+        want = scalar_arith_gate_values(circuit, {v: fld.of(x) for v, x in zip(variables, bits)})
+        assert {g: [x for x, m in vals.items() if m >> j & 1]
+                for g, vals in values.items()} == {g: [x] for g, x in want.items()}
+        runs.append(bits)
+        for g, x in want.items():
+            seen[g].add(x)
+    exact = value_sets(circuit, "exact")
     assert runs == list(itertools.product((0, 1), repeat=len(variables)))
     assert {g: set(s) for g, s in exact.sets.items()} == seen
 
@@ -191,23 +192,21 @@ def test_blocks_visit_every_assignment_in_order(circuit, block_bits):
 @given(st.data())
 def test_warm_pass_gives_the_cold_verdicts(data):
     circuit = data.draw(arith_circuits())
-    block_bits = data.draw(st.integers(0, 3))
 
     def fresh():
         return Circuit(circuit.field, circuit.variables, circuit.gates, circuit.wires,
                        circuit.output)
 
-    with mock.patch.object(lowering, "_BLOCK_BITS", block_bits):
-        warm = fresh()
-        exact = value_sets(warm, "exact")
-        outs = exact.sets[warm.output]
-        accepts = data.draw(st.lists(st.sets(st.sampled_from(outs)), min_size=1, max_size=3))
-        lowered = [lower_to_partition_basis(warm, accept, exact).circuit for accept in accepts]
-        for accept in accepts:
-            for d in lowered:
-                cold = fresh()
-                assert verify_lowering(warm, accept, d) == verify_lowering(cold, accept, d)
-                # the pass a verification filled holds the same exact sets
-                assert value_sets(cold, "exact").sets == exact.sets
-        for accept, d in zip(accepts, lowered):
-            assert verify_lowering(warm, accept, d)
+    warm = fresh()
+    exact = value_sets(warm, "exact")
+    outs = exact.sets[warm.output]
+    accepts = data.draw(st.lists(st.sets(st.sampled_from(outs)), min_size=1, max_size=3))
+    lowered = [lower_to_partition_basis(warm, accept, exact).circuit for accept in accepts]
+    for accept in accepts:
+        for d in lowered:
+            cold = fresh()
+            assert verify_lowering(warm, accept, d) == verify_lowering(cold, accept, d)
+            # the pass a verification filled holds the same exact sets
+            assert value_sets(cold, "exact").sets == exact.sets
+    for accept, d in zip(accepts, lowered):
+        assert verify_lowering(warm, accept, d)

@@ -541,6 +541,26 @@ def test_deserialize_rejects_malformed():
         deserialize("{}")
     with pytest.raises(SchemaError):
         deserialize('{"schema_version": 1, "field": "Q"}')
+    with pytest.raises(SchemaError, match="invalid JSON") as exc:
+        deserialize('{"field": "Q",')
+    assert exc.value.path == "$"
+    with pytest.raises(SchemaError, match="variable ids must be strings") as exc:
+        deserialize(json.dumps({"field": "Q", "variables": [3], "gates": [], "output": 0}))
+    assert exc.value.path == "$.variables[0]"
+
+
+@pytest.mark.parametrize("variables, output, path", [(["x", "x"], 1, "$.variables"),
+                                                     (["x"], 5, "$.output")])
+def test_deserialize_reports_constructor_refusals_at_their_field(variables, output, path):
+    # the constructor's wording, at the JSON path of the field at fault
+    gates = {0: const(QQ.of(1)), 1: input_label("x")}
+    with pytest.raises(CircuitError) as built_exc:
+        Circuit(QQ, variables, gates, {}, output)
+    doc = {"field": "Q", "variables": variables, "output": output,
+           "gates": [{"id": g, "label": label_doc(lab), "children": []} for g, lab in gates.items()]}
+    with pytest.raises(SchemaError) as read_exc:
+        deserialize(json.dumps(doc))
+    assert (read_exc.value.path, str(read_exc.value)) == (path, f"{path}: {built_exc.value}")
 
 
 @pytest.mark.parametrize("name, message", [("R", "unknown field 'R'"),

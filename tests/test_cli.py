@@ -18,6 +18,7 @@ from symcirc import (
     CircuitBuilder,
     CircuitError,
     cfi,
+    cli,
     const,
     deserialize,
     input_label,
@@ -125,6 +126,20 @@ def test_eval_assignment(tmp_path, capsys):
                           "x_1_1=1, x_1_2=2, x_2_1=3, x_2_2=4")
     assert code == 0
     assert rep["value"] == "-2"
+
+
+@pytest.mark.parametrize("given, message", [
+    (["--matrix", "1,2;3,4;5,6"], "the circuit declares no variables ['x_3_1', 'x_3_2']"),
+    (["--assign", "x_1_1=1,x_1_2=2,x_2_1=3,x_2_2=4,zz=5"],
+     "the circuit declares no variables ['zz']"),
+    (["--assign", "x_1_1=1,x_1_2"], "bad assignment item 'x_1_2'"),
+])
+def test_eval_refuses_bad_assignments(tmp_path, capsys, given, message):
+    out = tmp_path / "det2.json"
+    invoke(capsys, "gen", "det", "--n", "2", "--out", str(out))
+    code, rep, err = invoke(capsys, "eval", "--circuit", str(out), *given)
+    assert (code, rep) == (2, None)
+    assert err == f"error: {message}\n"
 
 
 def test_eval_fractional(tmp_path, capsys):
@@ -278,6 +293,16 @@ def test_lower_skips_verification_over_input_budget(tmp_path, capsys, monkeypatc
     assert code == 0
     assert (rep["verified_d"], rep["verified_c"]) == (None, None)
     assert (tmp_path / "low.json").exists() and (tmp_path / "low.d.json").exists()
+
+
+def test_lower_exits_1_when_a_verification_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_lowering", lambda circuit, accept, lowered: False)
+    det = tmp_path / "det2.json"
+    det.write_text(serialize(leverrier_det_circuit(2).circuit))
+    code, rep, _ = invoke(capsys, "lower", "--circuit", str(det), "--accept", "0",
+                          "--out", str(tmp_path / "low.json"))
+    assert code == 1
+    assert (rep["verified_d"], rep["verified_c"]) == (False, False)
 
 
 def test_lower_det3_over_q(tmp_path, capsys):
@@ -520,6 +545,20 @@ def test_malformed_circuit_file_exits_2(tmp_path, capsys, case, command):
     assert (code, rep) == (2, None), err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "low.json").exists()
+
+
+@pytest.mark.parametrize("variables, output, message", [
+    (["x", "x"], 1, "$.variables: variables ['x', 'x'] are not distinct"),
+    (["x"], 5, "$.output: output 5 is not a gate"),
+])
+def test_variables_and_output_refusals_name_their_field(tmp_path, capsys, variables, output,
+                                                          message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"field": "Q", "variables": variables, "output": output,
+                                "gates": [_gate(0, _ONE), _gate(1, _X)]}))
+    code, rep, err = invoke(capsys, "eval", "--circuit", str(path), "--assign", "x=1")
+    assert (code, rep) == (2, None)
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("weight", [[], 1.5, None, 1, True], ids=repr)

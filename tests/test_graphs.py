@@ -126,3 +126,13 @@ def test_parse_errors_have_paths():
         assert "edges" in str(e)
     else:
         raise AssertionError("expected SchemaError")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("graph 4 6\n1 2\n1 3\n1 4\n2 1\n2 3\n3 4\n", "$.edges[4]: repeated edge 2 1"),
+    ("graph 4 6\n1 2\n1 3\n1 4\n2 3\n1 1\n3 4\n", "$.edges[5]: self-loop at 1"),
+])
+def test_parse_refuses_repeated_edges_and_self_loops(text, message):
+    with pytest.raises(SchemaError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == message

@@ -87,7 +87,7 @@ def test_value_sets_exact_is_tighter():
 
 
 def test_value_sets_exact_det4_over_q():
-    # 16 inputs: 16 blocks of 2^12 assignments; 0-1 matrices of order 4
+    # 16 inputs: one pass over 2^16 assignments; 0-1 matrices of order 4
     # have determinants -3..3
     c = leverrier_det_circuit(4).circuit
     vs = value_sets(c, "exact")
@@ -109,14 +109,15 @@ def test_value_sets_exact_budget(monkeypatch):
 
 
 def test_one_enumeration_per_source_circuit(monkeypatch):
-    passes = []
-    blocks = lowering._blocks
+    passes = []   # the circuits of the arith_lane_values calls over many lanes
+    evaluate = lowering.arith_lane_values
 
-    def counted(circuit):
-        passes.append(circuit)
-        return blocks(circuit)
+    def counted(circuit, lanes, width):
+        if width > 1:
+            passes.append(circuit)
+        return evaluate(circuit, lanes, width)
 
-    monkeypatch.setattr(lowering, "_blocks", counted)
+    monkeypatch.setattr(lowering, "arith_lane_values", counted)
     for mode in ("exact", "compositional"):
         c = crossing_pair()   # a fresh instance runs its own pass
         low = lower_to_partition_basis(c, {0}, value_sets(c, mode))
@@ -228,7 +229,7 @@ def test_verify_lowering_catches_wrong_circuit():
 
 def wide_circuit():
     """x00*x13 + 2*x01*x02 + x03 + ... + x12 over F_5: 14 inputs, so
-    verify_lowering needs four blocks of lanes."""
+    verify_lowering checks 2^14 lanes in one pass."""
     fld = GF(5)
     names = [f"x{i:02d}" for i in range(14)]
     b = CircuitBuilder(fld, names)
@@ -259,13 +260,12 @@ def flip_at(d: Circuit, index: int) -> Circuit:
     return Circuit(d.field, d.variables, gates, wires, add(OR, [keep, turn]))
 
 
-def test_verify_lowering_over_several_blocks():
+def test_verify_lowering_over_every_lane():
     c = wide_circuit()
     accept = {GF(5).of(0)}
     low = lower_to_partition_basis(c, accept, value_sets(c))
     assert verify_lowering(c, accept, low.circuit)
-    # the last lane of the last block, and a lane of it whose bits are not
-    # symmetric in the variables
+    # the last lane, and a lane whose bits are not symmetric in the variables
     for index in (2 ** 14 - 1, 3 * 2 ** 12 + 5):
         assert not verify_lowering(c, accept, flip_at(low.circuit, index))
     d = low.circuit
@@ -275,6 +275,29 @@ def test_verify_lowering_over_several_blocks():
     reads_y = Circuit(d.field, [*d.variables, "y"], gates, wires, y + 1)
     with pytest.raises(CircuitError, match="missing variable 'y'"):
         verify_lowering(c, accept, reads_y)
+
+
+def row_sums_product():
+    """The product of the row sums of a 4x5 matrix over F_3: 20 inputs, the
+    most _zero_one enumerates."""
+    b = CircuitBuilder(GF(3), matrix_variables(4, 5))
+    rows = [b.add(ADD, [b.add(input_label(matrix_var(i, j))) for j in range(1, 6)])
+            for i in range(1, 5)]
+    return b.build(b.add(MUL, rows))
+
+
+def test_lower_and_verify_at_the_input_limit():
+    c = row_sums_product()
+    assert len(c.variables) == lowering._MAX_INPUTS
+    accept = {GF(3).of(0)}
+    vs = value_sets(c, "exact")
+    assert [str(v) for v in vs.sets[c.output]] == ["0", "1", "2"]
+    low = lower_to_partition_basis(c, accept, vs)
+    exp = expand_to_threshold(low)
+    assert verify_lowering(c, accept, low.circuit)
+    assert verify_lowering(c, accept, exp.circuit)
+    # one lane of the 2^20, whose bits are not symmetric in the variables
+    assert not verify_lowering(c, accept, flip_at(exp.circuit, 2 ** 19 + 12345))
 
 
 def test_orbit_preservation_small():
