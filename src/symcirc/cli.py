@@ -248,7 +248,7 @@ def _cmd_wl(args) -> int:
     _emit({"command": "wl", "k": args.k, "g1": args.g1, "g2": args.g2,
            "equivalent": rep.equivalent, "rounds": rep.rounds,
            "distinguishing_round": rep.distinguishing_round,
-           "class_counts": list(rep.class_counts)})
+           "class_counts": list(rep.class_counts), "signatures": list(rep.signatures)})
     return 0
 
 

@@ -458,6 +458,7 @@ def test_wl_command_splits_cfi_k4_pair_at_dimension_three(tmp_path, capsys):
     assert code == 0
     assert rep["equivalent"] is False
     assert rep["class_counts"] == [14, 62, 357]
+    assert rep["signatures"] == [12203, 12673]
 
 
 def test_pq_command(capsys):

@@ -143,7 +143,7 @@ def test_cfi_k4_pair_report_at_dimension_two():
 
 @pytest.mark.parametrize("k,frozen", [(1, (64,)), (2, (1061, 1073, 1073)), (3, (12203, 12673))])
 def test_signatures_count_canonical_tuples_and_representatives(k, frozen):
-    # each step sorts one signature per canonical tuple of both graphs, and
+    # each step makes one signature per canonical tuple of both graphs, and
     # k! - 1 more per class met on a canonical tuple
     k4 = complete_graph(4)
     rep = wl_equivalent(build_cfi(k4).graph,
@@ -240,7 +240,7 @@ def test_step_matches_oracle_on_random_colorings(k):
     rng = random.Random(k)
     for seed in range(5):
         g = random_graph(5, seed)
-        seeds, step = wl._tuples(g, k, 0)
+        seeds, step, _first = wl._tuples(g, k, 0)
         want_seeds, want_step = wl_oracle._tuples(g, k, 0)
         assert wl._dense(seeds) == wl._dense(want_seeds)
         for classes in (2, 3, 7):
@@ -249,13 +249,32 @@ def test_step_matches_oracle_on_random_colorings(k):
             assert wl._dense(step(col, {}, {}))[0] == want
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_first_round_matches_oracle_step_on_seeds(k):
+    # one shared table across graphs of orders 0 .. 7; the edgeless graphs
+    # of orders 3 and 4 agree on every common-neighbour count of their tuples
+    graphs = [random_graph(6, 0), random_graph(7, 1), with_isolated(random_graph(5, 2)),
+              cycle_graph(3).disjoint_union(path_graph(4)), Graph((), ()),
+              Graph((1, 2, 3), ()), Graph((1, 2, 3, 4), ())]
+    kernels, oracles, base = [], [], 0
+    for g in graphs:
+        kernels.append(wl._tuples(g, k, base))
+        oracles.append(wl_oracle._tuples(g, k, base)[1])
+        base += len(g.vertices) ** k
+    col, _count = wl._dense(itertools.chain.from_iterable(seeds for seeds, _, _ in kernels))
+    ids, taus = {}, {}
+    got = [c for _, _, first in kernels for c in first(col, ids, taus)]
+    want = wl._dense(zip(col, (sig for step in oracles for sig in step(col))))[0]
+    assert wl._dense(got)[0] == want
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_empty_graphs(k):
     empty = Graph((), ())
     rep = wl_equivalent(empty, Graph((), ()), k)
     assert (rep.equivalent, rep.rounds, rep.class_counts) == (True, 1, (0,))
     assert rep.distinguishing_round is None
-    seeds, step = wl._tuples(empty, k, 0)
+    seeds, step, _first = wl._tuples(empty, k, 0)
     assert list(seeds) == [] and step([], {}, {}) == []
     for g, h in ((empty, cycle_graph(3)), (cycle_graph(3), empty)):
         assert wl_equivalent(g, h, k).distinguishing_round == 0
@@ -279,3 +298,4 @@ def test_cfi_petersen_pair_fools_dimension_two(special):
     assert rep.equivalent
     assert rep.rounds == 3
     assert rep.class_counts == (3, 5, 33)
+    assert rep.signatures == (6485, 6503, 6503)
