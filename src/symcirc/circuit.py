@@ -337,8 +337,13 @@ class CircuitBuilder:
         """The gate with this label and children, made on first request.
         A name aliases the gate; naming a different gate with a name already
         in use raises ValueError."""
+        return self._add(label, _gate_wires(len(self._made), children), name)
+
+    def _add(self, label: GateLabel, wires: tuple, name=None) -> int:
+        """add, for wires that _gate_wires has already normalized: callers
+        adding many gates over one wire list normalize it once."""
         new = len(self._made)
-        key = (label, _gate_wires(new, children))
+        key = (label, wires)
         g = self._made.get(key, new)
         if name is not None and self.names.get(name, g) != g:
             raise ValueError(f"duplicate gate name {name!r}")

@@ -143,6 +143,8 @@ class FieldValue(tuple):
             return _new(type(self), ((self[0] + other[0]) % p, 1))
         a, b = self
         c, d = other
+        if b == d == 1:   # integers are in lowest terms already
+            return _new(type(self), (a + c, 1))
         return _mk(type(self), a * d + c * b, b * d)
 
     def __sub__(self, other: "FieldValue") -> "FieldValue":
@@ -162,6 +164,8 @@ class FieldValue(tuple):
             return _new(type(self), (self[0] * other[0] % p, 1))
         a, b = self
         c, d = other
+        if b == d == 1:
+            return _new(type(self), (a * c, 1))
         return _mk(type(self), a * c, b * d)
 
     def __truediv__(self, other: "FieldValue") -> "FieldValue":
@@ -199,7 +203,10 @@ class FieldValue(tuple):
         return self[0] == self[1]
 
     def sort_key(self):
-        if self.field.p is not None:
+        """A key ordering the values of Q by size and those of F_p by
+        representative: the int for an integer, which compares exactly
+        with the Fractions of the others."""
+        if self[1] == 1:
             return self[0]
         return Fraction(*self)
 

@@ -17,9 +17,14 @@ Phi evaluates into B.  It proceeds in two symmetry-preserving steps:
    passes each s through one AND with th_ge(0) on its wires, which keeps
    the wires, and so the gadgets of different gates, apart.  Only the last
    layer depends on the target c, so the gates (v, c) sharing parts and
-   wires share one ladder, prefix included.  Part i's threshold gates read
-   the children's images directly.  The ladders of one expansion may have
-   _LADDER_BUDGET AND gates, charged before pruning.
+   wires share one ladder, prefix included, and (v, c)'s gadget is named
+   by the last layer's gate at c: its OR, or its one edge's gate when it
+   has one edge (an empty OR when it has none).  Ladders of one shape
+   (kind, parts, wire count per tag, target set) share one plan per
+   expansion.  Part i's threshold gates read the children's images
+   directly, through one wire tuple.  The ladders of one expansion may have
+   _LADDER_BUDGET AND gates, charged before pruning and per ladder, also
+   when it reuses a plan.
 
 The builder hash-conses, so both stages are rigid, and
 orbit_preservation_check runs symmetry.orbits on the source and on each
@@ -55,6 +60,7 @@ from .circuit import (
     Circuit,
     CircuitBuilder,
     GateLabel,
+    _gate_wires,
     arith_lane_values,
     bool_lane_values,
     const,
@@ -174,11 +180,13 @@ def lower_to_partition_basis(circuit: Circuit, accept, values: ValueSetMap) -> P
             parts, kids = {}, []
             for u, _t in circuit.wires[v]:
                 for q in values.sets[u]:
-                    parts[str(q)] = q
-                    kids.append((b.names[(u, q)], str(q)))
+                    tag = str(q)
+                    parts[tag] = q
+                    kids.append((b.names[(u, q)], tag))
             make = psum if lab.kind == "add" else pprod
+            wires = _gate_wires(v, kids)   # one wire tuple for every member (v, c)
             for c in values.sets[v]:
-                b.add(make(c, parts), kids, name=(v, c))
+                b._add(make(c, parts), wires, name=(v, c))
     out = b.add(OR, [b.names[(circuit.output, c)]
                      for c in values.sets[circuit.output] if c in accept])
     return PartitionCircuit(b.build(out), None)
@@ -188,21 +196,26 @@ def lower_to_partition_basis(circuit: Circuit, accept, values: ValueSetMap) -> P
 # Partition gadgets
 
 
-def _ladder_edges(label: GateLabel, counts: dict, targets: set, left: int) -> tuple:
-    """Plan a family's ladder from its wire counts per tag: (layers, AND-gate
-    budget left), layer i as (tag, threshold, {s: [(s', k), ...]}) where
-    the threshold gate of count k on part i carries s' to s.  It is th_eq(k)
-    when combine(s', x) = s for x the k-th term of part i
+def _overdrawn() -> BudgetExceededError:
+    return BudgetExceededError(f"partial-sum ladders need more than {_LADDER_BUDGET} AND gates")
+
+
+def _ladder_edges(label: GateLabel, counts: dict, targets: frozenset, left: int) -> tuple:
+    """Plan a ladder from its wire counts per tag: (layers, AND gates
+    charged), layer i as (tag, threshold, counts read, {s: [(s', k), ...]})
+    where the threshold gate of count k on part i carries s' to s.  It is
+    th_eq(k) when combine(s', x) = s for x the k-th term of part i
     (partition_terms).  An identity part keeps every s' whatever its count,
     so its one edge per s' reads th_ge(0).  The forward plan charges one
-    AND gate per edge past layer 1 and raises BudgetExceededError once left
-    runs out; a backward pass then keeps, per layer, the sums from which
-    some target is reachable."""
+    AND gate per edge past layer 1 and raises BudgetExceededError once the
+    charge passes left; a backward pass then keeps, per layer, the sums
+    from which some target is reachable, and the counts their edges read."""
     unit, combine = partition_rule(label.kind, label.c.field)
     parts = label.parts_map()
     tags = sorted(parts, key=lambda t: parts[t].sort_key())
     layers = []
     reached = (unit,)
+    charged = 0
     for i, t in enumerate(tags, start=1):
         identity = parts[t] == unit
         terms = [unit] if identity else partition_terms(unit, combine, parts[t], counts[t])
@@ -212,73 +225,85 @@ def _ladder_edges(label: GateLabel, counts: dict, targets: set, left: int) -> tu
                 s = combine(s0, x)
                 if i < len(tags) or s in targets:
                     edges.setdefault(s, []).append((s0, k))
-                    left -= i > 1   # layer 1 reads its thresholds without AND gates
-            if left < 0:
-                raise BudgetExceededError(
-                    f"partial-sum ladders need more than {_LADDER_BUDGET} AND gates")
+                    charged += i > 1   # layer 1 reads its thresholds without AND gates
+            if charged > left:
+                raise _overdrawn()
         layers.append((t, th_ge if identity else th_eq, edges))
         reached = edges
     keep = targets
     for i in reversed(range(len(layers))):
         t, threshold, edges = layers[i]
         edges = {s: pairs for s, pairs in edges.items() if s in keep}
-        layers[i] = (t, threshold, edges)
+        read = sorted({k for pairs in edges.values() for _s0, k in pairs})
+        layers[i] = (t, threshold, read, edges)
         keep = {s0 for pairs in edges.values() for s0, _k in pairs}
-    return layers, left
+    return layers, charged
 
 
 @dataclass
 class ExpandedCircuit:
     circuit: Circuit
     # ("copy", g) per non-partition gate g of the partition stage and ("d", m)
-    # per psum/pprod gate m -> the gate standing for it; ladder gates have no name
+    # per psum/pprod gate m -> the gate standing for it; m's gadget is named
+    # by its OR, or by its one edge's gate; other ladder gates are unnamed
     gate_of: dict
 
 
 def expand_to_threshold(lowered: PartitionCircuit) -> ExpandedCircuit:
     """Replace every partition gate with its ladder.  A family of gates
-    sharing kind, parts and wires gets one, named after and built at its
-    first member in topological order; member m's gadget ("d", m) is the
-    OR over the last layer's edges into its target, or an empty OR; below
-    the last layer, a sum with one edge is that edge's gate, with no OR.
-    All ladders are planned first, so BudgetExceededError comes before
-    anything is built."""
+    sharing kind, parts and wires gets one, built at its first member in
+    topological order, and the families of one shape (kind, parts, wire
+    count per tag, target set) share one plan; the AND-gate budget is
+    charged per family all the same.  In every layer, a sum is the OR over
+    its edges, or that edge's gate when it has one; member m's gadget
+    ("d", m) is the last layer's gate at its target, or an empty OR when
+    the target has no edge.  All ladders are planned first, so
+    BudgetExceededError comes before anything is built."""
     src = lowered.circuit
     families = {}   # (kind, parts, wires) -> members, then (members, layers)
     for g in src.topo_order():
         lab = src.gates[g]
         if lab.kind in ("psum", "pprod"):
             families.setdefault((lab.kind, lab.parts, src.wires[g]), []).append(g)
+    plans = {}   # (kind, parts, counts, targets) -> (layers, AND gates charged)
     left = _LADDER_BUDGET
     for key, members in families.items():
-        counts = Counter(t for _w, t in key[2])
-        layers, left = _ladder_edges(src.gates[members[0]], counts,
-                                     {src.gates[m].c for m in members}, left)
+        kind, parts, wires = key
+        counts = Counter(t for _w, t in wires)
+        targets = frozenset(src.gates[m].c for m in members)
+        shape = (kind, parts, tuple(sorted(counts.items())), targets)
+        if shape not in plans:
+            plans[shape] = _ladder_edges(src.gates[members[0]], counts, targets, left)
+        layers, charged = plans[shape]
+        left -= charged
+        if left < 0:
+            raise _overdrawn()
         families[key] = (members, layers)
     b = CircuitBuilder(src.field, src.variables)
     image = {}   # source gate -> the gate standing for it: its copy or its gadget
     for g in src.topo_order():
         lab = src.gates[g]
         if lab.kind not in ("psum", "pprod"):
-            kids = [(image[c], t) for c, t in src.wires[g]]
-            image[g] = b.add(lab, kids, name=("copy", g))
+            image[g] = b.add(lab, [(image[c], t) for c, t in src.wires[g]])
         elif g not in image:
             members, layers = families[(lab.kind, lab.parts, src.wires[g])]
-            by_tag = {t: [] for t, _th, _e in layers}
+            by_tag = {t: [] for t, *_ in layers}
             for d, tag in src.wires[g]:
                 by_tag[tag].append(image[d])
             layer = {}
-            for i, (t, threshold, edges) in enumerate(layers, start=1):
-                kids = by_tag[t]
-                read = sorted({k for pairs in edges.values() for _s0, k in pairs})
-                tes = {k: b.add(threshold(k), kids) for k in read}
+            for i, (t, threshold, read, edges) in enumerate(layers, start=1):
+                kids = _gate_wires(g, by_tag[t])   # one wire tuple for the part's thresholds
+                tes = {k: b._add(threshold(k), kids) for k in read}
                 ins = {s: [tes[k] if i == 1 else b.add(AND, [tes[k], layer[s0]])
                            for s0, k in pairs]
                        for s, pairs in edges.items()}
                 layer = {s: ws[0] if len(ws) == 1 else b.add(OR, ws) for s, ws in ins.items()}
             for m in members:
-                image[m] = b.add(OR, ins.get(src.gates[m].c, []), ("d", m))
-    return ExpandedCircuit(b.build(image[src.output]), dict(b.names))
+                c = src.gates[m].c
+                image[m] = layer[c] if c in layer else b.add(OR, [])
+    gate_of = {("d" if src.gates[g].kind in ("psum", "pprod") else "copy", g): h
+               for g, h in image.items()}
+    return ExpandedCircuit(b.build(image[src.output]), gate_of)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
-"""Property tests: the field axioms over Q and GF(p), p in {2, 3, 5, 7}."""
+"""Property tests: the field axioms over Q and GF(p), p in {2, 3, 5, 7}, and
+rational arithmetic and order against Fraction."""
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -67,3 +71,33 @@ def test_scaled_and_power_repeat_the_operation(case, k):
         assert a.power(k) == product
     elif not a.is_zero():
         assert a.power(k) == product.inverse()
+
+
+# integers and proper fractions, so that both the integer and the general
+# route of rational + and * run, and mixed pairs of the two
+RATIONALS = st.one_of(st.integers(-10 ** 6, 10 ** 6).map(Fraction),
+                      st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                   max_denominator=10 ** 6))
+
+
+def assert_normalized(value):
+    num, den = value
+    assert type(value) is type(QQ.zero())
+    assert den > 0 and gcd(num, den) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATIONALS, RATIONALS)
+def test_rational_sum_and_product_are_fraction_arithmetic(x, y):
+    a, b = QQ.of(x), QQ.of(y)
+    for got, want in ((a + b, x + y), (a * b, x * y)):
+        assert_normalized(got)
+        assert got.as_fraction() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(RATIONALS, max_size=12))
+def test_sort_key_orders_as_fractions_do(xs):
+    values = [QQ.of(x) for x in xs]
+    by_key = sorted(values, key=lambda v: v.sort_key())
+    assert by_key == sorted(values, key=lambda v: v.as_fraction())

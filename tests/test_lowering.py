@@ -6,6 +6,7 @@ import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -42,7 +43,7 @@ from symcirc import (
     value_sets,
     verify_lowering,
 )
-from symcirc.circuit import bool_lane_values, pprod, psum
+from symcirc.circuit import bool_lane_values, partition_rule, partition_terms, pprod, psum
 from symcirc.symmetry import matrix_var, matrix_variables
 
 
@@ -199,15 +200,58 @@ def test_expand_to_threshold_equivalence():
     for bits in itertools.product((0, 1), repeat=4):
         asg = dict(zip(names, bits))
         assert evaluate_bool(low.circuit, asg) == evaluate_bool(exp.circuit, asg)
-    # gate_of names one gate per partition-stage gate: its copy, or the
-    # gadget OR of a partition gate; ladder gates are unnamed
-    src = low.circuit
-    partition = {g for g, lab in src.gates.items() if lab.kind in ("psum", "pprod")}
-    assert partition
-    assert set(exp.gate_of) == ({("copy", g) for g in src.gates if g not in partition}
-                                | {("d", m) for m in partition})
-    for (role, g), h in exp.gate_of.items():
-        assert exp.circuit.gates[h] == (OR if role == "d" else src.gates[g])
+    # besides the crossing pair, gates whose targets have no last-layer edge
+    # (out of reach) and three (any count of the weight-2 part keeps the
+    # product 0), and a lowering with families of many members
+    perm3 = ryser_perm_circuit(3, GF(3)).circuit
+    zero_two = {"0": QQ.of(0), "2": QQ.of(2)}
+    lowerings = [low, lower_to_partition_basis(perm3, {0}, value_sets(perm3)),
+                 PartitionCircuit(one_gate(psum(QQ.of(9), {"1": QQ.of(1), "2": QQ.of(2)}),
+                                           {"1": 2, "2": 1})[0], None),
+                 PartitionCircuit(one_gate(pprod(QQ.of(0), zero_two), {"0": 1, "2": 2})[0], None)]
+    seen = set()
+    for lowered in lowerings:
+        exp = expand_to_threshold(lowered)
+        # gate_of names one gate per partition-stage gate: its copy, or the
+        # gadget of a partition gate; ladder gates are unnamed
+        src = lowered.circuit
+        partition = {g for g, lab in src.gates.items() if lab.kind in ("psum", "pprod")}
+        assert partition
+        assert set(exp.gate_of) == ({("copy", g) for g in src.gates if g not in partition}
+                                    | {("d", m) for m in partition})
+        for (role, g), h in exp.gate_of.items():
+            lab = exp.circuit.gates[h]
+            if role == "copy":
+                assert lab == src.gates[g]
+                continue
+            # the gadget is the OR over the last layer's edges into the
+            # target when there are none or several, and that edge's gate
+            # (an AND, or a threshold on a one-part ladder) when there is one
+            edges = last_layer_edges(src.gates[g], Counter(t for _c, t in src.wires[g]))
+            seen.add(min(edges, 2))
+            if edges == 1:
+                assert lab == AND or lab.kind in ("th_eq", "th_ge")
+            else:
+                assert lab == OR and len(exp.circuit.wires[h]) == edges
+    assert seen == {0, 1, 2}
+
+
+def last_layer_edges(label, counts) -> int:
+    """The number of last-layer edges into label's target: the pairs (s', k)
+    with s' a fold of every part but the last in value order, and k a count
+    of the last part that carries s' to the target.  An identity part has
+    one edge per s', at k = 0."""
+    unit, combine = partition_rule(label.kind, label.c.field)
+    parts = label.parts_map()
+    *before, last = sorted(parts, key=lambda t: parts[t].sort_key())
+    folds = {unit}
+    for t in before:
+        folds = {combine(s, x) for s in folds
+                 for x in partition_terms(unit, combine, parts[t], counts[t])}
+    if parts[last] == unit:
+        return int(label.c in folds)
+    terms = partition_terms(unit, combine, parts[last], counts[last])
+    return sum(combine(s, x) == label.c for s in folds for x in terms)
 
 
 def test_expanded_symmetry_lifts():
@@ -483,6 +527,41 @@ def test_ladder_budget():
     direct, _names = one_gate(psum(QQ.of(5), parts), {t: 9 for t in parts})
     with pytest.raises(BudgetExceededError, match="AND gates"):
         expand_to_threshold(PartitionCircuit(direct, None))
+
+
+def test_ladder_budget_is_charged_per_family_of_one_shape(monkeypatch):
+    # psum(2) with parts 1 and 2, two wires each: layer 2 keeps the edges
+    # 2 + 0 and 0 + 2 into the target, so one ladder costs 2 AND gates.
+    # Gates a and b read different wires and share that shape, so they
+    # share one plan, and the budget must still pay for both ladders.
+    label = psum(QQ.of(2), {"1": QQ.of(1), "2": QQ.of(2)})
+    names = [f"{g}{i}" for g in "ab" for i in range(4)]
+    b = CircuitBuilder(QQ, names)
+    x = [b.add(input_label(v)) for v in names]
+    gates = [b.add(label, [(x[i], "1"), (x[i + 1], "1"), (x[i + 2], "2"), (x[i + 3], "2")])
+             for i in (0, 4)]
+    pair = PartitionCircuit(b.build(b.add(OR, gates)), None)
+    alone = PartitionCircuit(one_gate(label, {"1": 2, "2": 2})[0], None)
+    made = []
+
+    class Recording(CircuitBuilder):
+        def _add(self, label, wires, name=None):
+            made.append(label)
+            return super()._add(label, wires, name)
+
+    monkeypatch.setattr(lowering, "CircuitBuilder", Recording)
+    for budget, lowered, fits in ((1, alone, False), (2, alone, True),
+                                  (3, pair, False), (4, pair, True)):
+        monkeypatch.setattr(lowering, "_LADDER_BUDGET", budget)
+        made.clear()
+        if fits:
+            variables = lowered.circuit.variables
+            assert lane_table(expand_to_threshold(lowered).circuit, variables) == \
+                lane_table(lowered.circuit, variables)
+        else:
+            with pytest.raises(BudgetExceededError, match=f"more than {budget} AND gates"):
+                expand_to_threshold(lowered)
+            assert made == [], budget
 
 
 def test_ryser_two_lowering_round_trip():
