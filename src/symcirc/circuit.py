@@ -11,9 +11,10 @@ in the circuit's field, tags only where a label has parts) and the types a
 circuit file holds (int ids that are not bools, str variables and part
 tags), and raises CircuitError naming the gate that breaks one, so no other
 code handles a malformed circuit and every circuit serializes to a file
-that deserialize reads back.  One function, _gate_wires, turns children
-into wires for the constructor and CircuitBuilder alike, and one,
-_gate_from_json, reads a gate of a circuit file.
+that deserialize reads back.  It judges each label object's own rules once
+per circuit, and the rules on wires per gate.  One function, _gate_wires,
+turns children into wires for the constructor and CircuitBuilder alike, and
+one, _gate_from_json, reads a gate of a circuit file.
 CircuitBuilder hash-conses gates on (label, children) and keeps them only
 in that table, so the circuits it builds are rigid: no two gates share a
 label and children, and no gate can change behind the table.  Rigidity is
@@ -214,21 +215,39 @@ class Circuit:
         if self.output not in self.gates:
             raise CircuitError(f"output {self.output} is not a gate")
         forward = True
-        for g, lab in self.gates.items():
+        # _broken_rule runs only on the gates that may break a rule.  Each
+        # label object is judged once (gates share AND and th_eq(k), and a
+        # psum family one parts tuple), and a gate whose label breaks no
+        # rule and has none but on tags needs only its tags checked.  Keyed
+        # by identity, since equal labels may differ in a type a rule tests
+        # (k=1 and k=True); the objects outlive the check
+        rules = {}   # id(label) -> _label_tags; id(parts tuple) -> _parts_tags
+        gates, inputs, fld = self.gates, self.inputs_by_var, self.field
+        for g, lab in gates.items():
             if type(g) is not int:
                 raise CircuitError(f"gate {g!r}: id is not an int")
             ws = self.wires[g]
-            for c, _t in ws:
+            tagged = False
+            for c, t in ws:
                 if type(c) is not int:
                     raise CircuitError(f"gate {g}: child {c!r} is not an int")
-                if c not in self.gates:
+                if c not in gates:
                     raise CircuitError(f"gate {g}: child {c} is not a gate")
                 forward = forward and c < g
-            broken = _broken_rule(lab, ws, declared, self.inputs_by_var, self.field)
+                tagged = tagged or t is not None
+            tags = rules.get(id(lab))
+            if tags is None:
+                tags = rules[id(lab)] = _label_tags(lab, declared, fld, rules)
+            if tags is True:
+                if not tagged:
+                    continue
+            elif tags is not False and all(t in tags for _c, t in ws):
+                continue
+            broken = _broken_rule(lab, ws, declared, inputs, fld)
             if broken:
                 raise CircuitError(f"gate {g}: {broken}")
             if lab.kind == "input":
-                self.inputs_by_var[lab.var] = g
+                inputs[lab.var] = g
         if forward:
             # every child precedes its parent, so ascending ids is the order
             # Kahn's algorithm would give (the case of every built circuit)
@@ -263,7 +282,30 @@ class Circuit:
 
 
 def _in_field(value, fld: Field) -> bool:
-    return isinstance(value, FieldValue) and value.field == fld
+    return type(value) is fld._values   # the value class of fld's modulus, as Field.of tests
+
+
+def _parts_tags(parts: tuple, fld: Field):
+    """The tags of a psum/pprod parts tuple, or False when a tag is not a
+    string or a weight is not in fld."""
+    tags = dict(parts or ())
+    if all(type(t) is str for t in tags) and all(_in_field(q, fld) for q in tags.values()):
+        return frozenset(tags)
+    return False
+
+
+def _label_tags(lab: GateLabel, declared, fld: Field, memo: dict):
+    """True when the label breaks no rule and its kind has no rule but that
+    its wires are untagged (add, mul, and, or, thresholds); the tags its
+    wires may carry when it is a psum/pprod label breaking no rule; else
+    False, and _broken_rule checks each of its gates.  memo keeps
+    _parts_tags per parts tuple."""
+    if lab.kind in ("psum", "pprod"):
+        if id(lab.parts) not in memo:
+            memo[id(lab.parts)] = _parts_tags(lab.parts, fld)
+        return memo[id(lab.parts)] if _in_field(lab.c, fld) else False
+    return (lab.kind in ("add", "mul", "and", "or", "th_ge", "th_eq")
+            and not _broken_rule(lab, (), declared, {}, fld))
 
 
 def _broken_rule(lab: GateLabel, ws: tuple, declared, inputs: dict, fld: Field) -> str | None:
@@ -340,17 +382,19 @@ class CircuitBuilder:
         return self._add(label, _gate_wires(len(self._made), children), name)
 
     def _add(self, label: GateLabel, wires: tuple, name=None) -> int:
-        """add, for wires that _gate_wires has already normalized: callers
-        adding many gates over one wire list normalize it once."""
+        """add, for wires already in _gate_wires's form, a tuple of (id,
+        tag) pairs in sorted order: callers adding many gates over one wire
+        list normalize it once, and the ladders build theirs directly."""
         new = len(self._made)
         key = (label, wires)
+        if name is None:   # one lookup, which hashes the key once
+            return self._made.setdefault(key, new)
         g = self._made.get(key, new)
-        if name is not None and self.names.get(name, g) != g:
+        if self.names.get(name, g) != g:
             raise ValueError(f"duplicate gate name {name!r}")
         if g == new:
             self._made[key] = g
-        if name is not None:
-            self.names[name] = g
+        self.names[name] = g
         return g
 
     def build(self, output) -> Circuit:
@@ -378,7 +422,7 @@ def _lane_fold(acc: dict, kid: dict, combine) -> dict:
             m = ma & mb
             if m:
                 s = combine(a, b)
-                nxt[s] = nxt[s] | m if s in nxt else m
+                nxt[s] = nxt.get(s, 0) | m
     return nxt
 
 
@@ -484,15 +528,16 @@ def _partition_fold(fld: Field, kind: str, parts: tuple, ws: tuple, vals: dict,
     by_tag = {t: [] for t, _q in parts}
     for c, tag in ws:
         by_tag[tag].append(vals[c])
-    acc = {unit: full}
+    acc = None
     for t, q in parts:
         counts = _count_map(by_tag[t], full)
         terms = partition_terms(unit, combine, q, max(counts))
         by_term = {}
         for k, m in counts.items():
             x = terms[k]
-            by_term[x] = by_term[x] | m if x in by_term else m
-        acc = _lane_fold(acc, by_term, combine)
+            by_term[x] = by_term.get(x, 0) | m
+        # the first part's terms are the fold from unit
+        acc = by_term if acc is None else _lane_fold(acc, by_term, combine)
     return acc
 
 
@@ -510,10 +555,11 @@ def bool_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
     full = (1 << width) - 1
     vals = {}
     families = {}   # (kind, parts, wires) -> {value: lanes}; (None, None, wires) -> {count: lanes}
+    gates, wires = circuit.gates, circuit.wires
     for g in circuit.topo_order():
-        lab = circuit.gates[g]
+        lab = gates[g]
         kind = lab.kind
-        ws = circuit.wires[g]
+        ws = wires[g]
         if kind == "and":
             acc = full
             for c, _t in ws:

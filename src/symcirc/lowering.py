@@ -60,27 +60,25 @@ from .circuit import (
     Circuit,
     CircuitBuilder,
     GateLabel,
-    _gate_wires,
     arith_lane_values,
     bool_lane_values,
     const,
     input_label,
     partition_rule,
     partition_terms,
-    pprod,
-    psum,
     th_eq,
     th_ge,
 )
 from .errors import BudgetExceededError, CircuitError
+from .field import FieldValue
 from .symmetry import orbits
 
 _LADDER_BUDGET = 2 * 10 ** 5   # AND gates in all ladders of one expansion
 _MAX_INPUTS = 20   # _zero_one evaluates at most 2^20 assignments, one lane each
 
 
-def _sorted_vals(vals) -> tuple:
-    return tuple(sorted(set(vals), key=lambda v: v.sort_key()))
+def _sorted_vals(vals: dict) -> tuple:
+    return tuple(sorted(vals, key=FieldValue.sort_key))
 
 
 @dataclass
@@ -183,10 +181,11 @@ def lower_to_partition_basis(circuit: Circuit, accept, values: ValueSetMap) -> P
                     tag = str(q)
                     parts[tag] = q
                     kids.append((b.names[(u, q)], tag))
-            make = psum if lab.kind == "add" else pprod
-            wires = _gate_wires(v, kids)   # one wire tuple for every member (v, c)
+            kind = "psum" if lab.kind == "add" else "pprod"
+            parts = tuple(sorted(parts.items()))   # one parts tuple and one wire
+            wires = tuple(sorted(kids))            # tuple for every member (v, c)
             for c in values.sets[v]:
-                b._add(make(c, parts), wires, name=(v, c))
+                b._add(GateLabel(kind, c=c, parts=parts), wires, name=(v, c))
     out = b.add(OR, [b.names[(circuit.output, c)]
                      for c in values.sets[circuit.output] if c in accept])
     return PartitionCircuit(b.build(out), None)
@@ -222,7 +221,8 @@ def _ladder_edges(label: GateLabel, counts: dict, targets: frozenset, left: int)
         edges = {}
         for k, x in enumerate(terms):
             for s0 in reached:
-                s = combine(s0, x)
+                # terms[0] is unit, and layer 1 extends unit alone
+                s = s0 if k == 0 else x if i == 1 else combine(s0, x)
                 if i < len(tags) or s in targets:
                     edges.setdefault(s, []).append((s0, k))
                     charged += i > 1   # layer 1 reads its thresholds without AND gates
@@ -238,6 +238,16 @@ def _ladder_edges(label: GateLabel, counts: dict, targets: frozenset, left: int)
         layers[i] = (t, threshold, read, edges)
         keep = {s0 for pairs in edges.values() for s0, _k in pairs}
     return layers, charged
+
+
+def _pair(x: int, y: int) -> tuple:
+    """The wire tuple of a gate reading x and y, as _gate_wires sorts it."""
+    return ((x, None), (y, None)) if x <= y else ((y, None), (x, None))
+
+
+def _untagged(ids: list) -> tuple:
+    """The wire tuple of a gate reading the ids, as _gate_wires sorts it."""
+    return tuple([(c, None) for c in sorted(ids)])
 
 
 @dataclass
@@ -292,15 +302,16 @@ def expand_to_threshold(lowered: PartitionCircuit) -> ExpandedCircuit:
                 by_tag[tag].append(image[d])
             layer = {}
             for i, (t, threshold, read, edges) in enumerate(layers, start=1):
-                kids = _gate_wires(g, by_tag[t])   # one wire tuple for the part's thresholds
+                kids = _untagged(by_tag[t])   # one wire tuple for the part's thresholds
                 tes = {k: b._add(threshold(k), kids) for k in read}
-                ins = {s: [tes[k] if i == 1 else b.add(AND, [tes[k], layer[s0]])
+                ins = {s: [tes[k] if i == 1 else b._add(AND, _pair(tes[k], layer[s0]))
                            for s0, k in pairs]
                        for s, pairs in edges.items()}
-                layer = {s: ws[0] if len(ws) == 1 else b.add(OR, ws) for s, ws in ins.items()}
+                layer = {s: ws[0] if len(ws) == 1 else b._add(OR, _untagged(ws))
+                         for s, ws in ins.items()}
             for m in members:
-                c = src.gates[m].c
-                image[m] = layer[c] if c in layer else b.add(OR, [])
+                h = layer.get(src.gates[m].c)
+                image[m] = b.add(OR, []) if h is None else h
     gate_of = {("d" if src.gates[g].kind in ("psum", "pprod") else "copy", g): h
                for g, h in image.items()}
     return ExpandedCircuit(b.build(image[src.output]), gate_of)

@@ -30,6 +30,7 @@ minimum support leaves out one largest class per factor, with no search.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -262,7 +263,14 @@ def _moved_gates(circuit: Circuit, sigma: dict):
                 break
         else:
             continue
-        h = index.get((gates[g], _sorted_wires([(moved.get(c, c), t) for c, t in ws])))
+        if len(ws) == 2:   # most gates of a threshold stage: no list, one compare
+            (c, s), (d, t) = ws
+            c, d = moved.get(c, c), moved.get(d, d)
+            ws = (((c, s), (d, t)) if c < d else ((d, t), (c, s)) if d < c
+                  else _sorted_wires([(c, s), (d, t)]))
+        else:
+            ws = _sorted_wires([(moved.get(c, c), t) for c, t in ws])
+        h = index.get((gates[g], ws))
         if h is None:
             return None
         if h != g:
@@ -327,50 +335,49 @@ class OrbitReport:
     orbits: list          # sorted list of sorted gate-id lists
     max_orbit: int
 
+    @functools.cached_property
+    def _orbit_index(self) -> dict:
+        return {g: orb for orb in self.orbits for g in orb}
+
     def orbit_of(self, gate: int) -> list:
-        for orb in self.orbits:
-            if gate in orb:
-                return orb
-        raise KeyError(gate)
+        """The orbit holding gate, from an index of the gates made on the
+        first call; KeyError for a gate in no orbit."""
+        return self._orbit_index[gate]
 
 
 def orbits(circuit: Circuit, perms: list) -> OrbitReport:
     """Orbit partition of the gates under the group generated by the
     extensions of the variable permutations perms.  The circuit must be
     rigid; CircuitError names the first entry that has no extension (a None
-    entry of SymmetryReport.witnesses included).  Union-find runs over the
-    cached moved-gate maps (_extension), so it touches only the gates some
-    extension moves; every other gate is a singleton orbit."""
+    entry of SymmetryReport.witnesses included).  Each orbit is closed over
+    the cached moved-gate maps (_extension), so the closure touches only
+    the gates some extension moves; every other gate is a singleton orbit."""
     moves = []
     for i, sigma in enumerate(perms):
         moved = None if sigma is None else _extension(circuit, sigma)
         if moved is None:
             raise CircuitError(f"permutation {i} has no extension")
         moves.append(moved)
-    parent = {}
+    seen = set()
+    orbs = []
     for moved in moves:
-        parent.update(zip(moved, moved))
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for moved in moves:
-        for g, h in moved.items():
-            rg, rh = find(g), find(h)
-            if rg != rh:
-                parent[rg] = rh
-    classes = {}
-    for g in parent:
-        classes.setdefault(find(g), []).append(g)
-    orbs = [sorted(c) for c in classes.values()]
-    orbs += [[g] for g in circuit.gates if g not in parent]
+        for g in moved:
+            if g not in seen:
+                # the closure of g under the extensions: each maps a gate
+                # it does not move to itself
+                seen.add(g)
+                orb = [g]
+                for x in orb:
+                    for m in moves:
+                        y = m.get(x, x)
+                        if y not in seen:
+                            seen.add(y)
+                            orb.append(y)
+                orb.sort()
+                orbs.append(orb)
+    orbs += [[g] for g in circuit.gates if g not in seen]
     orbs.sort()
-    return OrbitReport(orbs, max(len(c) for c in orbs))
+    return OrbitReport(orbs, max(map(len, orbs)))
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from symcirc import (
     matching_experiment,
     minimal_support,
     orbit_preservation_check,
+    orbits,
     orientation_odd_set_census,
     path_graph,
     pq,
@@ -241,6 +242,25 @@ def test_06_orbits_within_the_young_bounds():
         assert all(set(r) <= {1, 2} for r in ratios), group
         assert [r[2] for r in ratios] == doubled.get(group, [0, 0, 0]), group
     print("PASS Young bounds: every gate of every stage of the eight lowerings")
+
+
+def test_06_orbit_of_matches_a_scan():
+    """OrbitReport.orbit_of, read off an index of the gates, returns the
+    orbit a scan of the orbits finds first, on every gate of all three
+    stages, and raises KeyError for an id that is no gate."""
+    for gen, _group, _orb, _gates, rep, low, exp in orbit_case_stages():
+        for circuit in (gen.circuit, low.circuit, exp.circuit):
+            report = orbits(circuit, rep.witnesses)
+            first = {}
+            for orb in report.orbits:
+                for g in orb:
+                    first.setdefault(g, orb)
+            assert sum(map(len, report.orbits)) == len(first) == len(circuit.gates)
+            assert all(report.orbit_of(g) is first[g] for g in circuit.gates)
+            for missing in (-1, max(circuit.gates) + 1):
+                with pytest.raises(KeyError):
+                    report.orbit_of(missing)
+    print("PASS orbit_of: every gate of every stage of the eight lowerings")
 
 
 def test_06_threshold_stage_has_no_orphans():

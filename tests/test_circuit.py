@@ -252,6 +252,53 @@ def test_constructor_rejects(case):
         Circuit(QQ, variables, gates, wires, output)
 
 
+_SHARED_PSUM = psum(QQ.of(1), {"a": QQ.of(1)})
+_SHARED_X = input_label("x")
+
+# One label object on a well-formed gate and on a later malformed one: each
+# label is judged once per circuit, and the rules on wires still run per gate.
+# (variables, gates, wires, output, message), as in _MALFORMED.
+_SHARED_LABELS = {
+    "not_with_two_children": (["x", "y"], {0: input_label("x"), 1: input_label("y"), 2: NOT,
+                                           3: NOT, 4: OR},
+                              {2: [0], 3: [0, 1], 4: [2, 3]}, 4,
+                              "gate 3: not gate has 2 children"),
+    "psum_tag_outside_parts": (["x"], {0: _SHARED_X, 1: _SHARED_PSUM, 2: _SHARED_PSUM, 3: OR},
+                               {1: [(0, "a")], 2: [(0, "b")], 3: [1, 2]}, 3,
+                               r"gate 2: wire from 0 has tag 'b' outside the parts \['a'\]"),
+    "second_input_on_a_variable": (["x"], {0: _SHARED_X, 1: _SHARED_X, 2: ADD}, {2: [0, 1]}, 2,
+                                   "gate 1: variable 'x' already labels gate 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHARED_LABELS))
+def test_shared_label_still_judged_per_gate(case):
+    variables, gates, wires, output, message = _SHARED_LABELS[case]
+    with pytest.raises(CircuitError, match=message) as built_exc:
+        Circuit(QQ, variables, gates, wires, output)
+    doc = {"field": "Q", "variables": variables, "output": output,
+           "gates": [{"id": g, "label": label_doc(lab),
+                      "children": [{"id": w} if isinstance(w, int) else {"id": w[0], "tag": w[1]}
+                                   for w in wires.get(g, [])]}
+                     for g, lab in gates.items()]}
+    with pytest.raises(SchemaError) as read_exc:
+        deserialize(json.dumps(doc))
+    assert (read_exc.value.path, str(read_exc.value)) == ("$.gates", f"$.gates: {built_exc.value}")
+
+
+def test_label_rules_follow_each_label_object():
+    # two labels sharing one parts tuple, the later one's target outside the field
+    bad = GateLabel("psum", c=GF(5).of(1), parts=_SHARED_PSUM.parts)
+    with pytest.raises(CircuitError, match="gate 2: target 1 is not in Q"):
+        Circuit(QQ, ["x"], {0: _SHARED_X, 1: _SHARED_PSUM, 2: bad, 3: OR},
+                {1: [(0, "a")], 2: [(0, "a")], 3: [1, 2]}, 3)
+    # equal labels, one of them with a bool threshold (k=True == 1)
+    assert GateLabel("th_ge", k=True) == th_ge(1)
+    with pytest.raises(CircuitError, match="gate 2: threshold True is not an integer >= 0"):
+        Circuit(QQ, ["x"], {0: _SHARED_X, 1: th_ge(1), 2: GateLabel("th_ge", k=True), 3: OR},
+                {1: [0], 2: [0], 3: [1, 2]}, 3)
+
+
 def test_constructor_accepts_each_rule_satisfied():
     x = input_label("x")
     circuits = [

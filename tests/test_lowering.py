@@ -354,6 +354,31 @@ def test_orbit_preservation_small():
     assert report.orb_phi == report.orb_d == report.orb_c == 4
 
 
+@pytest.mark.parametrize("make", [lambda: ryser_perm_circuit(2, GF(5)),
+                                  lambda: leverrier_det_circuit(2)],
+                         ids=["perm2_F5", "det2_Q"])
+def test_every_accept_set_lowers_and_keeps_orbits(make):
+    """Every non-empty proper subset of the output's compositional values:
+    both stages verify, keep the largest orbit, and the partition output
+    OR reads one member (out, c) of the output's family per accepted c."""
+    gen = make()
+    c = gen.circuit
+    vs = value_sets(c, "compositional")
+    out_values = vs.sets[c.output]
+    for r in range(1, len(out_values)):
+        for accept in itertools.combinations(out_values, r):
+            low = lower_to_partition_basis(c, accept, vs)
+            exp = expand_to_threshold(low)
+            assert verify_lowering(c, accept, low.circuit), accept
+            assert verify_lowering(c, accept, exp.circuit), accept
+            assert orbit_preservation_check(c, gen.witnesses, low, exp).equal, accept
+            d = low.circuit
+            members = [k for k, _t in d.wires[d.output]]
+            assert sorted(d.gates[k].c.sort_key() for k in members) == \
+                sorted(a.sort_key() for a in accept)
+            assert len({(d.gates[k].kind, d.gates[k].parts, d.wires[k]) for k in members}) == 1
+
+
 def test_orbit_preservation_rejects_trivial():
     c = crossing_pair()
     rep = check_symmetric(c, Matrix(2, 2))
