@@ -5,16 +5,17 @@ output gate.  Wires are sorted multisets of (child, tag) pairs: a child
 listed twice counts twice, so x*x is one mul gate reading x twice.  Tags are
 only meaningful on the partition-counting labels; everywhere else they must
 be absent.  A Circuit is well-formed by construction: its constructor
-checks every structural rule (children are gates, no cycle, known labels of
-the right fan-in, declared variables on one input gate each, field elements
-in the circuit's field, tags only where a label has parts) and the types a
-circuit file holds (int ids that are not bools, str variables and part
-tags), and raises CircuitError naming the gate that breaks one, so no other
-code handles a malformed circuit and every circuit serializes to a file
-that deserialize reads back.  It judges each label object's own rules once
-per circuit, and the rules on wires per gate.  One function, _gate_wires,
-turns children into wires for the constructor and CircuitBuilder alike, and
-one, _gate_from_json, reads a gate of a circuit file.
+checks every structural rule (children are gates, no cycle, known labels
+with only their kind's fields and of the right fan-in, declared variables
+on one input gate each, field elements in the circuit's field, tags only
+where a label has parts) and the types a circuit file holds (int ids that
+are not bools, str variables and part tags), and raises CircuitError naming
+the gate that breaks one, so no other code handles a malformed circuit and
+every circuit serializes to a file that deserialize reads back.  It judges
+each label object's own rules once per circuit, and the rules on wires per
+gate.  One function, _gate_wires, turns children into wires for the
+constructor and CircuitBuilder alike, and one, _gate_from_json, reads a
+gate of a circuit file.
 CircuitBuilder hash-conses gates on (label, children) and keeps them only
 in that table, so the circuits it builds are rigid: no two gates share a
 label and children, and no gate can change behind the table.  Rigidity is
@@ -37,6 +38,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CircuitError, FieldMismatchError, SchemaError
 from .field import Field, FieldValue
@@ -44,13 +46,14 @@ from .field import Field, FieldValue
 _ARITH_KINDS = {"input", "const", "add", "mul"}
 _BOOL_KINDS = {"input", "const", "and", "or", "not", "th_ge", "th_eq", "psum", "pprod"}
 _KINDS = _ARITH_KINDS | _BOOL_KINDS
+_OWN_FIELDS = {"input": ("var",), "const": ("value",), "th_ge": ("k",), "th_eq": ("k",),
+               "psum": ("c", "parts"), "pprod": ("c", "parts")}   # the rest are None
 
 
-@dataclass(frozen=True)
-class GateLabel:
-    """A gate's label.  Labels are immutable, so the hash is computed once,
-    when the label is made, and dict lookups in the builder's hash-cons
-    table do not re-hash its field values; equality compares the fields."""
+class GateLabel(NamedTuple):
+    """A gate's label: a named tuple, so it is made, hashed and compared by
+    tuple code, and equal labels hash equal.  Each kind carries only its
+    own fields, the others None; Circuit refuses a label that does not."""
 
     kind: str
     var: str | None = None            # input
@@ -58,13 +61,6 @@ class GateLabel:
     k: int | None = None              # th_ge / th_eq
     c: FieldValue | None = None       # psum / pprod target
     parts: tuple[tuple[str, FieldValue], ...] | None = None  # tag -> weight, sorted by tag
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.kind, self.var, self.value,
-                                                self.k, self.c, self.parts)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def parts_map(self) -> dict:
         return dict(self.parts or ())
@@ -172,10 +168,9 @@ class Circuit:
     four caches, _gate_index (the (label, wires) index of the gates),
     _extensions (each variable permutation's moved-gate map), _stars (the
     extensions of the star transpositions (1 k) of each factor per group,
-    read by supports) and
-    _zero_one (the one pass of lowering._zero_one over every 0-1
-    assignment at once: exact value sets, the lanes and the output's
-    {value: lanes})."""
+    read by supports) and _zero_one (the one pass of lowering._zero_one
+    over every 0-1 assignment at once: exact value sets, the lanes and the
+    output's {value: lanes})."""
 
     def __init__(self, fld: Field, variables, gates: dict, wires: dict, output: int):
         self._init(fld, variables, dict(gates),
@@ -303,7 +298,8 @@ def _label_tags(lab: GateLabel, declared, fld: Field, memo: dict):
     if lab.kind in ("psum", "pprod"):
         if id(lab.parts) not in memo:
             memo[id(lab.parts)] = _parts_tags(lab.parts, fld)
-        return memo[id(lab.parts)] if _in_field(lab.c, fld) else False
+        fit = _in_field(lab.c, fld) and lab.var is None and lab.value is None and lab.k is None
+        return memo[id(lab.parts)] if fit else False
     return (lab.kind in ("add", "mul", "and", "or", "th_ge", "th_eq")
             and not _broken_rule(lab, (), declared, {}, fld))
 
@@ -314,6 +310,9 @@ def _broken_rule(lab: GateLabel, ws: tuple, declared, inputs: dict, fld: Field) 
     kind = lab.kind
     if kind not in _KINDS:
         return f"unknown label kind {kind!r}"
+    for f, x in zip(lab._fields[1:], lab[1:]):
+        if x is not None and f not in _OWN_FIELDS.get(kind, ()):
+            return f"{kind} label carries {f}, which its kind does not use"
     if kind in ("psum", "pprod"):
         parts = lab.parts_map()
         for t in parts:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 
@@ -299,6 +298,32 @@ def test_label_rules_follow_each_label_object():
                 {1: [0], 2: [0], 3: [1, 2]}, 3)
 
 
+# Labels carrying a field their kind does not use, which serialize would
+# drop: (label, children of gate 1 over input gate 0, message).
+_STRAY_FIELDS = {
+    "add_with_k": (GateLabel("add", k=3), [0], "gate 1: add label carries k, which its kind"),
+    "input_with_value": (GateLabel("input", var="y", value=QQ.of(1)), [],
+                         "gate 1: input label carries value"),
+    "psum_with_k": (_SHARED_PSUM._replace(k=1), [(0, "a")], "gate 1: psum label carries k"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STRAY_FIELDS))
+def test_label_carries_only_its_kinds_fields(case):
+    lab, kids, message = _STRAY_FIELDS[case]
+    with pytest.raises(CircuitError, match=message):
+        Circuit(QQ, ["x", "y"], {0: _SHARED_X, 1: lab}, {1: kids}, 1)
+    b = CircuitBuilder(QQ, ["x", "y"])
+    b.add(_SHARED_X)
+    with pytest.raises(CircuitError, match=message):
+        b.build(b.add(lab, kids))
+    # after a well-formed label of the same kind (for psum, the same parts tuple)
+    good = {"add": ADD, "input": input_label("y"), "psum": _SHARED_PSUM}[lab.kind]
+    with pytest.raises(CircuitError, match=message.replace("gate 1", "gate 2")):
+        Circuit(QQ, ["x", "y"], {0: _SHARED_X, 1: good, 2: lab, 3: OR},
+                {1: kids, 2: kids, 3: [1, 2]}, 3)
+
+
 def test_constructor_accepts_each_rule_satisfied():
     x = input_label("x")
     circuits = [
@@ -379,7 +404,7 @@ def test_labels_hash_as_their_fields():
     assert GateLabel("th_eq", k=3) == th_eq(3)
     assert hash(GateLabel("th_eq", k=3)) == hash(th_eq(3))
     parts = {"1": QQ.of(1), "2": QQ.of(2)}
-    moved = dataclasses.replace(psum(QQ.of(1), parts), c=QQ.of(3))
+    moved = psum(QQ.of(1), parts)._replace(c=QQ.of(3))
     assert moved == psum(QQ.of(3), parts)
     assert hash(moved) == hash(psum(QQ.of(3), parts))
     assert moved != psum(QQ.of(1), parts)
@@ -431,6 +456,9 @@ def test_mixed_arith_bool_evaluation_guards():
     c = build_xy_sum()
     with pytest.raises(CircuitError):
         evaluate_bool(c, {"x": QQ.of(1), "y": QQ.of(1)})
+    # 0/1 inputs pass the input check and reach the kind guard
+    with pytest.raises(CircuitError, match="gate 2: label 'add' is not Boolean"):
+        evaluate_bool(c, {"x": 1, "y": 0})
 
 
 def test_bool_requires_binary_inputs():

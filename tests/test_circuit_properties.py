@@ -1,6 +1,7 @@
 """Property tests: serialize / deserialize round-trips random circuits,
 including gates that read a child several times and gates that share a
-label and children (deserialize keeps them apart), serialize writes the
+label and children (deserialize keeps them apart), every circuit the
+constructor accepts reads back as itself, serialize writes the
 bytes of the dict-document encoder it replaced (serialize_oracle), and
 CircuitBuilder makes the wires the Circuit constructor makes."""
 
@@ -23,6 +24,7 @@ from symcirc import (  # noqa: E402
     Circuit,
     CircuitBuilder,
     CircuitError,
+    GateLabel,
     const,
     deserialize,
     expand_to_threshold,
@@ -39,7 +41,11 @@ from symcirc.symmetry import _gate_index  # noqa: E402
 
 
 @st.composite
-def circuits(draw):
+def circuit_args(draw, stray=False):
+    """Constructor arguments (field, variables, gates, wires, output) of a
+    random circuit.  With stray, a label may have one field set to a value
+    drawn from a pool that holds fields of every kind, so the constructor
+    may refuse it."""
     fld = draw(st.sampled_from((QQ, GF(2), GF(5))))
     variables = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
     ids = draw(st.lists(st.integers(0, 99), min_size=len(variables) + 2,
@@ -64,7 +70,15 @@ def circuits(draw):
                 gates[g] = {"add": ADD, "mul": MUL, "and": AND, "or": OR,
                             "th_ge": th_ge(len(kids)), "th_eq": th_eq(1)}[kind]
                 wires[g] = kids
-    return Circuit(fld, variables, gates, wires, ids[-1])
+        if stray and draw(st.booleans()):
+            pool = (None, "v0", fld.of(1), GF(3).of(1), 0, 2, True, (("a", fld.of(1)),))
+            field = draw(st.sampled_from(GateLabel._fields[1:]))
+            gates[g] = gates[g]._replace(**{field: draw(st.sampled_from(pool))})
+    return fld, variables, gates, wires, ids[-1]
+
+
+def circuits():
+    return circuit_args().map(lambda args: Circuit(*args))
 
 
 @settings(max_examples=80, deadline=None)
@@ -77,6 +91,20 @@ def test_serialize_round_trip(c):
     assert (back.gates, back.wires, back.output) == (c.gates, c.wires, c.output)
     assert serialize(back) == text
     assert text == serialize_oracle(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuit_args(stray=True))
+def test_accepted_circuits_read_back_as_themselves(args):
+    """Every circuit the constructor accepts, stray label fields drawn in,
+    reads back with the same gates: serialize writes each kind's own fields
+    only, so a label carrying another kind's field must be refused."""
+    try:
+        c = Circuit(*args)
+    except CircuitError:
+        return
+    back = deserialize(serialize(c))
+    assert (back.gates, back.wires) == (c.gates, c.wires)
 
 
 @st.composite
