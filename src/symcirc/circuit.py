@@ -5,17 +5,21 @@ output gate.  Wires are sorted multisets of (child, tag) pairs: a child
 listed twice counts twice, so x*x is one mul gate reading x twice.  Tags are
 only meaningful on the partition-counting labels; everywhere else they must
 be absent.  A Circuit is well-formed by construction: its constructor
-checks every structural rule (children are gates, no cycle, known labels
-with only their kind's fields and of the right fan-in, declared variables
-on one input gate each, field elements in the circuit's field, tags only
-where a label has parts) and the types a circuit file holds (int ids that
-are not bools, str variables and part tags), and raises CircuitError naming
-the gate that breaks one, so no other code handles a malformed circuit and
-every circuit serializes to a file that deserialize reads back.  It judges
-each label object's own rules once per circuit, and the rules on wires per
-gate.  One function, _gate_wires, turns children into wires for the
-constructor and CircuitBuilder alike, and one, _gate_from_json, reads a
-gate of a circuit file.
+checks every structural rule and the types a circuit file holds, and
+raises CircuitError naming the gate that breaks one, so no other code
+handles a malformed circuit and every circuit serializes to a file that
+deserialize reads back.  A label's rules hold or break on whatever gate
+carries it, and are judged once per label object: a known kind with only
+its kind's fields (the table _OWN_FIELDS, which also drives repr and the
+JSON codec), a declared variable, field elements in the circuit's field,
+an int threshold >= 0, and parts of the form psum makes, a non-empty tuple
+of (tag, weight) pairs sorted by distinct str tags.  A gate's rules are
+checked per gate: int ids (not bools), children that are gates, no cycle,
+wire tags only from its label's parts, no children on an input or const
+and one on a not, and one input gate per variable.  One function,
+_gate_wires, turns children into wires for the constructor and
+CircuitBuilder alike, and one, _gate_from_json, reads a gate of a circuit
+file.
 CircuitBuilder hash-conses gates on (label, children) and keeps them only
 in that table, so the circuits it builds are rigid: no two gates share a
 label and children, and no gate can change behind the table.  Rigidity is
@@ -44,16 +48,33 @@ from .errors import CircuitError, FieldMismatchError, SchemaError
 from .field import Field, FieldValue
 
 _ARITH_KINDS = {"input", "const", "add", "mul"}
-_BOOL_KINDS = {"input", "const", "and", "or", "not", "th_ge", "th_eq", "psum", "pprod"}
-_KINDS = _ARITH_KINDS | _BOOL_KINDS
-_OWN_FIELDS = {"input": ("var",), "const": ("value",), "th_ge": ("k",), "th_eq": ("k",),
-               "psum": ("c", "parts"), "pprod": ("c", "parts")}   # the rest are None
+
+
+def _same(x, *_):
+    return x
+
+
+def _read_parts(raw: dict, fld: Field, path: str) -> tuple:
+    return _parts_tuple({t: fld.of(_want(raw, t, str, f"{path}.parts")) for t in raw})
+
+
+# Every label kind and the fields it carries, the others being None.  Per
+# field: the JSON type _want tests, read(JSON value, field, path), write to
+# JSON and show for repr; text and int fields are kept as they are
+_TEXT, _INT = (str, _same, _same, _same), (int, _same, _same, _same)
+_ELEMENT = (str, lambda text, fld, _path: fld.of(text), str, _same)
+_PARTS = (dict, _read_parts, lambda parts: {t: str(q) for t, q in parts}, dict)
+_OWN_FIELDS = {"input": {"var": _TEXT}, "const": {"value": _ELEMENT}, "th_ge": {"k": _INT},
+               "th_eq": {"k": _INT}, "psum": {"c": _ELEMENT, "parts": _PARTS},
+               "pprod": {"c": _ELEMENT, "parts": _PARTS},
+               "add": {}, "mul": {}, "and": {}, "or": {}, "not": {}}
 
 
 class GateLabel(NamedTuple):
     """A gate's label: a named tuple, so it is made, hashed and compared by
     tuple code, and equal labels hash equal.  Each kind carries only its
-    own fields, the others None; Circuit refuses a label that does not."""
+    own fields (_OWN_FIELDS), the others None; Circuit refuses a label that
+    does not."""
 
     kind: str
     var: str | None = None            # input
@@ -66,15 +87,12 @@ class GateLabel(NamedTuple):
         return dict(self.parts or ())
 
     def __repr__(self) -> str:
-        if self.kind == "input":
-            return f"input({self.var})"
-        if self.kind == "const":
-            return f"const({self.value})"
-        if self.kind in ("th_ge", "th_eq"):
-            return f"{self.kind}({self.k})"
-        if self.kind in ("psum", "pprod"):
-            return f"{self.kind}(c={self.c}, parts={dict(self.parts)})"
-        return self.kind
+        """The kind, then its own fields in brackets, named when there are
+        several: input(x), th_ge(2), psum(c=1, parts={...}), add."""
+        own = _OWN_FIELDS.get(self.kind, {})
+        args = [f"{f}={show(getattr(self, f))}" if len(own) > 1 else str(show(getattr(self, f)))
+                for f, (_typ, _read, _write, show) in own.items()]
+        return f"{self.kind}({', '.join(args)})" if args else self.kind
 
 
 def input_label(var: str) -> GateLabel:
@@ -194,10 +212,13 @@ class Circuit:
 
     def _check(self) -> tuple:
         """The children-first order, least ready gate first (Kahn's
-        algorithm), after checking that variables are distinct strings,
-        ids are ints, the output and every child are gates, every label is
-        well-formed over the circuit's field and variables, no variable
-        labels two gates, and there is no cycle."""
+        algorithm), after checking that variables are distinct strings and
+        the output is a gate, then the rules of each label once per label
+        object (_label_rule, keyed by identity, since equal labels may
+        differ in a type a rule tests, k=1 and k=True) and the rules of
+        each gate: an int id, children that are gates, wire tags its label
+        allows, the fixed fan-in of input, const and not, no variable on
+        two gates, and no cycle."""
         for v in self.variables:
             if type(v) is not str:
                 raise CircuitError(f"variable {v!r} is not a string")
@@ -210,39 +231,41 @@ class Circuit:
         if self.output not in self.gates:
             raise CircuitError(f"output {self.output} is not a gate")
         forward = True
-        # _broken_rule runs only on the gates that may break a rule.  Each
-        # label object is judged once (gates share AND and th_eq(k), and a
-        # psum family one parts tuple), and a gate whose label breaks no
-        # rule and has none but on tags needs only its tags checked.  Keyed
-        # by identity, since equal labels may differ in a type a rule tests
-        # (k=1 and k=True); the objects outlive the check
-        rules = {}   # id(label) -> _label_tags; id(parts tuple) -> _parts_tags
+        # the label objects and parts tuples outlive the check, so their ids stay theirs
+        rules, parts_rules = {}, {}   # id(label) -> _label_rule; id(parts) -> _parts_rule
         gates, inputs, fld = self.gates, self.inputs_by_var, self.field
         for g, lab in gates.items():
             if type(g) is not int:
                 raise CircuitError(f"gate {g!r}: id is not an int")
+            tags = rules.get(id(lab))
+            if tags is None:
+                tags = rules[id(lab)] = _label_rule(lab, declared, fld, parts_rules)
+                if type(tags) is str:
+                    raise CircuitError(f"gate {g}: {tags}")
             ws = self.wires[g]
-            tagged = False
             for c, t in ws:
                 if type(c) is not int:
                     raise CircuitError(f"gate {g}: child {c!r} is not an int")
                 if c not in gates:
                     raise CircuitError(f"gate {g}: child {c} is not a gate")
                 forward = forward and c < g
-                tagged = tagged or t is not None
-            tags = rules.get(id(lab))
-            if tags is None:
-                tags = rules[id(lab)] = _label_tags(lab, declared, fld, rules)
-            if tags is True:
-                if not tagged:
-                    continue
-            elif tags is not False and all(t in tags for _c, t in ws):
-                continue
-            broken = _broken_rule(lab, ws, declared, inputs, fld)
-            if broken:
-                raise CircuitError(f"gate {g}: {broken}")
-            if lab.kind == "input":
-                inputs[lab.var] = g
+                # only a label with parts allows tags, and then on every wire
+                if (t is not None or tags) and (type(t) is not str or t not in tags):
+                    raise CircuitError(f"gate {g}: wire from {c} has tag {t!r}" + (
+                        f" outside the parts {sorted(tags)}" if tags
+                        else ", but only psum/pprod wires are tagged"))
+            if tags is _FIXED_FAN_IN:
+                kind = lab.kind
+                if kind == "not":
+                    if len(ws) != 1:
+                        raise CircuitError(f"gate {g}: not gate has {len(ws)} children")
+                elif ws:
+                    raise CircuitError(f"gate {g}: {kind} gate has children")
+                elif kind == "input":
+                    if lab.var in inputs:
+                        raise CircuitError(f"gate {g}: variable {lab.var!r} already "
+                                           f"labels gate {inputs[lab.var]}")
+                    inputs[lab.var] = g
         if forward:
             # every child precedes its parent, so ascending ids is the order
             # Kahn's algorithm would give (the case of every built circuit)
@@ -280,68 +303,57 @@ def _in_field(value, fld: Field) -> bool:
     return type(value) is fld._values   # the value class of fld's modulus, as Field.of tests
 
 
-def _parts_tags(parts: tuple, fld: Field):
-    """The tags of a psum/pprod parts tuple, or False when a tag is not a
-    string or a weight is not in fld."""
-    tags = dict(parts or ())
-    if all(type(t) is str for t in tags) and all(_in_field(q, fld) for q in tags.values()):
-        return frozenset(tags)
-    return False
+# The tags a label without parts allows, none, as two objects: the second
+# tells _check to test its gates' fan-in (the empty frozenset is one object)
+_UNTAGGED, _FIXED_FAN_IN = (), frozenset()
 
 
-def _label_tags(lab: GateLabel, declared, fld: Field, memo: dict):
-    """True when the label breaks no rule and its kind has no rule but that
-    its wires are untagged (add, mul, and, or, thresholds); the tags its
-    wires may carry when it is a psum/pprod label breaking no rule; else
-    False, and _broken_rule checks each of its gates.  memo keeps
-    _parts_tags per parts tuple."""
-    if lab.kind in ("psum", "pprod"):
-        if id(lab.parts) not in memo:
-            memo[id(lab.parts)] = _parts_tags(lab.parts, fld)
-        fit = _in_field(lab.c, fld) and lab.var is None and lab.value is None and lab.k is None
-        return memo[id(lab.parts)] if fit else False
-    return (lab.kind in ("add", "mul", "and", "or", "th_ge", "th_eq")
-            and not _broken_rule(lab, (), declared, {}, fld))
+def _parts_rule(parts, fld: Field):
+    """The tags of a psum/pprod parts tuple, or the text of the rule it
+    breaks: parts are a non-empty tuple of (tag, weight) pairs with str tags,
+    sorted and distinct, as psum makes them, and weights in fld."""
+    if not (type(parts) is tuple and parts
+            and all(type(p) is tuple and len(p) == 2 for p in parts)):
+        return f"parts {parts!r} are not a non-empty tuple of (tag, weight) pairs"
+    tags = [t for t, _q in parts]
+    for t in tags:
+        if type(t) is not str:
+            return f"part tag {t!r} is not a string"
+    if tags != sorted(set(tags)):
+        return f"part tags {tags} are not sorted and distinct"
+    if not all(_in_field(q, fld) for _t, q in parts):
+        return f"a part weight is not in {fld.name()}"
+    return frozenset(tags)
 
 
-def _broken_rule(lab: GateLabel, ws: tuple, declared, inputs: dict, fld: Field) -> str | None:
-    """The rule a gate with this label and these wires breaks, or None;
-    inputs maps each variable to the input gate already seen for it."""
-    kind = lab.kind
-    if kind not in _KINDS:
+def _label_rule(lab: GateLabel, declared, fld: Field, parts_rules: dict):
+    """The tags the wires of a gate with this label may carry (_UNTAGGED or
+    _FIXED_FAN_IN when it has no parts), or the text of the rule the label
+    breaks; parts_rules keeps _parts_rule per parts tuple."""
+    kind, var, value, k, c, parts = lab
+    own = _OWN_FIELDS.get(kind)
+    if own is None:
         return f"unknown label kind {kind!r}"
-    for f, x in zip(lab._fields[1:], lab[1:]):
-        if x is not None and f not in _OWN_FIELDS.get(kind, ()):
-            return f"{kind} label carries {f}, which its kind does not use"
-    if kind in ("psum", "pprod"):
-        parts = lab.parts_map()
-        for t in parts:
-            if type(t) is not str:
-                return f"part tag {t!r} is not a string"
-        if not _in_field(lab.c, fld):
-            return f"target {lab.c} is not in {fld.name()}"
-        if not all(_in_field(q, fld) for q in parts.values()):
-            return f"a part weight is not in {fld.name()}"
-        for c, tag in ws:
-            if tag not in parts:
-                return f"wire from {c} has tag {tag!r} outside the parts {sorted(parts)}"
-        return None
-    for c, tag in ws:
-        if tag is not None:
-            return f"wire from {c} has tag {tag!r}, but only psum/pprod wires are tagged"
-    if kind in ("input", "const") and ws:
-        return f"{kind} gate has children"
-    if kind == "not" and len(ws) != 1:
-        return f"not gate has {len(ws)} children"
-    if kind == "input" and lab.var not in declared:
-        return f"variable {lab.var!r} is not declared"
-    if kind == "input" and lab.var in inputs:
-        return f"variable {lab.var!r} already labels gate {inputs[lab.var]}"
-    if kind == "const" and not _in_field(lab.value, fld):
-        return f"constant {lab.value} is not in {fld.name()}"
-    if kind in ("th_ge", "th_eq") and not (type(lab.k) is int and lab.k >= 0):
-        return f"threshold {lab.k} is not an integer >= 0"
-    return None
+    # a count that fits means no stray field, or an own field None, which
+    # breaks that field's rule below
+    if lab.count(None) != 5 - len(own):
+        for f, x in zip(lab._fields[1:], lab[1:]):
+            if x is not None and f not in own:
+                return f"{kind} label carries {f}, which its kind does not use"
+    if "parts" in own:
+        tags = parts_rules.get(id(parts))
+        if tags is None:
+            tags = parts_rules[id(parts)] = _parts_rule(parts, fld)
+        if type(tags) is not str and not _in_field(c, fld):
+            return f"target {c} is not in {fld.name()}"
+        return tags
+    if "var" in own and not (type(var) is str and var in declared):
+        return f"variable {var!r} is not declared"
+    if "value" in own and not _in_field(value, fld):
+        return f"constant {value} is not in {fld.name()}"
+    if "k" in own and not (type(k) is int and k >= 0):
+        return f"threshold {k} is not an integer >= 0"
+    return _FIXED_FAN_IN if kind in ("input", "const", "not") else _UNTAGGED
 
 
 def _kahn(circuit: Circuit) -> list:
@@ -641,19 +653,10 @@ def size_stats(circuit: Circuit) -> SizeStats:
 
 
 def _label_to_json(lab: GateLabel) -> dict:
-    if lab.kind == "input":
-        return {"kind": "input", "var": lab.var}
-    if lab.kind == "const":
-        return {"kind": "const", "value": str(lab.value)}
-    if lab.kind in ("th_ge", "th_eq"):
-        return {"kind": lab.kind, "k": lab.k}
-    if lab.kind in ("psum", "pprod"):
-        return {
-            "kind": lab.kind,
-            "c": str(lab.c),
-            "parts": {t: str(q) for t, q in lab.parts},
-        }
-    return {"kind": lab.kind}
+    doc = {"kind": lab.kind}
+    for f, (_typ, _read, write, _show) in _OWN_FIELDS[lab.kind].items():
+        doc[f] = write(getattr(lab, f))
+    return doc
 
 
 def serialize(circuit: Circuit) -> str:
@@ -693,22 +696,13 @@ def _want(obj, key, typ, path):
 
 def _label_from_json(obj, fld: Field, path: str) -> GateLabel:
     kind = _want(obj, "kind", str, path)
+    # an unknown kind has no fields; the Circuit constructor rejects it, naming the gate
+    own = _OWN_FIELDS.get(kind, {})
     try:
-        if kind == "input":
-            return input_label(_want(obj, "var", str, path))
-        if kind == "const":
-            return const(fld.of(_want(obj, "value", str, path)))
-        if kind in ("th_ge", "th_eq"):
-            return GateLabel(kind, k=_want(obj, "k", int, path))
-        if kind in ("psum", "pprod"):
-            c = fld.of(_want(obj, "c", str, path))
-            raw = _want(obj, "parts", dict, path)
-            parts = {t: fld.of(_want(raw, t, str, f"{path}.parts")) for t in raw}
-            return GateLabel(kind, c=c, parts=_parts_tuple(parts))
+        return GateLabel(kind, **{f: read(_want(obj, f, typ, path), fld, path)
+                                  for f, (typ, read, _write, _show) in own.items()})
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(path, str(exc)) from None
-    # the Circuit constructor rejects unknown kinds, naming the gate
-    return _PLAIN_LABELS.get(kind) or GateLabel(kind)
 
 
 def _gate_from_json(entry, i: int, fld: Field, gates: dict) -> tuple:

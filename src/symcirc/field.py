@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import itemgetter
 
 from .errors import FieldMismatchError
 
@@ -109,8 +108,6 @@ class FieldValue(tuple):
 
     __slots__ = ()
     field: Field
-    num = property(itemgetter(0))
-    den = property(itemgetter(1))
     # equal values of different fields share a hash, but not a class
     __hash__ = tuple.__hash__
 

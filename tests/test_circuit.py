@@ -241,6 +241,20 @@ _MALFORMED = {
     "int_and_str_tags": (["x"], {0: input_label("x"), 1: psum(QQ.of(1), {"a": QQ.of(1)})},
                          {1: [(0, 7), (0, "a")]}, 1,
                          r"gate 1: children \[\(0, 7\), \(0, 'a'\)\] have ids or tags of types"),
+    # parts not of the form psum makes: a non-empty tuple of (tag, weight)
+    # pairs, sorted by tag, with distinct tags
+    "parts_unsorted": (["x"], {0: input_label("x"), 1: GateLabel(
+                           "psum", c=QQ.of(1), parts=(("b", QQ.of(1)), ("a", QQ.of(1))))},
+                       {1: [(0, "a")]}, 1,
+                       r"gate 1: part tags \['b', 'a'\] are not sorted and distinct"),
+    "parts_repeat_a_tag": (["x"], {0: input_label("x"), 1: GateLabel(
+                               "psum", c=QQ.of(1), parts=(("a", QQ.of(1)), ("a", QQ.of(2))))},
+                           {1: [(0, "a")]}, 1,
+                           r"gate 1: part tags \['a', 'a'\] are not sorted and distinct"),
+    "parts_empty": (["x"], {0: input_label("x"), 1: GateLabel("psum", c=QQ.of(1), parts=())},
+                    {}, 1, r"gate 1: parts \(\) are not a non-empty tuple of \(tag, weight\)"),
+    "parts_none": (["x"], {0: input_label("x"), 1: GateLabel("psum", c=QQ.of(1))}, {}, 1,
+                   r"gate 1: parts None are not a non-empty tuple of \(tag, weight\)"),
 }
 
 
@@ -249,6 +263,15 @@ def test_constructor_rejects(case):
     variables, gates, wires, output, message = _MALFORMED[case]
     with pytest.raises(CircuitError, match=message):
         Circuit(QQ, variables, gates, wires, output)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in _MALFORMED if c.startswith("parts_")))
+def test_builder_rejects_malformed_parts(case):
+    variables, gates, wires, output, message = _MALFORMED[case]
+    b = CircuitBuilder(QQ, variables)
+    b.add(gates[0])
+    with pytest.raises(CircuitError, match=message):
+        b.build(b.add(gates[1], wires.get(1, ())))
 
 
 _SHARED_PSUM = psum(QQ.of(1), {"a": QQ.of(1)})
@@ -397,6 +420,14 @@ def test_threshold_gates():
     c = b.build(eq)
     assert evaluate_bool(c, {"a": 1, "b": 1, "c": 0}) == 1
     assert evaluate_bool(c, {"a": 1, "b": 1, "c": 1}) == 0
+
+
+def test_label_repr_shows_its_kinds_fields():
+    labels = [input_label("x"), const(QQ.of("-3/7")), th_ge(2),
+              psum(QQ.of("1/2"), {"b": QQ.of(-3), "a": QQ.of(1)}), ADD]
+    assert [repr(lab) for lab in labels] == [
+        "input(x)", "const(-3/7)", "th_ge(2)",
+        "psum(c=1/2, parts={'a': <1 in Q>, 'b': <-3 in Q>})", "add"]
 
 
 def test_labels_hash_as_their_fields():

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from serialize_oracle import serialize_oracle  # noqa: E402
@@ -44,8 +44,8 @@ from symcirc.symmetry import _gate_index  # noqa: E402
 def circuit_args(draw, stray=False):
     """Constructor arguments (field, variables, gates, wires, output) of a
     random circuit.  With stray, a label may have one field set to a value
-    drawn from a pool that holds fields of every kind, so the constructor
-    may refuse it."""
+    drawn from a pool that holds fields of every kind and parts not of
+    psum's form, so the constructor may refuse it."""
     fld = draw(st.sampled_from((QQ, GF(2), GF(5))))
     variables = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
     ids = draw(st.lists(st.integers(0, 99), min_size=len(variables) + 2,
@@ -71,7 +71,9 @@ def circuit_args(draw, stray=False):
                             "th_ge": th_ge(len(kids)), "th_eq": th_eq(1)}[kind]
                 wires[g] = kids
         if stray and draw(st.booleans()):
-            pool = (None, "v0", fld.of(1), GF(3).of(1), 0, 2, True, (("a", fld.of(1)),))
+            # parts: well-formed, unsorted, a repeated tag, empty
+            pool = (None, "v0", fld.of(1), GF(3).of(1), 0, 2, True, (("a", fld.of(1)),),
+                    (("b", fld.of(1)), ("a", fld.of(1))), (("a", fld.of(1)), ("a", fld.of(2))), ())
             field = draw(st.sampled_from(GateLabel._fields[1:]))
             gates[g] = gates[g]._replace(**{field: draw(st.sampled_from(pool))})
     return fld, variables, gates, wires, ids[-1]
@@ -93,12 +95,22 @@ def test_serialize_round_trip(c):
     assert text == serialize_oracle(c)
 
 
+def _one_psum(parts):
+    """Arguments of a circuit whose psum gate reads input v0 under tag a."""
+    lab = GateLabel("psum", c=QQ.of(1), parts=parts)
+    return QQ, ["v0"], {0: input_label("v0"), 1: lab}, {1: [(0, "a")]}, 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(circuit_args(stray=True))
+@example(_one_psum((("b", QQ.of(1)), ("a", QQ.of(1)))))
+@example(_one_psum((("a", QQ.of(1)), ("a", QQ.of(2)))))
 def test_accepted_circuits_read_back_as_themselves(args):
-    """Every circuit the constructor accepts, stray label fields drawn in,
-    reads back with the same gates: serialize writes each kind's own fields
-    only, so a label carrying another kind's field must be refused."""
+    """Every circuit the constructor accepts, stray label fields and parts
+    not of psum's form drawn in, reads back with the same gates: serialize
+    writes each kind's own fields only and parts as a map, so a label
+    carrying another kind's field, or parts that are unsorted or repeat a
+    tag, must be refused."""
     try:
         c = Circuit(*args)
     except CircuitError:
