@@ -54,6 +54,12 @@ def _same(x, *_):
     return x
 
 
+def _show_parts(parts):
+    """parts as a dict if a tuple of pairs, else as it is: repr shows malformed labels too."""
+    pairs = type(parts) is tuple and all(type(p) is tuple and len(p) == 2 for p in parts)
+    return dict(parts) if pairs else parts
+
+
 def _read_parts(raw: dict, fld: Field, path: str) -> tuple:
     return _parts_tuple({t: fld.of(_want(raw, t, str, f"{path}.parts")) for t in raw})
 
@@ -63,7 +69,7 @@ def _read_parts(raw: dict, fld: Field, path: str) -> tuple:
 # JSON and show for repr; text and int fields are kept as they are
 _TEXT, _INT = (str, _same, _same, _same), (int, _same, _same, _same)
 _ELEMENT = (str, lambda text, fld, _path: fld.of(text), str, _same)
-_PARTS = (dict, _read_parts, lambda parts: {t: str(q) for t, q in parts}, dict)
+_PARTS = (dict, _read_parts, lambda parts: {t: str(q) for t, q in parts}, _show_parts)
 _OWN_FIELDS = {"input": {"var": _TEXT}, "const": {"value": _ELEMENT}, "th_ge": {"k": _INT},
                "th_eq": {"k": _INT}, "psum": {"c": _ELEMENT, "parts": _PARTS},
                "pprod": {"c": _ELEMENT, "parts": _PARTS},
@@ -153,28 +159,35 @@ def _sorted_wires(pairs: list) -> tuple:
     return tuple(pairs)
 
 
-def _gate_wires(g, children) -> tuple:
+def _gate_wires(g, children, str_tags=False) -> tuple:
     """Gate g's children (ids or (id, tag) pairs) as a sorted multiset of
     pairs, for the constructor and CircuitBuilder alike, with CircuitError
     naming the gate for children that are not iterable, a child that is
-    neither an id nor an (id, tag) pair, and ids or tags that do not sort."""
+    neither an id nor an (id, tag) pair, and ids or tags that do not sort.
+    With str_tags (CircuitBuilder, which hashes the wires next), children
+    that sort but carry a tag that is neither None nor a str are refused."""
     try:
         children = iter(children)
     except TypeError:
         raise CircuitError(f"gate {g!r}: children {children!r} are not a list") from None
-    pairs = []
+    pairs, odd = [], None   # odd: a child with a tag str_tags refuses
     for c in children:
         if isinstance(c, int):
             pairs.append((c, None))
         elif isinstance(c, (tuple, list)) and len(c) == 2:
+            if str_tags and c[1] is not None and type(c[1]) is not str:
+                odd = c
             pairs.append((c[0], c[1]))
         else:
             raise CircuitError(f"gate {g!r}: child {c!r} is neither an id nor an (id, tag) pair")
     try:
-        return _sorted_wires(pairs)
+        wires = _sorted_wires(pairs)
     except TypeError:
         raise CircuitError(f"gate {g!r}: children {pairs} have ids or tags "
                            "of types that do not sort together") from None
+    if odd is not None:
+        raise CircuitError(f"gate {g!r}: child {odd!r} has a tag that is neither None nor a str")
+    return wires
 
 
 class Circuit:
@@ -389,8 +402,9 @@ class CircuitBuilder:
     def add(self, label: GateLabel, children=(), name=None) -> int:
         """The gate with this label and children, made on first request.
         A name aliases the gate; naming a different gate with a name already
-        in use raises ValueError."""
-        return self._add(label, _gate_wires(len(self._made), children), name)
+        in use raises ValueError.  Children _gate_wires refuses raise
+        CircuitError naming the new gate's id and leave the builder as it was."""
+        return self._add(label, _gate_wires(len(self._made), children, True), name)
 
     def _add(self, label: GateLabel, wires: tuple, name=None) -> int:
         """add, for wires already in _gate_wires's form, a tuple of (id,

@@ -233,7 +233,6 @@ def _cmd_cfi_experiment(args) -> int:
            "formula_uniform_x": rep.formula_uniform_x,
            "formula_uniform_y": rep.formula_uniform_y,
            "expected_diff": rep.expected_diff,
-           "permanent_checked": rep.permanent_checked,
            "mod": {str(p): v for p, v in rep.mod.items()},
            "wl": {str(k): v for k, v in rep.wl.items()},
            "checks": rep.checks, "passed": rep.passed()})

@@ -16,7 +16,7 @@ from .errors import CircuitError, SchemaError
 def _norm_edge(u, v):
     if u == v:
         raise CircuitError(f"self-loop at {u!r}")
-    return (u, v) if (u, v) == min((u, v), (v, u)) else (v, u)
+    return (v, u) if v < u else (u, v)
 
 
 @dataclass

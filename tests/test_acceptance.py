@@ -352,10 +352,8 @@ def test_10_matching_counts_k4():
     assert rep.uniform_y == uniform_count_formula(g, True)
     assert rep.nonuniform_x == rep.nonuniform_y == 18432
     # gadget contraction vs the row-by-row permanent DP: two independent algorithms
-    assert rep.permanent_checked
-    assert rep.checks["permanent_matches_x"]
-    assert rep.checks["permanent_matches_y"]
-    assert matching_count_via_permanent(build_cfi(g).graph) == 23680
+    assert matching_count_via_permanent(build_cfi(g).graph) == rep.count_x == 23680
+    assert matching_count_via_permanent(build_cfi(g, twisted=True).graph) == rep.count_y
     assert rep.mod[2]["x"] == rep.mod[2]["y"]
     for p in (3, 5, 7):
         assert rep.mod[p]["x"] != rep.mod[p]["y"]
@@ -438,7 +436,6 @@ def test_k33_formulas_always():
     assert rep.enumerated
     assert (rep.count_x, rep.count_y) == (2093056, 2094080)
     assert rep.nonuniform_x == rep.nonuniform_y
-    assert rep.permanent_checked
-    assert rep.checks["permanent_matches_x"]
-    assert rep.checks["permanent_matches_y"]
+    assert matching_count_via_permanent(build_cfi(g).graph) == rep.count_x
+    assert matching_count_via_permanent(build_cfi(g, twisted=True).graph) == rep.count_y
     assert rep.passed()

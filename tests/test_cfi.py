@@ -223,6 +223,27 @@ def test_cfi_pairs_beyond_k4(g, count_x, count_y, nodes):
     assert sum(rx.histogram.values()) == rx.count
 
 
+_RELABELLED_K4 = k4().relabel({1: "d", 2: "b", 3: "a", 4: "c"})
+
+
+@pytest.mark.parametrize("g, twisted, special, nodes", [
+    (k4(), False, None, 244), (k4(), True, 1, 244), (k4(), True, 4, 244),
+    (complete_bipartite(3, 3), False, None, 928), (complete_bipartite(3, 3), True, 1, 928),
+    (complete_bipartite(3, 3), True, 6, 928),
+    (petersen_graph(), False, None, 5748), (petersen_graph(), True, 1, 5748),
+    (petersen_graph(), True, 10, 5748),
+    (_RELABELLED_K4, True, "c", 244),
+], ids=["K4", "~K4@1", "~K4@4", "K33", "~K33@1", "~K33@6", "petersen", "~petersen@1",
+        "~petersen@10", "~relabelled_K4@c"])
+def test_contraction_matches_permanent_dp(g, twisted, special, nodes):
+    # the permanent DP reads only the bipartite graph, so it checks the
+    # gadget contraction independently; the node counts freeze the sweep
+    x = build_cfi(g, twisted=twisted, special=special)
+    rep = enumerate_perfect_matchings(x)
+    assert matching_count_via_permanent(x.graph) == rep.count
+    assert rep.nodes == nodes
+
+
 @pytest.mark.parametrize("g", [k4(), complete_bipartite(3, 3), petersen_graph()],
                          ids=["K4", "K33", "petersen"])
 def test_counts_do_not_depend_on_labels(g):
@@ -332,26 +353,12 @@ def test_gadget_matchings():
 
 def test_matching_experiment_petersen_permanent_checked():
     # the permanent DP takes its rows from the narrower side and finishes
-    rep = matching_experiment(petersen_graph(), k_list=(), p_list=())
+    g = petersen_graph()
+    rep = matching_experiment(g, k_list=(), p_list=())
     assert rep.enumerated
-    assert rep.permanent_checked
-    assert rep.checks["permanent_matches_x"]
-    assert rep.checks["permanent_matches_y"]
+    assert matching_count_via_permanent(build_cfi(g).graph) == rep.count_x
+    assert matching_count_via_permanent(build_cfi(g, twisted=True).graph) == rep.count_y
     assert (rep.count_x, rep.count_y) == (16531062784, 16531128320)
-    assert rep.passed()
-
-
-def test_matching_experiment_permanent_unchecked(monkeypatch):
-    # a permanent over its budget leaves the contraction's checks standing
-    def overrun(g):
-        raise BudgetExceededError("permanent DP exceeded the budget")
-
-    monkeypatch.setattr(cfi, "matching_count_via_permanent", overrun)
-    rep = matching_experiment(petersen_graph(), k_list=(), p_list=())
-    assert rep.enumerated
-    assert not rep.permanent_checked
-    assert "permanent_matches_x" not in rep.checks
-    assert "permanent_matches_y" not in rep.checks
     assert rep.passed()
 
 

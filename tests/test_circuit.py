@@ -274,6 +274,21 @@ def test_builder_rejects_malformed_parts(case):
         b.build(b.add(gates[1], wires.get(1, ())))
 
 
+@pytest.mark.parametrize("tag", [["a"], 7, ("a",)], ids=["list", "int", "tuple"])
+def test_builder_refuses_a_tag_that_is_no_str(tag):
+    # refused before the hash-cons key is hashed, naming the id the gate would get
+    b = CircuitBuilder(QQ, ["x"])
+    x = b.add(input_label("x"))
+    with pytest.raises(CircuitError,
+                       match=r"gate 1: child \(0, .*\) has a tag that is neither None nor a str"):
+        b.add(ADD, [(x, tag)], name="bad")
+    with pytest.raises(CircuitError, match="gate 1: child"):
+        b.add(psum(QQ.of(1), {"a": QQ.of(1)}), [(x, "a"), (x + 1, tag)])
+    assert b.names == {}
+    assert b.add(ADD, [x]) == 1
+    assert len(b.build(1)) == 2
+
+
 _SHARED_PSUM = psum(QQ.of(1), {"a": QQ.of(1)})
 _SHARED_X = input_label("x")
 
@@ -428,6 +443,14 @@ def test_label_repr_shows_its_kinds_fields():
     assert [repr(lab) for lab in labels] == [
         "input(x)", "const(-3/7)", "th_ge(2)",
         "psum(c=1/2, parts={'a': <1 in Q>, 'b': <-3 in Q>})", "add"]
+
+
+def test_label_repr_shows_malformed_parts_as_they_are():
+    # Circuit refuses these labels; repr still shows them, to debug them by
+    assert repr(GateLabel("psum", c=QQ.of(1))) == "psum(c=1, parts=None)"
+    assert repr(GateLabel("pprod", c=QQ.of(1), parts=(("a",),))) == "pprod(c=1, parts=(('a',),))"
+    assert (repr(GateLabel("psum", c=QQ.of(1), parts=[("a", QQ.of(1))]))
+            == "psum(c=1, parts=[('a', <1 in Q>)])")
 
 
 def test_labels_hash_as_their_fields():
