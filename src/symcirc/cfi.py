@@ -17,9 +17,10 @@ the gadget of one endpoint of e, and a perfect matching falls apart into
 independent gadget-local matchings, so enumerate_perfect_matchings sums
 products of per-gadget counts over a sweep of the base graph instead of
 listing matchings.  The per-gadget counts come from the parity rule of the
-construction (_gadget_table, derived once per parity and shared read-only),
-not from the built graph; listing the bijections of each induced gadget
-subgraph is a test oracle.  matching_count_via_permanent is a second
+construction (_gadget_table, derived once per parity and shared read-only,
+and _gadget_picks, its grouping by the edges a vertex shuts), not from the
+built graph; listing the bijections of each induced gadget subgraph is a
+test oracle.  matching_count_via_permanent is a second
 route: a row-by-row DP over sets of used columns that reads only the
 bipartite graph, with its rows taken from the side whose greedy order keeps
 fewer columns open.  The experiment counts by the contraction alone; the
@@ -174,6 +175,21 @@ def _gadget_table(odd: int) -> MappingProxyType:
     return MappingProxyType(table)
 
 
+@functools.cache
+def _gadget_picks(odd: int, shut: tuple) -> MappingProxyType:
+    """_gadget_table(odd) grouped by the masks on the shut edges (the
+    positions in shut): maps those masks to a tuple of (masks on the other
+    edges, count, edges of which the gadget takes no end), one per table
+    entry, in table order.  Derived once per parity and shut positions and
+    shared read-only; _contract scales the counts by its own width."""
+    opening = [i for i in range(3) if i not in shut]
+    picks = {}
+    for masks, count in _gadget_table(odd).items():
+        picks.setdefault(tuple([masks[i] for i in shut]), []).append(
+            (tuple([masks[i] for i in opening]), count, masks.count(0)))
+    return MappingProxyType({key: tuple(fits) for key, fits in picks.items()})
+
+
 def _contract(cfi: CFIGraph):
     """({j: matchings}, nodes), where j counts the base edges both of whose
     ends are matched into one endpoint's gadget.
@@ -191,8 +207,8 @@ def _contract(cfi: CFIGraph):
     frontier = ()  # edges with exactly one endpoint added
     states = {(): 1}  # masks taken at the added endpoint -> polynomial at 2^width
     incident = [base.incident(v) for v in base.vertices]
-    tables = (_gadget_table(0), _gadget_table(1))
-    width = (max(sum(t.values()) for t in tables) ** len(base.vertices)).bit_length()
+    width = (max(sum(_gadget_table(odd).values()) for odd in (0, 1))
+             ** len(base.vertices)).bit_length()
     nodes = 0
     for r in _row_order(incident)[0]:
         v, inc = base.vertices[r], incident[r]
@@ -201,19 +217,16 @@ def _contract(cfi: CFIGraph):
         shut_at = [pos[inc[i]] for i in shut]  # the shut edges' places in a state
         opening = [i for i in range(len(inc)) if i not in shut]
         keep = [i for i, e in enumerate(frontier) if e not in inc]
-        picks = {}  # masks on the shut edges -> (masks on the new edges, count, shift)
-        for masks, count in tables[cfi.twisted and v == cfi.special].items():
-            picks.setdefault(tuple([masks[i] for i in shut]), []).append(
-                (tuple([masks[i] for i in opening]), count, masks.count(0) * width))
+        picks = _gadget_picks(int(cfi.twisted and v == cfi.special), tuple(shut))
         nxt = {}
         for state, poly in states.items():
             kept = tuple([state[i] for i in keep])
             # v takes the ends of a shut edge that its added endpoint left
             fits = picks.get(tuple([3 ^ state[i] for i in shut_at]), ())
             nodes += len(fits)
-            for opened, count, shift in fits:
+            for opened, count, untaken in fits:
                 key = kept + opened
-                nxt[key] = nxt.get(key, 0) + (poly * count << shift)
+                nxt[key] = nxt.get(key, 0) + (poly * count << untaken * width)
         if len(nxt) > _FRONTIER_BUDGET:
             raise BudgetExceededError(
                 f"matching contraction frontier exceeded {_FRONTIER_BUDGET} states")

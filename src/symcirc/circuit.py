@@ -37,6 +37,7 @@ value it takes to the mask of lanes where it takes it.
 from __future__ import annotations
 
 import functools
+import gc
 import heapq
 import itertools
 import json
@@ -48,6 +49,29 @@ from .errors import CircuitError, FieldMismatchError, SchemaError
 from .field import Field, FieldValue
 
 _ARITH_KINDS = {"input", "const", "add", "mul"}
+
+
+def _acyclic(fn):
+    """fn run with the cyclic garbage collector held off, the caller's
+    setting restored in finally: a collector that was off stays off.
+    The routines it wraps build a whole structure of gates, labels, wires
+    or lane maps, which holds no reference cycle, so reference counting
+    frees whatever of it dies and a collection pass could only re-scan
+    objects that are alive, a cost that grows with the structure (over
+    the dict tree json.loads makes, for deserialize).  A cycle made
+    meanwhile is not lost: the first collection after the call finds it.
+    gc.disable acts on the whole process; the library runs in one
+    thread, so nothing else allocates while the collector is held off."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_on:
+                gc.enable()
+    return run
 
 
 def _same(x, *_):
@@ -80,7 +104,8 @@ class GateLabel(NamedTuple):
     """A gate's label: a named tuple, so it is made, hashed and compared by
     tuple code, and equal labels hash equal.  Each kind carries only its
     own fields (_OWN_FIELDS), the others None; Circuit refuses a label that
-    does not."""
+    does not.  The lane evaluators' per-gate loops read fields by index,
+    lab[0] for kind, which costs less than the field's descriptor."""
 
     kind: str
     var: str | None = None            # input
@@ -451,6 +476,7 @@ def _lane_fold(acc: dict, kid: dict, combine) -> dict:
     return nxt
 
 
+@_acyclic
 def arith_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
     """Exact values of every gate over width lanes at once, each gate's as
     {value: lane mask}: bit j of a mask is set iff the gate takes that value
@@ -466,28 +492,30 @@ def arith_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
     fld = circuit.field
     full = (1 << width) - 1
     vals = {}
+    gates, wires = circuit.gates, circuit.wires
     for g in circuit.topo_order():
-        lab = circuit.gates[g]
-        kind = lab.kind
+        lab = gates[g]
+        kind = lab[0]
         if kind == "add" or kind == "mul":
-            ws = circuit.wires[g]
+            ws = wires[g]
             combine = operator.add if kind == "add" else operator.mul
             acc = vals[ws[0][0]] if ws else {fld.zero() if kind == "add" else fld.one(): full}
             for c, _t in ws[1:]:
                 acc = _lane_fold(acc, vals[c], combine)
         elif kind == "input":
+            var = lab[1]
             try:
-                given = lanes[lab.var]
+                given = lanes[var]
             except KeyError:
-                raise CircuitError(f"missing variable {lab.var!r}") from None
+                raise CircuitError(f"missing variable {var!r}") from None
             acc = {}
             for v, m in given.items():
                 if not isinstance(v, FieldValue) or v.field != fld:
-                    raise FieldMismatchError(f"assignment for {lab.var!r} is not in {fld.name()}")
+                    raise FieldMismatchError(f"assignment for {var!r} is not in {fld.name()}")
                 if m:
                     acc[v] = m
         elif kind == "const":
-            acc = {lab.value: full}
+            acc = {lab[2]: full}
         else:
             raise CircuitError(f"gate {g}: label {kind!r} is not arithmetic")
         vals[g] = acc
@@ -566,6 +594,7 @@ def _partition_fold(fld: Field, kind: str, parts: tuple, ws: tuple, vals: dict,
     return acc
 
 
+@_acyclic
 def bool_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
     """Bit-sliced 0/1 value of every gate over width assignments at once.
 
@@ -583,7 +612,7 @@ def bool_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
     gates, wires = circuit.gates, circuit.wires
     for g in circuit.topo_order():
         lab = gates[g]
-        kind = lab.kind
+        kind = lab[0]
         ws = wires[g]
         if kind == "and":
             acc = full
@@ -600,34 +629,38 @@ def bool_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
             counts = families.get(key)
             if counts is None:
                 counts = families[key] = _count_map([vals[c] for c, _t in ws], full)
+            k = lab[3]
             if kind == "th_eq":
-                acc = counts.get(lab.k, 0)
+                acc = counts.get(k, 0)
             else:
                 acc = 0
                 for n, m in counts.items():
-                    if n >= lab.k:
+                    if n >= k:
                         acc |= m
         elif kind in ("psum", "pprod"):
-            key = (kind, lab.parts, ws)
+            parts = lab[5]
+            key = (kind, parts, ws)
             folded = families.get(key)
             if folded is None:
-                folded = families[key] = _partition_fold(circuit.field, kind, lab.parts,
+                folded = families[key] = _partition_fold(circuit.field, kind, parts,
                                                           ws, vals, full)
-            acc = folded.get(lab.c, 0)
+            acc = folded.get(lab[4], 0)
         elif kind == "input":
+            var = lab[1]
             try:
-                acc = lanes[lab.var]
+                acc = lanes[var]
             except KeyError:
-                raise CircuitError(f"missing variable {lab.var!r}") from None
+                raise CircuitError(f"missing variable {var!r}") from None
             if not (isinstance(acc, int) and 0 <= acc <= full):
-                raise CircuitError(f"variable {lab.var!r} must be 0 or 1 in every lane")
+                raise CircuitError(f"variable {var!r} must be 0 or 1 in every lane")
         elif kind == "const":
-            if lab.value.is_zero():
+            value = lab[2]
+            if value.is_zero():
                 acc = 0
-            elif lab.value.is_one():
+            elif value.is_one():
                 acc = full
             else:
-                raise CircuitError(f"gate {g}: constant {lab.value} is not a bit")
+                raise CircuitError(f"gate {g}: constant {value} is not a bit")
         else:
             raise CircuitError(f"gate {g}: label {kind!r} is not Boolean")
         vals[g] = acc
@@ -753,6 +786,7 @@ def _gate_from_json(entry, i: int, fld: Field, gates: dict) -> tuple:
     return gid, lab, kids
 
 
+@_acyclic
 def deserialize(text: str) -> Circuit:
     """The circuit a serialize text describes.  Any JSON object with the
     schema's fields is read, whatever its key order, spacing, gate order

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .circuit import ADD, MUL, Circuit, CircuitBuilder, const, evaluate_arith, input_label
+from .circuit import (ADD, MUL, Circuit, CircuitBuilder, _acyclic, const, evaluate_arith,
+                      input_label)
 from .errors import CircuitError
 from .field import QQ, Field, FieldValue
 from .symmetry import Matrix, Transpose, check_symmetric, matrix_var, matrix_variables
@@ -75,6 +76,7 @@ def eval_on_matrix(circuit: Circuit, rows) -> FieldValue:
 # Le Verrier determinant circuit
 
 
+@_acyclic
 def leverrier_det_circuit(n: int, fld: Field = QQ, allow_positive_char: bool = False) -> GeneratedCircuit:
     """Transpose symmetric determinant circuit over a characteristic-0 field.
 
@@ -160,6 +162,7 @@ def leverrier_det_circuit(n: int, fld: Field = QQ, allow_positive_char: bool = F
 # Ryser permanent circuit
 
 
+@_acyclic
 def ryser_perm_circuit(n: int, fld: Field = QQ) -> GeneratedCircuit:
     """Matrix symmetric permanent circuit; transpose symmetric too outside
     characteristic 2 (where the row/column average is unavailable and the

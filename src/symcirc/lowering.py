@@ -60,6 +60,7 @@ from .circuit import (
     Circuit,
     CircuitBuilder,
     GateLabel,
+    _acyclic,
     arith_lane_values,
     bool_lane_values,
     const,
@@ -149,6 +150,7 @@ class PartitionCircuit:
     trivial: str | None    # "const1" | "const0" | None
 
 
+@_acyclic
 def lower_to_partition_basis(circuit: Circuit, accept, values: ValueSetMap) -> PartitionCircuit:
     """Boolean circuit true iff the arithmetic circuit evaluates into accept."""
     _require_arith(circuit)
@@ -259,6 +261,7 @@ class ExpandedCircuit:
     gate_of: dict
 
 
+@_acyclic
 def expand_to_threshold(lowered: PartitionCircuit) -> ExpandedCircuit:
     """Replace every partition gate with its ladder.  A family of gates
     sharing kind, parts and wires gets one, built at its first member in

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import inspect
 import json
+import sys
 
 import pytest
 
@@ -37,8 +40,9 @@ from symcirc import (
     th_ge,
     value_sets,
 )
-from symcirc.circuit import _kahn
-from symcirc.errors import FieldMismatchError, SchemaError
+from symcirc import lowering
+from symcirc.circuit import _kahn, arith_lane_values, bool_lane_values
+from symcirc.errors import BudgetExceededError, FieldMismatchError, SchemaError
 
 
 def build_xy_sum():
@@ -811,3 +815,99 @@ def test_deserialize_names_the_faulty_field(case):
     with pytest.raises(SchemaError) as exc:
         deserialize(json.dumps(doc))
     assert (exc.value.path, str(exc.value)) == (path, f"{path}: {message}")
+
+
+# ---------------------------------------------------------------------------
+# The cyclic collector is held off while whole structures are built
+
+
+@pytest.fixture
+def collections_in():
+    """collections_in(routine, call): the cyclic-GC passes that start while
+    routine's own body is on the stack during call(), counted through
+    gc.callbacks with the collector on and threshold 1, so that every
+    allocation the hold-off misses would collect.  The caller's thresholds
+    and setting are restored afterwards."""
+    thresholds, was_on = gc.get_threshold(), gc.isenabled()
+    watched, passes = [None], []
+
+    def seen(phase, _info):
+        frame = sys._getframe(1)
+        while phase == "start" and frame is not None:
+            if frame.f_code is watched[0]:
+                passes.append(frame.f_code.co_name)
+                break
+            frame = frame.f_back
+
+    def count(routine, call):
+        watched[0] = inspect.unwrap(routine).__code__
+        passes.clear()
+        call()
+        watched[0] = None
+        return len(passes)
+
+    gc.callbacks.append(seen)
+    gc.set_threshold(1)
+    gc.enable()
+    try:
+        yield count
+    finally:
+        gc.callbacks.remove(seen)
+        gc.set_threshold(*thresholds)
+        (gc.enable if was_on else gc.disable)()
+
+
+def test_whole_structure_builds_run_no_collection(collections_in):
+    fld = GF(3)
+    text = serialize(leverrier_det_circuit(6).circuit)
+    perm = ryser_perm_circuit(3, fld).circuit
+    low = lower_to_partition_basis(perm, {fld.zero()}, value_sets(perm, "exact"))
+    det3 = leverrier_det_circuit(3).circuit
+    lanes = dict.fromkeys(det3.variables, {QQ.zero(): 0b01, QQ.one(): 0b10})
+    calls = [(deserialize, lambda: deserialize(text)),
+             (leverrier_det_circuit, lambda: leverrier_det_circuit(6)),
+             (expand_to_threshold, lambda: expand_to_threshold(low)),
+             (arith_lane_values, lambda: arith_lane_values(det3, lanes, 2))]
+    assert {f.__name__: collections_in(f, call) for f, call in calls} == \
+        {f.__name__: 0 for f, _call in calls}
+
+
+@pytest.fixture(params=[True, False], ids=["gc on", "gc off"])
+def caller_gc(request):
+    """The collector switched on or off for the test, the setting before
+    it restored afterwards."""
+    was_on = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if was_on else gc.disable)()
+
+
+def test_hold_off_restores_the_callers_setting(caller_gc, monkeypatch):
+    fld = GF(3)
+    text = serialize(ryser_perm_circuit(2).circuit)
+    perm = ryser_perm_circuit(3, fld).circuit
+    low = lower_to_partition_basis(perm, {fld.zero()}, value_sets(perm, "exact"))
+    det2 = leverrier_det_circuit(2).circuit
+    returning = [lambda: deserialize(text), lambda: leverrier_det_circuit(3),
+                 lambda: ryser_perm_circuit(3),
+                 lambda: lower_to_partition_basis(perm, {fld.zero()}, value_sets(perm, "exact")),
+                 lambda: expand_to_threshold(low),
+                 lambda: arith_lane_values(det2, {v: {QQ.one(): 1} for v in det2.variables}, 1),
+                 lambda: bool_lane_values(low.circuit, dict.fromkeys(perm.variables, 1), 1)]
+    for call in returning:
+        call()
+        assert gc.isenabled() is caller_gc
+    monkeypatch.setattr(lowering, "_LADDER_BUDGET", 1)
+    raising = [(SchemaError, lambda: deserialize(text[:len(text) // 2])),
+               (CircuitError, lambda: leverrier_det_circuit(0)),
+               (CircuitError, lambda: ryser_perm_circuit(0)),
+               (CircuitError, lambda: lower_to_partition_basis(low.circuit, {0}, None)),
+               (BudgetExceededError, lambda: expand_to_threshold(low)),
+               (CircuitError, lambda: arith_lane_values(det2, {}, 1)),
+               (CircuitError, lambda: bool_lane_values(low.circuit, {}, 1))]
+    for error, call in raising:
+        with pytest.raises(error):
+            call()
+        assert gc.isenabled() is caller_gc
