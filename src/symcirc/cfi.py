@@ -63,8 +63,6 @@ class CFIGraph:
     base: Graph
     twisted: bool
     special: object  # base vertex carrying the odd subsets; None if untwisted
-    inner: tuple
-    outer: tuple
 
 
 def build_cfi(g: Graph, twisted: bool = False, special=None) -> CFIGraph:
@@ -97,9 +95,7 @@ def build_cfi(g: Graph, twisted: bool = False, special=None) -> CFIGraph:
                     edges.append((("e", e, 1 if e in S else 0), iv))
     name = (f"~X({g.name})" if twisted else f"X({g.name})") if g.name else ""
     graph = Graph(tuple(verts), tuple(edges), name)
-    inner = tuple(v for v in graph.vertices if v[0] == "i")
-    outer = tuple(v for v in graph.vertices if v[0] != "i")
-    return CFIGraph(graph, g, twisted, special, inner, outer)
+    return CFIGraph(graph, g, twisted, special)
 
 
 def path_flip_isomorphism(x: CFIGraph, y: CFIGraph, path) -> dict:

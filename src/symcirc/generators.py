@@ -19,14 +19,16 @@ differ only in index order.  Over characteristic 2 the average is
 unavailable and the plain row form is emitted.
 
 Both are built through the hash-consing CircuitBuilder, so they are rigid:
-a term built twice, such as x_12*x_21 as ("F", 2, 1, 2, 1) and
-("F", 2, 2, 1, 2), is one gate under two names, and a square reads its
-child twice.  Each carries its group spec, Transpose(n) or Matrix(n, n),
-whose generators() are its witnesses: per index set (rows, then columns,
-for the permanent) the transposition (1 2) and the cycle (2 3 ... n),
-plus the transpose map for the determinant, so three for det and four
-for perm at any n >= 3.  check_symmetric extends each variable
-permutation to the gates on first use and caches the extension.
+a term built twice, such as x_12*x_21, a product in both (M^2)_11 and
+(M^2)_22, is one gate read by both sums, and a square reads its child
+twice.  Only the landmark gates a caller looks up are named (see
+GeneratedCircuit); the products and sums between them are not.  Each
+carries its group spec, Transpose(n) or Matrix(n, n), whose generators()
+are its witnesses: per index set (rows, then columns, for the permanent)
+the transposition (1 2) and the cycle (2 3 ... n), plus the transpose map
+for the determinant, so three for det and four for perm at any n >= 3.
+check_symmetric extends each variable permutation to the gates on first
+use and caches the extension.
 """
 
 from __future__ import annotations
@@ -46,7 +48,11 @@ from .symmetry import Matrix, Transpose, check_symmetric, matrix_var, matrix_var
 @dataclass
 class GeneratedCircuit:
     circuit: Circuit
-    names: dict      # structured gate name -> gate id (aliases allowed)
+    # landmark gate name -> gate id (aliases allowed).  det: ("x", i, j),
+    # ("pow", k, i, j), ("trace", k), ("p", k), ("psum", k), ("pterm", k, j),
+    # ("const", text); perm: ("x", i, j), ("rprod", S), ("cprod", S),
+    # ("rneg", S), ("cneg", S), ("total",), ("out",), ("const", text)
+    names: dict
     group: object
 
     @cached_property
@@ -112,14 +118,13 @@ def leverrier_det_circuit(n: int, fld: Field = QQ, allow_positive_char: bool = F
             for j in idx:
                 kids = []
                 for a in idx:
-                    kids.append(b.add(MUL, [pow_gate(lo, i, a), pow_gate(hi, a, j)],
-                                      name=("F", m, i, a, j)))
+                    kids.append(b.add(MUL, [pow_gate(lo, i, a), pow_gate(hi, a, j)]))
                     if lo != hi:
-                        kids.append(b.add(MUL, [pow_gate(hi, i, a), pow_gate(lo, a, j)],
-                                          name=("FR", m, i, a, j)))
-                total = b.add(ADD, kids, name=("pow" if lo == hi else "raw", m, i, j))
-                if lo != hi:
-                    b.add(MUL, [cgate["1/2"], total], name=("pow", m, i, j))
+                        kids.append(b.add(MUL, [pow_gate(hi, i, a), pow_gate(lo, a, j)]))
+                if lo == hi:
+                    b.add(ADD, kids, name=("pow", m, i, j))
+                else:
+                    b.add(MUL, [cgate["1/2"], b.add(ADD, kids)], name=("pow", m, i, j))
 
     def trace(lo, hi):
         """tr M^(lo+hi) by the trace rule; hi = 0 reads M^lo's diagonal."""
@@ -127,7 +132,7 @@ def leverrier_det_circuit(n: int, fld: Field = QQ, allow_positive_char: bool = F
         if hi == 0:
             kids = [pow_gate(k, a, a) for a in idx]
         else:
-            kids = [b.add(MUL, [pow_gate(lo, a, c), pow_gate(hi, c, a)], name=("tprod", k, a, c))
+            kids = [b.add(MUL, [pow_gate(lo, a, c), pow_gate(hi, c, a)])
                     for a in idx for c in idx]
         b.add(ADD, kids, name=("trace", k))
 
@@ -155,7 +160,7 @@ def leverrier_det_circuit(n: int, fld: Field = QQ, allow_positive_char: bool = F
         psum = b.add(ADD, kids, name=("psum", k))
         b.add(MUL, [cgate[f"1/{k}"], psum], name=("p", k))
 
-    return GeneratedCircuit(b.build(("p", n)), dict(b.names), Transpose(n))
+    return GeneratedCircuit(b.build(("p", n)), b.names, Transpose(n))
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +189,7 @@ def ryser_perm_circuit(n: int, fld: Field = QQ) -> GeneratedCircuit:
     def term(prefix, S):
         """The signed product over rows k ("r") or columns k ("c") of the
         sum of line k's entries at the indices in S."""
-        kids = [b.add(ADD, [b.names[("x", k, j) if prefix == "r" else ("x", j, k)] for j in S],
-                      name=(prefix + "sum", k, S))
+        kids = [b.add(ADD, [b.names[("x", k, j) if prefix == "r" else ("x", j, k)] for j in S])
                 for k in idx]
         prod = b.add(MUL, kids, name=(prefix + "prod", S))
         if two_sided and (n + len(S)) % 2 == 1:
@@ -201,4 +205,4 @@ def ryser_perm_circuit(n: int, fld: Field = QQ) -> GeneratedCircuit:
     else:
         out = b.add(ADD, terms, name=("total",))
         b.names[("out",)] = out
-    return GeneratedCircuit(b.build(out), dict(b.names), Matrix(n, n))
+    return GeneratedCircuit(b.build(out), b.names, Matrix(n, n))

@@ -139,8 +139,7 @@ def value_sets(circuit: Circuit, mode: str = "compositional") -> ValueSetMap:
     if mode != "compositional":
         raise CircuitError(f"unknown value-set mode {mode!r}")
     both = {fld.zero(): 1, fld.one(): 1}
-    lanes = {lab.var: both for lab in circuit.gates.values() if lab.kind == "input"}
-    values = arith_lane_values(circuit, lanes, 1)
+    values = arith_lane_values(circuit, dict.fromkeys(circuit.inputs_by_var, both), 1)
     return ValueSetMap({g: _sorted_vals(vs) for g, vs in values.items()}, exact=False)
 
 
@@ -165,30 +164,31 @@ def lower_to_partition_basis(circuit: Circuit, accept, values: ValueSetMap) -> P
         return PartitionCircuit(b.build(g), kind)
 
     b = CircuitBuilder(fld, circuit.variables)
+    gate = {}   # (v, c) -> the gate true iff v evaluates to c
     for v in circuit.topo_order():
         lab = circuit.gates[v]
         if lab.kind == "input":
-            one = b.add(input_label(lab.var), name=(v, fld.one()))
-            b.add(NOT, [one], name=(v, fld.zero()))
+            one = gate[v, fld.one()] = b.add(input_label(lab.var))
+            gate[v, fld.zero()] = b.add(NOT, [one])
         elif lab.kind == "const":
-            b.add(const(fld.one()), name=(v, lab.value))
+            gate[v, lab.value] = b.add(const(fld.one()))
         elif not circuit.wires[v]:
             # childless Add/Mul: value is the fold unit, so (v, unit) is true
             unit = fld.zero() if lab.kind == "add" else fld.one()
-            b.add(const(fld.one()), name=(v, unit))
+            gate[v, unit] = b.add(const(fld.one()))
         else:
             parts, kids = {}, []
             for u, _t in circuit.wires[v]:
                 for q in values.sets[u]:
                     tag = str(q)
                     parts[tag] = q
-                    kids.append((b.names[(u, q)], tag))
+                    kids.append((gate[u, q], tag))
             kind = "psum" if lab.kind == "add" else "pprod"
             parts = tuple(sorted(parts.items()))   # one parts tuple and one wire
             wires = tuple(sorted(kids))            # tuple for every member (v, c)
             for c in values.sets[v]:
-                b._add(GateLabel(kind, c=c, parts=parts), wires, name=(v, c))
-    out = b.add(OR, [b.names[(circuit.output, c)]
+                gate[v, c] = b._add(GateLabel(kind, c=c, parts=parts), wires)
+    out = b.add(OR, [gate[circuit.output, c]
                      for c in values.sets[circuit.output] if c in accept])
     return PartitionCircuit(b.build(out), None)
 

@@ -57,7 +57,7 @@ def test_build_counts_k4():
     assert all(g.degree(v) == 4 for v in g.vertices)
     left, right = bipartition(g)
     assert len(left) == len(right) == 16
-    assert len(x.inner) == 4 * 4
+    assert len([v for v in g.vertices if v[0] == "i"]) == 4 * 4
 
 
 def test_build_counts_petersen():
@@ -70,7 +70,9 @@ def test_twist_changes_inner_parity():
     y = build_cfi(k4(), twisted=True)
     assert y.special == 1
     # the special vertex carries odd-size subsets, all others even
-    for _, v, S in y.inner:
+    inner = [v for v in y.graph.vertices if v[0] == "i"]
+    assert len(inner) == 4 * 4
+    for _, v, S in inner:
         assert len(S) % 2 == (1 if v == y.special else 0)
     y3 = build_cfi(k4(), twisted=True, special=3)
     assert y3.special == 3

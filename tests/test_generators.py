@@ -161,6 +161,22 @@ def test_every_gate_is_read(kind, fld):
         assert seen == set(circuit.gates), (kind, n)
 
 
+DET_LANDMARKS = {"x", "pow", "trace", "p", "psum", "pterm", "const"}
+PERM_LANDMARKS = {"x", "rprod", "cprod", "rneg", "cneg", "total", "out", "const"}
+
+
+def test_names_are_the_landmarks():
+    # only the gates a caller looks up are named; the products and sums
+    # between them are not, so the name table is a small share of the gates
+    gens = [(leverrier_det_circuit(n), DET_LANDMARKS) for n in range(2, 9)]
+    gens += [(ryser_perm_circuit(n), PERM_LANDMARKS) for n in range(2, 7)]
+    for gen, landmarks in gens:
+        assert {name[0] for name in gen.names} == landmarks, gen.names.keys()
+        assert set(gen.names.values()) <= set(gen.circuit.gates)
+    for gen in (leverrier_det_circuit(16), ryser_perm_circuit(10)):
+        assert 4 * len(gen.names) < len(gen.circuit.gates)
+
+
 def test_ryser_witnesses_verify():
     for n in (2, 3):
         gen = ryser_perm_circuit(n)
