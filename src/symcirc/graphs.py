@@ -3,6 +3,12 @@
 Vertices are arbitrary hashable, comparable labels; file I/O uses 1-based
 integers.  The text format is a header line "graph <n> <m>" followed by m
 lines "u v".
+
+A Graph holds its vertices sorted and its edges normalized by vertex rank:
+each end maps to its rank in the sorted vertices, an edge {u, v} becomes the
+int a n + b for ranks a < b, and the sorted set of these ints maps back to
+label pairs.  Rank order is label order, so the edges come out as the sorted
+set of (u, v) with u < v, with no label compared after the vertex sort.
 """
 
 from __future__ import annotations
@@ -13,12 +19,6 @@ from dataclasses import dataclass, field
 from .errors import CircuitError, SchemaError
 
 
-def _norm_edge(u, v):
-    if u == v:
-        raise CircuitError(f"self-loop at {u!r}")
-    return (v, u) if v < u else (u, v)
-
-
 @dataclass
 class Graph:
     vertices: tuple
@@ -27,14 +27,32 @@ class Graph:
     _adj: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        vs = tuple(sorted(set(self.vertices)))
-        es = sorted({_norm_edge(u, v) for u, v in self.edges})
+        vs = sorted(set(self.vertices))
+        n = len(vs)
+        rank = dict(zip(vs, range(n))).__getitem__
+        us, ws = tuple(zip(*self.edges)) or ((), ())
+        try:
+            # edge {u, v} as the int a n + b, a < b the ranks of its ends, so
+            # int order is label order; -1 marks a self-loop
+            keys = sorted({a * n + b if a < b else b * n + a if b < a else -1
+                           for a, b in zip(map(rank, us), map(rank, ws))})
+        except KeyError:
+            keys = [-1]
+        if keys and keys[0] < 0:
+            self._refuse(vs)
+        self.vertices = tuple(vs)
+        self.edges = tuple([(vs[key // n], vs[key % n]) for key in keys])
+
+    def _refuse(self, vs):
+        """Raise the error for the first self-loop among the edges, else for
+        the least edge, its ends in label order, with an unknown end."""
+        for u, v in self.edges:
+            if u == v:
+                raise CircuitError(f"self-loop at {u!r}")
         known = set(vs)
-        for u, v in es:
-            if u not in known or v not in known:
-                raise CircuitError(f"edge ({u!r}, {v!r}) uses unknown vertex")
-        self.vertices = vs
-        self.edges = tuple(es)
+        u, v = min((v, u) if v < u else (u, v) for u, v in self.edges
+                   if u not in known or v not in known)
+        raise CircuitError(f"edge ({u!r}, {v!r}) uses unknown vertex")
 
     def adj(self, v) -> frozenset:
         if self._adj is None:
@@ -64,7 +82,12 @@ class Graph:
                      name)
 
     def relabel(self, mapping, name="") -> "Graph":
-        return Graph(tuple(mapping[v] for v in self.vertices),
+        first = {}   # label: the first vertex mapped to it
+        for v in self.vertices:
+            w = first.setdefault(mapping[v], v)
+            if w != v:
+                raise CircuitError(f"relabel maps {w!r} and {v!r} to one label {mapping[v]!r}")
+        return Graph(tuple(first),
                      tuple((mapping[u], mapping[v]) for u, v in self.edges),
                      name or self.name)
 
@@ -167,6 +190,8 @@ def parse_graph(text: str, name="") -> Graph:
         n, m = int(head[1]), int(head[2])
     except ValueError:
         raise SchemaError("$.header", "vertex/edge counts must be integers") from None
+    if n < 0 or m < 0:
+        raise SchemaError("$.header", f"vertex/edge counts must not be negative, got {n} {m}")
     if len(lines) - 1 != m:
         raise SchemaError("$.edges", f"expected {m} edge lines, got {len(lines) - 1}")
     edges = set()

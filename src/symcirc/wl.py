@@ -51,6 +51,16 @@ w per P, and given the seed, inclusion-exclusion turns these counts and the
 |N(t_S)| into each other: |N(t_S)| less the entries of t in it is the sum
 of c(P) over the P that contain S.
 
+For k = 2 both kinds of round work on whole rows (`_pair_steps`).  The
+canonical pairs (u, v), v = u .. n - 1, are one run, and the signature of
+(u, v) sums row u of the colors and column v times K entry by entry and
+sorts the n sums; the rows and the scaled columns are made once per round.
+τ holds one int per class, and the transposes (v, u) of a run are one
+column slice of the new colors.  On a shared 2-core x86 machine (least of 5
+runs, three runs per side, before → after this row form) 2-WL takes
+8.2–8.6 → 7.0–7.3 ms on the K4 CFI pair and 86–90 → 83–86 ms on the
+Petersen pair.
+
 Convention note: "k-dimensional" counts tuple length, so k = 2 refines
 vertex pairs.  Reference: Cai, Fürer, Immerman, Combinatorica 12 (1992).
 """
@@ -120,9 +130,10 @@ def _tuples(g: Graph, k: int, base: int):
     step(col, ids, taus) returns the new colors of these tuples, interning
     signatures in ids.  taus maps each class met on a canonical tuple to
     its images under the position permutations other than the identity, in
-    itertools.permutations order; it starts empty in each round and is
-    shared by both graphs.  first(col, ids, taus) does the same for the
-    first round only, when col is the seed coloring; at k = 1 it is step."""
+    itertools.permutations order (at k = 2 to the one image, an int); it
+    starts empty in each round and is shared by both graphs.
+    first(col, ids, taus) does the same for the first round only, when col
+    is the seed coloring; at k = 1 it is step."""
     verts = g.vertices
     n = len(verts)
     index = {v: i for i, v in enumerate(verts)}
@@ -148,13 +159,15 @@ def _tuples(g: Graph, k: int, base: int):
         seeds = itertools.chain.from_iterable(
             zip(*(itertools.repeat(r, n) for r in t), *(rel[a] for a in d))
             for d, t in zip(itertools.product(range(n), repeat=j), seeds))
+    masks = [sum(1 << w for w in ns) for ns in nbrs]   # neighbourhoods as bitmasks
+    if k == 2:
+        return seeds, *_pair_steps(n, base, masks)
     size = n ** k
     strides = [n ** (k - 1 - i) for i in range(k)]
     perms = list(itertools.permutations(range(k)))   # perms[0] is the identity
     # a permuted run of canonical tuples varies at the position that the
     # last entry moves to
     fills = [(pi, strides[pi.index(k - 1)]) for pi in perms]
-    masks = [sum(1 << w for w in ns) for ns in nbrs]   # neighbourhoods as bitmasks
     full = (1 << n) - 1
 
     def at(u, pi):
@@ -235,6 +248,69 @@ def _tuples(g: Graph, k: int, base: int):
         return spread(run, taus, color)
 
     return seeds, step, first
+
+
+def _pair_steps(n, base, masks):
+    """step and first of _tuples for k = 2, on g's n^2 pairs held from
+    base on, the neighbourhoods of g's vertices given as bitmasks.
+
+    Run u is the canonical pairs (u, v), v = u .. n - 1, at t .. t + n - u - 1
+    for t = u(n + 1); their transposes (v, u) are column u of the pairs from
+    t on.  So each run fills one row slice and one column slice of the new
+    colors, the column from taus, which maps a class met on a canonical pair
+    to the color of its transposes as one int."""
+    size = n * n
+
+    def spread(run, taus, swapped):
+        # run(u) returns the new colors of run u; swapped(u, v) interns the
+        # signature of (v, u)
+        new = [0] * size
+        for u in range(n):
+            row = run(u)
+            for v, x in enumerate(row, u):
+                if x not in taus:
+                    taus[x] = swapped(u, v)
+            t = u * (n + 1)
+            new[t:t + n - u] = row
+            new[t::n] = [taus[x] for x in row]
+        return new
+
+    def step(col, ids, taus):
+        # the signature of (u, v) is its color and the sorted K col(w, v) +
+        # col(u, w) over all w: row u plus K times column v, K as in _tuples
+        K = max(col, default=0) + 1
+        own = col[base:base + size]
+        rows = [own[u * n:u * n + n] for u in range(n)]
+        cols = [[c * K for c in own[v::n]] for v in range(n)]
+
+        def run(u):
+            row = rows[u]
+            return [ids.setdefault((o, *sorted(map(add, row, c))), len(ids))
+                    for o, c in zip(row[u:], cols[u:])]
+
+        def swapped(u, v):
+            row = rows[v]
+            return ids.setdefault((row[u], *sorted(map(add, row, cols[u]))), len(ids))
+
+        return spread(run, taus, swapped)
+
+    def first(col, ids, taus):
+        # the signature (seed, n, |N(u)|, |N(v)|, |N(u) & N(v)|) of (u, v)
+        own = col[base:base + size]
+        deg = [m.bit_count() for m in masks]
+
+        def run(u):
+            mu, du, t = masks[u], deg[u], u * (n + 1)
+            return [ids.setdefault((o, n, du, dv, (mu & w).bit_count()), len(ids))
+                    for o, dv, w in zip(own[t:t + n - u], deg[u:], masks[u:])]
+
+        def swapped(u, v):
+            return ids.setdefault((own[v * n + u], n, deg[v], deg[u],
+                                   (masks[u] & masks[v]).bit_count()), len(ids))
+
+        return spread(run, taus, swapped)
+
+    return step, first
 
 
 def _check_dimension(k):

@@ -350,6 +350,15 @@ def test_cfi_special_without_twist_exit_2(tmp_path, capsys, sub):
     assert not (tmp_path / "x.graph").exists()
 
 
+@pytest.mark.parametrize("header", ["graph -2 0", "graph 3 -1"])
+def test_negative_graph_counts_exit_2(tmp_path, capsys, header):
+    path = tmp_path / "g.graph"
+    path.write_text(header + "\n")
+    code, rep, err = invoke(capsys, "cfi", "check", "--graph", str(path))
+    assert (code, rep) == (2, None)
+    assert err.startswith("error: $.header: vertex/edge counts must not be negative"), err
+
+
 def test_cfi_count(capsys):
     code, rep, _ = invoke(capsys, "cfi", "count", "--graph", "k4")
     assert code == 0

@@ -136,3 +136,19 @@ def test_parse_refuses_repeated_edges_and_self_loops(text, message):
     with pytest.raises(SchemaError) as exc:
         parse_graph(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("graph -2 0\n", "$.header: vertex/edge counts must not be negative, got -2 0"),
+    ("graph 3 -1\n", "$.header: vertex/edge counts must not be negative, got 3 -1"),
+])
+def test_parse_refuses_negative_counts(text, message):
+    with pytest.raises(SchemaError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == message
+
+
+def test_relabel_refuses_a_mapping_that_is_not_injective():
+    with pytest.raises(CircuitError, match="relabel maps 1 and 3 to one label 1"):
+        path_graph(3).relabel({1: 1, 2: 2, 3: 1})
+    assert path_graph(3).relabel({1: 3, 2: 2, 3: 1}).edges == ((1, 2), (2, 3))
