@@ -522,8 +522,19 @@ def arith_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
     return vals
 
 
+def _refuse_undeclared(circuit: Circuit, assignment: dict):
+    """Refuse the assignment's keys that the circuit does not declare, unless
+    a variable that an input gate reads is missing, which evaluation names
+    first."""
+    unknown = assignment.keys() - circuit.variables
+    if unknown and circuit.inputs_by_var.keys() <= assignment.keys():
+        # by str: string names keep their own order, and mixed kinds still sort
+        raise CircuitError(f"the circuit declares no variables {sorted(unknown, key=str)}")
+
+
 def evaluate_arith(circuit: Circuit, assignment: dict) -> FieldValue:
     """Exact value of the output under a variable assignment."""
+    _refuse_undeclared(circuit, assignment)
     # None stands for a value that is no field element (it may be unhashable);
     # arith_lane_values rejects it once an input reads it
     lanes = {v: {x if isinstance(x, FieldValue) else None: 1} for v, x in assignment.items()}
@@ -669,6 +680,7 @@ def bool_lane_values(circuit: Circuit, lanes: dict, width: int) -> dict:
 
 def evaluate_bool(circuit: Circuit, assignment: dict) -> int:
     """0/1 value of the output under a 0/1 variable assignment."""
+    _refuse_undeclared(circuit, assignment)
     lanes = {v: int(x) if x in (0, 1) else x for v, x in assignment.items()}
     return bool_lane_values(circuit, lanes, 1)[circuit.output]
 

@@ -84,6 +84,8 @@ class Graph:
     def relabel(self, mapping, name="") -> "Graph":
         first = {}   # label: the first vertex mapped to it
         for v in self.vertices:
+            if v not in mapping:
+                raise CircuitError(f"relabel does not map vertex {v!r}")
             w = first.setdefault(mapping[v], v)
             if w != v:
                 raise CircuitError(f"relabel maps {w!r} and {v!r} to one label {mapping[v]!r}")

@@ -203,7 +203,8 @@ def _check_sigma(circuit: Circuit, sigma: dict):
     vs = set(circuit.variables)
     for a, b in sigma.items():
         if a not in vs or b not in vs:
-            raise CircuitError(f"permutation mentions unknown variable {a!r} or {b!r}")
+            raise CircuitError("permutation mentions unknown variable " + " and ".join(
+                repr(x) for x in dict.fromkeys((a, b)) if x not in vs))
     if {sigma.get(v, v) for v in vs} != vs:
         raise CircuitError("map is not a permutation of the variables")
 

@@ -4,18 +4,16 @@ for k in {1, 2, 3}.
 `refine` is the one color-refinement kernel; it refines graph k-tuples
 here.  WL refines each graph's own k-tuples, but both graphs go through one
 `refine` call, so they share one signature-to-color table and their color
-ids are comparable.  For k = 1 this
-is classic color refinement seeded with degrees.  For k >= 2 a tuple's
-initial color is its ordered atomic type (equalities and adjacencies among
-its entries), and each round extends it by the multiset, over all vertices w
-of its graph, of the k-vector of colors of the tuples obtained by
-substituting w into each position.  Verdict: the two graphs' color
-multisets agree at every round.
+ids are comparable.  For k = 1 this is classic color refinement seeded
+with degrees.  For k >= 2 a tuple's initial color is its ordered atomic
+type (equalities and adjacencies among its entries), and each round
+extends it by the multiset, over all vertices w of its graph, of the
+k-vector of colors of the tuples obtained by substituting w into each
+position.  Verdict: the two graphs' color multisets agree at every round.
 
-A k-vector of colors c_1 .. c_k is packed into the one int
-c_1 K^(k-1) + ... + c_k, K the number of classes in the round, so a
-signature is the sorted tuple of n ints.  Signatures are interned as they
-are made: no round holds a list of them.
+A k-vector of colors c_1 .. c_k is packed into the one int c_1 K^(k-1) +
+... + c_k, K the number of classes in the round, so a signature is the old
+color and n sorted ints, interned as it is made: no round holds a list.
 
 Only the canonical tuples, whose vertex indices do not decrease, get a
 signature of their own: n(n+1)/2 of the n^2 pairs, C(n+2, 3) of the n^3
@@ -42,24 +40,20 @@ in full, with the classes of the full refinement.
 For k >= 2 the first round reads only seeds and sorts nothing.  The
 signature of t is (seed of t, |N(t_S)| for each set S of positions), N(t_S)
 the common neighbours of the t_i in S and all n vertices for S empty, from
-int bitmasks that tuples sharing a prefix share.  Its partition is the
-generic round's: there the terms for w in t depend only on the seed, and
-for w not in t the term is fixed by the seed and the set P of entries that w
-is adjacent to, and gives P back (k >= 2: with w at position i the seed
-records w against every other entry).  So the rest is the count c(P) of such
-w per P, and given the seed, inclusion-exclusion turns these counts and the
-|N(t_S)| into each other: |N(t_S)| less the entries of t in it is the sum
-of c(P) over the P that contain S.
+ANDs of int bitmasks.  Its partition is the generic round's: there the
+terms for w in t depend only on the seed, and for w not in t the term is
+fixed by the seed and the set P of entries that w is adjacent to, and gives
+P back (k >= 2: with w at position i the seed records w against every
+other entry).  So the rest is the count c(P) of such w per P, and given the
+seed, inclusion-exclusion turns these counts and the |N(t_S)| into each
+other: |N(t_S)| less the entries of t in it is the sum of c(P) over the P
+that contain S.
 
-For k = 2 both kinds of round work on whole rows (`_pair_steps`).  The
-canonical pairs (u, v), v = u .. n - 1, are one run, and the signature of
-(u, v) sums row u of the colors and column v times K entry by entry and
-sorts the n sums; the rows and the scaled columns are made once per round.
-τ holds one int per class, and the transposes (v, u) of a run are one
-column slice of the new colors.  On a shared 2-core x86 machine (least of 5
-runs, three runs per side, before → after this row form) 2-WL takes
-8.2–8.6 → 7.0–7.3 ms on the K4 CFI pair and 86–90 → 83–86 ms on the
-Petersen pair.
+One kernel serves every k >= 2.  A call makes a plan (`_plan`) per graph
+order and drops it on return: the canonical tuples, where they and their
+lines lie, and the slices that each run of them, permuted, fills.  A round
+signs all canonical tuples of a graph in one pass over these lists, and all
+representatives in one more, so it does no index arithmetic of its own.
 
 Convention note: "k-dimensional" counts tuple length, so k = 2 refines
 vertex pairs.  Reference: Cai, Fürer, Immerman, Combinatorica 12 (1992).
@@ -70,16 +64,17 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import partial
 from math import comb, factorial
-from operator import add, and_
+from operator import add, and_, mul
 
 from .errors import BudgetExceededError, CircuitError
 from .graphs import Graph
 
 # k-tuples of both graphs that wl_equivalent refines.  3-WL on the CFI pair
-# of the cube (524,288 tuples) peaks at 44 MiB of allocations under
-# tracemalloc, about 88 bytes a tuple, so the budget allows about 85 MiB.
+# of the cube (524,288 tuples) peaks at 46 MiB of allocations under
+# tracemalloc, its plan included, about 92 bytes a tuple, so the budget
+# allows about 88 MiB; nothing of it is kept after the call.
 _TUPLE_BUDGET = 10 ** 6
 _add_lines = partial(map, add)
 
@@ -122,7 +117,51 @@ class WLReport:
     signatures: tuple = field(default=(), compare=False)
 
 
-def _tuples(g: Graph, k: int, base: int):
+def _locate(n, k, us):
+    """Where the k-tuples us over range(n) lie in a color list of n^k tuples.
+
+    Returns (ts, ents, at): their indices t, their entries at each
+    position, and for each position i the line of position i that each
+    lies on.  The tuples that differ from each other only at position i
+    form a line, every s-th tuple from its start, s = n^(k-1-i); the lines
+    of a position are counted in the order of their starts."""
+    strides = [n ** (k - 1 - i) for i in range(k)]
+    ts = [sum(map(mul, u, strides)) for u in us]
+    ents = [[u[i] for u in us] for i in range(k)]
+    return ts, ents, [[t // (n * s) * s + t % s for t in ts] for s in strides]
+
+
+def _plan(n, k):
+    """Where the canonical k-tuples over range(n), k >= 2, and their lines
+    lie in a color list of n^k tuples: (canon, parts, fills, lines), canon
+    being _locate of those tuples in lexicographic order.  They fall into
+    runs that share all but the last entry: parts holds each run's slice of
+    canon, fills[j] the slice of the color list that it fills permuted by
+    the j-th of itertools.permutations (the identity first).  lines holds
+    (s, the starts of its lines in order) per position."""
+    strides = [n ** (k - 1 - i) for i in range(k)]
+    heads = [(*d, d[-1]) for d in itertools.combinations_with_replacement(range(n), k - 1)]
+    ms = [n - u[-1] for u in heads]
+    ends = list(itertools.accumulate(ms, initial=0))
+    fills = []
+    for pi in itertools.permutations(range(k)):
+        # u∘π holds u[q] at the position of stride w[q]; along the run it moves by w[-1]
+        w = [strides[pi.index(q)] for q in range(k)]
+        a = [sum(map(mul, u, w)) for u in heads]
+        fills.append(list(map(slice, a, map(add, a, [m * w[-1] for m in ms]),
+                              itertools.repeat(w[-1]))))
+    # along a run t, the last entry and the line at each position but the
+    # last count up by one from the run's first tuple; the rest stay
+    chain = itertools.chain.from_iterable
+    t0, es, lead = _locate(n, k, heads)
+    up = [list(chain(map(range, a, map(add, a, ms)))) for a in (t0, es[-1], *lead[:-1])]
+    stay = [list(chain(map(itertools.repeat, a, ms))) for a in (*es[:-1], lead[-1])]
+    canon = up[0], [*stay[:-1], up[1]], [*up[2:], stay[-1]]
+    lines = [(s, [j // s * n * s + j % s for j in range(n ** (k - 1))]) for s in strides]
+    return canon, list(map(slice, ends, ends[1:])), fills, lines
+
+
+def _tuples(g: Graph, k: int, base: int, plan=None):
     """Seeds, as an iterable, and refinement steps for the k-tuples of g's
     vertices, held at positions base + t of the color list, where the tuple
     of vertex indices (v_1 .. v_k) has t = sum of v_i * n^(k - i).
@@ -130,10 +169,10 @@ def _tuples(g: Graph, k: int, base: int):
     step(col, ids, taus) returns the new colors of these tuples, interning
     signatures in ids.  taus maps each class met on a canonical tuple to
     its images under the position permutations other than the identity, in
-    itertools.permutations order (at k = 2 to the one image, an int); it
-    starts empty in each round and is shared by both graphs.
-    first(col, ids, taus) does the same for the first round only, when col
-    is the seed coloring; at k = 1 it is step."""
+    itertools.permutations order; it starts empty in each round and is
+    shared by both graphs.  first(col, ids, taus) does the same for the
+    first round only, when col is the seed coloring; at k = 1 it is step.
+    For k >= 2 they read plan, else _plan(n, k) for the order n of g."""
     verts = g.vertices
     n = len(verts)
     index = {v: i for i, v in enumerate(verts)}
@@ -160,35 +199,27 @@ def _tuples(g: Graph, k: int, base: int):
             zip(*(itertools.repeat(r, n) for r in t), *(rel[a] for a in d))
             for d, t in zip(itertools.product(range(n), repeat=j), seeds))
     masks = [sum(1 << w for w in ns) for ns in nbrs]   # neighbourhoods as bitmasks
-    if k == 2:
-        return seeds, *_pair_steps(n, base, masks)
     size = n ** k
-    strides = [n ** (k - 1 - i) for i in range(k)]
-    perms = list(itertools.permutations(range(k)))   # perms[0] is the identity
-    # a permuted run of canonical tuples varies at the position that the
-    # last entry moves to
-    fills = [(pi, strides[pi.index(k - 1)]) for pi in perms]
-    full = (1 << n) - 1
+    canon, parts, fills, lines = plan or _plan(n, k)
+    perms = list(itertools.permutations(range(k)))[1:]
+    p = len(perms)
 
-    def at(u, pi):
-        # index of u∘pi, the tuple whose position i holds u[pi[i]]
-        return sum(u[q] * s for q, s in zip(pi, strides))
-
-    def spread(run, taus, color):
-        # run(d, lo, t) returns the new colors of the canonical tuples
-        # d + (c,), c = lo .. n - 1, which sit at t .. t + n - lo - 1;
-        # color(u, pi) interns the signature of u∘pi
+    def spread(sign, taus):
+        # sign(*_locate(n, k, us)) returns the new colors of the tuples us;
+        # each new class is signed again on one of its tuples permuted, in one call
+        row = sign(*canon)
+        met = dict(zip(row, range(len(row))))   # class: a canonical tuple of it
+        fresh = list(met.keys() - taus.keys())
+        if fresh:
+            signed = sign(*_locate(n, k, [[canon[1][q][met[x]] for q in pi]
+                                          for x in fresh for pi in perms]))
+            for x, j in zip(fresh, range(0, len(signed), p)):
+                taus[x] = signed[j:j + p]
+        images = [row, *([taus[x][i] for x in row] for i in range(p))]
         new = [0] * size
-        for d in itertools.combinations_with_replacement(range(n), k - 1):
-            lo = d[-1]
-            u = d + (lo,)
-            row = run(d, lo, at(u, perms[0]))
-            for c, x in enumerate(row, lo):
-                if x not in taus:
-                    taus[x] = [color(d + (c,), pi) for pi in perms[1:]]
-            for i, (pi, s) in enumerate(fills):
-                a = at(u, pi)
-                new[a:a + (n - lo) * s:s] = [taus[x][i - 1] for x in row] if i else row
+        for fill, image in zip(fills, images):
+            for f, part in zip(fill, parts):
+                new[f] = image[part]
         return new
 
     def step(col, ids, taus):
@@ -197,120 +228,38 @@ def _tuples(g: Graph, k: int, base: int):
         # vectors in either graph, and sorting packed ints sorts the vectors
         K = max(col, default=0) + 1
         own = col[base:base + size]
-        # lines[i][j]: the colors, times K^(k-1-i), of the n tuples on line
-        # j of position i, which differ from each other only at position i;
-        # tuple t lies on line t // (n*s) * s + t % s of the stride-s position
-        lines = []
-        for i, s in enumerate(strides):
-            m = K ** (k - 1 - i)
-            pre = [c * m for c in own]
-            starts = (j // s * n * s + j % s for j in range(n ** (k - 1)))
-            lines.append([pre[a:a + n * s:s] for a in starts])
+        # ls[i][j]: the colors of line j of position i, times K^(k-1-i)
+        ls = []
+        for i, (s, starts) in enumerate(lines):
+            w = K ** (k - 1 - i)
+            pre = own if w == 1 else [c * w for c in own]
+            ls.append([pre[a:a + n * s:s] for a in starts])
 
-        def color(u, pi):
-            t = at(u, pi)
-            vecs = reduce(_add_lines, (ls[t // (n * s) * s + t % s]
-                                       for ls, s in zip(lines, strides)))
-            return ids.setdefault((own[t], tuple(sorted(vecs))), len(ids))
+        def sign(ts, ents, at):
+            vecs = map(ls[-1].__getitem__, at[-1])
+            for lines_i, at_i in zip(ls, at[:-1]):
+                vecs = map(_add_lines, vecs, map(lines_i.__getitem__, at_i))
+            return [ids.setdefault((o, *sorted(v)), len(ids))
+                    for o, v in zip(map(own.__getitem__, ts), vecs)]
 
-        def run(d, lo, t):
-            # the tuples share one line of the last position; at each other
-            # position their lines are consecutive ones
-            runs = [ls[j:j + n - lo] for ls, j in
-                    zip(lines, (t // (n * s) * s + t % s for s in strides[:-1]))]
-            last = lines[-1][t // n]
-            return [ids.setdefault((o, tuple(sorted(reduce(_add_lines, rest, last)))), len(ids))
-                    for o, rest in zip(own[t:t + n - lo], zip(*runs))]
-
-        return spread(run, taus, color)
+        return spread(sign, taus)
 
     def first(col, ids, taus):
         # the signature (seed, |N(u_S)| for S = 0 .. 2^k - 1), where bit i
         # of S selects position i
         own = col[base:base + size]
 
-        def color(u, pi):
-            v = [u[q] for q in pi]
-            return ids.setdefault((own[at(u, pi)], *(
-                reduce(and_, (masks[v[i]] for i in range(k) if S >> i & 1), full).bit_count()
-                for S in range(1 << k))), len(ids))
-
-        def run(d, lo, t):
-            # ms: N(d_S) for S = 0 .. 2^(k-1) - 1; the sets S that hold the
-            # last position are counted by one AND with the mask of c each
-            ms = [full]
-            for v in d:
-                ms += [m & masks[v] for m in ms]
+        def sign(ts, ents, at):
+            ms = []   # N(u_S) for S = 1 .. 2^k - 1
+            for e in ents:
+                m = list(map(masks.__getitem__, e))
+                ms += [m, *(list(map(and_, x, m)) for x in ms)]
             return [ids.setdefault(z, len(ids)) for z in zip(
-                own[t:t + n - lo], *(itertools.repeat(m.bit_count()) for m in ms),
-                *([(m & w).bit_count() for w in masks[lo:]] for m in ms))]
+                map(own.__getitem__, ts), itertools.repeat(n), *(map(int.bit_count, m) for m in ms))]
 
-        return spread(run, taus, color)
+        return spread(sign, taus)
 
     return seeds, step, first
-
-
-def _pair_steps(n, base, masks):
-    """step and first of _tuples for k = 2, on g's n^2 pairs held from
-    base on, the neighbourhoods of g's vertices given as bitmasks.
-
-    Run u is the canonical pairs (u, v), v = u .. n - 1, at t .. t + n - u - 1
-    for t = u(n + 1); their transposes (v, u) are column u of the pairs from
-    t on.  So each run fills one row slice and one column slice of the new
-    colors, the column from taus, which maps a class met on a canonical pair
-    to the color of its transposes as one int."""
-    size = n * n
-
-    def spread(run, taus, swapped):
-        # run(u) returns the new colors of run u; swapped(u, v) interns the
-        # signature of (v, u)
-        new = [0] * size
-        for u in range(n):
-            row = run(u)
-            for v, x in enumerate(row, u):
-                if x not in taus:
-                    taus[x] = swapped(u, v)
-            t = u * (n + 1)
-            new[t:t + n - u] = row
-            new[t::n] = [taus[x] for x in row]
-        return new
-
-    def step(col, ids, taus):
-        # the signature of (u, v) is its color and the sorted K col(w, v) +
-        # col(u, w) over all w: row u plus K times column v, K as in _tuples
-        K = max(col, default=0) + 1
-        own = col[base:base + size]
-        rows = [own[u * n:u * n + n] for u in range(n)]
-        cols = [[c * K for c in own[v::n]] for v in range(n)]
-
-        def run(u):
-            row = rows[u]
-            return [ids.setdefault((o, *sorted(map(add, row, c))), len(ids))
-                    for o, c in zip(row[u:], cols[u:])]
-
-        def swapped(u, v):
-            row = rows[v]
-            return ids.setdefault((row[u], *sorted(map(add, row, cols[u]))), len(ids))
-
-        return spread(run, taus, swapped)
-
-    def first(col, ids, taus):
-        # the signature (seed, n, |N(u)|, |N(v)|, |N(u) & N(v)|) of (u, v)
-        own = col[base:base + size]
-        deg = [m.bit_count() for m in masks]
-
-        def run(u):
-            mu, du, t = masks[u], deg[u], u * (n + 1)
-            return [ids.setdefault((o, n, du, dv, (mu & w).bit_count()), len(ids))
-                    for o, dv, w in zip(own[t:t + n - u], deg[u:], masks[u:])]
-
-        def swapped(u, v):
-            return ids.setdefault((own[v * n + u], n, deg[v], deg[u],
-                                   (masks[u] & masks[v]).bit_count()), len(ids))
-
-        return spread(run, taus, swapped)
-
-    return step, first
 
 
 def _check_dimension(k):
@@ -324,8 +273,9 @@ def wl_equivalent(g1: Graph, g2: Graph, k: int) -> WLReport:
     cut, rest = n1 ** k, n2 ** k
     if cut + rest > _TUPLE_BUDGET:
         raise BudgetExceededError(f"{cut} + {rest} {k}-tuples exceed the budget {_TUPLE_BUDGET}")
-    seeds1, step1, first1 = _tuples(g1, k, 0)
-    seeds2, step2, first2 = _tuples(g2, k, cut)
+    plan = _plan(n1, k) if k > 1 else None   # g2 reads it too if n2 == n1
+    seeds1, step1, first1 = _tuples(g1, k, 0, plan)
+    seeds2, step2, first2 = _tuples(g2, k, cut, plan if n2 == n1 else None)
     canonical = comb(n1 + k - 1, k) + comb(n2 + k - 1, k)
     signatures = []
 

@@ -533,6 +533,25 @@ def test_bool_requires_binary_inputs():
         evaluate_bool(c, {})
 
 
+def test_evaluators_refuse_undeclared_variables():
+    c = build_xy_sum()
+    with pytest.raises(CircuitError, match=r"^the circuit declares no variables \['z'\]$"):
+        evaluate_arith(c, {"x": QQ.of(1), "y": QQ.of(2), "z": QQ.of(3)})
+    # a missing variable is named before an undeclared one
+    with pytest.raises(CircuitError, match="missing variable 'y'"):
+        evaluate_arith(c, {"x": QQ.of(1), "z": QQ.of(3)})
+    b = CircuitBuilder(QQ, ["p"])
+    c = b.build(b.add(AND, [b.add(input_label("p"))]))
+    with pytest.raises(CircuitError, match=r"^the circuit declares no variables \['q'\]$"):
+        evaluate_bool(c, {"p": 1, "q": 0})
+    # names in their own order, not their reprs' ('"b\'"' sorts before "'a'")
+    with pytest.raises(CircuitError, match=r"^the circuit declares no variables \['a', \"b'\"\]$"):
+        evaluate_bool(c, {"p": 1, "b'": 0, "a": 0})
+    # names that do not compare are listed by str
+    with pytest.raises(CircuitError, match=r"^the circuit declares no variables \[2, 'a'\]$"):
+        evaluate_bool(c, {"p": 1, "a": 0, 2: 0})
+
+
 def test_validate_reports_missing_assignment_free():
     c = build_xy_sum()
     with pytest.raises(CircuitError, match="missing variable 'y'"):

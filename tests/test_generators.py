@@ -71,6 +71,16 @@ def test_leverrier_matches_oracle():
             assert eval_on_matrix(gen.circuit, rows) == det_oracle(QQ, rows)
 
 
+def test_eval_on_matrix_refuses_a_matrix_of_the_wrong_size():
+    # the 3x3 matrix once gave the determinant of its top-left 2x2 block, -3
+    det2 = leverrier_det_circuit(2).circuit
+    with pytest.raises(CircuitError, match=r"declares no variables \['x_1_3', 'x_2_3', "
+                                           r"'x_3_1', 'x_3_2', 'x_3_3'\]$"):
+        eval_on_matrix(det2, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    with pytest.raises(CircuitError, match="missing variable"):
+        eval_on_matrix(leverrier_det_circuit(3).circuit, [[1, 2], [3, 4]])
+
+
 def test_leverrier_fractional_entries():
     gen = leverrier_det_circuit(3)
     rows = [["1/2", "2/3", 0], [1, "-1/3", 2], [0, 1, "5/7"]]

@@ -152,3 +152,8 @@ def test_relabel_refuses_a_mapping_that_is_not_injective():
     with pytest.raises(CircuitError, match="relabel maps 1 and 3 to one label 1"):
         path_graph(3).relabel({1: 1, 2: 2, 3: 1})
     assert path_graph(3).relabel({1: 3, 2: 2, 3: 1}).edges == ((1, 2), (2, 3))
+
+
+def test_relabel_refuses_a_mapping_that_leaves_a_vertex_out():
+    with pytest.raises(CircuitError, match="relabel does not map vertex 2"):
+        path_graph(3).relabel({1: "a", 3: "c"})

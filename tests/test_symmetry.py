@@ -326,6 +326,14 @@ def test_orbits_rejects_invalid_witness():
         orbits(c, [not_a_perm])
 
 
+def test_check_symmetric_names_only_unknown_variables():
+    det2 = leverrier_det_circuit(2).circuit
+    with pytest.raises(CircuitError, match="^permutation mentions unknown variable 'zz'$"):
+        check_symmetric(det2, Partition((("x_1_1", "zz"),)))
+    with pytest.raises(CircuitError, match="^permutation mentions unknown variable 'yy' and 'zz'$"):
+        check_symmetric(det2, Partition((("yy", "zz"),)))
+
+
 def test_orbits_rejects_a_failed_generator():
     # x*x + y: swapping x and y has no extension, so check_symmetric reports
     # None for generator 0, and orbits names it instead of reading it
