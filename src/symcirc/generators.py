@@ -7,9 +7,17 @@ rule makes M^(a+b) from built M^a and M^b: M^a M^a when a = b, else
 (M^a M^b + M^b M^a)/2, so that the transpose map extends to a gate
 automorphism, which a one-sided product M^a M^b would not admit.  The
 trace rule reads tr M^k off the diagonal of a built power, or as the pair
-sum of (M^a)_ij (M^b)_ji over built powers with a + b = k.  Powers up to
-ceil(n/2) and the higher traces take the balanced split (m//2, m - m//2);
-a baby-step/giant-step schedule would change only these exponents.
+sum of (M^a)_ij (M^b)_ji over built powers with a + b = k.  Only the
+exponents they are called with change with n, by baby steps and giant
+steps (Paterson-Stockmeyer): for a baby step s, the powers M^2..M^s, then
+M^(js) for j >= 2 and js < n from (floor(j/2)s, ceil(j/2)s), each by the
+balanced split, and every trace whose power is not built by the pair of
+built powers (a, k - a) nearest to the balanced split.  s runs over
+1..ceil(n/2) and is the one of fewest gates by an exact count
+(_schedule_gates), a tie going to ceil(n/2), which builds no giant step.
+The chosen s lies near sqrt(n) to sqrt(2n), so about 2 sqrt(n) full
+matrix products of n^3 to 2n^3 gates each are built: the size is
+O(n^3.5), 2.0-2.5 n^3.5 for n = 16..32, and not O(n^3).
 
 The permanent circuit symmetrises Ryser's formula over rows and columns:
 PERM = (-1)^n sum_S (-1)^{|S|} prod_i sum_{j in S} x_ij, averaged with the
@@ -49,7 +57,9 @@ from .symmetry import Matrix, Transpose, check_symmetric, matrix_var, matrix_var
 class GeneratedCircuit:
     circuit: Circuit
     # landmark gate name -> gate id (aliases allowed).  det: ("x", i, j),
-    # ("pow", k, i, j), ("trace", k), ("p", k), ("psum", k), ("pterm", k, j),
+    # ("pow", k, i, j) for k = 1 (the inputs) and each power the schedule
+    # builds, its baby steps 2..s and giant steps js < n, so k = 2 for any
+    # n >= 3; ("trace", k), ("p", k), ("psum", k), ("pterm", k, j),
     # ("const", text); perm: ("x", i, j), ("rprod", S), ("cprod", S),
     # ("rneg", S), ("cneg", S), ("total",), ("out",), ("const", text)
     names: dict
@@ -82,6 +92,40 @@ def eval_on_matrix(circuit: Circuit, rows) -> FieldValue:
 # Le Verrier determinant circuit
 
 
+def _det_schedule(n: int, s: int) -> tuple:
+    """The (lo, hi) calls of power and then of trace for baby step s.
+
+    Baby steps M^2..M^s and giant steps M^(js), js < n, each take the
+    balanced split of their exponent, in units of s for a giant; trace k
+    reads a built M^k's diagonal (hi = 0), else pairs the built halves
+    (a, k - a) nearest to balanced.  One always exists: k = qs + r with
+    0 < r < s, or k = n = qs with q >= 2 and both (q-1)s and s built.
+    """
+    powers = [(m // 2, m - m // 2) for m in range(2, s + 1)]
+    powers += [(j // 2 * s, (j + 1) // 2 * s) for j in range(2, n) if j * s < n]
+    built = {1, *(lo + hi for lo, hi in powers)}
+    traces = [(k, 0) if k in built else
+              next((a, k - a) for a in range(k // 2, 0, -1) if {a, k - a} <= built)
+              for k in range(1, n + 1)]
+    return powers, traces
+
+
+def _schedule_gates(n: int, powers, traces) -> int:
+    """The gates the power and trace calls of a schedule add.  A square's
+    diagonal entries share a product per unordered index pair, and a
+    two-sided product's diagonal entries share their two halves."""
+    tri = n * (n + 1) // 2
+    return (sum(n ** 3 + tri if lo == hi else 2 * n ** 3 + n * n for lo, hi in powers)
+            + sum(1 if hi == 0 else (tri if lo == hi else n * n) + 1 for lo, hi in traces))
+
+
+def _det_plan(n: int) -> tuple:
+    """The schedule of fewest gates over baby steps s = 1..ceil(n/2), a
+    tie going to the larger s; s = ceil(n/2) builds no giant step."""
+    plans = [_det_schedule(n, s) for s in range((n + 1) // 2, 0, -1)]
+    return min(plans, key=lambda plan: _schedule_gates(n, *plan))
+
+
 @_acyclic
 def leverrier_det_circuit(n: int, fld: Field = QQ, allow_positive_char: bool = False) -> GeneratedCircuit:
     """Transpose symmetric determinant circuit over a characteristic-0 field.
@@ -96,7 +140,11 @@ def leverrier_det_circuit(n: int, fld: Field = QQ, allow_positive_char: bool = F
             raise CircuitError("Le Verrier divides by 1..n; pass allow_positive_char for p > n")
         if fld.p <= n:
             raise CircuitError(f"characteristic {fld.p} does not exceed n = {n}")
+    return _leverrier(n, fld, *_det_plan(n))
 
+
+def _leverrier(n: int, fld: Field, powers, traces) -> GeneratedCircuit:
+    """The determinant circuit whose powers and traces follow a schedule."""
     b = CircuitBuilder(fld, matrix_variables(n))
     idx = range(1, n + 1)
     for i in idx:
@@ -136,14 +184,10 @@ def leverrier_det_circuit(n: int, fld: Field = QQ, allow_positive_char: bool = F
                     for a in idx for c in idx]
         b.add(ADD, kids, name=("trace", k))
 
-    top = (n + 1) // 2  # full power matrices for 1..top
-    for m in range(2, top + 1):
-        power(m // 2, m - m // 2)
-    for k in range(1, n + 1):
-        if k <= top:
-            trace(k, 0)
-        else:
-            trace(k // 2, k - k // 2)
+    for lo, hi in powers:
+        power(lo, hi)
+    for lo, hi in traces:
+        trace(lo, hi)
 
     b.names[("p", 1)] = b.names[("trace", 1)]
     for k in range(2, n + 1):

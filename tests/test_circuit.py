@@ -633,10 +633,10 @@ def test_serialize_matches_oracle_on_escapes():
 # numbering shows
 _FROZEN_STREAMS = {
     "det_Q_1_12": (lambda n: leverrier_det_circuit(n), range(1, 13),
-                   "fdedde40fb7a1f783da3533f8633b58549fcdf92bc635ba871720bd3baba21de"),
+                   "533562efd2e0a49983f73de8a2b63a95d1373081f87a34a7894d7ad21906e9e3"),
     "det_F13_1_12": (lambda n: leverrier_det_circuit(n, GF(13), allow_positive_char=True),
                      range(1, 13),
-                     "3b86625107ee18c8b8a4d5df208f62a49b5817d74a69ff751539efb918a340ed"),
+                     "355b2a2fe7590c5b95f81816fb2a2b8996226bd7011d28cab8a4243789cc91ae"),
     "perm_Q_1_8": (lambda n: ryser_perm_circuit(n), range(1, 9),
                    "01ee04574fa9735cce058336fee48e92e20ef6132a4fb58347ff6124239778e7"),
     "perm_F2_1_8": (lambda n: ryser_perm_circuit(n, GF(2)), range(1, 9),

@@ -21,6 +21,7 @@ from symcirc import (
     matrix_assignment,
     ryser_perm_circuit,
 )
+from symcirc.generators import _det_plan, _det_schedule, _leverrier, _schedule_gates
 
 
 def rand_rows(rng, n, lo=-9, hi=9):
@@ -89,7 +90,7 @@ def test_leverrier_fractional_entries():
 
 def test_leverrier_gate_counts_frozen():
     got = [len(leverrier_det_circuit(n).circuit) for n in range(2, 13)]
-    assert got == [15, 65, 138, 510, 859, 1702, 2510, 5033, 6863, 10475, 13546]
+    assert got == [15, 65, 138, 385, 658, 1702, 2510, 3611, 5908, 7868, 10222]
 
 
 def test_leverrier_gate_count_bounds():
@@ -98,6 +99,59 @@ def test_leverrier_gate_count_bounds():
         assert size <= 10 * n ** 3
         if n >= 4:
             assert size >= n ** 3 // 2
+
+
+def test_schedule_count_is_the_built_size_less_a_remainder():
+    # for every baby step s, _schedule_gates counts the power and trace
+    # gates exactly: what is left of the size (inputs, constants, the
+    # coefficient recurrence) depends on n alone
+    for n in range(1, 13):
+        rest = set()
+        for s in range(1, (n + 1) // 2 + 1):
+            powers, traces = _det_schedule(n, s)
+            rest.add(len(_leverrier(n, QQ, powers, traces).circuit)
+                     - _schedule_gates(n, powers, traces))
+        assert len(rest) == 1, (n, rest)
+
+
+# det sizes before baby and giant steps, when every power M^2..M^ceil(n/2)
+# was built, for n = 2..12
+ALL_POWERS_SIZES = [15, 65, 138, 510, 859, 1702, 2510, 5033, 6863, 10475, 13546]
+
+
+def test_leverrier_sizes_against_all_powers():
+    # never larger than building every power, and the same size where
+    # s = ceil(n/2) wins, which builds no giant step
+    for n, before in zip(range(2, 13), ALL_POWERS_SIZES):
+        size = len(leverrier_det_circuit(n).circuit)
+        assert size <= before, n
+        if n in (2, 3, 4, 7, 8):
+            assert size == before, n
+
+
+def test_leverrier_size_bounds_at_scale():
+    for n in range(9, 17):
+        assert len(leverrier_det_circuit(n).circuit) <= 10 * n ** 3, n
+    for n in (16, 20, 24):
+        assert len(leverrier_det_circuit(n).circuit) <= 3 * n ** 3.5, n
+
+
+@pytest.mark.parametrize("n, giant", [(9, (3, 3)), (10, (4, 4)), (13, (5, 5)), (16, (4, 8))])
+def test_leverrier_giant_steps_exact_and_symmetric(n, giant):
+    # each giant step's split at the first n that builds it; (4, 8) is
+    # the first giant step that is not a square
+    assert giant in _det_plan(n)[0]
+    rng = random.Random(n)
+    for fld in (QQ, GF(17)):
+        gen = leverrier_det_circuit(n, fld, allow_positive_char=True)
+        for _ in range(3):
+            rows = rand_rows(rng, n)
+            assert eval_on_matrix(gen.circuit, rows) == det_oracle(fld, rows)
+    assert check_symmetric(gen.circuit, Transpose(n)).symmetric
+    assert len(gen.witnesses) == 3
+    for sigma in gen.witnesses:
+        pi = find_extension(gen.circuit, sigma)
+        assert verify_automorphism(gen.circuit, Witness(sigma, pi)) == []
 
 
 def test_leverrier_witnesses_verify():

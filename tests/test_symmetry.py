@@ -522,7 +522,7 @@ def test_generators_generate_the_group_of_all_transpositions(name, build, spec):
 
 
 def test_det16_is_symmetric_under_three_generators():
-    # the frontier of the determinant family: 44,286 gates, yet the
+    # the frontier of the determinant family: 32,358 gates, yet the
     # transpose group still needs only (1 2), (2 3 ... 16) and the transpose
     c = leverrier_det_circuit(16, QQ).circuit
     rep = check_symmetric(c, Transpose(16))
@@ -542,8 +542,8 @@ def test_det12_orbits_equal_the_adjacent_transposition_orbits():
 
 CENSUS = [
     ("det", 4, {0: 22, 1: 20, 2: 72, 3: 24}),
-    ("det", 5, {0: 30, 1: 40, 2: 260, 3: 180}),
-    ("det", 6, {0: 40, 1: 54, 2: 405, 3: 360}),
+    ("det", 5, {0: 30, 1: 35, 2: 200, 3: 120}),
+    ("det", 6, {0: 40, 1: 48, 2: 330, 3: 240}),
     ("det", 7, {0: 50, 1: 77, 2: 735, 3: 840}),
     ("det", 8, {0: 62, 1: 96, 2: 1008, 3: 1344}),
     ("perm", 4, {0: 6, 1: 40, 2: 76, 3: 48}),
@@ -586,7 +586,7 @@ YOUNG_CASES = ([pytest.param("det", spec, id=f"det-{spec}")
                 for n in range(3, 8) for spec in (Square(n), Transpose(n))]
                + [pytest.param("perm", spec, id=f"perm-{spec}")
                   for n in range(3, 8) for spec in (Matrix(n, n), Square(n))])
-TRANSPOSE_DOUBLED = {3: 12, 4: 24, 5: 240, 6: 420, 7: 756}   # det gates at twice the upper end
+TRANSPOSE_DOUBLED = {3: 12, 4: 24, 5: 80, 6: 120, 7: 756}   # det gates at twice the upper end
 
 
 @pytest.mark.parametrize("kind, spec", YOUNG_CASES)
